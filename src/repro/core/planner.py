@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.actions import ActionLibrary, AdaptiveAction
 from repro.core.collaborative import collaborative_sets, project_invariants
@@ -27,6 +27,7 @@ from repro.errors import NoSafePathError
 from repro.graphs import lazy_astar
 from repro.graphs.csr import ShortestPathTree, k_shortest_paths_csr
 from repro.graphs.dijkstra import Path
+from repro.graphs.yen import extend_k_shortest
 
 
 #: above this many components the eager 2^n enumeration is off the table
@@ -174,24 +175,6 @@ class AdaptationPlanner:
         self.space.require_safe(source, role="source configuration")
         self.space.require_safe(target, role="target configuration")
 
-    def _plan_from_path(self, path: Path) -> AdaptationPlan:
-        steps = []
-        for index, edge in enumerate(path.edges):
-            steps.append(
-                PlanStep(
-                    index=index,
-                    action=self.actions.get(edge.label),
-                    source=edge.source,
-                    target=edge.target,
-                )
-            )
-        return AdaptationPlan(
-            source=path.source,
-            target=path.target,
-            steps=tuple(steps),
-            total_cost=path.cost,
-        )
-
     # -- planning entry points -----------------------------------------------------
     def _spt_for(self, source: Configuration) -> ShortestPathTree:
         """The shortest-path tree rooted at *source* (LRU-cached)."""
@@ -200,25 +183,32 @@ class AdaptationPlanner:
         if tree is not None:
             cache.move_to_end(source)
             return tree
-        tree = self.sag.csr.shortest_path_tree(source)
+        tree = self.sag.csr.shortest_path_tree(self.universe.mask_of(source))
         cache[source] = tree
         while len(cache) > self.spt_cache_size:
             cache.popitem(last=False)
         return tree
 
     def _plan_uncached(
-        self, source: Configuration, target: Configuration
+        self,
+        source: Configuration,
+        target: Configuration,
+        tree: Optional[ShortestPathTree] = None,
     ) -> Optional[AdaptationPlan]:
-        path = self._spt_for(source).path_to(target)
-        return None if path is None else self._plan_from_path(path)
+        if tree is None:
+            tree = self._spt_for(source)
+        path = tree.path_to(self.universe.mask_of(target))
+        return None if path is None else self._plan_from_mask_path(source, target, path)
 
     def plan(self, source: Configuration, target: Configuration) -> AdaptationPlan:
         """The Minimum Adaptation Path (Dijkstra over the compiled SAG).
 
-        The search runs on the CSR view's shortest-path tree for *source*,
-        so every further query sharing that source — other targets in a
-        batch, the §4.4 cascade re-entering while retrying/rolling back —
-        extracts its path in O(path length).  Results are additionally
+        The search runs on the CSR view's resumable shortest-path tree
+        for *source*, settled only as far as *target*; every further
+        query sharing that source — other targets in a batch, the §4.4
+        cascade re-entering while retrying/rolling back — resumes the
+        same search, and a target it already settled costs
+        O(path length).  Results are additionally
         cached per ``(source, target)``; a cached ``None`` records that
         the target is unreachable (distinct from an absent entry).
 
@@ -261,7 +251,7 @@ class AdaptationPlanner:
 
         Requests are grouped by source and answered off one shortest-path
         tree per distinct source, so a batch of R requests over S distinct
-        sources costs S Dijkstra runs instead of R.  Unlike :meth:`plan`,
+        sources costs at most S Dijkstra runs instead of R.  Unlike :meth:`plan`,
         an unreachable pair yields ``None`` in its slot rather than
         raising — a batch should not die on one bad request.  Endpoint
         safety is still enforced (unsafe endpoints raise, as they indicate
@@ -288,8 +278,7 @@ class AdaptationPlanner:
                 if key in self._plan_cache:  # duplicate pair earlier in batch
                     results[i] = self._plan_cache[key]
                     continue
-                path = tree.path_to(target)
-                plan = None if path is None else self._plan_from_path(path)
+                plan = self._plan_uncached(source, target, tree)
                 self._plan_cache[key] = plan
                 results[i] = plan
         return results
@@ -308,37 +297,39 @@ class AdaptationPlanner:
         key = (source, target, k)
         cached = self._plan_k_cache.get(key)
         if cached is None:
-            paths = k_shortest_paths_csr(self.sag.csr, source, target, k)
-            cached = tuple(self._plan_from_path(path) for path in paths)
+            mask_of = self.universe.mask_of
+            paths = k_shortest_paths_csr(
+                self.sag.csr, mask_of(source), mask_of(target), k
+            )
+            cached = tuple(
+                self._plan_from_mask_path(source, target, path) for path in paths
+            )
             self._plan_k_cache[key] = cached
         return list(cached)
 
     def _plan_from_mask_path(
-        self, source: Configuration, target: Configuration, path: Path
+        self,
+        source: Configuration,
+        target: Configuration,
+        path: Path,
+        decode: Optional[Callable[[Any], Configuration]] = None,
     ) -> AdaptationPlan:
-        """Decode a mask-level search result back into an AdaptationPlan."""
-        universe = self.universe
-        configs: List[Configuration] = [source]
-        for mask in path.nodes[1:-1]:
-            configs.append(universe.from_mask(mask))
+        """Decode a mask-level search result back into an AdaptationPlan.
+
+        The one decoder behind every planning entry point: eager CSR
+        trees and Yen paths, lazy frontier searches, and — with
+        ``decode`` the identity — the set-based A* fallback whose nodes
+        already are configurations.
+        """
+        decode = self.universe.from_mask if decode is None else decode
+        configs = [source, *map(decode, path.nodes[1:-1])]
         if len(path.nodes) > 1:
             configs.append(target)
-        steps = []
-        for index, edge in enumerate(path.edges):
-            steps.append(
-                PlanStep(
-                    index=index,
-                    action=self.actions.get(edge.label),
-                    source=configs[index],
-                    target=configs[index + 1],
-                )
-            )
-        return AdaptationPlan(
-            source=source,
-            target=target,
-            steps=tuple(steps),
-            total_cost=path.cost,
+        steps = tuple(
+            PlanStep(index, self.actions.get(edge.label), configs[index], configs[index + 1])
+            for index, edge in enumerate(path.edges)
         )
+        return AdaptationPlan(source, target, steps, path.cost)
 
     def lazy_plan(
         self,
@@ -506,9 +497,8 @@ class AdaptationPlanner:
 
         Yen's loopless enumeration run entirely over the
         :class:`~repro.core.sag.LazySAG` successor generator: the
-        candidate loop, banned node/arc sets, dedup key, and
-        ``(cost, insertion order)`` candidate ordering mirror
-        :func:`repro.graphs.csr.k_shortest_paths_csr` exactly, and every
+        candidate loop is :func:`repro.graphs.csr.k_shortest_paths_csr`'s
+        own (:func:`repro.graphs.yen.extend_k_shortest`), and every
         spur query is the two-phase exact search of :meth:`lazy_plan` —
         so the returned plans are **identical (paths, costs, and order)
         to** :meth:`plan_k` wherever both are defined, without ever
@@ -524,68 +514,27 @@ class AdaptationPlanner:
         self._validate_endpoints(source, target)
         if k <= 0:
             return [], True
-        universe = self.universe
-        source_mask = universe.mask_of(source)
-        target_mask = universe.mask_of(target)
+        source_mask = self.universe.mask_of(source)
+        target_mask = self.universe.mask_of(target)
         heuristic = self._mask_heuristic(target_mask)
         remaining = max_expansions
-        first, exhausted, spent = self._lazy_banned_shortest(
-            source_mask, target_mask, frozenset(), frozenset(),
-            heuristic, remaining,
-        )
-        if remaining is not None:
-            remaining = max(0, remaining - spent)
+
+        def spur_query(spur_mask, banned_nodes, banned_arcs):
+            nonlocal remaining
+            path, exhausted, spent = self._lazy_banned_shortest(
+                spur_mask, target_mask, banned_nodes, banned_arcs,
+                heuristic, remaining,
+            )
+            if remaining is not None:
+                remaining = max(0, remaining - spent)
+            return path, exhausted
+
+        first, exhausted = spur_query(source_mask, frozenset(), frozenset())
         if first is None:
             if not exhausted:
                 self._plan_cache.setdefault((source, target), None)
             return [], not exhausted
-        found: List[Path] = [first]
-        seen = {(first.nodes, first.labels)}
-        candidates: List[Tuple[float, int, Path]] = []
-        order = 0
-        complete = True
-        while len(found) < k and complete:
-            prev = found[-1]
-            for i in range(len(prev.edges)):
-                spur_mask = prev.nodes[i]
-                root_edges = prev.edges[:i]
-                root_cost = sum(edge.weight for edge in root_edges)
-                banned_arcs = set()
-                for path in found:
-                    if (
-                        path.nodes[: i + 1] == prev.nodes[: i + 1]
-                        and len(path.edges) > i
-                    ):
-                        banned_arcs.add((path.nodes[i], path.edges[i].label))
-                banned_nodes = set(prev.nodes[:i])
-                if spur_mask in banned_nodes or target_mask in banned_nodes:
-                    continue
-                spur, exhausted, spent = self._lazy_banned_shortest(
-                    spur_mask, target_mask, banned_nodes, banned_arcs,
-                    heuristic, remaining,
-                )
-                if remaining is not None:
-                    remaining = max(0, remaining - spent)
-                if spur is None:
-                    if exhausted:
-                        complete = False
-                        break
-                    continue
-                total = Path(
-                    nodes=prev.nodes[:i] + spur.nodes,
-                    edges=root_edges + spur.edges,
-                    cost=root_cost + spur.cost,
-                )
-                key = (total.nodes, total.labels)
-                if key not in seen:
-                    seen.add(key)
-                    candidates.append((total.cost, order, total))
-                    order += 1
-            if not complete or not candidates:
-                break
-            candidates.sort(key=lambda item: (item[0], item[1]))
-            _, _, best = candidates.pop(0)
-            found.append(best)
+        found, complete = extend_k_shortest(first, target_mask, k, spur_query)
         plans = [
             self._plan_from_mask_path(source, target, path) for path in found
         ]
@@ -606,7 +555,10 @@ class AdaptationPlanner:
         admissible heuristic is ``ceil(|Δ| / max_flip) * min_cost`` where Δ
         is the symmetric difference to the target, ``max_flip`` the largest
         number of components any single action changes, and ``min_cost``
-        the cheapest action cost.
+        the cheapest action cost.  When every action is maskable the search
+        runs over integer masks on the shared :attr:`lazy_sag` successor
+        generator — node identity, successor order and heap tie-breaking
+        are bijective with the frozenset search, so the plan is identical.
         """
         self._validate_endpoints(source, target)
         actions = tuple(self.actions)
@@ -614,89 +566,43 @@ class AdaptationPlanner:
             if source == target:
                 return AdaptationPlan(source, target, (), 0.0)
             raise NoSafePathError("no adaptive actions available")
-        max_flip = max(len(a.touched) for a in actions)
-        min_cost = min(a.cost for a in actions)
-        masked = self.actions.compiled_for(self.universe)
-        if all(m is not None for m in masked):
-            return self._plan_lazy_masked(
-                source, target, actions, masked, max_flip, min_cost, max_expansions
+        path: Optional[Path]
+        decode: Callable[[Any], Configuration]
+        if all(m is not None for m in self.actions.compiled_for(self.universe)):
+            target_mask = self.universe.mask_of(target)
+            path = lazy_astar(
+                self.universe.mask_of(source), target_mask,
+                self.lazy_sag.successors, self._mask_heuristic(target_mask),
+                max_expansions,
             )
+            decode = self.universe.from_mask
+        else:
+            # Some action touches components outside the universe: such an
+            # action can route through configurations that have no bit
+            # encoding, so the search stays on the frozenset representation.
+            max_flip = max(len(a.touched) for a in actions)
+            min_cost = min(a.cost for a in actions)
 
-        # Some action touches components outside the universe: such an
-        # action can route through configurations that have no bit
-        # encoding, so the search stays on the frozenset representation.
-        def heuristic(config: Configuration) -> float:
-            delta = len(config.symmetric_difference(target))
-            if delta == 0:
-                return 0.0
-            return math.ceil(delta / max_flip) * min_cost
+            def heuristic(config: Configuration) -> float:
+                delta = len(config.symmetric_difference(target))
+                if delta == 0:
+                    return 0.0
+                return math.ceil(delta / max_flip) * min_cost
 
-        def successors(config: Configuration):
-            for action in actions:
-                if action.is_applicable(config):
-                    result = action.apply(config)
-                    if self.space.is_safe(result):
-                        yield action.action_id, action.cost, result
+            def successors(config: Configuration):
+                for action in actions:
+                    if action.is_applicable(config):
+                        result = action.apply(config)
+                        if self.space.is_safe(result):
+                            yield action.action_id, action.cost, result
 
-        path = lazy_astar(source, target, successors, heuristic, max_expansions)
+            path = lazy_astar(source, target, successors, heuristic, max_expansions)
+            decode = lambda config: config  # noqa: E731 - nodes are configurations
         if path is None:
             raise NoSafePathError(
                 f"no safe adaptation path from {source.label()} to {target.label()}"
             )
-        return self._plan_from_path(path)
-
-    def _plan_lazy_masked(
-        self,
-        source: Configuration,
-        target: Configuration,
-        actions: Tuple[AdaptiveAction, ...],
-        masked: Sequence,
-        max_flip: int,
-        min_cost: float,
-        max_expansions: Optional[int],
-    ) -> AdaptationPlan:
-        """Lazy A* over integer masks — the bitmask fast path.
-
-        Node identity, successor order, and heap tie-breaking are
-        bijective with the frozenset search, so the returned plan is
-        identical; only the per-expansion cost drops from set algebra to
-        a few int ops against the shared safety memo.
-        """
-        universe = self.universe
-        source_mask = universe.mask_of(source)
-        target_mask = universe.mask_of(target)
-        are_safe_masks = self.space.are_safe_masks
-        pairs = tuple(zip(actions, masked))
-
-        def heuristic(mask: int) -> float:
-            delta = (mask ^ target_mask).bit_count()
-            if delta == 0:
-                return 0.0
-            return math.ceil(delta / max_flip) * min_cost
-
-        def successors(mask: int):
-            # applicability first, then one batched safety query per
-            # expansion — verdicts and yield order match the pointwise
-            # loop exactly
-            candidates = []
-            for action, m in pairs:
-                required = m.required
-                if (mask & required) == required and not (mask & m.forbidden):
-                    result = (mask & ~m.clear) | m.set_bits
-                    candidates.append((action.action_id, action.cost, result))
-            for candidate, safe in zip(
-                candidates,
-                are_safe_masks([candidate[2] for candidate in candidates]),
-            ):
-                if safe:
-                    yield candidate
-
-        path = lazy_astar(source_mask, target_mask, successors, heuristic, max_expansions)
-        if path is None:
-            raise NoSafePathError(
-                f"no safe adaptation path from {source.label()} to {target.label()}"
-            )
-        return self._plan_from_mask_path(source, target, path)
+        return self._plan_from_mask_path(source, target, path, decode)
 
     def plan_collaborative(
         self, source: Configuration, target: Configuration

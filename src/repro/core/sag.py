@@ -9,10 +9,10 @@ is that action's cost.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.actions import ActionLibrary, AdaptiveAction
-from repro.core.model import Configuration
+from repro.core.model import ComponentUniverse, Configuration
 from repro.core.space import SafeConfigurationSpace
 from repro.errors import UnknownComponentError
 from repro.graphs import CSRGraph, Digraph
@@ -117,12 +117,20 @@ class LazySAG:
 
 
 class SafeAdaptationGraph:
-    """SAG over safe configurations with adaptive-action labelled arcs."""
+    """SAG over safe configurations with adaptive-action labelled arcs.
 
-    def __init__(self, graph: Digraph, actions: ActionLibrary):
-        self._graph = graph
+    Held as a mask-node :class:`~repro.graphs.csr.CSRGraph`: nodes are
+    the vertices' presence masks, each arc's label is its action id and
+    its weight the action's cost.  Every query below is answered from the
+    arrays; :class:`Configuration` objects are decoded only for what a
+    query returns, and a :class:`Digraph` only when :attr:`graph` is read.
+    """
+
+    def __init__(self, csr: CSRGraph, actions: ActionLibrary, universe: ComponentUniverse):
+        self._csr = csr
         self._actions = actions
-        self._csr: Optional[CSRGraph] = None
+        self._universe = universe
+        self._graph: Optional[Digraph] = None
 
     @classmethod
     def build(
@@ -131,85 +139,79 @@ class SafeAdaptationGraph:
         actions: ActionLibrary,
         restrict_to: Optional[Iterable[Configuration]] = None,
     ) -> "SafeAdaptationGraph":
-        """Materialize the SAG.
+        """Materialize the SAG straight into CSR arrays.
+
+        One pass over ``(vertex mask x maskable action)``: applicability,
+        application and the target lookup are each a couple of int ops on
+        precompiled masks.  Nodes keep vertex order (ascending masks for
+        the full safe set) and each vertex's arcs keep action-library
+        order.  Actions touching components outside the universe can
+        never connect two vertices (their result always leaves the
+        universe), so they are skipped.
 
         Args:
-            space: the safe-configuration space (provides vertices and the
-                safety test for action results).
+            space: the safe-configuration space (provides the vertices).
             actions: the available adaptive actions (provide the arcs).
-            restrict_to: optional vertex subset; defaults to the full safe
-                set ``space.enumerate()``.
+            restrict_to: optional vertex subset of the universe's
+                configurations; defaults to the full safe set
+                ``space.enumerate_masks()``.
+
+        Raises:
+            UnknownComponentError: a *restrict_to* vertex names a
+                component outside the universe (it has no mask).
         """
-        if restrict_to is None:
-            vertices: Tuple[Configuration, ...] = space.enumerate()
-        else:
-            vertices = tuple(restrict_to)
-        graph: Digraph = Digraph()
-        for config in vertices:
-            graph.add_node(config)
         universe = space.universe
-        try:
-            vertex_masks = [universe.mask_of(config) for config in vertices]
-        except UnknownComponentError:
-            # Vertices outside the universe (caller-supplied restrict_to)
-            # have no bit encoding; keep the set-based build for them.
-            cls._build_arcs_setwise(graph, vertices, actions)
-            return cls(graph, actions)
-        # Bitmask fast path: the O(|V|·|A|) loop runs on precompiled
-        # integer masks — applicability, application, and the target
-        # lookup are each a couple of int ops.  Actions touching
-        # components outside the universe can never connect two vertices
-        # (their result always leaves the universe), so they are skipped,
-        # exactly as the set-based build would skip them.
-        config_by_mask = dict(zip(vertex_masks, vertices))
-        masked_actions = [
-            (masked, action)
-            for masked, action in zip(actions.compiled_for(universe), actions)
+        if restrict_to is None:
+            masks = space.enumerate_masks()
+        else:
+            masks = tuple(dict.fromkeys(map(universe.mask_of, restrict_to)))
+        index_of = {mask: i for i, mask in enumerate(masks)}
+        # an action applies iff the mask holds every required bit and no
+        # forbidden one (one AND, one compare); the bits it clears are
+        # required and the bits it sets forbidden, so applying is one XOR
+        arc_specs = [
+            (index, masked.required | masked.forbidden, masked.required,
+             masked.clear | masked.set_bits, action.cost)
+            for index, (masked, action) in enumerate(
+                zip(actions.compiled_for(universe), actions)
+            )
             if masked is not None
         ]
-        add_edge = graph.add_edge
-        get_target = config_by_mask.get
-        for config, mask in zip(vertices, vertex_masks):
-            for masked, action in masked_actions:
-                required = masked.required
-                if (mask & required) == required and not (mask & masked.forbidden):
-                    target = get_target((mask & ~masked.clear) | masked.set_bits)
+        offsets = [0]
+        targets: List[int] = []
+        weights: List[float] = []
+        label_ids: List[int] = []
+        get_target = index_of.get
+        for mask in masks:
+            for index, care, required, flip, cost in arc_specs:
+                if mask & care == required:
+                    target = get_target(mask ^ flip)
                     if target is not None:
-                        add_edge(config, target, action.action_id, action.cost)
-        return cls(graph, actions)
-
-    @staticmethod
-    def _build_arcs_setwise(
-        graph: Digraph,
-        vertices: Tuple[Configuration, ...],
-        actions: ActionLibrary,
-    ) -> None:
-        """Reference arc construction over frozensets (fallback path)."""
-        vertex_set = set(vertices)
-        for config in vertices:
-            for action in actions:
-                if not action.is_applicable(config):
-                    continue
-                result = action.apply(config)
-                if result in vertex_set:
-                    graph.add_edge(config, result, action.action_id, action.cost)
+                        targets.append(target)
+                        weights.append(cost)
+                        label_ids.append(index)
+            offsets.append(len(targets))
+        labels = tuple(action.action_id for action in actions)
+        csr = CSRGraph(masks, index_of, offsets, targets, weights, label_ids, labels)
+        return cls(csr, actions, universe)
 
     # -- structure -------------------------------------------------------------
     @property
-    def graph(self) -> Digraph:
-        return self._graph
+    def csr(self) -> CSRGraph:
+        """The mask-node CSR arrays every planner query runs on."""
+        return self._csr
 
     @property
-    def csr(self) -> CSRGraph:
-        """The graph compiled to CSR arrays (built once, then cached).
-
-        The SAG is frozen after :meth:`build`, so the compiled view never
-        goes stale; planners drop the whole SAG (and this view with it)
-        when the spec changes.
-        """
-        if self._csr is None:
-            self._csr = CSRGraph.from_digraph(self._graph)
-        return self._csr
+    def graph(self) -> Digraph:
+        """The SAG as a :class:`Digraph` over configurations (built on first read)."""
+        if self._graph is None:
+            graph: Digraph = Digraph()
+            for config in self._configs():
+                graph.add_node(config)
+            for source, label, target in self.edge_list():
+                graph.add_edge(source, target, label, self._actions.get(label).cost)
+            self._graph = graph
+        return self._graph
 
     @property
     def actions(self) -> ActionLibrary:
@@ -217,33 +219,53 @@ class SafeAdaptationGraph:
 
     @property
     def node_count(self) -> int:
-        return self._graph.node_count
+        return self._csr.node_count
 
     @property
     def edge_count(self) -> int:
-        return self._graph.edge_count
+        return self._csr.edge_count
+
+    def _configs(self) -> Tuple[Configuration, ...]:
+        """Vertex configurations in node order."""
+        return tuple(map(self._universe.from_mask, self._csr.nodes))
+
+    def _out_arcs(self, config: Configuration) -> Iterator[Tuple[str, Configuration]]:
+        """``(action id, target)`` per arc leaving *config*, in edge order."""
+        csr = self._csr
+        try:
+            index = csr.index_of.get(self._universe.mask_of(config))
+        except UnknownComponentError:
+            return
+        if index is not None:
+            for edge_id in range(csr.offsets[index], csr.offsets[index + 1]):
+                target = csr.nodes[csr.targets[edge_id]]
+                yield csr.edge_label(edge_id), self._universe.from_mask(target)
 
     def __contains__(self, config: Configuration) -> bool:
-        return config in self._graph
+        try:
+            return self._universe.mask_of(config) in self._csr.index_of
+        except UnknownComponentError:
+            return False
 
     def steps_from(self, config: Configuration) -> Tuple[Tuple[AdaptiveAction, Configuration], ...]:
         """Outgoing adaptation steps: (action, resulting configuration)."""
         return tuple(
-            (self._actions.get(edge.label), edge.target)
-            for edge in self._graph.out_edges(config)
+            (self._actions.get(label), target) for label, target in self._out_arcs(config)
         )
 
     def has_step(self, source: Configuration, target: Configuration) -> bool:
-        return self._graph.has_edge(source, target)
+        return bool(self.step_actions(source, target))
 
     def step_actions(self, source: Configuration, target: Configuration) -> Tuple[str, ...]:
         """Ids of every action realizing the arc source→target (parallel arcs)."""
-        return self._graph.edge_labels(source, target)
+        return tuple(label for label, to in self._out_arcs(source) if to == target)
 
     def edge_list(self) -> List[Tuple[Configuration, str, Configuration]]:
         """All arcs as (source, action id, target), deterministic order."""
         return [
-            (edge.source, edge.label, edge.target) for edge in self._graph.edges()
+            (source, label, target)
+            for source in self._configs()
+            for label, target in self._out_arcs(source)
         ]
 
     def to_dot(
@@ -271,25 +293,26 @@ class SafeAdaptationGraph:
                 return f"n{universe.to_bits(config)}"
             return "n" + "_".join(sorted(config.members))
 
-        highlighted = set()
-        for src, action_id, dst in highlight_path or ():
-            highlighted.add((src, action_id, dst))
+        highlighted = {
+            (source, action_id, target)
+            for source, action_id, target in highlight_path or ()
+        }
         lines = [
             "digraph SAG {",
             f'  label="{title}";',
             "  rankdir=LR;",
             '  node [shape=box, style=rounded, fontname="Helvetica"];',
         ]
-        for config in sorted(self._graph.nodes(), key=lambda c: sorted(c.members)):
+        for config in sorted(self._configs(), key=lambda c: sorted(c.members)):
             lines.append(f'  {node_id(config)} [label="{node_label(config)}"];')
-        for edge in self._graph.edges():
-            action = self._actions.get(edge.label)
+        for source, label, target in self.edge_list():
+            action = self._actions.get(label)
             style = ""
-            if (edge.source, edge.label, edge.target) in highlighted:
+            if (source, label, target) in highlighted:
                 style = ", color=red, penwidth=2.5, fontcolor=red"
             lines.append(
-                f"  {node_id(edge.source)} -> {node_id(edge.target)} "
-                f'[label="{edge.label} ({action.cost:g})"{style}];'
+                f"  {node_id(source)} -> {node_id(target)} "
+                f'[label="{label} ({action.cost:g})"{style}];'
             )
         lines.append("}")
         return "\n".join(lines)

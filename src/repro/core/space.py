@@ -114,7 +114,9 @@ class SafeConfigurationSpace:
         self.universe = universe
         self.invariants = invariants
         self.workers = workers
-        self._cache: Optional[Tuple[Configuration, ...]] = None
+        #: safe masks, ascending (None until the first full enumeration)
+        self._cache: Optional[Tuple[int, ...]] = None
+        self._configs: Optional[Tuple[Configuration, ...]] = None
         self._safe_memo: SafetyMemo = SafetyMemo(len(universe))
         self._compiled: Optional[Callable[[int], bool]] = None
         self._compiled_partial: Optional[Tuple[Callable, ...]] = None
@@ -205,26 +207,36 @@ class SafeConfigurationSpace:
             )
 
     # -- enumeration ------------------------------------------------------------
-    def enumerate(self) -> Tuple[Configuration, ...]:
-        """All safe configurations over the full universe (cached).
+    def enumerate_masks(self) -> Tuple[int, ...]:
+        """Masks of every safe configuration, ascending (cached).
 
-        Deterministic order: ascending by the universe's bit-vector value.
-        Implemented by :meth:`enumerate_backtracking` (invariant
-        propagation prunes hopeless branches early); the exhaustive
-        filter over ``all_configurations`` is kept as the property-test
-        oracle.
+        The enumeration itself: :meth:`_backtracking_masks` (invariant
+        propagation prunes hopeless branches early) or, with ``workers``,
+        :meth:`_enumerate_parallel`.  The SAG build and lint consume the
+        masks directly; the exhaustive filter over ``all_configurations``
+        is kept as the property-test oracle.
         """
         if self._cache is None:
             self._cache = self._enumerate_with_stats()
         return self._cache
 
+    def enumerate(self) -> Tuple[Configuration, ...]:
+        """All safe configurations over the full universe (cached).
+
+        Deterministic order: ascending by the universe's bit-vector value
+        — :meth:`enumerate_masks`, decoded once on first call.
+        """
+        if self._configs is None:
+            self._configs = tuple(map(self.universe.from_mask, self.enumerate_masks()))
+        return self._configs
+
     def _enumerate_serial(
         self, reason: str, started: Optional[float] = None
-    ) -> Tuple[Configuration, ...]:
+    ) -> Tuple[int, ...]:
         """Serial enumeration, recording *reason* on the stats attribute."""
         if started is None:
             started = time.perf_counter()
-        result = self.enumerate_backtracking()
+        result = self._backtracking_masks()
         self.last_enumeration_stats = EnumerationStats(
             mode="serial",
             requested_workers=self.workers,
@@ -235,7 +247,7 @@ class SafeConfigurationSpace:
         )
         return result
 
-    def _enumerate_with_stats(self) -> Tuple[Configuration, ...]:
+    def _enumerate_with_stats(self) -> Tuple[int, ...]:
         """Pick serial vs parallel and record the decision.
 
         ``workers=1`` is exactly serial by contract (no pool spin-up);
@@ -272,11 +284,6 @@ class SafeConfigurationSpace:
                 started,
             )
         return self._enumerate_parallel(effective, started)
-
-    def enumerate_masks(self) -> Tuple[int, ...]:
-        """Masks of :meth:`enumerate`'s result, in the same order."""
-        mask_of = self.universe.mask_of
-        return tuple(mask_of(config) for config in self.enumerate())
 
     def enumerate_restricted(
         self,
@@ -381,6 +388,11 @@ class SafeConfigurationSpace:
         one-of/dependency constraint are abandoned without expanding the
         remaining 2^k subtree.  Produces exactly :meth:`enumerate`'s
         result (same order) but scales far better on constrained spaces.
+        """
+        return tuple(map(self.universe.from_mask, self._backtracking_masks()))
+
+    def _backtracking_masks(self) -> Tuple[int, ...]:
+        """The masks-only core of :meth:`enumerate_backtracking`.
 
         Runs entirely on compiled bitmask closures; every leaf verdict is
         recorded in the shared safety memo so later SAG construction and
@@ -396,14 +408,13 @@ class SafeConfigurationSpace:
                 return ()
         schedule = self._check_schedule(order)
         memo = self._safe_memo
-        out: List[Configuration] = []
-        from_mask = universe.from_mask
+        out: List[int] = []
         n = len(order_bits)
 
         def recurse(index: int, present: int, decided: int) -> None:
             if index == n:
                 memo[present] = True
-                out.append(from_mask(present))
+                out.append(present)
                 return
             bit = order_bits[index]
             decided |= bit
@@ -419,9 +430,7 @@ class SafeConfigurationSpace:
         recurse(0, 0, 0)
         return tuple(out)
 
-    def _enumerate_parallel(
-        self, workers: int, started: float
-    ) -> Tuple[Configuration, ...]:
+    def _enumerate_parallel(self, workers: int, started: float) -> Tuple[int, ...]:
         """Full enumeration via chunked work-stealing over a process pool.
 
         The mask space is partitioned on the first *k* components of the
@@ -512,7 +521,6 @@ class SafeConfigurationSpace:
         )
         digest = par.spec_digest(payload)
         memo = self._safe_memo
-        from_mask = universe.from_mask
         cached = (
             par.cached_plane(digest)
             if n <= par.MAX_BITSET_COMPONENTS
@@ -522,7 +530,7 @@ class SafeConfigurationSpace:
             # A previous enumeration of this exact spec already merged
             # its result plane — replay it without touching the pool.
             memo.or_safe_plane(cached)
-            out = [from_mask(mask) for mask in par.iter_plane_masks(cached)]
+            replayed = tuple(par.iter_plane_masks(cached))
             self.last_enumeration_stats = EnumerationStats(
                 mode="parallel",
                 requested_workers=self.workers,
@@ -531,12 +539,12 @@ class SafeConfigurationSpace:
                 "from the warm plane cache",
                 partitions=len(surviving),
                 chunks=0,
-                safe_count=len(out),
+                safe_count=len(replayed),
                 transport="plane-cache",
                 pool_warm=True,
                 total_ms=(time.perf_counter() - started) * 1e3,
             )
-            return tuple(out)
+            return replayed
         try:
             import concurrent.futures
 
@@ -588,7 +596,7 @@ class SafeConfigurationSpace:
                 f"serial: pool failure ({exc.__class__.__name__}: {exc})",
                 started,
             )
-        out: List[Configuration] = []
+        out: List[int] = []
         if plane is not None:
             try:
                 plane_bytes = bytes(plane.buf)
@@ -598,14 +606,14 @@ class SafeConfigurationSpace:
             memo.or_safe_plane(plane_bytes)
             par.store_plane(digest, plane_bytes)
             # ascending bit scan == ascending mask == serial order
-            out = [from_mask(mask) for mask in par.iter_plane_masks(plane_bytes)]
+            out = list(par.iter_plane_masks(plane_bytes))
         else:
             # chunk index order == ascending prefix order == ascending masks
             for masks in results:
                 assert masks is not None
                 for mask in masks:
                     memo[mask] = True
-                    out.append(from_mask(mask))
+                out.extend(masks)
         self.last_enumeration_stats = EnumerationStats(
             mode="parallel",
             requested_workers=self.workers,
@@ -638,7 +646,7 @@ class SafeConfigurationSpace:
         )
 
     def count(self) -> int:
-        return len(self.enumerate())
+        return len(self.enumerate_masks())
 
     def to_table(self) -> List[Tuple[str, str]]:
         """Render the safe set as (bit vector, member list) rows — Table 1."""
@@ -651,7 +659,7 @@ class SafeConfigurationSpace:
         return iter(self.enumerate())
 
     def __len__(self) -> int:
-        return self.count()
+        return len(self.enumerate_masks())
 
     def __contains__(self, config: Configuration) -> bool:
         return self.is_safe(config)

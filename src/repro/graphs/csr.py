@@ -2,10 +2,13 @@
 
 A :class:`Digraph` answers one shortest-path query fine, but serving many
 ``(source, target)`` requests against one Safe Adaptation Graph pays dict
-hashing and node interning on every call.  :class:`CSRGraph` compiles a
-*frozen* digraph once into int-indexed compressed-sparse-row arrays —
-``offsets``/``targets``/``weights`` plus a reverse CSR for inbound edges —
-so every search runs on machine scalars and array indexing.
+hashing and node interning on every call.  :class:`CSRGraph` holds a
+*frozen* graph as int-indexed compressed-sparse-row arrays —
+``offsets``/``targets``/``weights`` plus a per-edge label index, and a
+reverse CSR for inbound edges built on first use — so every search runs
+on machine scalars and array indexing.  It is compiled from a
+:class:`Digraph` (:meth:`CSRGraph.from_digraph`) or written directly by
+a builder that never makes one (the Safe Adaptation Graph does).
 
 Kernels provided:
 
@@ -13,10 +16,12 @@ Kernels provided:
   **same deterministic tie-break** as :func:`repro.graphs.dijkstra.dijkstra`
   (cost, then hop count, then relaxation order): the property suite pins
   distances *and* predecessor paths to the dict-graph reference.
-* :meth:`CSRGraph.shortest_path_tree` — a single-source shortest-path
-  *tree* (:class:`ShortestPathTree`); each subsequent ``path_to(target)``
-  is O(path length).  This is what makes batched multi-source MAP solving
-  amortized: one tree serves every request that shares its source.
+* :meth:`CSRGraph.shortest_path_tree` — a resumable single-source
+  shortest-path *tree* (:class:`ShortestPathTree`): each query settles
+  the search only as far as its target, later queries resume it, and a
+  settled target's ``path_to`` is O(path length).  This is what makes
+  batched multi-source MAP solving amortized: one tree serves every
+  request that shares its source, and a lone request pays for one path.
 * :func:`bidirectional_shortest_path` — point-to-point search expanding
   forward and reverse frontiers alternately; settles roughly the union of
   two half-radius balls instead of one full ball.  Costs match Dijkstra
@@ -33,7 +38,9 @@ the CSR replacement for :meth:`Digraph.subgraph_without`.
 from __future__ import annotations
 
 import heapq
-from array import array
+from bisect import bisect_right
+from functools import cached_property
+from itertools import accumulate
 from typing import (
     AbstractSet,
     Dict,
@@ -49,6 +56,7 @@ from typing import (
 
 from repro.graphs.digraph import Digraph, Edge
 from repro.graphs.dijkstra import Path
+from repro.graphs.yen import extend_k_shortest
 
 N = TypeVar("N", bound=Hashable)
 L = TypeVar("L", bound=Hashable)
@@ -60,55 +68,32 @@ class CSRGraph(Generic[N, L]):
     """A frozen digraph compiled to compressed-sparse-row arrays.
 
     Node objects are interned once at compile time; all kernels run over
-    dense int indices.  Per-source edge order preserves the digraph's
-    insertion order, which is what keeps every tie-break bit-identical to
-    the dict-graph algorithms.
+    dense int indices.  Edge ``e`` leaves the node whose ``offsets``
+    range holds it, enters ``targets[e]``, weighs ``weights[e]`` and
+    carries the label ``labels[label_ids[e]]``.  Per-source edge order
+    preserves the digraph's insertion order, which is what keeps every
+    tie-break bit-identical to the dict-graph algorithms.  :class:`Edge`
+    objects are made only for the edges of returned paths, and the
+    reverse CSR is built on first use.
     """
-
-    __slots__ = (
-        "nodes",
-        "index_of",
-        "offsets",
-        "targets",
-        "weights",
-        "edge_objects",
-        "roffsets",
-        "redges",
-        "_label_cache",
-    )
 
     def __init__(
         self,
         nodes: Tuple[N, ...],
         index_of: Dict[N, int],
-        offsets: array,
-        targets: array,
-        weights: array,
-        edge_objects: Tuple[Edge[N, L], ...],
+        offsets: Sequence[int],
+        targets: Sequence[int],
+        weights: Sequence[float],
+        label_ids: Sequence[int],
+        labels: Tuple[L, ...],
     ):
         self.nodes = nodes
         self.index_of = index_of
         self.offsets = offsets
         self.targets = targets
         self.weights = weights
-        self.edge_objects = edge_objects
-        # reverse CSR: for each node, the ids of its inbound edges
-        n = len(nodes)
-        indegree = array("q", bytes(8 * (n + 1)))
-        for edge_id in range(len(edge_objects)):
-            indegree[targets[edge_id] + 1] += 1
-        roffsets = array("q", indegree)
-        for i in range(1, n + 1):
-            roffsets[i] += roffsets[i - 1]
-        redges = array("q", bytes(8 * len(edge_objects)))
-        cursor = array("q", roffsets[:n])
-        for source_index in range(n):
-            for edge_id in range(offsets[source_index], offsets[source_index + 1]):
-                slot = cursor[targets[edge_id]]
-                redges[slot] = edge_id
-                cursor[targets[edge_id]] += 1
-        self.roffsets = roffsets
-        self.redges = redges
+        self.label_ids = label_ids
+        self.labels = labels
         self._label_cache: Dict[Tuple[int, L], Tuple[int, ...]] = {}
 
     @classmethod
@@ -116,17 +101,19 @@ class CSRGraph(Generic[N, L]):
         """Compile *graph*; node indices follow its insertion order."""
         nodes = tuple(graph.nodes())
         index_of = {node: i for i, node in enumerate(nodes)}
-        offsets = array("q", [0])
-        targets = array("q")
-        weights = array("d")
-        edge_objects: List[Edge[N, L]] = []
+        offsets = [0]
+        targets: List[int] = []
+        weights: List[float] = []
+        label_ids: List[int] = []
+        label_index: Dict[L, int] = {}
         for node in nodes:
             for edge in graph.adjacency(node):
                 targets.append(index_of[edge.target])
                 weights.append(edge.weight)
-                edge_objects.append(edge)
-            offsets.append(len(edge_objects))
-        return cls(nodes, index_of, offsets, targets, weights, tuple(edge_objects))
+                label_ids.append(label_index.setdefault(edge.label, len(label_index)))
+            offsets.append(len(targets))
+        labels = tuple(label_index)
+        return cls(nodes, index_of, offsets, targets, weights, label_ids, labels)
 
     # -- structure -------------------------------------------------------------
     @property
@@ -135,13 +122,44 @@ class CSRGraph(Generic[N, L]):
 
     @property
     def edge_count(self) -> int:
-        return len(self.edge_objects)
+        return len(self.targets)
 
     def __contains__(self, node: N) -> bool:
         return node in self.index_of
 
     def edge_source_index(self, edge_id: int) -> int:
-        return self.index_of[self.edge_objects[edge_id].source]
+        return bisect_right(self.offsets, edge_id) - 1
+
+    def edge_label(self, edge_id: int) -> L:
+        return self.labels[self.label_ids[edge_id]]
+
+    def edge(self, edge_id: int) -> Edge[N, L]:
+        """Edge *edge_id* as an :class:`Edge` (made on each call)."""
+        return Edge(
+            self.nodes[self.edge_source_index(edge_id)],
+            self.nodes[self.targets[edge_id]],
+            self.edge_label(edge_id),
+            self.weights[edge_id],
+        )
+
+    @property
+    def edge_objects(self) -> Tuple[Edge[N, L], ...]:
+        """Every edge as an :class:`Edge`, in edge-id order."""
+        return tuple(map(self.edge, range(self.edge_count)))
+
+    @cached_property
+    def roffsets(self) -> List[int]:
+        """Reverse CSR: node ``i``'s inbound edge ids are
+        ``redges[roffsets[i]:roffsets[i + 1]]`` (built on first use)."""
+        indegree = [0] * len(self.nodes)
+        for target in self.targets:
+            indegree[target] += 1
+        return [0, *accumulate(indegree)]
+
+    @cached_property
+    def redges(self) -> List[int]:
+        """Edge ids grouped by target, ascending within each group."""
+        return sorted(range(self.edge_count), key=self.targets.__getitem__)
 
     def edges_labelled(self, source_index: int, label: L) -> Tuple[int, ...]:
         """Ids of the parallel arcs from *source_index* carrying *label*.
@@ -157,17 +175,15 @@ class CSRGraph(Generic[N, L]):
                 for edge_id in range(
                     self.offsets[source_index], self.offsets[source_index + 1]
                 )
-                if self.edge_objects[edge_id].label == label
+                if self.edge_label(edge_id) == label
             )
             self._label_cache[key] = cached
         return cached
 
     # -- query front ends --------------------------------------------------------
     def shortest_path_tree(self, source: N) -> "ShortestPathTree[N, L]":
-        """Single-source shortest-path tree rooted at *source*."""
-        source_index = self.index_of[source]
-        dist, hops, pred = csr_dijkstra(self, source_index)
-        return ShortestPathTree(self, source_index, dist, hops, pred)
+        """Resumable single-source shortest-path tree rooted at *source*."""
+        return ShortestPathTree(self, self.index_of[source])
 
     def shortest_path(self, source: N, target: N) -> Optional[Path[N, L]]:
         """Point-to-point query with early termination at *target*.
@@ -177,42 +193,27 @@ class CSRGraph(Generic[N, L]):
         """
         source_index = self.index_of[source]
         target_index = self.index_of[target]
-        if source_index == target_index:
-            return Path(nodes=(source,), edges=(), cost=0.0)
         dist, _, pred = csr_dijkstra(self, source_index, target=target_index)
         return reconstruct_path(self, source_index, target_index, dist, pred)
 
 
-def csr_dijkstra(
-    csr: CSRGraph[N, L],
-    source_index: int,
-    target: Optional[int] = None,
+def _settle(
+    csr: CSRGraph[N, L], heap: list, dist: List[float], hops: List[int],
+    pred: List[int], settled: bytearray, counter: int, stop: int = -1,
     banned_nodes: Optional[AbstractSet[int]] = None,
     banned_edges: Optional[AbstractSet[int]] = None,
-) -> Tuple[List[float], List[int], List[int]]:
-    """Scalar-heap Dijkstra over node indices.
+) -> int:
+    """Run Dijkstra on the given search state until node *stop* is settled.
 
-    Returns ``(dist, hops, pred)`` arrays indexed by node: minimal cost
-    (``inf`` if unreached), hop count of the chosen minimal path, and the
-    edge id of its final edge (-1 at the source and unreached nodes).
-
-    The relaxation rule replicates :func:`repro.graphs.dijkstra.dijkstra`
-    exactly — prefer lower cost, then fewer hops, then earlier relaxation
-    order — so predecessor trees match the dict-graph reference node for
-    node.  *banned_nodes*/*banned_edges* subtract vertices and edge ids
-    without touching the arrays (Yen's spur queries).
+    Pops, settles and relaxes exactly as a fresh search would, stopping
+    right after *stop*'s out-edges are relaxed (or when the heap empties;
+    ``stop=-1`` runs to exhaustion).  The state is left consistent, so a
+    later call with the same arrays resumes the very same pop sequence.
+    Returns the updated heap tie-break counter.
     """
-    n = csr.node_count
-    dist = [_INF] * n
-    hops = [0] * n
-    pred = [-1] * n
-    settled = bytearray(n)
     offsets = csr.offsets
     targets = csr.targets
     weights = csr.weights
-    dist[source_index] = 0.0
-    counter = 0
-    heap: list = [(0.0, 0, counter, source_index)]
     push = heapq.heappush
     pop = heapq.heappop
     while heap:
@@ -220,8 +221,6 @@ def csr_dijkstra(
         if settled[index]:
             continue
         settled[index] = 1
-        if target is not None and index == target:
-            break
         for edge_id in range(offsets[index], offsets[index + 1]):
             if banned_edges is not None and edge_id in banned_edges:
                 continue
@@ -241,6 +240,40 @@ def csr_dijkstra(
                 pred[neighbour] = edge_id
                 counter += 1
                 push(heap, (candidate, candidate_hops, counter, neighbour))
+        if index == stop:
+            break
+    return counter
+
+
+def csr_dijkstra(
+    csr: CSRGraph[N, L],
+    source_index: int,
+    target: Optional[int] = None,
+    banned_nodes: Optional[AbstractSet[int]] = None,
+    banned_edges: Optional[AbstractSet[int]] = None,
+) -> Tuple[List[float], List[int], List[int]]:
+    """Scalar-heap Dijkstra over node indices.
+
+    Returns ``(dist, hops, pred)`` arrays indexed by node: minimal cost
+    (``inf`` if unreached), hop count of the chosen minimal path, and the
+    edge id of its final edge (-1 at the source and unreached nodes).
+    With a *target*, only the entries of settled nodes (the target and
+    its predecessor chain among them) are final.
+
+    The relaxation rule replicates :func:`repro.graphs.dijkstra.dijkstra`
+    exactly — prefer lower cost, then fewer hops, then earlier relaxation
+    order — so predecessor trees match the dict-graph reference node for
+    node.  *banned_nodes*/*banned_edges* subtract vertices and edge ids
+    without touching the arrays (Yen's spur queries).
+    """
+    n = csr.node_count
+    dist = [_INF] * n
+    hops = [0] * n
+    pred = [-1] * n
+    dist[source_index] = 0.0
+    stop = -1 if target is None else target
+    heap = [(0.0, 0, 0, source_index)]
+    _settle(csr, heap, dist, hops, pred, bytearray(n), 0, stop, banned_nodes, banned_edges)
     return dist, hops, pred
 
 
@@ -254,52 +287,68 @@ def reconstruct_path(
     """Walk the predecessor array back from *target_index* (or ``None``)."""
     if dist[target_index] == _INF:
         return None
-    if source_index == target_index:
-        return Path(nodes=(csr.nodes[source_index],), edges=(), cost=0.0)
-    edges: List[Edge[N, L]] = []
+    edge_ids: List[int] = []
     index = target_index
     while index != source_index:
         edge_id = pred[index]
-        edge = csr.edge_objects[edge_id]
-        edges.append(edge)
+        edge_ids.append(edge_id)
         index = csr.edge_source_index(edge_id)
-    edges.reverse()
+    edges = tuple(csr.edge(edge_id) for edge_id in reversed(edge_ids))
     nodes = (csr.nodes[source_index],) + tuple(edge.target for edge in edges)
-    return Path(nodes=nodes, edges=tuple(edges), cost=dist[target_index])
+    return Path(nodes=nodes, edges=edges, cost=dist[target_index])
 
 
 class ShortestPathTree(Generic[N, L]):
-    """A frozen single-source Dijkstra result; path extraction is O(|path|).
+    """A resumable single-source Dijkstra; path extraction is O(|path|).
 
-    One tree answers every ``(source, *)`` request — the unit of
-    amortization behind :meth:`AdaptationPlanner.plan_many
-    <repro.core.planner.AdaptationPlanner.plan_many>` and the §4.4 replan
-    cascade.
+    Creating a tree settles nothing.  :meth:`path_to` and
+    :meth:`distance_to` run the :func:`csr_dijkstra` search only until
+    their node is settled, and :meth:`reachable` runs it to exhaustion.
+    The paused heap, ``dist``, ``hops``, ``pred`` and ``settled`` state
+    persists, so a later query — another target of a
+    :meth:`AdaptationPlanner.plan_many
+    <repro.core.planner.AdaptationPlanner.plan_many>` batch, the §4.4
+    replan cascade — resumes the search where the last one stopped.  The
+    pop and relax sequence is the one-shot search's, so every settled
+    node's entry (tie-breaks included) equals the full tree's.
+
+    Queries mutate the tree: callers sharing one serialize their queries
+    (the planner's cold path runs under its spec's lock).
     """
 
-    __slots__ = ("csr", "source_index", "dist", "hops", "pred")
+    __slots__ = (
+        "csr", "source_index", "dist", "hops", "pred", "settled", "_heap", "_counter",
+    )
 
-    def __init__(
-        self,
-        csr: CSRGraph[N, L],
-        source_index: int,
-        dist: List[float],
-        hops: List[int],
-        pred: List[int],
-    ):
+    def __init__(self, csr: CSRGraph[N, L], source_index: int):
+        n = csr.node_count
         self.csr = csr
         self.source_index = source_index
-        self.dist = dist
-        self.hops = hops
-        self.pred = pred
+        self.dist = [_INF] * n
+        self.dist[source_index] = 0.0
+        self.hops = [0] * n
+        self.pred = [-1] * n
+        self.settled = bytearray(n)
+        self._heap: list = [(0.0, 0, 0, source_index)]
+        self._counter = 0
 
     @property
     def source(self) -> N:
         return self.csr.nodes[self.source_index]
 
+    def _settle_to(self, index: int) -> None:
+        """Resume the search until *index* is settled (-1: exhaust it)."""
+        if self._heap and (index < 0 or not self.settled[index]):
+            self._counter = _settle(
+                self.csr, self._heap, self.dist, self.hops, self.pred,
+                self.settled, self._counter, index,
+            )
+
     def distance_to(self, node: N) -> Optional[float]:
         """Minimal cost to *node*, or ``None`` if unreachable."""
-        value = self.dist[self.csr.index_of[node]]
+        index = self.csr.index_of[node]
+        self._settle_to(index)
+        value = self.dist[index]
         return None if value == _INF else value
 
     def path_to(self, node: N) -> Optional[Path[N, L]]:
@@ -308,12 +357,13 @@ class ShortestPathTree(Generic[N, L]):
         Matches :func:`repro.graphs.dijkstra.shortest_path` from the
         tree's source — same cost, same nodes, same edge tie-breaks.
         """
-        return reconstruct_path(
-            self.csr, self.source_index, self.csr.index_of[node], self.dist, self.pred
-        )
+        index = self.csr.index_of[node]
+        self._settle_to(index)
+        return reconstruct_path(self.csr, self.source_index, index, self.dist, self.pred)
 
     def reachable(self) -> Dict[N, float]:
         """All reachable nodes with their minimal costs."""
+        self._settle_to(-1)
         return {
             node: value
             for node, value in zip(self.csr.nodes, self.dist)
@@ -420,30 +470,10 @@ def bidirectional_shortest_path(
     index = meet
     while index != target_index:
         edge_id = pred_b[index]
-        edge = csr.edge_objects[edge_id]
-        edges.append(edge)
-        index = csr.index_of[edge.target]
+        edges.append(csr.edge(edge_id))
+        index = csr.targets[edge_id]
     nodes = (csr.nodes[source_index],) + tuple(edge.target for edge in edges)
     return Path(nodes=nodes, edges=tuple(edges), cost=best_cost)
-
-
-def _banned_shortest_path(
-    csr: CSRGraph[N, L],
-    source_index: int,
-    target_index: int,
-    banned_nodes: AbstractSet[int],
-    banned_edges: AbstractSet[int],
-) -> Optional[Path[N, L]]:
-    if source_index == target_index:
-        return Path(nodes=(csr.nodes[source_index],), edges=(), cost=0.0)
-    dist, _, pred = csr_dijkstra(
-        csr,
-        source_index,
-        target=target_index,
-        banned_nodes=banned_nodes,
-        banned_edges=banned_edges,
-    )
-    return reconstruct_path(csr, source_index, target_index, dist, pred)
 
 
 def k_shortest_paths_csr(
@@ -459,51 +489,21 @@ def k_shortest_paths_csr(
     """
     if k <= 0:
         return []
-    source_index = csr.index_of[source]
-    target_index = csr.index_of[target]
     first = csr.shortest_path(source, target)
     if first is None:
         return []
-    found: List[Path[N, L]] = [first]
-    seen: Set[Tuple] = {(first.nodes, first.labels)}
-    candidates: List[Tuple[float, int, Path[N, L]]] = []
-    order = 0
+    index_of = csr.index_of
+    target_index = index_of[target]
 
-    while len(found) < k:
-        prev = found[-1]
-        for i in range(len(prev.edges)):
-            spur_index = csr.index_of[prev.nodes[i]]
-            root_edges = prev.edges[:i]
-            root_cost = sum(edge.weight for edge in root_edges)
-            banned_edges: Set[int] = set()
-            for path in found:
-                if path.nodes[: i + 1] == prev.nodes[: i + 1] and len(path.edges) > i:
-                    banned_edges.update(
-                        csr.edges_labelled(
-                            csr.index_of[path.edges[i].source], path.edges[i].label
-                        )
-                    )
-            banned_nodes = {csr.index_of[node] for node in prev.nodes[:i]}
-            if spur_index in banned_nodes or target_index in banned_nodes:
-                continue
-            spur = _banned_shortest_path(
-                csr, spur_index, target_index, banned_nodes, banned_edges
-            )
-            if spur is None:
-                continue
-            total = Path(
-                nodes=prev.nodes[:i] + spur.nodes,
-                edges=root_edges + spur.edges,
-                cost=root_cost + spur.cost,
-            )
-            key = (total.nodes, total.labels)
-            if key not in seen:
-                seen.add(key)
-                candidates.append((total.cost, order, total))
-                order += 1
-        if not candidates:
-            break
-        candidates.sort(key=lambda item: (item[0], item[1]))
-        _, _, best = candidates.pop(0)
-        found.append(best)
-    return found
+    def spur_query(spur, banned_nodes, banned_arcs):
+        banned_edges: Set[int] = set()
+        for node, label in banned_arcs:
+            banned_edges.update(csr.edges_labelled(index_of[node], label))
+        spur_index = index_of[spur]
+        dist, _, pred = csr_dijkstra(
+            csr, spur_index, target_index,
+            {index_of[node] for node in banned_nodes}, banned_edges,
+        )
+        return reconstruct_path(csr, spur_index, target_index, dist, pred), False
+
+    return extend_k_shortest(first, target, k, spur_query)[0]

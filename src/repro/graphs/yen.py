@@ -9,7 +9,7 @@ order on top of the Dijkstra routine.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, List, Set, Tuple, TypeVar
+from typing import AbstractSet, Callable, Hashable, Iterator, List, Optional, Set, Tuple, TypeVar
 
 from repro.graphs.digraph import Digraph
 from repro.graphs.dijkstra import Path, shortest_path
@@ -81,6 +81,61 @@ def k_shortest_paths(
         _, _, best = candidates.pop(0)
         found.append(best)
     return found
+
+
+#: ``(spur_node, banned_nodes, banned (node, label) arcs) -> (path, exhausted)``
+SpurQuery = Callable[
+    [N, AbstractSet[N], AbstractSet[Tuple[N, L]]], Tuple[Optional[Path[N, L]], bool]
+]
+
+
+def extend_k_shortest(
+    first: Path[N, L], target: N, k: int, spur_query: SpurQuery
+) -> Tuple[List[Path[N, L]], bool]:
+    """Yen's candidate loop from the shortest path *first* to up to *k* paths.
+
+    Shared by the CSR and the implicit-SAG Yen; banned sets, dedup key and
+    ``(cost, insertion order)`` candidate order mirror
+    :func:`k_shortest_paths`.  *spur_query* answers each banned-set query
+    and reports budget exhaustion; then *complete* (second result) is
+    ``False`` and the paths found so far are still the true best ones.
+    """
+    found: List[Path[N, L]] = [first]
+    seen: Set[Tuple] = {_path_key(first)}
+    candidates: List[Tuple[float, int, Path[N, L]]] = []
+    order = 0
+    while len(found) < k:
+        prev = found[-1]
+        for i in range(len(prev.edges)):
+            banned_arcs = {
+                (path.nodes[i], path.edges[i].label)
+                for path in found
+                if path.nodes[: i + 1] == prev.nodes[: i + 1] and len(path.edges) > i
+            }
+            banned_nodes = set(prev.nodes[:i])  # forbid loops through the root
+            if prev.nodes[i] in banned_nodes or target in banned_nodes:
+                continue
+            spur, exhausted = spur_query(prev.nodes[i], banned_nodes, banned_arcs)
+            if exhausted:
+                return found, False
+            if spur is None:
+                continue
+            root_edges = prev.edges[:i]
+            total = Path(
+                nodes=prev.nodes[:i] + spur.nodes,
+                edges=root_edges + spur.edges,
+                cost=sum(edge.weight for edge in root_edges) + spur.cost,
+            )
+            key = _path_key(total)
+            if key not in seen:
+                seen.add(key)
+                candidates.append((total.cost, order, total))
+                order += 1
+        if not candidates:
+            break
+        candidates.sort(key=lambda item: (item[0], item[1]))
+        found.append(candidates.pop(0)[2])
+    return found, True
 
 
 def iter_shortest_paths(

@@ -212,6 +212,11 @@ class ControlPlaneHTTPServer:
             await asyncio.sleep(0.01)
         for writer in list(self._connections):
             writer.close()
+        # Closing the transports ends idle keep-alive reads with EOF; let
+        # the handlers exit before the event loop's teardown cancels them
+        # mid-read (each leaves the set once its connection is closed).
+        while self._connections and loop.time() < deadline:
+            await asyncio.sleep(0.01)
         self._executor.shutdown(wait=False)
 
     def publish_counters(self) -> None:
@@ -273,12 +278,13 @@ class ControlPlaneHTTPServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            self._connections.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            finally:
+                self._connections.discard(writer)
 
     async def _handle_request(self, head: bytes, reader, writer) -> bool:
         """Parse one request and answer it; returns keep-alive."""

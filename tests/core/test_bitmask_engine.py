@@ -20,6 +20,7 @@ from repro.core.model import ComponentUniverse, Configuration
 from repro.core.sag import SafeAdaptationGraph
 from repro.core.space import SafeConfigurationSpace
 from repro.errors import NoSafePathError, UnknownComponentError
+from tests.oracles.sag_reference import ReferenceSAG
 
 
 class TestMaskCodec:
@@ -161,12 +162,18 @@ class TestPlannerCaches:
 
 
 class TestSagFallback:
-    def test_restrict_to_foreign_vertices_uses_setwise_build(self):
-        """Caller-supplied vertices outside the universe still build."""
+    def test_restrict_to_foreign_vertices_is_rejected(self):
+        """Vertices outside the universe have no mask: the mask-native
+        build rejects them; only the set-based reference build (now a
+        test oracle) accepts them."""
         space = SafeConfigurationSpace(video_universe(), video_invariants())
         foreign = Configuration(["Z9"])
-        sag = SafeAdaptationGraph.build(
+        with pytest.raises(UnknownComponentError):
+            SafeAdaptationGraph.build(
+                space, video_actions(), restrict_to=[paper_source(), foreign]
+            )
+        ref = ReferenceSAG.build(
             space, video_actions(), restrict_to=[paper_source(), foreign]
         )
-        assert sag.node_count == 2
-        assert sag.edge_count == 0
+        assert ref.node_count == 2
+        assert ref.edge_count == 0

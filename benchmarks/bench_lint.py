@@ -11,10 +11,12 @@ contract checks) on:
 * a synthetic wide spec at the SA3xx enumeration cap boundary.
 
 It also isolates the SA6xx interference stage's share of the wide run,
-and measures the control plane's warm lint cache against a cold
-dispatch — the one gated number (warm ≥ 10x cold): the warm path is a
-dict probe returning precomputed bytes, so a miss of that factor means
-the fast lane is broken, not that the runner is slow.  Headline numbers
+times that stage against its pair-major reference on three replicated
+video groups (51 actions x 512 safe sources), and measures the control
+plane's warm lint cache against a cold dispatch — the one gated number
+(warm ≥ 10x cold): the warm path is a dict probe returning precomputed
+bytes, so a miss of that factor means the fast lane is broken, not that
+the runner is slow.  Headline numbers
 land in ``benchmarks/BENCH_lint.json``.
 """
 
@@ -148,6 +150,73 @@ def test_interference_stage_share():
             "stage_ms": round(stage_ms, 3),
             "pipeline_ms": round(full_s * 1e3, 3),
             "share": round(share, 3),
+        },
+        json_path=LINT_JSON,
+    )
+
+
+def test_interference_stage_racing_video():
+    """SA601/SA603 sweep on three replicated paper video groups.
+
+    21 components, 51 actions, 512 safe sources: the shape of the
+    heaviest ``/v1/lint`` bodies, where the interference stage dominated
+    the pipeline.  The stage runs on the captured model twice: the
+    source-major product sweep, and the pair-major reference it replaced
+    (``tests/oracles/interference_reference.py``, the previous product
+    code verbatim), so one run records both sides.  Recorded, not gated.
+    """
+    import os
+
+    import repro.lint.checks as checks_mod
+    from repro.bench.workloads import replicated_video_system
+    from repro.lint import LintReport
+    from repro.manifest import SystemManifest, dumps
+    from tests.oracles.interference_reference import (
+        reference_check_interference,
+    )
+
+    system = replicated_video_system(3)
+    text = dumps(
+        SystemManifest(system.universe, system.invariants, system.actions)
+    )
+    captured = {}
+    original = checks_mod.check_interference
+
+    def capture(*args, **kwargs):
+        captured["call"] = (args, kwargs)
+        return original(*args, **kwargs)
+
+    checks_mod.check_interference = capture
+    try:
+        pipeline_s = _mean_seconds(lambda: lint_text(text, path="video3.manifest"))
+    finally:
+        checks_mod.check_interference = original
+    (model, _, path, action_info), kwargs = captured["call"]
+
+    def stage(sweep):
+        report = LintReport()
+        sweep(model, report, path, action_info, **kwargs)
+        return report
+
+    findings = stage(original)
+    assert findings.diagnostics == stage(reference_check_interference).diagnostics
+    stage_s = _mean_seconds(lambda: stage(original))
+    reference_s = _mean_seconds(lambda: stage(reference_check_interference))
+    races = sum(1 for d in findings if d.code in ("SA601", "SA603"))
+    report(
+        "lint SA6xx interference stage: 51 actions x 512 safe sources",
+        f"stage {stage_s * 1e3:.2f} ms (pair-major reference "
+        f"{reference_s * 1e3:.2f} ms, {reference_s / stage_s:.1f}x) of a "
+        f"{pipeline_s * 1e3:.2f} ms pipeline; {races} SA601/SA603 findings",
+        data={
+            "actions": len(model.actions),
+            "safe_sources": len(action_info[0]),
+            "race_findings": races,
+            "stage_ms": round(stage_s * 1e3, 3),
+            "reference_stage_ms": round(reference_s * 1e3, 3),
+            "speedup": round(reference_s / stage_s, 1),
+            "pipeline_ms": round(pipeline_s * 1e3, 3),
+            "nproc": os.cpu_count(),
         },
         json_path=LINT_JSON,
     )

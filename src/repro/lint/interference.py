@@ -9,9 +9,12 @@ observable:
 * **SA601 (non-commutative pair)** — a safe configuration exists where
   both actions are applicable but the two firing orders are not
   interchangeable: one order commits safely while the other exits the
-  safe space or blocks, or both complete but end in different
-  configurations.  The witness is minimized (fewest components, then
-  lowest mask) so the message shows the smallest racing scenario.
+  safe space after its first step.  No other disagreement is possible:
+  two actions touching a common component disable each other, so
+  neither order completes, and two with disjoint touch sets reach the
+  same configuration with each staying applicable after the other.
+  The witness is minimized (fewest components, then lowest mask) so the
+  message shows the smallest racing scenario.
 * **SA602 (blocking-window overlap)** — the pair's participant sets
   intersect and jointly cover every process: if their §6 blocking
   windows overlap, no process anywhere stays available.  Purely a
@@ -61,88 +64,6 @@ from repro.lint.fixes import Fix, append_fix
 MAX_PAIR_SOURCES = 2_000_000
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
-class _Witness:
-    """Best (most specific, then smallest) finding for one pair."""
-
-    #: kind priority: the sharper diagnosis wins the pair
-    PRIORITY = {"lost-inverse": 3, "divergent": 2, "order": 1}
-
-    def __init__(self) -> None:
-        self.kind: Optional[str] = None
-        self.source = 0
-        self.payload: Tuple = ()
-
-    def offer(self, kind: str, source: int, payload: Tuple) -> None:
-        if self.kind is not None:
-            mine, theirs = self.PRIORITY[self.kind], self.PRIORITY[kind]
-            if theirs < mine:
-                return
-            if theirs == mine and (
-                (_popcount(source), source)
-                >= (_popcount(self.source), self.source)
-            ):
-                return
-        self.kind = kind
-        self.source = source
-        self.payload = payload
-
-
-def _run_order(
-    first: MaskedAction,
-    second: MaskedAction,
-    mask: int,
-    is_safe: Callable[[int], bool],
-) -> Tuple[bool, int, str]:
-    """Fire *first* then *second* from *mask* (both applicable at *mask*).
-
-    Returns ``(completed, last_mask, failure)`` where *failure* names the
-    step that exited the safe space or blocked.
-    """
-    mid = first.apply_mask(mask)
-    first_id = first.action.action_id
-    second_id = second.action.action_id
-    if not is_safe(mid):
-        return False, mid, f"exits the safe space once {first_id!r} commits"
-    if not second.is_applicable_mask(mid):
-        return (
-            False,
-            mid,
-            f"blocks: {second_id!r} is no longer applicable after "
-            f"{first_id!r}",
-        )
-    final = second.apply_mask(mid)
-    if not is_safe(final):
-        return (
-            False,
-            final,
-            f"exits the safe space once {second_id!r} also commits",
-        )
-    return True, final, ""
-
-
-def _inverse_lost(
-    inverse: Optional[MaskedAction],
-    after_first: int,
-    after_both: int,
-    is_safe: Callable[[int], bool],
-) -> bool:
-    """True iff the declared inverse is viable at *after_first* but not
-    once the concurrent partner commits (*after_both*)."""
-    if inverse is None:
-        return False
-
-    def viable(mask: int) -> bool:
-        return inverse.is_applicable_mask(mask) and is_safe(
-            inverse.apply_mask(mask)
-        )
-
-    return viable(after_first) and not viable(after_both)
-
-
 def check_interference(
     model,
     report: LintReport,
@@ -171,10 +92,6 @@ def check_interference(
     masked = {
         item.action.action_id: MaskedAction(item.action, bits)
         for item in items
-    }
-    # Declared-inverse lookup for SA603 (same key as the SA304 check).
-    by_delta = {
-        (item.action.removes, item.action.adds): item for item in items
     }
 
     _check_blocking_overlap(model, report, path, declared, line_count, fixes_enabled)
@@ -241,62 +158,77 @@ def check_interference(
     if not sources or is_safe is None:
         return
 
-    for index, x_item in enumerate(items):
-        mx = masked[x_item.action.action_id]
-        inv_x = by_delta.get((x_item.action.adds, x_item.action.removes))
-        for y_item in items[index + 1 :]:
-            xid = x_item.action.action_id
-            yid = y_item.action.action_id
-            if frozenset((xid, yid)) in declared:
-                continue
-            my = masked[yid]
-            inv_y = by_delta.get((y_item.action.adds, y_item.action.removes))
-            witness = _Witness()
-            for mask in sources:
-                if not (
-                    mx.is_applicable_mask(mask) and my.is_applicable_mask(mask)
-                ):
-                    continue
-                ok_xy, final_xy, fail_xy = _run_order(mx, my, mask, is_safe)
-                ok_yx, final_yx, fail_yx = _run_order(my, mx, mask, is_safe)
-                if ok_xy and ok_yx:
-                    if final_xy != final_yx:
-                        witness.offer(
-                            "divergent", mask, (final_xy, final_yx)
-                        )
-                    continue
-                if not ok_xy and not ok_yx:
-                    continue  # the race cannot start from here
-                # Exactly one order completes: (p, q) is the safe order.
-                if ok_xy:
-                    p_item, q_item, final, fail = x_item, y_item, final_xy, fail_yx
-                    inv_p, mp, mq = inv_x, mx, my
+    # Fired from a mask m where it is applicable (m & touch == required),
+    # an action flips exactly its touched bits.  Only a disjoint-touch pair
+    # can race, and only from a source where exactly one first step stays
+    # safe and the joint result is safe again (DESIGN.md §15), so each
+    # source sweeps the library once and pairs its safe first steps with
+    # its exiting ones.
+    steps = [
+        (m.required | m.forbidden, m.required)
+        for m in (masked[item.action.action_id] for item in items)
+    ]
+    partners = [
+        {
+            j
+            for j, y_item in enumerate(items)
+            if not touch & steps[j][0]
+            and frozenset((x_item.action.action_id, y_item.action.action_id))
+            not in declared
+        }
+        for (touch, _), x_item in zip(steps, items)
+    ]
+    delta_index = {
+        (item.action.removes, item.action.adds): i
+        for i, item in enumerate(items)
+    }
+    inverse = [
+        delta_index.get((item.action.adds, item.action.removes))
+        for item in items
+    ]
+    # A race is SA603 exactly when the safe-first action p has a declared
+    # inverse: it restores the source after p alone, and lands on the
+    # partner's unsafe first step once both commit.  Per pair keep the
+    # minimum ((SA603 first, popcount, mask), p, partner); sources are
+    # distinct, so the minimum does not depend on sweep order.
+    best: Dict[Tuple[int, int], Tuple[Tuple[int, int, int], int, int]] = {}
+    for mask in sources:
+        stays: List[Tuple[int, int]] = []
+        exits: List[int] = []
+        for i, (touch, required) in enumerate(steps):
+            if mask & touch == required:
+                mid = mask ^ touch
+                if is_safe(mid):
+                    stays.append((i, mid))
                 else:
-                    p_item, q_item, final, fail = y_item, x_item, final_yx, fail_xy
-                    inv_p, mp, mq = inv_y, my, mx
-                inverse = None if inv_p is None else masked[inv_p.action.action_id]
-                if inverse is not None and inverse is not mq:
-                    after_p = mp.apply_mask(mask)
-                    if _inverse_lost(inverse, after_p, final, is_safe):
-                        witness.offer(
-                            "lost-inverse",
-                            mask,
-                            (p_item, q_item, inv_p, final),
-                        )
-                        continue
-                witness.offer("order", mask, (p_item, q_item, final, fail))
-            if witness.kind is None:
-                continue
-            _report_pair_witness(
-                model,
-                report,
-                path,
-                x_item,
-                y_item,
-                witness,
-                line_count,
-                fixes_enabled,
-            )
+                    exits.append(i)
+        if not exits:
+            continue
+        weight = mask.bit_count()
+        for p, mid in stays:
+            rank = (inverse[p] is None, weight, mask)
+            for q in exits:
+                if q in partners[p] and is_safe(mid ^ steps[q][0]):
+                    pair = (p, q) if p < q else (q, p)
+                    held = best.get(pair)
+                    if held is None or rank < held[0]:
+                        best[pair] = (rank, p, q)
+    for (i, j), ((_, _, mask), p, q) in sorted(best.items()):
+        inv = inverse[p]
+        _report_pair_witness(
+            model,
+            report,
+            path,
+            items[i],
+            items[j],
+            mask,
+            items[p],
+            items[q],
+            None if inv is None else items[inv],
+            mask ^ steps[p][0] ^ steps[q][0],
+            line_count,
+            fixes_enabled,
+        )
 
 
 def _describe(universe, mask: int) -> str:
@@ -330,54 +262,43 @@ def _report_pair_witness(
     path: Optional[str],
     x_item,
     y_item,
-    witness: _Witness,
+    source: int,
+    p_item,
+    q_item,
+    inv_item,
+    final: int,
     line_count: int,
     fixes_enabled: bool,
 ) -> None:
+    """Report the pair's witness: from *source*, *p_item* then *q_item*
+    commits safely to *final*, while *q_item* first exits the safe space;
+    *inv_item* is *p_item*'s declared inverse, stranded at *final*."""
     universe = model.universe
     xid = x_item.action.action_id
     yid = y_item.action.action_id
-    source = _describe(universe, witness.source)
+    pid = p_item.action.action_id
+    qid = q_item.action.action_id
+    where = _describe(universe, source)
     fixes = _serialize_fixes(xid, yid, line_count, fixes_enabled)
-    if witness.kind == "divergent":
-        final_xy, final_yx = witness.payload
-        report.add(
-            "SA601",
-            f"actions {xid!r} and {yid!r} do not commute: from safe "
-            f"configuration {source} the order {xid!r}, {yid!r} ends at "
-            f"{_describe(universe, final_xy)} but {yid!r}, {xid!r} ends "
-            f"at {_describe(universe, final_yx)} — concurrent managers "
-            "must serialize the pair",
-            x_item.span,
-            path,
-            related=[Related("races with this action", y_item.span)],
-            fixes=fixes,
-        )
-    elif witness.kind == "order":
-        p_item, q_item, final, fail = witness.payload
-        pid = p_item.action.action_id
-        qid = q_item.action.action_id
+    if inv_item is None:
         report.add(
             "SA601",
             f"actions {xid!r} and {yid!r} race: from safe configuration "
-            f"{source} the order {pid!r}, {qid!r} commits safely to "
+            f"{where} the order {pid!r}, {qid!r} commits safely to "
             f"{_describe(universe, final)}, but the order {qid!r}, "
-            f"{pid!r} {fail} — concurrent managers must serialize the "
-            "pair",
+            f"{pid!r} exits the safe space once {qid!r} commits — "
+            "concurrent managers must serialize the pair",
             x_item.span,
             path,
             related=[Related("races with this action", y_item.span)],
             fixes=fixes,
         )
-    else:  # lost-inverse
-        p_item, q_item, inv_item, final = witness.payload
-        pid = p_item.action.action_id
-        qid = q_item.action.action_id
+    else:
         inv_id = inv_item.action.action_id
         report.add(
             "SA603",
             f"lost-inverse race between {xid!r} and {yid!r}: from safe "
-            f"configuration {source}, right after {pid!r} commits its "
+            f"configuration {where}, right after {pid!r} commits its "
             f"declared inverse {inv_id!r} still restores safety, but "
             f"once concurrent {qid!r} also commits "
             f"({_describe(universe, final)}) the inverse is no longer "

@@ -79,17 +79,21 @@ _SECTIONS = (
     "conflicts",
 )
 
+# Names may carry ``@`` suffixes (``D5@g0 @ laptop@g0``, as ``dumps`` writes
+# replicated groups).  The name part is lazy, so a bare ``D5@laptop`` still
+# reads as component D5 on process laptop.
 _COMPONENT_RE = re.compile(
-    r"^(?P<name>[A-Za-z_][\w.\-]*)\s*(?:@\s*(?P<process>[\w.\-]+))?"
+    r"^(?P<name>[A-Za-z_][\w.\-]*(?:@[\w.\-]+)*?)"
+    r"\s*(?:@\s*(?P<process>[\w.\-]+(?:@[\w.\-]+)*))?"
     r"\s*(?::\s*(?P<description>.*))?$"
 )
 _ACTION_RE = re.compile(
-    r"^(?P<id>[\w.\-]+)\s*:\s*(?P<operation>.+?)\s*@\s*(?P<cost>[0-9.]+)"
+    r"^(?P<id>[\w.\-@]+)\s*:\s*(?P<operation>.+?)\s*@\s*(?P<cost>[0-9.]+)"
     r"\s*(?:;\s*(?P<description>.*))?$"
 )
 _REPLACE_RE = re.compile(
-    r"^(?:\((?P<removes_group>[^)]*)\)|(?P<removes_one>[\w.\-]+))\s*->\s*"
-    r"(?:\((?P<adds_group>[^)]*)\)|(?P<adds_one>[\w.\-]+))$"
+    r"^(?:\((?P<removes_group>[^)]*)\)|(?P<removes_one>[\w.\-@]+))\s*->\s*"
+    r"(?:\((?P<adds_group>[^)]*)\)|(?P<adds_one>[\w.\-@]+))$"
 )
 
 

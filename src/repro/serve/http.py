@@ -128,7 +128,7 @@ class ControlPlaneHTTPServer:
             requests before closing connections.
         counters: shared :class:`~repro.parallel.counters.CounterBlock`
             for fleet-wide ``/v1/stats`` aggregation; this server
-            publishes into row *worker_index* after every request and
+            publishes into row *worker_index* before every response and
             sums the columns on the stats route.
         worker_index: this process's row in *counters*.
     """
@@ -222,10 +222,10 @@ class ControlPlaneHTTPServer:
     def publish_counters(self) -> None:
         """Write this worker's row into the shared counter block.
 
-        Called after every handled request (and before aggregating on
-        the stats route), so any worker can answer ``/v1/stats`` with
-        column sums that are at most one in-flight request stale per
-        peer.  Single writer per row, whole-word counters — no locking.
+        Called right before each response goes out (and before
+        aggregating on the stats route), so once a client holds a reply,
+        any worker's ``/v1/stats`` already counts that request.  Single
+        writer per row, whole-word counters — no locking.
         """
         if self._counters is None:
             return
@@ -328,8 +328,6 @@ class ControlPlaneHTTPServer:
             self._write(writer, 500, to_wire(ErrorEnvelope(
                 "internal", f"{type(exc).__name__}: {exc}")))
             return False
-        finally:
-            self.publish_counters()
 
     # -- routing -----------------------------------------------------------------
     async def _route(
@@ -591,6 +589,8 @@ class ControlPlaneHTTPServer:
                 )
                 await writer.drain()
             self._served += 1
+            # the client sees the end of the stream only when we close
+            self.publish_counters()
         finally:
             self._inflight -= 1
             self._semaphore.release()
@@ -602,14 +602,16 @@ class ControlPlaneHTTPServer:
             keep_alive=keep_alive,
         )
 
-    @staticmethod
     def _write(
+        self,
         writer,
         status: int,
         body: bytes,
         content_type: str = _JSON,
         keep_alive: bool = False,
     ) -> None:
+        """Write one whole response, publishing the counter row first."""
+        self.publish_counters()
         reason = _REASONS.get(status, "OK")
         connection = "keep-alive" if keep_alive else "close"
         writer.write(

@@ -1,9 +1,14 @@
 """Tests for the declarative manifest format."""
 
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import manifest as manifest_module
+from repro.bench.workloads import replicated_video_system
 from repro.errors import ParseError
-from repro.manifest import dumps, loads, video_manifest_text
+from repro.manifest import SystemManifest, dumps, loads, video_manifest_text
 
 MINIMAL = """
 [components]
@@ -205,6 +210,104 @@ class TestRoundTrip:
         target = tmp_path / "sys.manifest"
         target.write_text(MINIMAL, encoding="utf-8")
         assert "A" in load_path(target).universe
+
+
+class TestSuffixedNames:
+    """``@``-suffixed names (``D5@g0 @ laptop@g0``) survive ``dumps``."""
+
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    def test_replicated_video_round_trips(self, groups):
+        system = replicated_video_system(groups)
+        manifest = SystemManifest(
+            system.universe, system.invariants, system.actions
+        )
+        manifest.configurations["source"] = system.source
+        manifest.configurations["target"] = system.target
+        text = dumps(manifest)
+        again = loads(text)
+        assert [
+            (c.name, c.process, c.description) for c in again.universe
+        ] == [(c.name, c.process, c.description) for c in manifest.universe]
+        assert [i.expr for i in again.invariants] == [
+            i.expr for i in manifest.invariants
+        ]
+        assert [
+            (a.action_id, a.removes, a.adds, a.cost, a.description)
+            for a in again.actions
+        ] == [
+            (a.action_id, a.removes, a.adds, a.cost, a.description)
+            for a in manifest.actions
+        ]
+        assert again.configurations == manifest.configurations
+        assert dumps(again) == text
+
+    def test_bare_at_still_names_the_process(self):
+        manifest = loads("[components]\nD5@laptop\nE1 @ server : enc\n")
+        assert [(c.name, c.process) for c in manifest.universe] == [
+            ("D5", "laptop"),
+            ("E1", "server"),
+        ]
+
+    def test_suffixed_process_on_a_plain_name(self):
+        manifest = loads("[components]\nD5 @ laptop@g0\n")
+        assert [(c.name, c.process) for c in manifest.universe] == [
+            ("D5", "laptop@g0")
+        ]
+
+
+# the line grammars before ``@`` was allowed inside names: every line they
+# accept must still parse to the same fields
+_OLD_COMPONENT_RE = re.compile(
+    r"^(?P<name>[A-Za-z_][\w.\-]*)\s*(?:@\s*(?P<process>[\w.\-]+))?"
+    r"\s*(?::\s*(?P<description>.*))?$"
+)
+_OLD_ACTION_RE = re.compile(
+    r"^(?P<id>[\w.\-]+)\s*:\s*(?P<operation>.+?)\s*@\s*(?P<cost>[0-9.]+)"
+    r"\s*(?:;\s*(?P<description>.*))?$"
+)
+_OLD_REPLACE_RE = re.compile(
+    r"^(?:\((?P<removes_group>[^)]*)\)|(?P<removes_one>[\w.\-]+))\s*->\s*"
+    r"(?:\((?P<adds_group>[^)]*)\)|(?P<adds_one>[\w.\-]+))$"
+)
+_PIECE = st.sampled_from(
+    ["A", "b1", "x.y-z", "5", "1.5", "@", "@g0", " @ ", " ", ":", " : ",
+     " ; ", "->", " -> ", "(", ")", ", ", "+", "-"]
+)
+_TEXT = st.lists(_PIECE, max_size=4).map("".join)
+_WORD = st.lists(
+    st.sampled_from(["A", "b1", "x.y-z", "5", "@", "@g0", "D1@g0"]),
+    min_size=1, max_size=3,
+).map("".join)
+#: lines shaped like each grammar, with ``@`` in every slot some of the time
+_LINES = st.one_of(
+    st.lists(_PIECE, max_size=10).map("".join),
+    st.tuples(_WORD, st.sampled_from(["@", " @ ", ""]), _WORD,
+              st.sampled_from(["", " : ", ":"]), _TEXT).map("".join),
+    st.tuples(_WORD, st.sampled_from([" : ", ":"]),
+              st.sampled_from(["+", "-", ""]), _WORD,
+              st.sampled_from([" -> ", "->", ", "]), _WORD,
+              st.sampled_from([" @ ", "@"]), st.sampled_from(["5", "1.5", "x"]),
+              st.sampled_from(["", " ; ", ";"]), _TEXT).map("".join),
+    st.tuples(_WORD, st.sampled_from([" -> ", "->"]), _WORD).map("".join),
+)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (_OLD_COMPONENT_RE, manifest_module._COMPONENT_RE),
+        (_OLD_ACTION_RE, manifest_module._ACTION_RE),
+        (_OLD_REPLACE_RE, manifest_module._REPLACE_RE),
+    ],
+    ids=["components", "actions", "operations"],
+)
+@given(line=_LINES)
+@settings(max_examples=400, deadline=None)
+def test_lines_accepted_before_parse_the_same(old, new, line):
+    before = old.match(line)
+    if before is not None:
+        after = new.match(line)
+        assert after is not None and after.groupdict() == before.groupdict()
 
 
 class TestPropertiesSection:

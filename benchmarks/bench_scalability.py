@@ -7,13 +7,9 @@ heuristic partial exploration of the SAG.
 
 Two measured axes, both persisted to ``BENCH_scalability.json``:
 
-* **serial vs workers** — chunked work-stealing enumeration on the
-  xor-stress universes (16/20 components) where per-node invariant work
-  dominates and prefix partitions carry near-identical load.  The CI
-  gate (``test_parallel_speedup_gate``) requires >=1.5x at workers=4 on
-  the 20-component universe and is skipped below 4 cores; on smaller
-  hosts the recorded ``mode``/``reason`` row shows the clamp or serial
-  fallback honestly instead of a fake speedup.
+* **serial enumeration** — the backtracking enumerator on the xor-stress
+  universes (16/20 components), where per-node invariant work dominates;
+  recorded with the host's CPU count, not gated.
 * **eager vs lazy** — full eager pipeline (enumerate safe space + build
   SAG + Dijkstra) against :meth:`AdaptationPlanner.lazy_plan` frontier
   point queries at 21/28/35 components.  The CI gate
@@ -25,7 +21,6 @@ Two measured axes, both persisted to ``BENCH_scalability.json``:
 
 import os
 import time
-import warnings
 from pathlib import Path
 
 import pytest
@@ -80,247 +75,39 @@ def test_lazy_astar_planner(benchmark, groups):
     assert plan.total_cost == 50.0 * groups
 
 
-# --- serial vs workers ------------------------------------------------------
+# --- serial enumeration ------------------------------------------------------
 
 
-def _enumerate_timed(system, workers):
-    with warnings.catch_warnings():
-        # On hosts with fewer cores than requested workers the space
-        # clamps with a RuntimeWarning; the recorded stats row already
-        # carries that information.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        space = SafeConfigurationSpace(
-            system.universe, system.invariants, workers=workers
-        )
+@pytest.mark.parametrize("n", [16, 20])
+def test_serial_enumeration(benchmark, n):
+    """Serial backtracking on the xor-stress universes (recorded, ungated).
+
+    Xor invariants stay undetermined until their last atom, so the pruner
+    walks the whole prefix tree: the worst case for the enumerator, and
+    the row any future enumeration engine has to beat on a recorded
+    multi-core host.
+    """
+    system = enumeration_stress_system(n)
+
+    def enumerate_cold():
+        space = SafeConfigurationSpace(system.universe, system.invariants)
         t0 = time.perf_counter()
-        out = space.enumerate()
-        elapsed = time.perf_counter() - t0
-    return out, elapsed, space
+        masks = space.enumerate_masks()
+        return masks, time.perf_counter() - t0
 
-
-@pytest.mark.parametrize("n", [16, 20])
-def test_parallel_enumeration(benchmark, n):
-    """The workers axis of C3 on the xor-stress universes.
-
-    Correctness is the hard assertion (work-stealing result identical to
-    the serial enumerator, memo merged); the speedup is recorded from
-    ``last_enumeration_stats`` with its mode and reason, so a host where
-    the pool clamps to one core (or the space falls back to serial)
-    produces an honest row instead of a fake win.  The >=1.5x speedup
-    *gate* lives in :func:`test_parallel_speedup_gate`.
-    """
-    workers = 4
-    system = enumeration_stress_system(n)
-    serial, serial_s, serial_space = _enumerate_timed(system, None)
-    serial_stats = serial_space.last_enumeration_stats
-
-    parallel, parallel_s, space = benchmark.pedantic(
-        lambda: _enumerate_timed(system, workers), rounds=1, iterations=1
-    )
-    assert parallel == serial
-    assert space.safe_memo  # worker memos were merged on join
-    stats = space.last_enumeration_stats
-    speedup = serial_s / max(parallel_s, 1e-9)
-    benchmark.extra_info["workers"] = workers
-    benchmark.extra_info["speedup_vs_serial"] = round(speedup, 2)
+    masks, serial_s = benchmark.pedantic(enumerate_cold, rounds=1, iterations=1)
+    assert len(masks) == 1 << (n - n // 2)  # each of the n/2 xors halves it
     report(
-        f"P3 parallel enumeration (n={n}, workers={workers})",
-        f"{n} components, safe configs={len(serial)}: "
-        f"serial {serial_s * 1e3:.1f} ms, workers={workers} "
-        f"{parallel_s * 1e3:.1f} ms ({speedup:.2f}x) "
-        f"[mode={stats.mode}: {stats.reason}]",
+        f"P3 serial enumeration (n={n})",
+        f"{n} components, safe configs={len(masks)}: "
+        f"serial {serial_s * 1e3:.1f} ms on {os.cpu_count()} cpu(s)",
         data={
             "components": n,
-            "requested_workers": workers,
-            "effective_workers": stats.effective_workers,
-            "mode": stats.mode,
-            "reason": stats.reason,
-            "chunks": stats.chunks,
-            "safe_configs": len(serial),
+            "safe_configs": len(masks),
             "serial_ms": round(serial_s * 1e3, 2),
-            "parallel_ms": round(parallel_s * 1e3, 2),
-            "speedup_vs_serial": round(speedup, 2),
-            "host_cpus": os.cpu_count(),
-            "serial_reason": serial_stats.reason,
+            "nproc": os.cpu_count(),
         },
         json_path=SCALABILITY_JSON,
-    )
-
-
-def test_forced_pool_overhead(monkeypatch):
-    """Pool machinery overhead with the clamp and auto-serial forced off.
-
-    Forces the work-stealing pool path even on hosts with fewer than 4
-    cores (where the clamp would normally fall back to serial).  On a
-    1-core host the pool cannot be faster — this row bounds the *cost*
-    of the machinery (payload pickling, worker warm-up, chunk merge),
-    which the previous static-partition implementation paid at 4-5x and
-    the work-stealing one pays at a few percent.  Interpret the speedup
-    together with ``host_cpus``.
-    """
-    import repro.core.space as space_mod
-
-    monkeypatch.setattr(space_mod, "_cpu_count", lambda: max(4, os.cpu_count() or 1))
-    monkeypatch.setattr(space_mod, "MIN_PARALLEL_MASK_NODES", 1)
-    system = enumeration_stress_system(20)
-    serial, serial_s, _ = _enumerate_timed(system, None)
-    parallel, parallel_s, space = _enumerate_timed(system, 4)
-    assert parallel == serial
-    stats = space.last_enumeration_stats
-    assert stats.mode == "parallel", stats.reason
-    speedup = serial_s / max(parallel_s, 1e-9)
-    report(
-        "P3 forced pool (n=20, workers=4, clamp disabled)",
-        f"serial {serial_s * 1e3:.1f} ms, forced pool {parallel_s * 1e3:.1f} ms "
-        f"({speedup:.2f}x on {os.cpu_count()} host cpu(s)) [{stats.reason}]",
-        data={
-            "serial_ms": round(serial_s * 1e3, 2),
-            "parallel_ms": round(parallel_s * 1e3, 2),
-            "speedup_vs_serial": round(speedup, 2),
-            "host_cpus": os.cpu_count(),
-            "chunks": stats.chunks,
-            "reason": stats.reason,
-        },
-        json_path=SCALABILITY_JSON,
-    )
-
-
-@pytest.mark.parametrize("n", [16, 20])
-def test_pool_reuse(monkeypatch, n):
-    """Serial vs pool-cold vs pool-warm on the same spec digest.
-
-    The first parallel enumeration of a spec pays the pool spin-up and
-    the shared-memory plane round-trip; repeating it replays the merged
-    result plane from the parent-side cache without touching the pool at
-    all.  Three honest rows per universe (clamp and auto-serial forced
-    off so the cold row exists even on small hosts); the >=5x reuse
-    *gate* lives in :func:`test_pool_reuse_gate`.
-    """
-    import repro.core.space as space_mod
-    import repro.parallel as par
-
-    monkeypatch.setattr(space_mod, "_cpu_count", lambda: max(4, os.cpu_count() or 1))
-    monkeypatch.setattr(space_mod, "MIN_PARALLEL_MASK_NODES", 1)
-    system = enumeration_stress_system(n)
-    serial, serial_s, _ = _enumerate_timed(system, None)
-
-    par.clear_result_caches()
-    par.shutdown_pools()
-    cold, cold_s, cold_space = _enumerate_timed(system, 4)
-    cold_stats = cold_space.last_enumeration_stats
-    assert cold_stats.mode == "parallel", cold_stats.reason
-    assert not cold_stats.pool_warm
-
-    warm, warm_s, warm_space = _enumerate_timed(system, 4)
-    warm_stats = warm_space.last_enumeration_stats
-    assert warm_stats.mode == "parallel", warm_stats.reason
-    assert warm_stats.pool_warm
-    assert warm_stats.transport == "plane-cache"
-    assert cold == serial and warm == serial
-    reuse = cold_s / max(warm_s, 1e-9)
-    report(
-        f"P3 pool reuse (n={n}, workers=4)",
-        f"serial {serial_s * 1e3:.1f} ms | pool-cold {cold_s * 1e3:.1f} ms "
-        f"(spinup {cold_stats.pool_spinup_ms:.1f} ms, via "
-        f"{cold_stats.transport}) | pool-warm {warm_s * 1e3:.2f} ms "
-        f"(via {warm_stats.transport}, {reuse:.1f}x over cold)",
-        data={
-            "components": n,
-            "safe_configs": len(serial),
-            "serial_ms": round(serial_s * 1e3, 2),
-            "pool_cold_ms": round(cold_s * 1e3, 2),
-            "pool_cold_spinup_ms": round(cold_stats.pool_spinup_ms, 2),
-            "pool_cold_transport": cold_stats.transport,
-            "pool_warm_ms": round(warm_s * 1e3, 3),
-            "pool_warm_transport": warm_stats.transport,
-            "reuse_speedup": round(reuse, 1),
-            "host_cpus": os.cpu_count(),
-        },
-        json_path=SCALABILITY_JSON,
-    )
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="pool reuse gate needs >=4 physical cores",
-)
-@pytest.mark.parametrize("n", [16, 20])
-def test_pool_reuse_gate(monkeypatch, n):
-    """CI gate: re-enumerating the same spec >=5x faster than pool-cold.
-
-    The second enumeration of a digest must come from the warm plane
-    cache (no pool round-trip); measured reuse is orders of magnitude,
-    5x is the regression floor.  The 16-component universe sits below
-    the auto-parallel node floor, so the floor is lowered to force the
-    pool path for both sizes.
-    """
-    import repro.core.space as space_mod
-    import repro.parallel as par
-
-    monkeypatch.setattr(space_mod, "MIN_PARALLEL_MASK_NODES", 1)
-    system = enumeration_stress_system(n)
-    par.clear_result_caches()
-    par.shutdown_pools()
-    cold, cold_s, cold_space = _enumerate_timed(system, 4)
-    warm, warm_s, warm_space = _enumerate_timed(system, 4)
-    assert cold_space.last_enumeration_stats.mode == "parallel"
-    assert warm_space.last_enumeration_stats.transport == "plane-cache"
-    assert warm == cold
-    reuse = cold_s / max(warm_s, 1e-9)
-    report(
-        f"P3 pool reuse gate (n={n}, workers=4)",
-        f"pool-cold {cold_s * 1e3:.1f} ms vs pool-warm {warm_s * 1e3:.2f} ms "
-        f"({reuse:.1f}x, gate >=5x)",
-        data={
-            "components": n,
-            "pool_cold_ms": round(cold_s * 1e3, 2),
-            "pool_warm_ms": round(warm_s * 1e3, 3),
-            "reuse_speedup": round(reuse, 1),
-            "gate": 5.0,
-        },
-        json_path=SCALABILITY_JSON,
-    )
-    assert reuse >= 5.0, (
-        f"pool reuse regressed: warm enumeration only {reuse:.1f}x faster "
-        f"than cold ({warm_s * 1e3:.2f} ms vs {cold_s * 1e3:.1f} ms)"
-    )
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="parallel speedup gate needs >=4 physical cores",
-)
-def test_parallel_speedup_gate(benchmark):
-    """CI gate: work-stealing enumeration >=1.5x serial at workers=4.
-
-    Runs on the 20-component xor-stress universe where serial cost is
-    ~1s and partitions carry uniform work; on a 4-core host the chunked
-    pool lands around 3x.  Skipped (not faked) below 4 cores.
-    """
-    system = enumeration_stress_system(20)
-    serial, serial_s, _ = _enumerate_timed(system, None)
-    parallel, parallel_s, space = benchmark.pedantic(
-        lambda: _enumerate_timed(system, 4), rounds=1, iterations=1
-    )
-    assert parallel == serial
-    stats = space.last_enumeration_stats
-    assert stats.mode == "parallel", stats.reason
-    speedup = serial_s / max(parallel_s, 1e-9)
-    report(
-        "P3 speedup gate (n=20, workers=4)",
-        f"serial {serial_s * 1e3:.1f} ms, parallel {parallel_s * 1e3:.1f} ms "
-        f"({speedup:.2f}x, gate >=1.5x)",
-        data={
-            "serial_ms": round(serial_s * 1e3, 2),
-            "parallel_ms": round(parallel_s * 1e3, 2),
-            "speedup_vs_serial": round(speedup, 2),
-            "gate": 1.5,
-        },
-        json_path=SCALABILITY_JSON,
-    )
-    assert speedup >= 1.5, (
-        f"work-stealing enumeration regressed: {speedup:.2f}x < 1.5x "
-        f"(serial {serial_s * 1e3:.0f} ms vs parallel {parallel_s * 1e3:.0f} ms)"
     )
 
 

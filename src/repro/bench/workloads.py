@@ -133,11 +133,10 @@ def enumeration_stress_system(
     an xor stays *undetermined* until its last atom is decided, so the
     enumerator must traverse the full prefix tree before any branch can
     be pruned — per-node invariant work is high, the safe set collapses
-    only at the bottom (each xor halves it, so output stays small), and
-    partitions on the high-bit prefix carry near-identical work.  That
-    shape is exactly what the parallel enumeration benchmarks need:
-    serial cost grows with ``2^n`` while the result (and hence the
-    serial merge in the parent) stays a few thousand masks.
+    only at the bottom (each xor halves it, so output stays small).
+    Enumeration cost therefore grows with ``2^n`` while the result stays
+    a few thousand masks — the worst case the scalability benchmark
+    records.
 
     ``source``/``target`` are the all-absent/all-present placeholder
     configurations — enumeration benchmarks do not plan over this

@@ -115,23 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the SA3xx safe-space enumeration cap "
              "(skips emit an SA307 note)",
     )
-    lint.add_argument(
-        "--enum-workers", type=int, default=None, metavar="N",
-        help="enumerate the safe space on N worker processes",
-    )
 
     safe = commands.add_parser("safe-configs", help="enumerate safe configurations")
     _add_manifest(safe)
-    safe.add_argument(
-        "--enum-workers", type=int, default=None, metavar="N",
-        help="enumerate the safe space on N worker processes "
-             "(persistent shared-memory pool; 1 forces serial)",
-    )
-    safe.add_argument(
-        "--enum-stats", action="store_true",
-        help="print how the enumeration ran (mode, transport, pool "
-             "state, wall-clock breakdown) after the table",
-    )
 
     plan = commands.add_parser("plan", help="compute the Minimum Adaptation Path")
     _add_manifest(plan)
@@ -153,10 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch", metavar="FILE",
         help="plan many requests from FILE (one 'SRC -> DST' per line; "
              "'-' reads stdin) through a shared PlanningService",
-    )
-    plan.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="enumerate the safe space on N worker processes",
     )
     plan.add_argument(
         "--json", action="store_true",
@@ -304,10 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec-cache", type=int, default=64, metavar="N",
         help="LRU bound on registered specs (default: 64)",
     )
-    serve.add_argument(
-        "--enum-workers", type=int, default=None, metavar="N",
-        help="enumerate each spec's safe space on N worker processes",
-    )
 
     commands.add_parser(
         "example-manifest", help="print the paper's video system as a manifest"
@@ -346,7 +324,6 @@ def cmd_lint(args, out) -> int:
                 before,
                 path=name,
                 max_enum_components=args.max_enum_components,
-                workers=args.enum_workers,
             )
             if applied and fixed != before:
                 Path(name).write_text(fixed, encoding="utf-8")
@@ -370,7 +347,6 @@ def cmd_lint(args, out) -> int:
             fail_on=args.fail_on,
             verbose=args.verbose,
             max_enum_components=args.max_enum_components,
-            workers=args.enum_workers,
         ),
     )
     print(response.rendered, file=out)
@@ -407,29 +383,13 @@ def cmd_check(args, out) -> int:
 
 def cmd_safe_configs(args, out) -> int:
     manifest = load_path(args.manifest)
-    planner = manifest.planner(workers=getattr(args, "enum_workers", None))
+    planner = manifest.planner()
     print(
         format_table(
             ["bit vector", "configuration"], planner.space.to_table()
         ),
         file=out,
     )
-    if getattr(args, "enum_stats", False):
-        stats = planner.space.last_enumeration_stats
-        if stats is not None:
-            print(f"enumeration: {stats.reason}", file=out)
-            detail = (
-                f"  mode={stats.mode} workers={stats.effective_workers}"
-                f" total={stats.total_ms:.1f}ms"
-            )
-            if stats.mode == "parallel":
-                detail += (
-                    f" transport={stats.transport}"
-                    f" pool_warm={stats.pool_warm}"
-                    f" spinup={stats.pool_spinup_ms:.1f}ms"
-                    f" chunk_wait={stats.chunk_wait_ms:.1f}ms"
-                )
-            print(detail, file=out)
     return 0
 
 
@@ -517,12 +477,11 @@ def cmd_plan(args, out) -> int:
         ControlPlane,
         ErrorEnvelope,
         PlanRequest,
-        PlanningService,
         RegisterSpecRequest,
         to_json,
     )
 
-    control = ControlPlane(service=PlanningService(workers=args.workers))
+    control = ControlPlane()
     manifest_text = Path(args.manifest).read_text(encoding="utf-8")
     if args.batch:
         if args.source or args.target:
@@ -814,7 +773,6 @@ def cmd_serve(args, out) -> int:
         queue_limit=args.queue_limit,
         deadline_ms=args.deadline_ms,
         max_specs=args.spec_cache,
-        enum_workers=args.enum_workers,
         out=out,
     )
 

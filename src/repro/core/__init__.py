@@ -25,11 +25,7 @@ from repro.core.invariants import (
     StructuralInvariant,
 )
 from repro.core.actions import ActionKind, ActionLibrary, AdaptiveAction
-from repro.core.space import (
-    EnumerationStats,
-    LazySafeSpace,
-    SafeConfigurationSpace,
-)
+from repro.core.space import LazySafeSpace, SafeConfigurationSpace
 from repro.core.sag import LazySAG, SafeAdaptationGraph
 from repro.core.planner import (
     LAZY_PLAN_COMPONENTS,
@@ -52,7 +48,6 @@ __all__ = [
     "ActionLibrary",
     "SafeConfigurationSpace",
     "LazySafeSpace",
-    "EnumerationStats",
     "SafeAdaptationGraph",
     "LazySAG",
     "AdaptationPlanner",

@@ -113,7 +113,6 @@ class AdaptationPlanner:
         universe: ComponentUniverse,
         invariants: InvariantSet,
         actions: ActionLibrary,
-        workers: Optional[int] = None,
         spt_cache_size: int = SPT_CACHE_SIZE,
         conflicts: Tuple[Tuple[str, str], ...] = (),
     ):
@@ -123,7 +122,7 @@ class AdaptationPlanner:
         #: declared racing action pairs (manifest ``[conflicts]``) — kept
         #: inside one collaborative set so they serialize under one manager
         self.conflicts = tuple(conflicts)
-        self.space = SafeConfigurationSpace(universe, invariants, workers=workers)
+        self.space = SafeConfigurationSpace(universe, invariants)
         self.spt_cache_size = max(1, spt_cache_size)
         self._sag: Optional[SafeAdaptationGraph] = None
         self._lazy_sag: Optional[LazySAG] = None

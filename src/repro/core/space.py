@@ -22,11 +22,6 @@ still serves configurations containing components outside the universe.
 
 from __future__ import annotations
 
-import os
-import pickle
-import time
-import warnings
-from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -36,96 +31,29 @@ from typing import (
     List,
     Optional,
     Tuple,
-    Union,
 )
 
 from repro.core.invariants import InvariantSet
 from repro.core.model import ComponentUniverse, Configuration
 from repro.errors import UnknownComponentError, UnsafeConfigurationError
-from repro.parallel.bitset import SafetyMemo
-
-#: either memo backing works everywhere a memo table is accepted — the
-#: hybrid :class:`SafetyMemo` is dict-compatible by construction
-MemoTable = Union[Dict[int, bool], SafetyMemo]
-
-
-#: below this many components a process pool costs more than it saves
-MIN_PARALLEL_COMPONENTS = 12
-
-#: below this many estimated backtracking nodes (surviving partitions times
-#: the free-suffix subtree size) pool spin-up dominates; stay serial
-MIN_PARALLEL_MASK_NODES = 1 << 18
-
-#: task-queue chunks per worker — idle workers steal the next chunk, so
-#: oversubscription is what evens out skewed partition sizes
-PARALLEL_OVERSUBSCRIPTION = 8
-
-
-def _cpu_count() -> int:
-    """Usable CPU count (module-level hook so tests can simulate hosts)."""
-    return os.cpu_count() or 1
-
-
-@dataclass(frozen=True)
-class EnumerationStats:
-    """How the last :meth:`SafeConfigurationSpace.enumerate` actually ran.
-
-    ``reason`` records why the mode was chosen — in particular why a
-    parallel request fell back to serial (clamped workers, small universe,
-    root-pruned partitions, pool failure) — so benches and operators can
-    tell a genuine parallel win from a silent fallback.  The wall-time
-    fields carry the timing evidence: how much of ``total_ms`` went to
-    pool spin-up versus waiting on chunks, and whether the persistent
-    pool was already warm.
-    """
-
-    mode: str  # "serial" | "parallel"
-    requested_workers: Optional[int]
-    effective_workers: int
-    reason: str
-    partitions: int = 0  # surviving prefix partitions (parallel planning)
-    chunks: int = 0  # tasks submitted to the shared queue (parallel)
-    safe_count: int = 0
-    #: "" (serial) | "shm-plane" | "pickled-masks" — how results traveled
-    transport: str = ""
-    #: True when the persistent pool existed before this call
-    pool_warm: bool = False
-    pool_spinup_ms: float = 0.0
-    chunk_wait_ms: float = 0.0
-    total_ms: float = 0.0
 
 
 class SafeConfigurationSpace:
-    """All safe configurations of a universe under an invariant set.
+    """All safe configurations of a universe under an invariant set."""
 
-    With ``workers=N`` (N > 1), the full enumeration partitions the mask
-    space on the high bits of the component prefix and fans the
-    partitions out across a process pool — see
-    :meth:`_enumerate_parallel`.  Restricted enumeration and membership
-    queries are unaffected by the option.
-    """
-
-    def __init__(
-        self,
-        universe: ComponentUniverse,
-        invariants: InvariantSet,
-        workers: Optional[int] = None,
-    ):
+    def __init__(self, universe: ComponentUniverse, invariants: InvariantSet):
         self.universe = universe
         self.invariants = invariants
-        self.workers = workers
         #: safe masks, ascending (None until the first full enumeration)
         self._cache: Optional[Tuple[int, ...]] = None
         self._configs: Optional[Tuple[Configuration, ...]] = None
-        self._safe_memo: SafetyMemo = SafetyMemo(len(universe))
+        self._safe_memo: Dict[int, bool] = {}
         self._compiled: Optional[Callable[[int], bool]] = None
         self._compiled_partial: Optional[Tuple[Callable, ...]] = None
-        #: how the last full enumeration ran (None until one happens)
-        self.last_enumeration_stats: Optional[EnumerationStats] = None
 
     # -- compiled fast path ------------------------------------------------------
     @property
-    def safe_memo(self) -> SafetyMemo:
+    def safe_memo(self) -> Dict[int, bool]:
         """The shared mask -> verdict memo table (exposed for reuse)."""
         return self._safe_memo
 
@@ -210,14 +138,13 @@ class SafeConfigurationSpace:
     def enumerate_masks(self) -> Tuple[int, ...]:
         """Masks of every safe configuration, ascending (cached).
 
-        The enumeration itself: :meth:`_backtracking_masks` (invariant
-        propagation prunes hopeless branches early) or, with ``workers``,
-        :meth:`_enumerate_parallel`.  The SAG build and lint consume the
-        masks directly; the exhaustive filter over ``all_configurations``
-        is kept as the property-test oracle.
+        The enumeration itself is :meth:`_backtracking_masks` (invariant
+        propagation prunes hopeless branches early).  The SAG build and
+        lint consume the masks directly; the exhaustive filter over
+        ``all_configurations`` is kept as the property-test oracle.
         """
         if self._cache is None:
-            self._cache = self._enumerate_with_stats()
+            self._cache = self._backtracking_masks()
         return self._cache
 
     def enumerate(self) -> Tuple[Configuration, ...]:
@@ -229,61 +156,6 @@ class SafeConfigurationSpace:
         if self._configs is None:
             self._configs = tuple(map(self.universe.from_mask, self.enumerate_masks()))
         return self._configs
-
-    def _enumerate_serial(
-        self, reason: str, started: Optional[float] = None
-    ) -> Tuple[int, ...]:
-        """Serial enumeration, recording *reason* on the stats attribute."""
-        if started is None:
-            started = time.perf_counter()
-        result = self._backtracking_masks()
-        self.last_enumeration_stats = EnumerationStats(
-            mode="serial",
-            requested_workers=self.workers,
-            effective_workers=1,
-            reason=reason,
-            safe_count=len(result),
-            total_ms=(time.perf_counter() - started) * 1e3,
-        )
-        return result
-
-    def _enumerate_with_stats(self) -> Tuple[int, ...]:
-        """Pick serial vs parallel and record the decision.
-
-        ``workers=1`` is exactly serial by contract (no pool spin-up);
-        requests beyond :func:`_cpu_count` clamp with a warning — extra
-        processes on a saturated host only add scheduling overhead.
-        """
-        started = time.perf_counter()
-        requested = self.workers
-        n = len(self.universe)
-        if requested is None:
-            return self._enumerate_serial("serial: no workers requested", started)
-        if requested <= 1:
-            return self._enumerate_serial(
-                "serial: workers=1 is serial by contract", started
-            )
-        if n < MIN_PARALLEL_COMPONENTS:
-            return self._enumerate_serial(
-                f"serial: {n} components below the "
-                f"{MIN_PARALLEL_COMPONENTS}-component parallel floor",
-                started,
-            )
-        cpus = _cpu_count()
-        effective = min(requested, cpus)
-        if effective < requested:
-            warnings.warn(
-                f"workers={requested} exceeds cpu_count={cpus}; "
-                f"clamping to {effective}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        if effective <= 1:
-            return self._enumerate_serial(
-                f"serial: workers={requested} clamped to 1 (cpu_count={cpus})",
-                started,
-            )
-        return self._enumerate_parallel(effective, started)
 
     def enumerate_restricted(
         self,
@@ -320,12 +192,10 @@ class SafeConfigurationSpace:
     ) -> List[int]:
         """Safe masks varying only *free* bits over the frozen *present0*.
 
-        The masks-only core of :meth:`enumerate_restricted`, shared with
-        the parallel workers (which never materialize
-        :class:`Configuration` objects — the parent interns them once
-        after the merge).  Leaf masks are recorded in the shared safety
-        memo.  Output follows recursion order: ascending whenever the
-        free components form a suffix of the universe order.
+        The masks-only core of :meth:`enumerate_restricted`.  Leaf masks
+        are recorded in the shared safety memo.  Output follows recursion
+        order: ascending whenever the free components form a suffix of
+        the universe order.
         """
         universe = self.universe
         free_bits = tuple(universe.bit_of(name) for name in free)
@@ -430,207 +300,6 @@ class SafeConfigurationSpace:
         recurse(0, 0, 0)
         return tuple(out)
 
-    def _enumerate_parallel(self, workers: int, started: float) -> Tuple[int, ...]:
-        """Full enumeration via chunked work-stealing over a process pool.
-
-        The mask space is partitioned on the first *k* components of the
-        universe order — the **high** bits of the bit-vector encoding — so
-        partition index order equals ascending mask order and the
-        concatenated results come out exactly as
-        :meth:`enumerate_backtracking` would produce them.  The parent
-        root-prunes partitions whose prefix assignment already falsifies
-        an invariant under three-valued evaluation (those contain no safe
-        configuration), estimates the remaining search-tree size, and
-        stays serial when pool spin-up would dominate.
-
-        The execution engine lives in :mod:`repro.parallel`:
-
-        * the pool is **persistent and process-wide** — acquired from
-          :func:`repro.parallel.pool.acquire_pool`, so spin-up is paid
-          once per process, not once per enumeration; repeated
-          enumerations of the same spec digest hit the workers' spec and
-          partition-result caches and skip the invariant work entirely;
-        * surviving partitions are split into many small chunks on a
-          shared task queue — idle workers steal the next chunk, so a
-          skewed partition no longer serializes the whole sweep behind
-          one static assignment;
-        * for universes within the bitset cap, workers write their safe
-          verdicts as bits into one shared-memory **result plane** (bit
-          index == mask; the prefix width is clamped so partitions own
-          disjoint bytes) and the parent bulk-ORs the plane into the
-          memo and word-scans it — no mask pickling.  Oversized
-          universes fall back to pickled mask tuples on the same pool.
-
-        Any pool failure (a platform without usable multiprocessing, a
-        spec that cannot round-trip) falls back to the serial enumerator
-        and records why — the option is a go-faster knob, never a
-        behavior change.
-        """
-        from repro import parallel as par
-        from repro.parallel import pool as pool_mod
-
-        universe = self.universe
-        order = universe.order
-        n = len(order)
-        target_tasks = workers * PARALLEL_OVERSUBSCRIPTION
-        # the prefix must leave a free suffix of >= 3 components so each
-        # partition's plane range is byte-aligned (and workers have work)
-        max_k = max(1, min(12, n - 3))
-        k = 1
-        while (1 << k) < target_tasks and k < max_k:
-            k += 1
-        prefix = order[:k]
-        free = order[k:]
-        prefix_bits = tuple(universe.bit_of(name) for name in prefix)
-        prefix_full = universe.mask_of_names(prefix)
-        partial_fns = self._compiled_partial_fns()
-        surviving: List[int] = []
-        for value in range(1 << k):
-            present0 = 0
-            for i in range(k):
-                if value & (1 << (k - 1 - i)):
-                    present0 |= prefix_bits[i]
-            if any(fn(present0, prefix_full) is False for fn in partial_fns):
-                continue  # the whole partition is provably unsafe
-            surviving.append(value)
-        if not surviving:
-            return self._enumerate_serial(
-                "serial: every prefix partition root-pruned", started
-            )
-        estimated = len(surviving) << (n - k)
-        if estimated < MIN_PARALLEL_MASK_NODES:
-            return self._enumerate_serial(
-                f"serial: ~{estimated} estimated search nodes below the "
-                f"parallel threshold ({MIN_PARALLEL_MASK_NODES})",
-                started,
-            )
-        chunk_size = max(1, len(surviving) // target_tasks)
-        chunks = [
-            (index, tuple(surviving[lo : lo + chunk_size]))
-            for index, lo in enumerate(range(0, len(surviving), chunk_size))
-        ]
-        component_specs = tuple(
-            (name, universe.component(name).process) for name in order
-        )
-        from repro.expr.ast import to_text
-
-        invariant_texts = tuple(to_text(inv.expr) for inv in self.invariants)
-        payload = pickle.dumps(
-            (component_specs, invariant_texts, k),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        digest = par.spec_digest(payload)
-        memo = self._safe_memo
-        cached = (
-            par.cached_plane(digest)
-            if n <= par.MAX_BITSET_COMPONENTS
-            else None
-        )
-        if cached is not None:
-            # A previous enumeration of this exact spec already merged
-            # its result plane — replay it without touching the pool.
-            memo.or_safe_plane(cached)
-            replayed = tuple(par.iter_plane_masks(cached))
-            self.last_enumeration_stats = EnumerationStats(
-                mode="parallel",
-                requested_workers=self.workers,
-                effective_workers=workers,
-                reason=f"parallel: result plane for spec {digest} replayed "
-                "from the warm plane cache",
-                partitions=len(surviving),
-                chunks=0,
-                safe_count=len(replayed),
-                transport="plane-cache",
-                pool_warm=True,
-                total_ms=(time.perf_counter() - started) * 1e3,
-            )
-            return replayed
-        try:
-            import concurrent.futures
-
-            t_pool = time.perf_counter()
-            pool, spun_up = par.acquire_pool(workers)
-            if spun_up:
-                # round-trip a no-op so spin-up cost lands in this field
-                # (and the fork server / first worker is provably up)
-                pool.submit(int, 0).result()
-            pool_spinup_ms = (time.perf_counter() - t_pool) * 1e3
-        except Exception as exc:
-            return self._enumerate_serial(
-                f"serial: pool failure ({exc.__class__.__name__}: {exc})",
-                started,
-            )
-        plane = None
-        if n <= par.MAX_BITSET_COMPONENTS:
-            try:
-                from multiprocessing import shared_memory
-
-                plane = shared_memory.SharedMemory(
-                    create=True, size=par.plane_size(n)
-                )
-            except Exception:
-                plane = None  # fall back to pickled masks on the pool
-        plane_name = None if plane is None else plane.name
-        transport = "pickled-masks" if plane is None else "shm-plane"
-        results: List[Optional[Tuple[int, ...]]] = [None] * len(chunks)
-        try:
-            t_chunks = time.perf_counter()
-            futures = [
-                pool.submit(
-                    pool_mod.enumerate_chunk,
-                    (digest, payload, k, index, values, plane_name),
-                )
-                for index, values in chunks
-            ]
-            for future in concurrent.futures.as_completed(futures):
-                index, value = future.result()
-                if plane is None:
-                    results[index] = value
-            chunk_wait_ms = (time.perf_counter() - t_chunks) * 1e3
-        except Exception as exc:
-            if plane is not None:
-                plane.close()
-                plane.unlink()
-            pool_mod.discard_pool(pool)  # it may be broken; rebuild next time
-            return self._enumerate_serial(
-                f"serial: pool failure ({exc.__class__.__name__}: {exc})",
-                started,
-            )
-        out: List[int] = []
-        if plane is not None:
-            try:
-                plane_bytes = bytes(plane.buf)
-            finally:
-                plane.close()
-                plane.unlink()
-            memo.or_safe_plane(plane_bytes)
-            par.store_plane(digest, plane_bytes)
-            # ascending bit scan == ascending mask == serial order
-            out = list(par.iter_plane_masks(plane_bytes))
-        else:
-            # chunk index order == ascending prefix order == ascending masks
-            for masks in results:
-                assert masks is not None
-                for mask in masks:
-                    memo[mask] = True
-                out.extend(masks)
-        self.last_enumeration_stats = EnumerationStats(
-            mode="parallel",
-            requested_workers=self.workers,
-            effective_workers=workers,
-            reason=f"parallel: {len(chunks)} chunks stolen from "
-            f"{len(surviving)} surviving partitions via {transport}",
-            partitions=len(surviving),
-            chunks=len(chunks),
-            safe_count=len(out),
-            transport=transport,
-            pool_warm=not spun_up,
-            pool_spinup_ms=pool_spinup_ms,
-            chunk_wait_ms=chunk_wait_ms,
-            total_ms=(time.perf_counter() - started) * 1e3,
-        )
-        return tuple(out)
-
     def lazy_view(self) -> "LazySafeSpace":
         """A point-query view sharing this space's memo and compiled closure.
 
@@ -695,20 +364,18 @@ class LazySafeSpace:
         self,
         universe: ComponentUniverse,
         invariants: InvariantSet,
-        memo: Optional[MemoTable] = None,
+        memo: Optional[Dict[int, bool]] = None,
         compiled: Optional[Callable[[int], bool]] = None,
     ):
         self.universe = universe
         self.invariants = invariants
-        self._safe_memo: MemoTable = (
-            memo if memo is not None else SafetyMemo(len(universe))
-        )
+        self._safe_memo: Dict[int, bool] = memo if memo is not None else {}
         self._compiled = compiled
         self.point_queries = 0
         self.memo_hits = 0
 
     @property
-    def safe_memo(self) -> MemoTable:
+    def safe_memo(self) -> Dict[int, bool]:
         """The shared mask -> verdict memo table (exposed for reuse)."""
         return self._safe_memo
 

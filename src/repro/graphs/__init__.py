@@ -18,7 +18,6 @@ from repro.graphs.astar import astar_path, lazy_astar
 from repro.graphs.csr import (
     CSRGraph,
     ShortestPathTree,
-    bidirectional_shortest_path,
     k_shortest_paths_csr,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "lazy_astar",
     "CSRGraph",
     "ShortestPathTree",
-    "bidirectional_shortest_path",
     "k_shortest_paths_csr",
 ]

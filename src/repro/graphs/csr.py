@@ -4,11 +4,11 @@ A :class:`Digraph` answers one shortest-path query fine, but serving many
 ``(source, target)`` requests against one Safe Adaptation Graph pays dict
 hashing and node interning on every call.  :class:`CSRGraph` holds a
 *frozen* graph as int-indexed compressed-sparse-row arrays —
-``offsets``/``targets``/``weights`` plus a per-edge label index, and a
-reverse CSR for inbound edges built on first use — so every search runs
-on machine scalars and array indexing.  It is compiled from a
-:class:`Digraph` (:meth:`CSRGraph.from_digraph`) or written directly by
-a builder that never makes one (the Safe Adaptation Graph does).
+``offsets``/``targets``/``weights`` plus a per-edge label index — so
+every search runs on machine scalars and array indexing.  It is
+compiled from a :class:`Digraph` (:meth:`CSRGraph.from_digraph`) or
+written directly by a builder that never makes one (the Safe Adaptation
+Graph does).
 
 Kernels provided:
 
@@ -22,10 +22,6 @@ Kernels provided:
   settled target's ``path_to`` is O(path length).  This is what makes
   batched multi-source MAP solving amortized: one tree serves every
   request that shares its source, and a lone request pays for one path.
-* :func:`bidirectional_shortest_path` — point-to-point search expanding
-  forward and reverse frontiers alternately; settles roughly the union of
-  two half-radius balls instead of one full ball.  Costs match Dijkstra
-  exactly; the concrete path may differ between equal-cost optima.
 * :func:`k_shortest_paths_csr` — Yen's algorithm with per-query edge/node
   ban sets instead of pruned graph copies; output is identical to
   :func:`repro.graphs.yen.k_shortest_paths`.
@@ -39,8 +35,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from functools import cached_property
-from itertools import accumulate
 from typing import (
     AbstractSet,
     Dict,
@@ -73,8 +67,7 @@ class CSRGraph(Generic[N, L]):
     carries the label ``labels[label_ids[e]]``.  Per-source edge order
     preserves the digraph's insertion order, which is what keeps every
     tie-break bit-identical to the dict-graph algorithms.  :class:`Edge`
-    objects are made only for the edges of returned paths, and the
-    reverse CSR is built on first use.
+    objects are made only for the edges of returned paths.
     """
 
     def __init__(
@@ -146,20 +139,6 @@ class CSRGraph(Generic[N, L]):
     def edge_objects(self) -> Tuple[Edge[N, L], ...]:
         """Every edge as an :class:`Edge`, in edge-id order."""
         return tuple(map(self.edge, range(self.edge_count)))
-
-    @cached_property
-    def roffsets(self) -> List[int]:
-        """Reverse CSR: node ``i``'s inbound edge ids are
-        ``redges[roffsets[i]:roffsets[i + 1]]`` (built on first use)."""
-        indegree = [0] * len(self.nodes)
-        for target in self.targets:
-            indegree[target] += 1
-        return [0, *accumulate(indegree)]
-
-    @cached_property
-    def redges(self) -> List[int]:
-        """Edge ids grouped by target, ascending within each group."""
-        return sorted(range(self.edge_count), key=self.targets.__getitem__)
 
     def edges_labelled(self, source_index: int, label: L) -> Tuple[int, ...]:
         """Ids of the parallel arcs from *source_index* carrying *label*.
@@ -369,111 +348,6 @@ class ShortestPathTree(Generic[N, L]):
             for node, value in zip(self.csr.nodes, self.dist)
             if value != _INF
         }
-
-
-def bidirectional_shortest_path(
-    csr: CSRGraph[N, L], source: N, target: N
-) -> Optional[Path[N, L]]:
-    """Point-to-point search meeting in the middle.
-
-    Expands the smaller of the forward frontier (over the CSR) and the
-    reverse frontier (over the reverse CSR) until their radii cover the
-    best known connection.  The returned cost always equals plain
-    Dijkstra's; among equal-cost optima the concrete path is chosen by
-    (cost, total hops) at the meeting node, which may legitimately differ
-    from the forward-search tie-break.
-    """
-    source_index = csr.index_of[source]
-    target_index = csr.index_of[target]
-    if source_index == target_index:
-        return Path(nodes=(source,), edges=(), cost=0.0)
-    n = csr.node_count
-    offsets, targets, weights = csr.offsets, csr.targets, csr.weights
-    roffsets, redges = csr.roffsets, csr.redges
-    edge_source_index = csr.edge_source_index
-
-    dist_f = [_INF] * n
-    dist_b = [_INF] * n
-    hops_f = [0] * n
-    hops_b = [0] * n
-    pred_f = [-1] * n
-    pred_b = [-1] * n
-    settled_f = bytearray(n)
-    settled_b = bytearray(n)
-    dist_f[source_index] = 0.0
-    dist_b[target_index] = 0.0
-    heap_f: list = [(0.0, 0, 0, source_index)]
-    heap_b: list = [(0.0, 0, 0, target_index)]
-    counters = [0, 0]
-    best_cost = _INF
-    best_hops = 0
-    meet = -1
-
-    def consider(node: int) -> None:
-        nonlocal best_cost, best_hops, meet
-        df, db = dist_f[node], dist_b[node]
-        if df == _INF or db == _INF:
-            return
-        total = df + db
-        total_hops = hops_f[node] + hops_b[node]
-        if total < best_cost or (total == best_cost and total_hops < best_hops):
-            best_cost = total
-            best_hops = total_hops
-            meet = node
-
-    while heap_f and heap_b:
-        # The search is complete once the two radii cover the best
-        # connection: no unsettled node can improve on best_cost.
-        if heap_f[0][0] + heap_b[0][0] >= best_cost:
-            break
-        forward = heap_f[0][0] <= heap_b[0][0]
-        heap = heap_f if forward else heap_b
-        settled = settled_f if forward else settled_b
-        dist = dist_f if forward else dist_b
-        hops = hops_f if forward else hops_b
-        pred = pred_f if forward else pred_b
-        cost, nhops, _, index = heapq.heappop(heap)
-        if settled[index]:
-            continue
-        settled[index] = 1
-        consider(index)
-        if forward:
-            edge_range = range(offsets[index], offsets[index + 1])
-        else:
-            edge_range = (
-                redges[slot] for slot in range(roffsets[index], roffsets[index + 1])
-            )
-        for edge_id in edge_range:
-            neighbour = targets[edge_id] if forward else edge_source_index(edge_id)
-            if settled[neighbour]:
-                continue
-            candidate = cost + weights[edge_id]
-            candidate_hops = nhops + 1
-            if candidate < dist[neighbour] or (
-                candidate == dist[neighbour] and candidate_hops < hops[neighbour]
-            ):
-                dist[neighbour] = candidate
-                hops[neighbour] = candidate_hops
-                pred[neighbour] = edge_id
-                side = 0 if forward else 1
-                counters[side] += 1
-                heapq.heappush(
-                    heap, (candidate, candidate_hops, counters[side], neighbour)
-                )
-                consider(neighbour)
-
-    if meet < 0:
-        return None
-    forward_half = reconstruct_path(csr, source_index, meet, dist_f, pred_f)
-    assert forward_half is not None
-    edges = list(forward_half.edges)
-    index = meet
-    while index != target_index:
-        edge_id = pred_b[index]
-        edges.append(csr.edge(edge_id))
-        index = csr.targets[edge_id]
-    nodes = (csr.nodes[source_index],) + tuple(edge.target for edge in edges)
-    return Path(nodes=nodes, edges=tuple(edges), cost=best_cost)
 
 
 def k_shortest_paths_csr(

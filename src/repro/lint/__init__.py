@@ -58,57 +58,46 @@ from repro.manifest import ManifestSource, SystemManifest, scan
 def lint_source(
     source: ManifestSource,
     max_enum_components: "int | None" = None,
-    workers: "int | None" = None,
 ) -> LintReport:
     """Run the analyzer over an already-scanned manifest.
 
     *max_enum_components* overrides the SA3xx safe-space enumeration cap
     for this run (above it SA301/SA302/SA305 skip with an SA307 note
-    while SA205/SA306 fall back to lazy frontier search); *workers*
-    enumerates the safe space on a process pool.
+    while SA205/SA306 fall back to lazy frontier search).
     """
-    return analyze_source(
-        source, max_enum_components=max_enum_components, workers=workers
-    )
+    return analyze_source(source, max_enum_components=max_enum_components)
 
 
 def lint_text(
     text: str,
     path: "str | None" = None,
     max_enum_components: "int | None" = None,
-    workers: "int | None" = None,
 ) -> LintReport:
     """Analyze manifest source text (tolerant: reports every defect)."""
     return analyze_source(
         scan(text, path=path, strict=False),
         max_enum_components=max_enum_components,
-        workers=workers,
     )
 
 
 def lint_path(
     path: Union[str, Path],
     max_enum_components: "int | None" = None,
-    workers: "int | None" = None,
 ) -> LintReport:
     """Analyze a manifest file on disk."""
     return lint_text(
         Path(path).read_text(encoding="utf-8"),
         path=str(path),
         max_enum_components=max_enum_components,
-        workers=workers,
     )
 
 
 def lint_system(
     manifest: SystemManifest,
     max_enum_components: "int | None" = None,
-    workers: "int | None" = None,
 ) -> LintReport:
     """Analyze an in-memory system model (semantic stages SA2xx–SA4xx)."""
-    return analyze_system(
-        manifest, max_enum_components=max_enum_components, workers=workers
-    )
+    return analyze_system(manifest, max_enum_components=max_enum_components)
 
 
 __all__ = [

@@ -70,8 +70,7 @@ from repro.span import Span
 MAX_SAT_ATOMS = 16
 #: Default cap on safe-space enumeration (SA3xx).  Overridable per run
 #: (``max_enum_components=``); a skip now emits an explicit SA307 note
-#: besides the ``report.skipped`` line.  Raised from 22 since the
-#: enumeration can run on a process pool (``workers=``).
+#: besides the ``report.skipped`` line.
 MAX_ENUM_COMPONENTS = 24
 
 
@@ -622,7 +621,6 @@ def _check_actions(
     report: LintReport,
     path: Optional[str],
     max_enum_components: Optional[int] = None,
-    workers: Optional[int] = None,
     fixes_enabled: bool = False,
 ) -> Optional[Tuple[List[int], FrozenSet[int]]]:
     """SA3xx.  Returns ``(safe_masks, safe_set)`` when the safe space was
@@ -649,23 +647,14 @@ def _check_actions(
             "enumeration cap; named-configuration safety (SA205) and "
             "reachability (SA306) were checked by lazy frontier search "
             "instead — raise the cap with --max-enum-components to run "
-            "the full analysis (enumeration can run in parallel via "
-            "--enum-workers)",
+            "the full analysis",
             model.section_span("components"),
             path,
         )
         _check_named_pairs_lazy(model, report, path)
         return None
-    space = SafeConfigurationSpace(universe, model.kept_invariants(), workers=workers)
+    space = SafeConfigurationSpace(universe, model.kept_invariants())
     safe_masks = space.enumerate_masks()
-    stats = space.last_enumeration_stats
-    if workers is not None and stats is not None:
-        # verbose evidence of how the sweep actually ran (the persistent
-        # pool makes repeated sweeps over the same spec warm)
-        report.skipped.append(
-            f"SA3xx safe-space enumeration: {stats.reason} "
-            f"({stats.total_ms:.1f} ms)"
-        )
     if not safe_masks:
         report.add(
             "SA203",
@@ -1245,14 +1234,12 @@ def _check_contracts(model: _Model, report: LintReport, path: Optional[str]) -> 
 def analyze_source(
     source: ManifestSource,
     max_enum_components: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> LintReport:
     """Run the full SA1xx–SA4xx pipeline over a scanned manifest.
 
     Args:
         max_enum_components: per-run override of the SA3xx enumeration
             cap (``None`` uses :data:`MAX_ENUM_COMPONENTS`).
-        workers: process-pool size for the safe-space enumeration.
     """
     report = LintReport()
     model = _collect(source, report)
@@ -1269,7 +1256,6 @@ def analyze_source(
             report,
             path,
             max_enum_components=max_enum_components,
-            workers=workers,
             fixes_enabled=True,
         )
         check_interference(
@@ -1293,7 +1279,6 @@ def analyze_system(
     manifest: SystemManifest,
     path: Optional[str] = None,
     max_enum_components: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> LintReport:
     """Analyze an in-memory ``P`` (semantic stages SA2xx–SA4xx + SA108).
 
@@ -1359,7 +1344,6 @@ def analyze_system(
         report,
         path,
         max_enum_components=max_enum_components,
-        workers=workers,
     )
     check_interference(
         model,

@@ -72,7 +72,9 @@ def apply_edits(text: str, edits: Iterable[Edit]) -> str:
     Edits are applied bottom-up so earlier spans stay valid; a line
     already removed by a line-deletion edit absorbs any further edit
     targeting it.  Identical edits (the same span and replacement
-    reported via two diagnostics) apply once.
+    reported via two diagnostics) apply once.  Edits tied on a span keep
+    their input order (the sort is stable), so the output never depends
+    on hash order.
     """
     had_newline = text.endswith("\n")
     lines = text.split("\n")
@@ -80,7 +82,7 @@ def apply_edits(text: str, edits: Iterable[Edit]) -> str:
         lines = lines[:-1]
     total = len(lines)
     ordered = sorted(
-        set(edits),
+        dict.fromkeys(edits),
         key=lambda e: (e.span.line, e.span.column),
         reverse=True,
     )
@@ -132,7 +134,6 @@ def fix_text(
     text: str,
     path: Optional[str] = None,
     max_enum_components: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> Tuple[str, int]:
     """Lint → fix → re-lint to a fixed point.
 
@@ -146,10 +147,7 @@ def fix_text(
     applied = 0
     for _ in range(MAX_FIX_PASSES):
         report = lint_text(
-            text,
-            path=path,
-            max_enum_components=max_enum_components,
-            workers=workers,
+            text, path=path, max_enum_components=max_enum_components
         )
         new_text, count = apply_fixes(text, report)
         if count == 0 or new_text == text:

@@ -227,10 +227,10 @@ class SystemManifest:
     conflicts: Tuple[Tuple[str, str], ...] = ()
     spans: ManifestSpans = field(default_factory=ManifestSpans)
 
-    def planner(self, workers: Optional[int] = None) -> AdaptationPlanner:
+    def planner(self) -> AdaptationPlanner:
         return AdaptationPlanner(
             self.universe, self.invariants, self.actions,
-            workers=workers, conflicts=self.conflicts,
+            conflicts=self.conflicts,
         )
 
     def property_named(self, name: str) -> PFormula:

@@ -135,7 +135,6 @@ class LintRequest:
     fail_on: str = "error"
     verbose: bool = False
     max_enum_components: Optional[int] = None
-    workers: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -633,7 +632,6 @@ def lint_request_from_json(payload: Dict[str, Any]) -> LintRequest:
             "fail_on": str,
             "verbose": bool,
             "max_enum_components": int,
-            "workers": int,
         },
         required=(),
     )

@@ -156,7 +156,7 @@ _FAST_FIELDS = frozenset(("spec", "source", "target", "k", "method"))
 #: every /v1/lint body field (the lint wire cache keys on all of them)
 _LINT_FIELDS = frozenset((
     "manifest", "sources", "format", "fail_on", "verbose",
-    "max_enum_components", "workers",
+    "max_enum_components",
 ))
 _FAST_CACHE_LIMIT = 4096
 
@@ -166,8 +166,7 @@ class ControlPlane:
 
     Args:
         service: the shared :class:`PlanningService` (one is created
-            when omitted; *workers* is forwarded to it).
-        workers: safe-space enumeration workers for a created service.
+            when omitted).
         max_specs: LRU bound on the spec registry.
         shard: ``(index, total)`` worker identity for digest sharding.
     """
@@ -176,13 +175,10 @@ class ControlPlane:
         self,
         service: Optional[PlanningService] = None,
         *,
-        workers: Optional[int] = None,
         max_specs: int = 64,
         shard: Optional[Tuple[int, int]] = None,
     ):
-        self.service = service if service is not None else PlanningService(
-            workers=workers
-        )
+        self.service = service if service is not None else PlanningService()
         self.registry = SpecRegistry(
             self.service, max_specs=max_specs, shard=shard
         )
@@ -513,7 +509,6 @@ class ControlPlane:
                     text,
                     path=path,
                     max_enum_components=request.max_enum_components,
-                    workers=request.workers,
                 )
             )
         merged.sort()

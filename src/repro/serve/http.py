@@ -126,7 +126,7 @@ class ControlPlaneHTTPServer:
         deadline_ms: default per-request deadline (None: no deadline).
         drain_timeout: seconds :meth:`shutdown` waits for in-flight
             requests before closing connections.
-        counters: shared :class:`~repro.parallel.counters.CounterBlock`
+        counters: shared :class:`~repro.serve.counters.CounterBlock`
             for fleet-wide ``/v1/stats`` aggregation; this server
             publishes into row *worker_index* before every response and
             sums the columns on the stats route.
@@ -675,18 +675,11 @@ def _build_control(
     manifests: Sequence[str],
     *,
     max_specs: int,
-    enum_workers: Optional[int],
     shard: Optional[Tuple[int, int]],
 ) -> ControlPlane:
     from pathlib import Path
 
-    from repro.serve.service import PlanningService
-
-    control = ControlPlane(
-        service=PlanningService(workers=enum_workers),
-        max_specs=max_specs,
-        shard=shard,
-    )
+    control = ControlPlane(max_specs=max_specs, shard=shard)
     for path in manifests:
         response = control.dispatch(
             RegisterSpecRequest(Path(path).read_text(encoding="utf-8"))
@@ -702,7 +695,6 @@ def _worker_main(
     control = _build_control(
         manifests,
         max_specs=options["max_specs"],
-        enum_workers=options["enum_workers"],
         shard=(index, total) if total > 1 else None,
     )
     asyncio.run(
@@ -728,7 +720,6 @@ def run_server(
     queue_limit: Optional[int] = None,
     deadline_ms: Optional[float] = None,
     max_specs: int = 64,
-    enum_workers: Optional[int] = None,
     out=None,
 ) -> int:
     """Blocking server entry point behind ``repro serve``.
@@ -752,7 +743,6 @@ def run_server(
     )
     options = {
         "max_specs": max_specs,
-        "enum_workers": enum_workers,
         "max_inflight": max_inflight,
         "queue_limit": queue_limit,
         "deadline_ms": deadline_ms,
@@ -768,7 +758,7 @@ def run_server(
     import multiprocessing
     import signal as _signal
 
-    from repro.parallel.counters import CounterBlock
+    from repro.serve.counters import CounterBlock
 
     # One shared counter block, created before forking so every child
     # inherits the attached segment; each worker publishes its own row and

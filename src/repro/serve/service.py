@@ -172,9 +172,6 @@ class PlanningService:
     """Shared planning front end for many callers over many specs.
 
     Args:
-        workers: forwarded to each planner's
-            :class:`~repro.core.space.SafeConfigurationSpace` for parallel
-            safe-space enumeration.
         spt_cache_size: per-planner bound on cached shortest-path trees.
         lazy_components: specs with more components than this are planned
             through :meth:`AdaptationPlanner.lazy_plan` — the frontier
@@ -187,11 +184,9 @@ class PlanningService:
 
     def __init__(
         self,
-        workers: Optional[int] = None,
         spt_cache_size: int = AdaptationPlanner.SPT_CACHE_SIZE,
         lazy_components: Optional[int] = LAZY_PLAN_COMPONENTS,
     ):
-        self.workers = workers
         self.spt_cache_size = spt_cache_size
         self.lazy_components = lazy_components
         self._registry_lock = threading.Lock()
@@ -249,7 +244,6 @@ class PlanningService:
                         universe,
                         invariants,
                         actions,
-                        workers=self.workers,
                         spt_cache_size=self.spt_cache_size,
                     )
                 )

@@ -6,6 +6,7 @@ planner's incremental caches.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.video.system import (
     paper_source,
@@ -15,6 +16,7 @@ from repro.apps.video.system import (
     video_planner,
     video_universe,
 )
+from repro.bench.workloads import random_system
 from repro.core.invariants import InvariantSet
 from repro.core.model import ComponentUniverse, Configuration
 from repro.core.sag import SafeAdaptationGraph
@@ -80,6 +82,33 @@ class TestSafetyMemo:
         assert masks == tuple(
             space.universe.mask_of(c) for c in space.enumerate()
         )
+
+
+@given(st.integers(min_value=0, max_value=500))
+@settings(max_examples=20, deadline=None)
+def test_are_safe_masks_matches_pointwise(seed):
+    """Batched verdicts == mapped is_safe_mask, on both space classes,
+    and an eager space and its lazy view share one plain-dict memo."""
+    system = random_system(seed, n_components=8, n_invariants=4, n_actions=8)
+    masks = [(seed * 2654435761 + i * 40503) % 256 for i in range(32)]
+    space = SafeConfigurationSpace(system.universe, system.invariants)
+    lazy = space.lazy_view()
+    assert type(space.safe_memo) is dict
+    assert lazy.safe_memo is space.safe_memo
+    # half the batch through the lazy view first: the eager side then
+    # answers those masks from the shared memo
+    lazy_first = lazy.are_safe_masks(masks[:16])
+    assert lazy_first == [lazy.is_safe_mask(m) for m in masks[:16]]
+    assert space.are_safe_masks(masks) == [space.is_safe_mask(m) for m in masks]
+    assert space.are_safe_masks(masks[:16]) == lazy_first
+    assert lazy.are_safe_masks(masks) == [lazy.is_safe_mask(m) for m in masks]
+    # every verdict in the shared memo is the invariant conjunction's own
+    universe, invariants = system.universe, system.invariants
+    assert set(masks) <= set(space.safe_memo)
+    for mask, verdict in space.safe_memo.items():
+        assert verdict is invariants.all_hold(universe.from_mask(mask))
+    # repeat: second batch is answered from the memo, same verdicts
+    assert space.are_safe_masks(masks) == [space.is_safe_mask(m) for m in masks]
 
 
 class TestRestrictedEnumeration:

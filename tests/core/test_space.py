@@ -85,17 +85,34 @@ class TestBacktrackingEnumerator:
         for config in configs[:32]:
             assert system.invariants.all_hold(config)
 
+    @staticmethod
+    def _assert_matches_brute_force(system, label):
+        space = SafeConfigurationSpace(system.universe, system.invariants)
+        brute = tuple(
+            config for config in system.universe.all_configurations()
+            if system.invariants.all_hold(config)
+        )
+        assert space.enumerate_backtracking() == brute, label
+        assert space.enumerate_masks() == tuple(
+            map(system.universe.mask_of, brute)
+        ), label
+
     def test_matches_brute_force_on_random_instances(self):
         from repro.bench import random_system
 
         for seed in range(20):
-            system = random_system(seed, n_components=7)
-            space = SafeConfigurationSpace(system.universe, system.invariants)
-            brute = tuple(
-                config for config in system.universe.all_configurations()
-                if system.invariants.all_hold(config)
+            self._assert_matches_brute_force(
+                random_system(seed, n_components=7), seed
             )
-            assert space.enumerate_backtracking() == brute, seed
+
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    def test_matches_brute_force_on_xor_stress_universes(self, seed):
+        """Xor invariants stay undetermined until their last atom, so the
+        pruner walks the whole prefix tree before cutting anything."""
+        from repro.bench.workloads import enumeration_stress_system
+
+        system = enumeration_stress_system(16, seed=seed)
+        self._assert_matches_brute_force(system, seed)
 
     def test_unsatisfiable_invariants_yield_empty(self):
         universe = ComponentUniverse.from_names(["A"])

@@ -64,6 +64,17 @@ class TestApplyEdits:
         )
         assert out == "bb\n"
 
+    def test_tied_edits_keep_input_order(self):
+        eof = Span(2, 1, 2, 1)
+        first = Edit(eof, "\n[conflicts]\np : a b\n")
+        second = Edit(eof, "q : c d\n")
+        assert apply_edits("one\n", [first, second, first]) == (
+            "one\n\n[conflicts]\np : a b\nq : c d\n"
+        )
+        assert apply_edits("one\n", [second, first]) == (
+            "one\nq : c d\n\n[conflicts]\np : a b\n"
+        )
+
 
 class TestFixableCodes:
     def test_sa105_duplicate_component(self):

@@ -232,6 +232,40 @@ class TestGoldenErrorEnvelopes:
         assert body["error"]["code"] == "bad-request"
         assert "frobnicate" in body["error"]["message"]
 
+    def test_lint_workers_field_is_a_bad_request(self, server, video_text):
+        """No client can size an enumeration pool: ``workers`` is not a
+        lint field, and HTTP answers the same bytes as the sans-io path."""
+        from repro.serve import ErrorEnvelope, LintRequest, to_wire
+        from repro.serve.api import RequestDecodeError, lint_request_from_json
+
+        body = {"manifest": video_text, "workers": 2}
+        conn = http.client.HTTPConnection(*server.address, timeout=30)
+        try:
+            conn.request(
+                "POST", "/v1/lint", body=json.dumps(body).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            status, raw = response.status, response.read()
+        finally:
+            conn.close()
+        control = ControlPlane()
+        assert control.lint_wire_fast(body) is None
+        with pytest.raises(RequestDecodeError) as excinfo:
+            lint_request_from_json(body)
+        with pytest.raises(TypeError):
+            LintRequest(sources=((None, video_text),), workers=2)
+        expected = ErrorEnvelope("bad-request", str(excinfo.value))
+        assert status == 400
+        assert raw == to_wire(expected)
+        assert json.loads(raw) == {
+            "ok": False,
+            "error": {
+                "code": "bad-request",
+                "message": "unknown request field(s): ['workers']",
+            },
+        }
+
     def test_invalid_json_body(self, server):
         status, body, _ = request(
             server.address, "POST", "/v1/plan", body="{not json",

@@ -12,7 +12,7 @@ import asyncio
 
 import pytest
 
-from repro.parallel.counters import FIELDS, CounterBlock
+from repro.serve.counters import FIELDS, CounterBlock
 from repro.serve import ControlPlane, ServerThread
 from repro.serve.http import ControlPlaneHTTPServer
 from tests.serve.test_http import request

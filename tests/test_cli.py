@@ -345,6 +345,34 @@ class TestLintFix:
         assert open(path, encoding="utf-8").read() == original
 
 
+def test_fix_output_is_independent_of_the_hash_seed(tmp_path):
+    """``--fix`` appends tied end-of-file edits in diagnostic order, so the
+    rewritten file is byte-identical under every ``PYTHONHASHSEED``."""
+    import os
+    import shutil
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    fixed = {}
+    for seed in ("0", "1"):
+        work = tmp_path / f"seed{seed}"
+        work.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src"))
+        for name in ("racing.manifest", "video.manifest"):
+            shutil.copy(root / "examples" / name, work / name)
+            subprocess.run(
+                [sys.executable, "-m", "repro", "lint", "--fix", str(work / name)],
+                env=env, check=True, capture_output=True,
+            )
+        fixed[seed] = {
+            path.name: path.read_bytes() for path in sorted(work.iterdir())
+        }
+    assert fixed["0"] == fixed["1"]
+    assert b"[conflicts]" in fixed["0"]["racing.manifest"]
+
+
 class TestExampleManifest:
     def test_round_trips_through_check(self, tmp_path):
         code, text = run_cli("example-manifest")

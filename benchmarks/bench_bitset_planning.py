@@ -212,5 +212,5 @@ def test_fig4_map_unchanged():
     plan = planner.plan(paper_source(), paper_target())
     assert plan.total_cost == 50.0
     assert sorted(plan.action_ids) == ["A1", "A16", "A17", "A2", "A4"]
-    lazy = planner.plan_lazy(paper_source(), paper_target())
+    lazy = video_planner().lazy_plan(paper_source(), paper_target())
     assert lazy.total_cost == 50.0

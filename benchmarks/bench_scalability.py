@@ -17,6 +17,13 @@ Two measured axes, both persisted to ``BENCH_scalability.json``:
   query to beat eager build+plan by >=10x; the 35-component rows are
   the beyond-the-barrier acceptance check (eager enumeration of 8^5
   configurations is no longer attempted at all).
+* **lazy cost vs distance** — cold ``lazy_plan`` on the 30-component
+  ``examples/fleet30.manifest`` from ``baseline`` to targets moving
+  1/2/4/6/10 services to v3, recorded with the host's CPU count.  The
+  gate (``test_fleet30_lazy_plan_curve``) holds the 10-service pair at
+  <= 500 ms: its optimal corridor is the 2^10-node tie plateau of
+  interleavings, so a search that wanders the cost ellipse instead
+  (seconds) fails it.
 """
 
 import os
@@ -31,8 +38,10 @@ from repro.bench.workloads import enumeration_stress_system
 from repro.core.model import Configuration
 from repro.core.planner import AdaptationPlanner
 from repro.core.space import SafeConfigurationSpace
+from repro.manifest import load_path
 
 SCALABILITY_JSON = Path(__file__).with_name("BENCH_scalability.json")
+FLEET30 = Path(__file__).resolve().parents[1] / "examples" / "fleet30.manifest"
 
 
 def plan_monolithic(system):
@@ -43,7 +52,7 @@ def plan_monolithic(system):
 
 def plan_lazy(system):
     planner = AdaptationPlanner(system.universe, system.invariants, system.actions)
-    return planner.plan_lazy(system.source, system.target)
+    return planner.lazy_plan(system.source, system.target)
 
 
 def plan_collaborative(system):
@@ -317,3 +326,61 @@ def test_crossover_summary(benchmark):
     # shape: the gap must widen with n
     speedups = [float(r[5][:-1]) for r in rows]
     assert speedups[-1] > speedups[0]
+
+
+# --- lazy cost vs distance ---------------------------------------------------
+
+#: services moved to v3 -> (cost, action ids) of the fleet30 MAP; the
+#: plans the uniform-cost replay produced, pinned so a faster search
+#: cannot drift to a different optimum among the ties
+FLEET30_CURVE = {
+    1: (10.0, ("U02",)),
+    2: (25.0, ("U02", "U12")),
+    4: (55.0, ("U02", "U32", "U12", "U22")),
+    6: (90.0, ("U02", "U32", "U12", "U42", "U22", "U52")),
+    10: (145.0, ("U02", "U32", "U62", "U92", "U12", "U42", "U72", "U22",
+                 "U52", "U82")),
+}
+FLEET30_FAR_GATE_MS = 500.0
+
+
+def test_fleet30_lazy_plan_curve():
+    """Cold ``lazy_plan`` latency against the number of changed services.
+
+    Each point is the best of three fresh planners (safety memo,
+    adjacency cache and per-set distance tables all cold).  The plans
+    must be the pinned ones; the 10-service point is gated.
+    """
+    manifest = load_path(FLEET30)
+    baseline = manifest.configurations["baseline"]
+    rows = []
+    data = {"nproc": os.cpu_count(), "gate_10_services_ms": FLEET30_FAR_GATE_MS}
+    for moved, (cost, action_ids) in FLEET30_CURVE.items():
+        target = Configuration(
+            f"S{service}v{3 if service < moved else 1}" for service in range(10)
+        )
+        planners = []
+
+        def cold(planners=planners, target=target):
+            planners.append(manifest.planner())
+            return planners[-1].lazy_plan(baseline, target)
+
+        plan, seconds = _best_of(cold)
+        assert (plan.total_cost, plan.action_ids) == (cost, action_ids)
+        assert all(p.space._cache is None for p in planners)
+        expanded = planners[-1].lazy_sag.expanded_nodes
+        rows.append((moved, f"{seconds * 1e3:.2f}", expanded))
+        data[f"services_{moved}_ms"] = round(seconds * 1e3, 3)
+        data[f"services_{moved}_expanded"] = expanded
+    report(
+        "P3 fleet30 lazy_plan vs changed services (30 components)",
+        format_table(["services moved", "cold lazy_plan (ms)", "masks expanded"], rows)
+        + f"\n{os.cpu_count()} cpu(s); gate: 10 services <= {FLEET30_FAR_GATE_MS:g} ms",
+        data=data,
+        json_path=SCALABILITY_JSON,
+    )
+    far_ms = data["services_10_ms"]
+    assert far_ms <= FLEET30_FAR_GATE_MS, (
+        f"fleet30 10-service lazy_plan took {far_ms:.1f} ms "
+        f"(gate {FLEET30_FAR_GATE_MS:g} ms)"
+    )

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Scalability (§7): collaborative sets and lazy A* versus the full SAG.
+"""Scalability (§7): collaborative sets and lazy search versus the full SAG.
 
 The monolithic detection & setup phase enumerates the whole safe space
 (8^n configurations for n replicated video groups) and runs Dijkstra on
@@ -46,7 +46,7 @@ def main() -> None:
             planner = AdaptationPlanner(
                 system.universe, system.invariants, system.actions
             )
-            return planner.plan_lazy(system.source, system.target).total_cost
+            return planner.lazy_plan(system.source, system.target).total_cost
 
         def collaborative():
             planner = AdaptationPlanner(
@@ -72,7 +72,7 @@ def main() -> None:
         format_table(
             [
                 "groups", "components", "SAG nodes",
-                "full SAG+Dijkstra (ms)", "lazy A* (ms)", "collaborative (ms)",
+                "full SAG+Dijkstra (ms)", "lazy search (ms)", "collaborative (ms)",
             ],
             rows,
         )

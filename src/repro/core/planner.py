@@ -12,19 +12,22 @@ The :class:`AdaptationPlanner` performs the three setup steps on demand:
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.actions import ActionLibrary, AdaptiveAction
-from repro.core.collaborative import collaborative_sets, project_invariants
+from repro.core.collaborative import (
+    SetDistanceHeuristic,
+    collaborative_sets,
+    project_invariants,
+)
 from repro.core.invariants import InvariantSet
 from repro.core.model import ComponentUniverse, Configuration
 from repro.core.sag import LazySAG, SafeAdaptationGraph
 from repro.core.space import SafeConfigurationSpace
 from repro.errors import NoSafePathError
-from repro.graphs import lazy_astar
+from repro.graphs.astar import astar_cost, corridor_search
 from repro.graphs.csr import ShortestPathTree, k_shortest_paths_csr
 from repro.graphs.dijkstra import Path
 from repro.graphs.yen import extend_k_shortest
@@ -126,6 +129,7 @@ class AdaptationPlanner:
         self.spt_cache_size = max(1, spt_cache_size)
         self._sag: Optional[SafeAdaptationGraph] = None
         self._lazy_sag: Optional[LazySAG] = None
+        self._set_distances: Optional[SetDistanceHeuristic] = None
         self._plan_cache: Dict[
             Tuple[Configuration, Configuration], Optional[AdaptationPlan]
         ] = {}
@@ -142,13 +146,14 @@ class AdaptationPlanner:
         """Drop every derived cache (after mutating the action library).
 
         Clears the SAG (and with it the compiled CSR view), the lazy
-        successor generator, the per-pair plan caches, and the
-        shortest-path-tree LRU — all of them are derived from the action
-        library, so any of them could otherwise serve a path using an
-        action that no longer exists.
+        successor generator, the lazy search's per-set distance tables,
+        the per-pair plan caches, and the shortest-path-tree LRU — all of
+        them are derived from the action library, so any of them could
+        otherwise serve a path using an action that no longer exists.
         """
         self._sag = None
         self._lazy_sag = None
+        self._set_distances = None
         self._plan_cache.clear()
         self._plan_k_cache.clear()
         self._spt_cache.clear()
@@ -307,21 +312,14 @@ class AdaptationPlanner:
         return list(cached)
 
     def _plan_from_mask_path(
-        self,
-        source: Configuration,
-        target: Configuration,
-        path: Path,
-        decode: Optional[Callable[[Any], Configuration]] = None,
+        self, source: Configuration, target: Configuration, path: Path
     ) -> AdaptationPlan:
         """Decode a mask-level search result back into an AdaptationPlan.
 
         The one decoder behind every planning entry point: eager CSR
-        trees and Yen paths, lazy frontier searches, and — with
-        ``decode`` the identity — the set-based A* fallback whose nodes
-        already are configurations.
+        trees and Yen paths, and the lazy frontier searches.
         """
-        decode = self.universe.from_mask if decode is None else decode
-        configs = [source, *map(decode, path.nodes[1:-1])]
+        configs = [source, *map(self.universe.from_mask, path.nodes[1:-1])]
         if len(path.nodes) > 1:
             configs.append(target)
         steps = tuple(
@@ -343,25 +341,13 @@ class AdaptationPlanner:
         :class:`~repro.core.sag.LazySAG` and returns a plan **identical
         — path, cost, and tie-break — to the eager CSR path** wherever
         both are defined, without ever materializing the safe space.
-        Two phases over the shared successor generator:
+        The search is :meth:`_lazy_banned_shortest` with nothing banned;
+        *max_expansions* bounds both of its phases together.
 
-        1. an A* probe with the admissible mask-distance heuristic
-           ``ceil(|Δ| / max_flip) · min_cost`` establishes the optimal
-           cost ``D`` (or proves the target unreachable) while the
-           heuristic funnels expansion toward the target;
-        2. a zero-heuristic replay with ``cost_bound=D`` re-runs the
-           relaxation sequence exactly as the eager solver would —
-           same successor order, same ``(cost, hops, counter)``
-           tie-breaking — with the bound trimming the frontier beyond
-           the goal (see :func:`repro.graphs.astar.lazy_astar` for why
-           the bound cannot perturb the result).
-
-        Phase 2 never re-pays phase 1's safety checks: both phases pull
-        adjacency from the same per-mask cache.  Results are written
-        through to the shared plan cache, so a later :meth:`plan` or
-        :meth:`peek_plan` on the pair is a warm dict hit (and vice
-        versa: a pair already planned eagerly returns here without any
-        search).
+        Results are written through to the shared plan cache, so a later
+        :meth:`plan` or :meth:`peek_plan` on the pair is a warm dict hit
+        (and vice versa: a pair already planned eagerly returns here
+        without any search).
 
         Raises:
             UnsafeConfigurationError: source or target violates invariants.
@@ -379,16 +365,14 @@ class AdaptationPlanner:
                     f"to {target.label()}"
                 )
             return cached
-        universe = self.universe
-        lazy = self.lazy_sag
-        source_mask = universe.mask_of(source)
-        target_mask = universe.mask_of(target)
-        heuristic = self._mask_heuristic(target_mask)
-        probe = lazy_astar(
-            source_mask, target_mask, lazy.successors, heuristic, max_expansions
+        source_mask = self.universe.mask_of(source)
+        target_mask = self.universe.mask_of(target)
+        path, exhausted, _ = self._lazy_banned_shortest(
+            source_mask, target_mask, frozenset(), frozenset(),
+            self._lazy_heuristic(source_mask, target_mask), max_expansions,
         )
-        if probe is None:
-            if max_expansions is not None:
+        if path is None:
+            if exhausted:
                 raise NoSafePathError(
                     f"no safe adaptation path from {source.label()} to "
                     f"{target.label()} within {max_expansions} expansions"
@@ -398,46 +382,19 @@ class AdaptationPlanner:
                 f"no safe adaptation path from {source.label()} "
                 f"to {target.label()}"
             )
-        exact = lazy_astar(
-            source_mask,
-            target_mask,
-            lazy.successors,
-            lambda mask: 0.0,
-            max_expansions,
-            cost_bound=probe.cost,
-        )
-        if exact is None:  # only reachable with an expansion budget set
-            raise NoSafePathError(
-                f"no safe adaptation path from {source.label()} to "
-                f"{target.label()} within {max_expansions} expansions"
-            )
-        plan = self._plan_from_mask_path(source, target, exact)
+        plan = self._plan_from_mask_path(source, target, path)
         self._plan_cache[key] = plan
         return plan
 
-    def _mask_heuristic(self, target_mask: int):
-        """The admissible mask-distance heuristic toward *target_mask*:
-        ``ceil(|Δ| / max_flip) · min_cost`` over the maskable actions."""
-        maskable = [
-            action
-            for action, masked in zip(
-                self.actions, self.actions.compiled_for(self.universe)
+    def _lazy_heuristic(self, source_mask: int, target_mask: int):
+        """The per-collaborative-set distance heuristic toward *target_mask*
+        (:class:`~repro.core.collaborative.SetDistanceHeuristic`; its
+        tables are built on first use and live until :meth:`reset_caches`)."""
+        if self._set_distances is None:
+            self._set_distances = SetDistanceHeuristic(
+                self.space, self.actions, LAZY_PLAN_COMPONENTS, self.spt_cache_size
             )
-            if masked is not None
-        ]
-        if maskable:
-            max_flip = max(len(action.touched) for action in maskable)
-            min_cost = min(action.cost for action in maskable)
-        else:
-            max_flip, min_cost = 1, 0.0
-
-        def heuristic(mask: int) -> float:
-            delta = (mask ^ target_mask).bit_count()
-            if delta == 0:
-                return 0.0
-            return math.ceil(delta / max_flip) * min_cost
-
-        return heuristic
+        return self._set_distances.for_query(source_mask, target_mask)
 
     def _lazy_banned_shortest(
         self,
@@ -450,11 +407,19 @@ class AdaptationPlanner:
     ) -> Tuple[Optional[Path], bool, int]:
         """One exact banned-set shortest-path query on the implicit SAG.
 
-        The two-phase :meth:`lazy_plan` technique under banned sets: an
-        A* probe establishes the optimal cost ``D`` (or proves the
-        target unreachable), then a zero-heuristic replay bounded by
-        ``D`` reproduces the eager banned-set Dijkstra's relaxation
-        sequence and tie-breaking exactly.  Returns
+        The one lazy search, in two phases over the shared successor
+        generator (both pull adjacency from the same per-mask cache, so
+        the replay never re-pays the probe's safety checks):
+
+        1. :func:`~repro.graphs.astar.astar_cost` — a deep-tie A* probe
+           under the consistent *heuristic* — establishes the optimal
+           cost ``D`` (or proves the target unreachable);
+        2. :func:`~repro.graphs.astar.corridor_search` replays the eager
+           banned-set Dijkstra's ``(cost, hops, counter)`` relaxation
+           sequence, confined to the corridor ``g + h <= D`` — same
+           path, cost and tie-break as the eager solver.
+
+        Both phases share one *budget* of node expansions.  Returns
         ``(path, exhausted, expansions_spent)`` — ``path`` is ``None``
         when the target is unreachable *or* the budget ran out, with
         ``exhausted`` telling the two apart.
@@ -463,24 +428,19 @@ class AdaptationPlanner:
             return Path(nodes=(source_mask,), edges=(), cost=0.0), False, 0
         successors = self.lazy_sag.banned_view(banned_nodes, banned_arcs)
         stats: Dict[str, object] = {}
-        probe = lazy_astar(
+        cost = astar_cost(
             source_mask, target_mask, successors, heuristic, budget, stats=stats
         )
-        spent = int(stats.get("expansions", 0))
-        if probe is None:
-            return None, bool(stats.get("exhausted", False)), spent
+        spent = int(stats["expansions"])
+        if cost is None:
+            return None, bool(stats["exhausted"]), spent
         remaining = None if budget is None else max(0, budget - spent)
         stats = {}
-        exact = lazy_astar(
-            source_mask,
-            target_mask,
-            successors,
-            lambda mask: 0.0,
-            remaining,
-            cost_bound=probe.cost,
-            stats=stats,
+        exact = corridor_search(
+            source_mask, target_mask, successors, heuristic, cost,
+            remaining, stats=stats,
         )
-        spent += int(stats.get("expansions", 0))
+        spent += int(stats["expansions"])
         if exact is None:  # only reachable with an expansion budget set
             return None, True, spent
         return exact, False, spent
@@ -498,10 +458,12 @@ class AdaptationPlanner:
         :class:`~repro.core.sag.LazySAG` successor generator: the
         candidate loop is :func:`repro.graphs.csr.k_shortest_paths_csr`'s
         own (:func:`repro.graphs.yen.extend_k_shortest`), and every
-        spur query is the two-phase exact search of :meth:`lazy_plan` —
-        so the returned plans are **identical (paths, costs, and order)
-        to** :meth:`plan_k` wherever both are defined, without ever
-        enumerating the safe space.
+        spur query is the two-phase exact search of :meth:`lazy_plan`
+        (:meth:`_lazy_banned_shortest`) — so the returned plans are
+        **identical (paths, costs, and order) to** :meth:`plan_k`
+        wherever both are defined, without ever enumerating the safe
+        space.  One heuristic serves every spur, and one
+        *max_expansions* budget is shared by all of them.
 
         Returns ``(plans, complete)``: *complete* is ``False`` when the
         shared *max_expansions* budget ran out before the enumeration
@@ -515,7 +477,7 @@ class AdaptationPlanner:
             return [], True
         source_mask = self.universe.mask_of(source)
         target_mask = self.universe.mask_of(target)
-        heuristic = self._mask_heuristic(target_mask)
+        heuristic = self._lazy_heuristic(source_mask, target_mask)
         remaining = max_expansions
 
         def spur_query(spur_mask, banned_nodes, banned_arcs):
@@ -542,74 +504,13 @@ class AdaptationPlanner:
         self._plan_cache.setdefault((source, target), plans[0])
         return plans, complete
 
-    def plan_lazy(
-        self,
-        source: Configuration,
-        target: Configuration,
-        max_expansions: Optional[int] = None,
-    ) -> AdaptationPlan:
-        """MAP by A* partial exploration — never materializes the SAG (§7).
-
-        Expands safe configurations on demand from the action library; the
-        admissible heuristic is ``ceil(|Δ| / max_flip) * min_cost`` where Δ
-        is the symmetric difference to the target, ``max_flip`` the largest
-        number of components any single action changes, and ``min_cost``
-        the cheapest action cost.  When every action is maskable the search
-        runs over integer masks on the shared :attr:`lazy_sag` successor
-        generator — node identity, successor order and heap tie-breaking
-        are bijective with the frozenset search, so the plan is identical.
-        """
-        self._validate_endpoints(source, target)
-        actions = tuple(self.actions)
-        if not actions:
-            if source == target:
-                return AdaptationPlan(source, target, (), 0.0)
-            raise NoSafePathError("no adaptive actions available")
-        path: Optional[Path]
-        decode: Callable[[Any], Configuration]
-        if all(m is not None for m in self.actions.compiled_for(self.universe)):
-            target_mask = self.universe.mask_of(target)
-            path = lazy_astar(
-                self.universe.mask_of(source), target_mask,
-                self.lazy_sag.successors, self._mask_heuristic(target_mask),
-                max_expansions,
-            )
-            decode = self.universe.from_mask
-        else:
-            # Some action touches components outside the universe: such an
-            # action can route through configurations that have no bit
-            # encoding, so the search stays on the frozenset representation.
-            max_flip = max(len(a.touched) for a in actions)
-            min_cost = min(a.cost for a in actions)
-
-            def heuristic(config: Configuration) -> float:
-                delta = len(config.symmetric_difference(target))
-                if delta == 0:
-                    return 0.0
-                return math.ceil(delta / max_flip) * min_cost
-
-            def successors(config: Configuration):
-                for action in actions:
-                    if action.is_applicable(config):
-                        result = action.apply(config)
-                        if self.space.is_safe(result):
-                            yield action.action_id, action.cost, result
-
-            path = lazy_astar(source, target, successors, heuristic, max_expansions)
-            decode = lambda config: config  # noqa: E731 - nodes are configurations
-        if path is None:
-            raise NoSafePathError(
-                f"no safe adaptation path from {source.label()} to {target.label()}"
-            )
-        return self._plan_from_mask_path(source, target, path, decode)
-
     def plan_collaborative(
         self, source: Configuration, target: Configuration
     ) -> AdaptationPlan:
         """Plan per collaborative set and concatenate (§7 decomposition).
 
         Each collaborative set is planned in its own sub-universe with the
-        invariants and actions that fall inside it, using lazy A*; the
+        invariants and actions that fall inside it, by :meth:`lazy_plan`; the
         per-set plans are then replayed in order against the global
         configuration.  Exact when the decomposition is valid (invariants
         and actions never span sets — guaranteed by construction).
@@ -636,7 +537,7 @@ class AdaptationPlanner:
                 project_invariants(self.invariants, group),
                 self.actions.restricted_to(group),
             )
-            sub_plan = sub_planner.plan_lazy(group_source, group_target)
+            sub_plan = sub_planner.lazy_plan(group_source, group_target)
             for step in sub_plan.steps:
                 next_config = step.action.apply(current)
                 steps.append(

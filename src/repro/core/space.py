@@ -50,6 +50,7 @@ class SafeConfigurationSpace:
         self._safe_memo: Dict[int, bool] = {}
         self._compiled: Optional[Callable[[int], bool]] = None
         self._compiled_partial: Optional[Tuple[Callable, ...]] = None
+        self._checks_by_name: Optional[Dict[str, Tuple[Callable, ...]]] = None
 
     # -- compiled fast path ------------------------------------------------------
     @property
@@ -77,17 +78,19 @@ class SafeConfigurationSpace:
         verdict can change when that component is decided.  Checking just
         those at each depth is exact (the parent node already vetted the
         rest) and drops the per-node work from |I| closures to the
-        invariant's fan-in.
+        invariant's fan-in.  The per-component buckets are computed once
+        per space, so scheduling a restricted enumeration is O(|names|).
         """
-        fns = self._compiled_partial_fns()
-        buckets: List[List[Callable]] = [[] for _ in names]
-        position = {name: i for i, name in enumerate(names)}
-        for inv, fn in zip(self.invariants, fns):
-            for atom in inv.atoms():
-                index = position.get(atom)
-                if index is not None:
-                    buckets[index].append(fn)
-        return tuple(tuple(bucket) for bucket in buckets)
+        if self._checks_by_name is None:
+            buckets: Dict[str, List[Callable]] = {}
+            for inv, fn in zip(self.invariants, self._compiled_partial_fns()):
+                for atom in inv.atoms():
+                    buckets.setdefault(atom, []).append(fn)
+            self._checks_by_name = {
+                name: tuple(bucket) for name, bucket in buckets.items()
+            }
+        checks = self._checks_by_name
+        return tuple(checks.get(name, ()) for name in names)
 
     def is_safe_mask(self, mask: int) -> bool:
         """Memoized safety verdict for an integer presence mask."""
@@ -181,21 +184,22 @@ class SafeConfigurationSpace:
         universe = self.universe
         present0 = universe.mask_of_names(frozen)
         from_mask = universe.from_mask
-        out = [from_mask(mask) for mask in self._restricted_masks(present0, free)]
+        out = [from_mask(mask) for mask in self.restricted_masks(present0, free)]
         # free components may interleave with frozen ones in universe
         # order, so recursion order is not globally ascending — re-sort
         out.sort(key=universe.to_bits)
         return tuple(out)
 
-    def _restricted_masks(
+    def restricted_masks(
         self, present0: int, free: Tuple[str, ...]
     ) -> List[int]:
         """Safe masks varying only *free* bits over the frozen *present0*.
 
-        The masks-only core of :meth:`enumerate_restricted`.  Leaf masks
-        are recorded in the shared safety memo.  Output follows recursion
-        order: ascending whenever the free components form a suffix of
-        the universe order.
+        The masks-only core of :meth:`enumerate_restricted`, and how the
+        lazy planner enumerates one collaborative set's projections in
+        place.  Leaf masks are recorded in the shared safety memo.  Output
+        follows recursion order: ascending whenever the free components
+        form a suffix of the universe order.
         """
         universe = self.universe
         free_bits = tuple(universe.bit_of(name) for name in free)

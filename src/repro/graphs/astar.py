@@ -6,6 +6,12 @@ cases, only a small fraction of the graph is actually related to the given
 adaptation."  :func:`lazy_astar` implements the proposed remedy — best-first
 partial exploration that expands safe configurations on demand via a
 successor function, never materializing the full graph.
+
+The planner's exact lazy search runs in two phases over such a successor
+function: :func:`astar_cost` (a deep-tie A* probe that only establishes
+the optimal cost) and :func:`corridor_search` (Dijkstra's exact pop order
+and tie-break, confined to the nodes a consistent heuristic places on
+some optimal path).
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple, Ty
 
 from repro.graphs.digraph import Digraph, Edge
 from repro.graphs.dijkstra import Path
+
+_INF = float("inf")
 
 N = TypeVar("N", bound=Hashable)
 L = TypeVar("L", bound=Hashable)
@@ -50,9 +58,6 @@ def lazy_astar(
     successors: SuccessorFn,
     heuristic: HeuristicFn,
     max_expansions: Optional[int] = None,
-    *,
-    cost_bound: Optional[float] = None,
-    stats: Optional[Dict[str, object]] = None,
 ) -> Optional[Path[N, L]]:
     """A* over an *implicit* graph defined by a successor function.
 
@@ -64,36 +69,11 @@ def lazy_astar(
         heuristic: admissible estimate of remaining cost to *target*.
         max_expansions: optional safety valve; when exceeded the search
             gives up and returns ``None``.
-        stats: optional dict updated in place with run accounting:
-            ``"expansions"`` (nodes expanded) and ``"exhausted"`` (the
-            search gave up on *max_expansions* rather than proving the
-            target unreachable).  Callers running many budgeted searches
-            against one shared budget — the lazy Yen enumeration in
-            :meth:`~repro.core.planner.AdaptationPlanner.lazy_plan_k` —
-            need both to deduct spend and to tell "no path" from "ran
-            out", which the ``None`` return alone cannot.
-        cost_bound: optional known upper bound on the optimal cost.
-            Relaxations whose tentative cost exceeds it (beyond a small
-            relative float slack) are dropped.  This cannot change the
-            result when the bound is correct: a node reached only above
-            the bound would settle strictly after the target in the
-            unbounded run, so neither its heap entry nor its tentative
-            ``(g, hops)`` state can influence any relaxation that happens
-            before the target settles — the search prefix, and with it
-            the returned path, its cost, *and* its tie-breaking, are
-            identical.  The bound only trims the frontier fan-out beyond
-            the goal ellipse (used by the exact lazy replay in
-            :meth:`~repro.core.planner.AdaptationPlanner.lazy_plan`).
 
     Returns:
         An optimal :class:`Path`, or ``None`` if *target* is unreachable
         (or the expansion budget ran out).
     """
-    bound: Optional[float] = None
-    if cost_bound is not None:
-        # relative slack absorbs summation-order float drift in the
-        # externally computed bound without ever rejecting an equal cost
-        bound = cost_bound + 1e-9 * (1.0 + abs(cost_bound))
     g_score: Dict[N, float] = {source: 0.0}
     hops: Dict[N, int] = {source: 0}
     came_from: Dict[N, Edge[N, L]] = {}
@@ -101,23 +81,15 @@ def lazy_astar(
     counter = 0
     heap: List[Tuple[float, int, int, N]] = [(heuristic(source), 0, counter, source)]
     expansions = 0
-
-    def account(exhausted: bool) -> None:
-        if stats is not None:
-            stats["expansions"] = expansions
-            stats["exhausted"] = exhausted
-
     while heap:
         _, nhops, _, node = heapq.heappop(heap)
         if node in settled:
             continue
         settled.add(node)
         if node == target:
-            account(False)
             return _rebuild(source, target, came_from, g_score[target])
         expansions += 1
         if max_expansions is not None and expansions > max_expansions:
-            account(True)
             return None
         for label, weight, nxt in successors(node):
             if weight < 0:
@@ -125,8 +97,6 @@ def lazy_astar(
             if nxt in settled:
                 continue
             tentative = g_score[node] + weight
-            if bound is not None and tentative > bound:
-                continue
             best = g_score.get(nxt)
             if best is None or tentative < best or (
                 tentative == best and nhops + 1 < hops[nxt]
@@ -138,7 +108,170 @@ def lazy_astar(
                 heapq.heappush(
                     heap, (tentative + heuristic(nxt), nhops + 1, counter, nxt)
                 )
-    account(False)
+    return None
+
+
+def _account(
+    stats: Optional[Dict[str, object]], expansions: int, exhausted: bool
+) -> None:
+    if stats is not None:
+        stats["expansions"] = expansions
+        stats["exhausted"] = exhausted
+
+
+def astar_cost(
+    source: N,
+    target: N,
+    successors: SuccessorFn,
+    heuristic: HeuristicFn,
+    max_expansions: Optional[int] = None,
+    *,
+    stats: Optional[Dict[str, object]] = None,
+) -> Optional[float]:
+    """The optimal cost from *source* to *target* — A* that keeps no path.
+
+    The probe of the exact lazy search
+    (:meth:`~repro.core.planner.AdaptationPlanner.lazy_plan`): it only
+    has to establish the optimal cost ``D``, so it records no
+    predecessors and breaks ``f`` ties **deep** — the heap is ordered by
+    ``(f, -g, counter)``, so among equally promising nodes the one
+    furthest from the source goes first.  With an exact heuristic every
+    node on an optimal path has ``f = D`` and the probe walks straight
+    down one of them instead of widening across the whole tie plateau.
+
+    *heuristic* must be **consistent** (``h(x) <= w + h(y)`` on every
+    arc, ``h(target) == 0``): a node is closed at its first pop, which
+    is only exact for consistent heuristics.  ``inf`` is allowed and
+    means "cannot reach the target" — such nodes are never queued.
+
+    Args:
+        max_expansions: optional budget on expanded nodes; when exceeded
+            the search returns ``None``.
+        stats: optional dict updated in place with ``"expansions"``
+            (nodes expanded) and ``"exhausted"`` (the search gave up on
+            *max_expansions* rather than proving the target
+            unreachable) — callers sharing one budget across many
+            searches need both.
+
+    Returns:
+        The optimal cost, or ``None`` if *target* is unreachable (or the
+        expansion budget ran out).
+    """
+    start = heuristic(source)
+    if start == _INF:
+        _account(stats, 0, False)
+        return None
+    g_score: Dict[N, float] = {source: 0.0}
+    closed: set = set()
+    counter = 0
+    heap: List[Tuple[float, float, int, N]] = [(start, -0.0, counter, source)]
+    expansions = 0
+    push = heapq.heappush
+    pop = heapq.heappop
+    while heap:
+        _, neg_g, _, node = pop(heap)
+        if node in closed:
+            continue
+        if node == target:
+            _account(stats, expansions, False)
+            return -neg_g
+        closed.add(node)
+        expansions += 1
+        if max_expansions is not None and expansions > max_expansions:
+            _account(stats, expansions, True)
+            return None
+        g = -neg_g
+        for _label, weight, nxt in successors(node):
+            if weight < 0:
+                raise ValueError(f"negative edge weight {weight} from {node!r}")
+            if nxt in closed:
+                continue
+            tentative = g + weight
+            best = g_score.get(nxt)
+            if best is None or tentative < best:
+                remaining = heuristic(nxt)
+                if remaining == _INF:
+                    continue
+                g_score[nxt] = tentative
+                counter += 1
+                push(heap, (tentative + remaining, -tentative, counter, nxt))
+    _account(stats, expansions, False)
+    return None
+
+
+def corridor_search(
+    source: N,
+    target: N,
+    successors: SuccessorFn,
+    heuristic: HeuristicFn,
+    cost_bound: float,
+    max_expansions: Optional[int] = None,
+    *,
+    stats: Optional[Dict[str, object]] = None,
+) -> Optional[Path[N, L]]:
+    """Dijkstra's exact path, searched only inside the optimal corridor.
+
+    The replay of the exact lazy search: nodes are settled in
+    ``(g, hops, counter)`` order — the order, relax rule and tie-break
+    of the eager CSR solver (:func:`repro.graphs.csr.csr_dijkstra`) —
+    but a relaxation is dropped when ``g + h(next)`` exceeds
+    *cost_bound*, the optimal cost ``D`` the probe established (with a
+    ``1e-9`` relative slack for summation-order float drift).
+
+    This cannot change the result when *heuristic* is consistent and
+    *cost_bound* is the true optimum: every relaxation that sets a final
+    ``(g, hops)`` on an optimal path comes from a node with
+    ``g + h <= D`` and survives, and a dropped one carries a ``g`` that
+    never ties a final one (DESIGN.md §12 has the argument).  The path,
+    its cost and its tie-breaking are those of the unpruned search,
+    while the expanded region shrinks from the cost ellipse ``g <= D``
+    to the corridor ``g + h <= D``.
+
+    Args / Returns: as :func:`astar_cost`, but a :class:`Path` is
+    returned (``None`` on unreachability or budget exhaustion).
+    """
+    # relative slack absorbs summation-order float drift in the
+    # externally computed bound without ever rejecting an equal cost
+    bound = cost_bound + 1e-9 * (1.0 + abs(cost_bound))
+    g_score: Dict[N, float] = {source: 0.0}
+    hops: Dict[N, int] = {source: 0}
+    came_from: Dict[N, Edge[N, L]] = {}
+    settled: set = set()
+    counter = 0
+    heap: List[Tuple[float, int, int, N]] = [(0.0, 0, counter, source)]
+    expansions = 0
+    push = heapq.heappush
+    pop = heapq.heappop
+    while heap:
+        g, nhops, _, node = pop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        if node == target:
+            _account(stats, expansions, False)
+            return _rebuild(source, target, came_from, g_score[target])
+        expansions += 1
+        if max_expansions is not None and expansions > max_expansions:
+            _account(stats, expansions, True)
+            return None
+        for label, weight, nxt in successors(node):
+            if weight < 0:
+                raise ValueError(f"negative edge weight {weight} from {node!r}")
+            if nxt in settled:
+                continue
+            tentative = g + weight
+            best = g_score.get(nxt)
+            if (
+                best is None or tentative < best or (
+                    tentative == best and nhops + 1 < hops[nxt]
+                )
+            ) and tentative + heuristic(nxt) <= bound:
+                g_score[nxt] = tentative
+                hops[nxt] = nhops + 1
+                came_from[nxt] = Edge(node, nxt, label, weight)
+                counter += 1
+                push(heap, (tentative, nhops + 1, counter, nxt))
+    _account(stats, expansions, False)
     return None
 
 

@@ -11,12 +11,13 @@ contract checks) on:
 * a synthetic wide spec at the SA3xx enumeration cap boundary.
 
 It also isolates the SA6xx interference stage's share of the wide run,
-times that stage against its pair-major reference on three replicated
-video groups (51 actions x 512 safe sources), and measures the control
-plane's warm lint cache against a cold dispatch — the one gated number
-(warm ≥ 10x cold): the warm path is a dict probe returning precomputed
-bytes, so a miss of that factor means the fast lane is broken, not that
-the runner is slow.  Headline numbers
+times that stage against its global and pair-major references on three
+replicated video groups (51 actions x 512 safe sources), times the whole
+pipeline per collaborative set against the global engine it replaced
+(gated: ≥ 3x on video x3), and measures the control plane's warm lint
+cache against a cold dispatch (gated: warm ≥ 10x cold — the warm path is
+a dict probe returning precomputed bytes, so a miss of that factor means
+the fast lane is broken, not that the runner is slow).  Headline numbers
 land in ``benchmarks/BENCH_lint.json``.
 """
 
@@ -146,30 +147,74 @@ def test_interference_stage_share():
     )
 
 
-def test_interference_stage_racing_video():
-    """SA601/SA603 sweep on three replicated paper video groups.
-
-    21 components, 51 actions, 512 safe sources: the shape of the
-    heaviest ``/v1/lint`` bodies, where the interference stage dominated
-    the pipeline.  The stage runs on the captured model twice: the
-    source-major product sweep, and the pair-major reference it replaced
-    (``tests/oracles/interference_reference.py``, the previous product
-    code verbatim), so one run records both sides.  Recorded, not gated.
-    """
-    import os
-
-    import repro.lint.checks as checks_mod
+def video3_manifest() -> str:
+    """Three replicated paper video groups: 21 components, 51 actions."""
     from repro.bench.workloads import replicated_video_system
-    from repro.lint import LintReport
     from repro.manifest import SystemManifest, dumps
-    from tests.oracles.interference_reference import (
-        reference_check_interference,
-    )
 
     system = replicated_video_system(3)
-    text = dumps(
+    return dumps(
         SystemManifest(system.universe, system.invariants, system.actions)
     )
+
+
+#: the racing firewall/cache/replica block (SA601 and SA603)
+RACING_BLOCK = {
+    "components": ["FW @ edge", "CA @ core", "RX @ core"],
+    "invariants": ["guarded : CA -> FW", "shielded : RX -> FW"],
+    "actions": [
+        "drop_fw : -FW @ 5",
+        "add_fw : +FW @ 8",
+        "drop_cache : -CA @ 5",
+        "add_replica : +RX @ 12",
+        "drop_replica : -RX @ 4",
+    ],
+}
+
+
+def fleet_racing_manifest(services: int = 4) -> str:
+    """``services`` fleet30-style services (three interchangeable
+    variants each, six replaces) plus the racing block: five 3-component
+    collaborative sets at the default of four services."""
+    sections = {key: list(lines) for key, lines in RACING_BLOCK.items()}
+    for index in range(services):
+        names = [f"S{index}v{variant}" for variant in (1, 2, 3)]
+        sections["components"] += [f"{name} @ node{index}" for name in names]
+        sections["invariants"].append(
+            f"service{index} : one_of({', '.join(names)})"
+        )
+        for number, (old, new) in enumerate(
+            (a, b) for a in names for b in names if a != b
+        ):
+            sections["actions"].append(
+                f"M{index}{number} : {old} -> {new} @ {10 + 5 * index}"
+            )
+    return "\n".join(
+        f"[{key}]\n" + "\n".join(lines) + "\n" for key, lines in sections.items()
+    )
+
+
+def _paired_medians(first, second, rounds: int = 15):
+    """Median seconds of two callables timed in alternation, so a host
+    whose speed drifts moves both the same way."""
+    import statistics
+
+    first()
+    second()
+    times = ([], [])
+    for _ in range(rounds):
+        for fn, out in zip((first, second), times):
+            start = time.perf_counter()
+            fn()
+            out.append(time.perf_counter() - start)
+    return statistics.median(times[0]), statistics.median(times[1])
+
+
+def _capture_stage_call(text: str):
+    """``(model, report, path, factors), kwargs`` of the SA6xx call in
+    one lint of *text*."""
+    import repro.lint.checks as checks_mod
+
     captured = {}
     original = checks_mod.check_interference
 
@@ -179,37 +224,126 @@ def test_interference_stage_racing_video():
 
     checks_mod.check_interference = capture
     try:
-        pipeline_s = _mean_seconds(lambda: lint_text(text, path="video3.manifest"))
+        lint_text(text, path="stage.manifest")
     finally:
         checks_mod.check_interference = original
-    (model, _, path, action_info), kwargs = captured["call"]
+    return captured["call"]
 
-    def stage(sweep):
+
+def test_interference_stage_racing_video():
+    """SA601/SA603 sweep on three replicated paper video groups.
+
+    21 components, 51 actions, 512 safe configurations: the shape of the
+    heaviest ``/v1/lint`` bodies.  The stage runs on the captured model
+    three ways: the per-set product sweep (three sets of 8 safe
+    projections), the global source-major sweep it replaced
+    (``tests/oracles/lint_reference.py``) and the pair-major scan before
+    that (``tests/oracles/interference_reference.py``); both references
+    take the global safe space.  Recorded, not gated.
+    """
+    import os
+
+    from repro.core.space import SafeConfigurationSpace
+    from repro.lint import LintReport, check_interference
+    from tests.oracles.interference_reference import (
+        reference_check_interference as pair_major,
+    )
+    from tests.oracles.lint_reference import (
+        reference_check_interference as global_sweep,
+    )
+
+    text = video3_manifest()
+    pipeline_s = _mean_seconds(lambda: lint_text(text, path="video3.manifest"))
+    (model, _, path, factors), kwargs = _capture_stage_call(text)
+    safe_masks = SafeConfigurationSpace(
+        model.universe, model.kept_invariants()
+    ).enumerate_masks()
+    global_info = (safe_masks, frozenset(safe_masks))
+
+    def stage(sweep, action_info):
         report = LintReport()
         sweep(model, report, path, action_info, **kwargs)
         return report
 
-    findings = stage(original)
-    assert findings.diagnostics == stage(reference_check_interference).diagnostics
-    stage_s = _mean_seconds(lambda: stage(original))
-    reference_s = _mean_seconds(lambda: stage(reference_check_interference))
+    findings = stage(check_interference, factors)
+    assert findings.diagnostics == stage(global_sweep, global_info).diagnostics
+    assert findings.diagnostics == stage(pair_major, global_info).diagnostics
+    stage_s = _mean_seconds(lambda: stage(check_interference, factors))
+    global_s = _mean_seconds(lambda: stage(global_sweep, global_info))
+    reference_s = _mean_seconds(lambda: stage(pair_major, global_info))
     races = sum(1 for d in findings if d.code in ("SA601", "SA603"))
     report(
         "lint SA6xx interference stage: 51 actions x 512 safe sources",
-        f"stage {stage_s * 1e3:.2f} ms (pair-major reference "
-        f"{reference_s * 1e3:.2f} ms, {reference_s / stage_s:.1f}x) of a "
-        f"{pipeline_s * 1e3:.2f} ms pipeline; {races} SA601/SA603 findings",
+        f"per-set stage {stage_s * 1e3:.2f} ms (global source-major "
+        f"{global_s * 1e3:.2f} ms, pair-major {reference_s * 1e3:.2f} ms, "
+        f"{reference_s / stage_s:.1f}x) of a {pipeline_s * 1e3:.2f} ms "
+        f"pipeline; {races} SA601/SA603 findings",
         data={
             "actions": len(model.actions),
-            "safe_sources": len(action_info[0]),
+            "safe_sources": len(safe_masks),
+            "set_sources": [len(factor.safe_masks) for factor in factors],
             "race_findings": races,
             "stage_ms": round(stage_s * 1e3, 3),
+            "global_stage_ms": round(global_s * 1e3, 3),
             "reference_stage_ms": round(reference_s * 1e3, 3),
             "speedup": round(reference_s / stage_s, 1),
             "pipeline_ms": round(pipeline_s * 1e3, 3),
             "nproc": os.cpu_count(),
         },
         json_path=LINT_JSON,
+    )
+
+
+def test_per_set_lint_against_the_global_engine():
+    """Whole-pipeline lint, per collaborative set vs the global engine.
+
+    The global SA3xx stage and SA6xx sweep (``tests/oracles/
+    lint_reference.py``) enumerate the full product of the sets' safe
+    spaces; the product analyzes each set on its own.  Both render the
+    same report.  Timed in alternation on video x3 (three 7-component
+    sets, 512 safe configurations) and on four fleet services plus the
+    racing block (five 3-component sets, 405 safe configurations).
+    Gated at >= 3x on video x3.
+    """
+    import os
+
+    from repro.lint import render_json
+    from tests.oracles.lint_reference import global_engine
+
+    def run_global(text):
+        with global_engine():
+            return lint_text(text, path="bench.manifest")
+
+    rows = {}
+    for label, text in (
+        ("video_x3", video3_manifest()),
+        ("fleet_x4_racing", fleet_racing_manifest()),
+    ):
+        product = lint_text(text, path="bench.manifest")
+        assert render_json(product) == render_json(run_global(text))
+        per_set_s, global_s = _paired_medians(
+            lambda: lint_text(text, path="bench.manifest"),
+            lambda: run_global(text),
+        )
+        rows[label] = {
+            "per_set_ms": round(per_set_s * 1e3, 3),
+            "global_ms": round(global_s * 1e3, 3),
+            "speedup": round(global_s / per_set_s, 2),
+        }
+    video, fleet = rows["video_x3"], rows["fleet_x4_racing"]
+    report(
+        "lint per-set vs global (video x3, 21 components; fleet x4 + racing, "
+        "15 components)",
+        f"video x3 {video['per_set_ms']:.2f} ms vs {video['global_ms']:.2f} ms "
+        f"({video['speedup']:.1f}x); fleet x4 + racing "
+        f"{fleet['per_set_ms']:.2f} ms vs {fleet['global_ms']:.2f} ms "
+        f"({fleet['speedup']:.1f}x)",
+        data={**rows, "nproc": os.cpu_count()},
+        json_path=LINT_JSON,
+    )
+    assert video["speedup"] >= 3.0, (
+        f"per-set lint only {video['speedup']:.2f}x over the global engine "
+        "on video x3"
     )
 
 

@@ -21,9 +21,10 @@ scoping optimizations of §7.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Set, Tuple
 
 from repro.core.actions import AdaptiveAction
+from repro.core.collaborative import UnionFind
 from repro.core.invariants import Invariant, InvariantSet
 from repro.core.model import ComponentUniverse
 
@@ -69,6 +70,38 @@ def blast_radius(
     """Processes hosting the affected closure (restricted to the universe)."""
     names = affected_components(invariants, action) & universe.names
     return universe.processes_of(names)
+
+
+def blast_radii(
+    universe: ComponentUniverse,
+    invariants: InvariantSet,
+    actions: Iterable[AdaptiveAction],
+) -> Tuple[FrozenSet[str], ...]:
+    """:func:`blast_radius` of every action, from one union-find.
+
+    The affected closure of an action is the union of the invariant
+    coupling groups (components joined by shared invariants, atoms outside
+    the universe included, since they too can bridge two groups) that
+    contain its touched components, so one pass over the invariants
+    serves the whole library instead of a fixpoint per action.
+    """
+    uf = UnionFind()
+    for invariant in invariants:
+        atoms = sorted(invariant.atoms())
+        for atom in atoms:
+            uf.union(atoms[0], atom)
+    groups: Dict[Hashable, FrozenSet[Hashable]] = {}
+    for group in uf.groups():
+        for name in group:
+            groups[name] = group
+    names = universe.names
+    radii: List[FrozenSet[str]] = []
+    for action in actions:
+        closure: Set[Hashable] = set()
+        for name in action.touched:
+            closure.update(groups.get(name, (name,)))
+        radii.append(universe.processes_of(names.intersection(closure)))
+    return tuple(radii)
 
 
 def impact_report(

@@ -35,9 +35,14 @@ from repro.expr.ast import to_text
 
 
 class Invariant:
-    """A named boolean predicate over configurations."""
+    """A named boolean predicate over configurations.
 
-    __slots__ = ("name", "expr")
+    Immutable, so the atom set is computed once at construction: lint,
+    collaborative-set decomposition and impact analysis ask for it per
+    invariant over and over, and each expression walk is a tree traversal.
+    """
+
+    __slots__ = ("name", "expr", "_atoms")
 
     def __init__(self, expr: Union[Expr, str], name: str = ""):
         if isinstance(expr, str):
@@ -46,6 +51,7 @@ class Invariant:
             raise TypeError(f"expected Expr or str, got {type(expr).__name__}")
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "name", name or to_text(expr))
+        object.__setattr__(self, "_atoms", expr.atoms())
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability
         raise AttributeError("Invariant is immutable")
@@ -62,7 +68,7 @@ class Invariant:
         return self.expr.evaluate(members)
 
     def atoms(self) -> FrozenSet[str]:
-        return self.expr.atoms()
+        return self._atoms
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Invariant) and self.expr == other.expr

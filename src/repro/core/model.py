@@ -164,6 +164,7 @@ class ComponentUniverse:
         if not components:
             raise ModelError("a universe needs at least one component")
         self._order: Tuple[str, ...] = tuple(c.name for c in components)
+        self._names: FrozenSet[str] = frozenset(self._order)
         self._by_name: Dict[str, Component] = {}
         for component in components:
             if component.name in self._by_name:
@@ -199,7 +200,7 @@ class ComponentUniverse:
 
     @property
     def names(self) -> FrozenSet[str]:
-        return frozenset(self._order)
+        return self._names
 
     def __len__(self) -> int:
         return len(self._order)

@@ -12,9 +12,11 @@ The pipeline mirrors the paper's development-time analysis phase:
    invariant's fan-in, never in the universe.  Unsatisfiable invariants
    and the second half of mutually-unsatisfiable pairs are excluded from
    the downstream model so the structural checks still run.
-3. **SA3xx (action/SAG analysis)** enumerates the safe space and the
-   per-action arc sets on integer masks (same fast path as the planner):
-   dead and dominated actions, zero costs, missing replace inverses, weak
+3. **SA3xx (action/SAG analysis)** enumerates each collaborative set's
+   safe projections and per-action arc sets on integer masks (same fast
+   path as the planner) and composes the global verdicts exactly — the
+   safe space is the product of the sets' (DESIGN.md §17): dead and
+   dominated actions, zero costs, missing replace inverses, weak
    connectivity of the Safe Adaptation Graph, and reachability between
    the manifest's named configurations (Hufflen-style reconfiguration
    path checking, arXiv:1703.07036).
@@ -22,7 +24,7 @@ The pipeline mirrors the paper's development-time analysis phase:
    concurrency hazards (:mod:`repro.lint.interference`): non-commuting
    firing orders, blocking-window overlap, lost inverses, and
    conflicting touched sets, honoring declared ``[conflicts]`` pairs —
-   over the enumerated safe space when SA3xx enumerated it, over the
+   over the sets' safe projections when SA3xx enumerated them, over the
    named configurations (with an SA605 note) above the cap.
 5. **SA5xx (temporal properties)** compiles each ``[properties]`` formula
    (:class:`~repro.ltl.compile.CompiledProperty`) and checks it over the
@@ -41,12 +43,15 @@ invariant, dead action) to brute-force AST enumeration.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.actions import AdaptiveAction, MaskedAction
-from repro.core.analysis import blast_radius, invariants_at_risk
+from repro.core.analysis import blast_radii, invariants_at_risk
+from repro.core.collaborative import UnionFind, collaborative_sets
 from repro.core.invariants import Invariant, InvariantSet
 from repro.core.model import Component, ComponentUniverse, Configuration
 from repro.errors import ActionError, ParseError
@@ -616,18 +621,80 @@ def _check_invariants(model: _Model, report: LintReport, path: Optional[str]) ->
 # -- stage 3: action/SAG analysis (SA3xx) ---------------------------------------
 
 
+@dataclass
+class SafeFactor:
+    """One collaborative set's factor of the safe space (paper §7).
+
+    No invariant and no action spans two collaborative sets, so the safe
+    space is the Cartesian product of the factors' safe projections and
+    every SAG arc moves exactly one factor.  Masks stay in the universe's
+    own bit encoding, with every bit outside :attr:`mask` clear.
+    """
+
+    #: the set's component bits
+    mask: int
+    #: safe projections, ascending
+    safe_masks: Tuple[int, ...]
+    safe_set: FrozenSet[int]
+    #: indices into ``model.actions`` of the actions touching the set
+    actions: Tuple[int, ...]
+
+
+def _safe_factors(model: _Model) -> List[SafeFactor]:
+    """Enumerate each collaborative set's safe projections on its own."""
+    from repro.core.actions import ActionLibrary
+    from repro.core.space import SafeConfigurationSpace
+
+    universe = model.universe
+    names = universe.names
+    invariants = model.kept_invariants()
+    groups = collaborative_sets(
+        universe,
+        invariants,
+        ActionLibrary(item.action for item in model.actions),
+        model.conflicts,
+    )
+    factor_of: Dict[str, int] = {}
+    for index, group in enumerate(groups):
+        for name in group:
+            factor_of[name] = index
+    members: List[List[int]] = [[] for _ in groups]
+    for index, item in enumerate(model.actions):
+        members[factor_of[next(iter(item.action.touched))]].append(index)
+    factors: List[SafeFactor] = []
+    for group, actions in zip(groups, members):
+        free = tuple(name for name in universe.order if name in group)
+        # invariants with no atom in the universe are constants: every
+        # factor carries them, so a false one empties every factor
+        space = SafeConfigurationSpace(
+            universe,
+            InvariantSet(inv for inv in invariants if inv.atoms() & names <= group),
+        )
+        safe_masks = tuple(space.restricted_masks(0, free))
+        factors.append(
+            SafeFactor(
+                universe.mask_of_names(free),
+                safe_masks,
+                frozenset(safe_masks),
+                tuple(actions),
+            )
+        )
+    return factors
+
+
 def _check_actions(
     model: _Model,
     report: LintReport,
     path: Optional[str],
     max_enum_components: Optional[int] = None,
     fixes_enabled: bool = False,
-) -> Optional[Tuple[List[int], FrozenSet[int]]]:
-    """SA3xx.  Returns ``(safe_masks, safe_set)`` when the safe space was
-    enumerated (the SA6xx stage reuses it), ``None`` above the cap or on
-    an empty safe space."""
-    from repro.core.space import SafeConfigurationSpace
+) -> Optional[List[SafeFactor]]:
+    """SA3xx, one collaborative set at a time.
 
+    Every verdict is composed exactly from the sets' own safe spaces and
+    arcs (DESIGN.md §17).  Returns the factors when the safe space was
+    enumerated (the SA6xx stage reuses them), ``None`` above the cap or
+    on an empty safe space."""
     cap = MAX_ENUM_COMPONENTS if max_enum_components is None else max_enum_components
     universe = model.universe
     # SA303/SA304 need only the action library — they run regardless of
@@ -653,9 +720,8 @@ def _check_actions(
         )
         _check_named_pairs_lazy(model, report, path)
         return None
-    space = SafeConfigurationSpace(universe, model.kept_invariants())
-    safe_masks = space.enumerate_masks()
-    if not safe_masks:
+    factors = _safe_factors(model)
+    if not all(factor.safe_masks for factor in factors):
         report.add(
             "SA203",
             "the invariant conjunction admits no safe configuration at all "
@@ -665,50 +731,61 @@ def _check_actions(
         )
         report.skipped.append("SA3xx skipped: empty safe space")
         return None
-    safe_set = frozenset(safe_masks)
+    total = math.prod(len(factor.safe_masks) for factor in factors)
     bits = universe.atom_bits
 
-    arcs_by_action: Dict[str, Tuple[Tuple[int, int], ...]] = {}
-    for item in model.actions:
+    # an action's global arcs are its factor's arcs times every other
+    # factor's safe projections, so each verdict below is per factor;
+    # findings go out in action order (the report sort is stable)
+    owner: List[SafeFactor] = [factors[0]] * len(model.actions)
+    for factor in factors:
+        for index in factor.actions:
+            owner[index] = factor
+    arcs_by_action: List[FrozenSet[Tuple[int, int]]] = []
+    for item, factor in zip(model.actions, owner):
         action = item.action
-        applicable, arcs = action_arcs(safe_masks, safe_set, MaskedAction(action, bits))
-        arcs_by_action[action.action_id] = arcs
-        if not arcs:
-            if applicable == 0:
-                detail = "it is never applicable from any safe configuration"
-            else:
-                detail = (
-                    f"it is applicable from {applicable} safe "
-                    "configuration(s) but every result violates the invariants"
-                )
-            report.add(
-                "SA301",
-                f"dead action {action.action_id!r}: {detail}",
-                item.span,
-                path,
-                fixes=(
-                    [
-                        delete_line_fix(
-                            f"delete dead action {action.action_id!r}",
-                            item.span,
-                        )
-                    ]
-                    if fixes_enabled
-                    else []
-                ),
+        applicable, arcs = action_arcs(
+            factor.safe_masks, factor.safe_set, MaskedAction(action, bits)
+        )
+        arcs_by_action.append(frozenset(arcs))
+        if arcs:
+            continue
+        if applicable == 0:
+            detail = "it is never applicable from any safe configuration"
+        else:
+            detail = (
+                f"it is applicable from "
+                f"{applicable * (total // len(factor.safe_masks))} safe "
+                "configuration(s) but every result violates the invariants"
             )
+        report.add(
+            "SA301",
+            f"dead action {action.action_id!r}: {detail}",
+            item.span,
+            path,
+            fixes=(
+                [
+                    delete_line_fix(
+                        f"delete dead action {action.action_id!r}",
+                        item.span,
+                    )
+                ]
+                if fixes_enabled
+                else []
+            ),
+        )
 
-    for item in model.actions:
-        arcs = arcs_by_action[item.action.action_id]
-        if not arcs:
+    # an arc moves its action's own set, so only a same-set action can
+    # realize every arc of a live one
+    for index, (item, factor) in enumerate(zip(model.actions, owner)):
+        arc_set = arcs_by_action[index]
+        if not arc_set:
             continue  # dead actions already reported
-        arc_set = set(arcs)
-        for other in model.actions:
-            if other is item:
+        for other_index in factor.actions:
+            other = model.actions[other_index]
+            if other_index == index or other.action.cost >= item.action.cost:
                 continue
-            if other.action.cost >= item.action.cost:
-                continue
-            if arc_set <= set(arcs_by_action[other.action.action_id]):
+            if arc_set <= arcs_by_action[other_index]:
                 report.add(
                     "SA302",
                     f"action {item.action.action_id!r} is dominated: "
@@ -732,9 +809,16 @@ def _check_actions(
                 )
                 break
 
-    _check_connectivity(model, report, path, safe_masks, arcs_by_action)
-    _check_named_pairs(model, report, path, space, arcs_by_action)
-    return safe_masks, safe_set
+    adjacency: List[Dict[int, Set[int]]] = []
+    for factor in factors:
+        successors: Dict[int, Set[int]] = {mask: set() for mask in factor.safe_masks}
+        for index in factor.actions:
+            for src, dst in arcs_by_action[index]:
+                successors[src].add(dst)
+        adjacency.append(successors)
+    _check_connectivity(model, report, path, factors, adjacency)
+    _check_named_pairs(model, report, path, factors, adjacency)
+    return factors
 
 
 def _check_library_actions(
@@ -779,34 +863,42 @@ def _check_connectivity(
     model: _Model,
     report: LintReport,
     path: Optional[str],
-    safe_masks: Sequence[int],
-    arcs_by_action: Dict[str, Tuple[Tuple[int, int], ...]],
+    factors: Sequence[SafeFactor],
+    adjacency: Sequence[Dict[int, Set[int]]],
 ) -> None:
-    parent: Dict[int, int] = {mask: mask for mask in safe_masks}
+    """SA305 on the product of the factors' sub-SAGs.
 
-    def find(mask: int) -> int:
-        root = mask
-        while parent[root] != root:
-            root = parent[root]
-        while parent[mask] != root:
-            parent[mask], mask = root, parent[mask]
-        return root
-
-    for arcs in arcs_by_action.values():
-        for src, dst in arcs:
-            parent[find(src)] = find(dst)
-
-    groups: Dict[int, List[int]] = {}
-    for mask in safe_masks:
-        groups.setdefault(find(mask), []).append(mask)
-    if len(groups) <= 1:
+    The weak components of a Cartesian product of graphs are the
+    products of the factors' weak components: a group's size is the
+    product of its factors' group sizes, and its smallest mask the sum of
+    their smallest projections (their bits are disjoint).
+    """
+    per_factor: List[List[Tuple[int, int]]] = []
+    for factor, successors in zip(factors, adjacency):
+        uf = UnionFind(factor.safe_masks)
+        for src, targets in successors.items():
+            for dst in targets:
+                uf.union(src, dst)
+        # [size, smallest projection] per group; masks ascend, so the
+        # first member seen is the smallest
+        groups: Dict[Hashable, List[int]] = {}
+        for mask in factor.safe_masks:
+            groups.setdefault(uf.find(mask), [0, mask])[0] += 1
+        per_factor.append([(size, low) for size, low in groups.values()])
+    if all(len(groups) == 1 for groups in per_factor):
         return
-    ordered = sorted(groups.values(), key=lambda g: (-len(g), min(g)))
-    sizes = ", ".join(str(len(group)) for group in ordered)
-    sample = model.universe.from_mask(min(ordered[-1]))
+    ordered = sorted(
+        (
+            (math.prod(size for size, _ in combo), sum(low for _, low in combo))
+            for combo in itertools.product(*per_factor)
+        ),
+        key=lambda group: (-group[0], group[1]),
+    )
+    sizes = ", ".join(str(size) for size, _ in ordered)
+    sample = model.universe.from_mask(ordered[-1][1])
     report.add(
         "SA305",
-        f"the Safe Adaptation Graph is disconnected: {len(groups)} "
+        f"the Safe Adaptation Graph is disconnected: {len(ordered)} "
         f"component group(s) of sizes {sizes}; e.g. "
         f"{model.universe.to_bits(sample)} {sample.label()} cannot reach "
         "the rest",
@@ -819,33 +911,19 @@ def _check_named_pairs(
     model: _Model,
     report: LintReport,
     path: Optional[str],
-    space,
-    arcs_by_action: Dict[str, Tuple[Tuple[int, int], ...]],
+    factors: Sequence[SafeFactor],
+    adjacency: Sequence[Dict[int, Set[int]]],
 ) -> None:
+    """SA205/SA306: a named configuration is safe iff every projection
+    is, and reaches another iff every projection reaches the other's."""
     universe = model.universe
-    adjacency: Dict[int, Set[int]] = {}
-    for arcs in arcs_by_action.values():
-        for src, dst in arcs:
-            adjacency.setdefault(src, set()).add(dst)
-
-    def reachable(start: int) -> Set[int]:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for nxt in adjacency.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
-
     endpoints: List[Tuple[_ConfigItem, int]] = []
     for item in model.configurations:
         try:
             mask = universe.mask_of(item.configuration)
         except Exception:
             continue
-        if not space.is_safe_mask(mask):
+        if not all(mask & factor.mask in factor.safe_set for factor in factors):
             report.add(
                 "SA205",
                 f"named configuration {item.name!r} violates the invariants: "
@@ -856,17 +934,34 @@ def _check_named_pairs(
             continue
         endpoints.append((item, mask))
 
-    reach_cache: Dict[int, Set[int]] = {}
+    reach_cache: Dict[Tuple[int, int], Set[int]] = {}
+
+    def reaches(start: int, goal: int) -> bool:
+        for index, (factor, successors) in enumerate(zip(factors, adjacency)):
+            src = start & factor.mask
+            dst = goal & factor.mask
+            if src == dst:
+                continue
+            seen = reach_cache.get((index, src))
+            if seen is None:
+                seen = {src}
+                frontier = [src]
+                while frontier:
+                    for nxt in successors[frontier.pop()]:
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            frontier.append(nxt)
+                reach_cache[(index, src)] = seen
+            if dst not in seen:
+                return False
+        return True
+
     for index, (first, first_mask) in enumerate(endpoints):
         for second, second_mask in endpoints[index + 1:]:
             if first_mask == second_mask:
                 continue
-            if first_mask not in reach_cache:
-                reach_cache[first_mask] = reachable(first_mask)
-            if second_mask not in reach_cache:
-                reach_cache[second_mask] = reachable(second_mask)
-            forward = second_mask in reach_cache[first_mask]
-            backward = first_mask in reach_cache[second_mask]
+            forward = reaches(first_mask, second_mask)
+            backward = reaches(second_mask, first_mask)
             if not forward and not backward:
                 report.add(
                     "SA306",
@@ -1200,7 +1295,8 @@ def _check_contracts(model: _Model, report: LintReport, path: Optional[str]) -> 
     universe = model.universe
     all_processes = frozenset(universe.processes())
     invariants = model.kept_invariants()
-    for item in model.actions:
+    radii = blast_radii(universe, invariants, (item.action for item in model.actions))
+    for item, radius in zip(model.actions, radii):
         action = item.action
         participants = action.participants(universe)
         if len(all_processes) > 1 and participants == all_processes:
@@ -1213,7 +1309,6 @@ def _check_contracts(model: _Model, report: LintReport, path: Optional[str]) -> 
                 item.span,
                 path,
             )
-        radius = blast_radius(universe, invariants, action)
         beyond = radius - participants
         if beyond:
             at_risk = invariants_at_risk(invariants, action)

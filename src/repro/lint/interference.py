@@ -35,6 +35,10 @@ observable:
   configurations via lazy point queries; pairs with no named witness
   are inconclusive, and the restriction is recorded once.
 
+Below the cap the stateful checks sweep each collaborative set's own
+safe projections and actions, and complete every witness with the other
+sets' lightest safe projections (DESIGN.md §17).
+
 Pairs declared in the manifest's ``[conflicts]`` section are skipped by
 every check: declaring the pair serializes it (the planner unions both
 touched sets into one collaborative set), which is also the machine
@@ -43,20 +47,26 @@ fix attached to each SA601/SA602/SA603/SA604 finding.
 
 from __future__ import annotations
 
+import math
 from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Optional,
     Sequence,
     Set,
     Tuple,
+    TYPE_CHECKING,
 )
 
 from repro.core.actions import MaskedAction
 from repro.lint.diagnostics import LintReport, Related
 from repro.lint.fixes import Fix, append_fix
+
+if TYPE_CHECKING:
+    from repro.lint.checks import SafeFactor
 
 #: bound on (action pairs) x (candidate sources) combinations explored by
 #: the stateful checks; past it the stage degrades to named-configuration
@@ -68,7 +78,7 @@ def check_interference(
     model,
     report: LintReport,
     path: Optional[str],
-    action_info: Optional[Tuple[Sequence[int], FrozenSet[int]]],
+    action_info: Optional[Sequence[SafeFactor]],
     *,
     cap_exceeded: bool = False,
     line_count: int = 0,
@@ -76,7 +86,8 @@ def check_interference(
 ) -> None:
     """Run the SA6xx pair checks over the surviving model.
 
-    *action_info* is ``(safe_masks, safe_set)`` from the eager SA3xx
+    *action_info* is the list of per-collaborative-set
+    :class:`~repro.lint.checks.SafeFactor` from the eager SA3xx
     enumeration, or ``None`` when that stage did not enumerate (empty
     safe space, or *cap_exceeded* above the component cap).
     """
@@ -99,18 +110,102 @@ def check_interference(
         model, report, path, masked, declared, line_count, fixes_enabled
     )
 
+    # Fired from a mask m where it is applicable (m & touch == required),
+    # an action flips exactly its touched bits.
+    steps = [
+        (m.required | m.forbidden, m.required)
+        for m in (masked[item.action.action_id] for item in items)
+    ]
+    delta_index = {
+        (item.action.removes, item.action.adds): i
+        for i, item in enumerate(items)
+    }
+    inverse = [
+        delta_index.get((item.action.adds, item.action.removes))
+        for item in items
+    ]
+    # Only a disjoint-touch pair can race, and only from a source where
+    # exactly one first step stays safe and the joint result is safe again
+    # (DESIGN.md §15), so each source sweeps the actions once and pairs
+    # its safe first steps with its exiting ones.  A race is SA603 exactly
+    # when the safe-first action p has a declared inverse: it restores
+    # the source after p alone, and lands on the partner's unsafe first
+    # step once both commit.  Per pair keep the minimum ((SA603 first,
+    # popcount, mask), p, partner); sources are distinct, so the minimum
+    # does not depend on sweep order.
+    best: Dict[Tuple[int, int], Tuple[Tuple[bool, int, int], int, int]] = {}
+
+    def sweep(
+        sources: Iterable[int],
+        is_safe: Callable[[int], bool],
+        members: Sequence[int],
+        rest: int,
+    ) -> None:
+        """Race the actions *members* from *sources*; a witness source
+        is reported as ``source | rest``."""
+        partners = {
+            i: {
+                j
+                for j in members
+                if not steps[i][0] & steps[j][0]
+                and frozenset((items[i].action.action_id, items[j].action.action_id))
+                not in declared
+            }
+            for i in members
+        }
+        for mask in sources:
+            stays: List[Tuple[int, int]] = []
+            exits: List[int] = []
+            for i in members:
+                touch, required = steps[i]
+                if mask & touch == required:
+                    mid = mask ^ touch
+                    if is_safe(mid):
+                        stays.append((i, mid))
+                    else:
+                        exits.append(i)
+            if not exits:
+                continue
+            source = mask | rest
+            weight = source.bit_count()
+            for p, mid in stays:
+                rank = (inverse[p] is None, weight, source)
+                for q in exits:
+                    if q in partners[p] and is_safe(mid ^ steps[q][0]):
+                        pair = (p, q) if p < q else (q, p)
+                        held = best.get(pair)
+                        if held is None or rank < held[0]:
+                            best[pair] = (rank, p, q)
+
     pairs = len(items) * (len(items) - 1) // 2
-    sources: Sequence[int] = ()
-    is_safe: Optional[Callable[[int], bool]] = None
     restricted_reason = ""
     if action_info is not None:
-        safe_masks, safe_set = action_info
-        if pairs * len(safe_masks) <= MAX_PAIR_SOURCES:
-            sources = safe_masks
-            is_safe = safe_set.__contains__
+        total = math.prod(len(factor.safe_masks) for factor in action_info)
+        if pairs * total <= MAX_PAIR_SOURCES:
+            # A racing pair shares a collaborative set (the second
+            # action of a race exits the safe space in its own set, which
+            # the first cannot repair from another), and whether it races
+            # from a source depends only on that set's projection.  The
+            # other sets add their popcounts and masks to the witness
+            # rank, so the minimum source is the set's minimum OR each
+            # other set's lightest (popcount, then mask) safe projection.
+            lightest = [
+                min(factor.safe_masks, key=lambda mask: (mask.bit_count(), mask))
+                for factor in action_info
+            ]
+            floor = 0
+            for mask in lightest:
+                floor |= mask
+            for factor, light in zip(action_info, lightest):
+                sweep(
+                    factor.safe_masks,
+                    factor.safe_set.__contains__,
+                    factor.actions,
+                    floor ^ light,
+                )
         else:
             restricted_reason = (
-                f"{pairs} pair(s) x {len(safe_masks)} safe configuration(s) "
+                f"{pairs} pair(s) x {total} safe configuration(s) "
                 f"exceed the {MAX_PAIR_SOURCES} pair-source budget"
             )
     elif cap_exceeded:
@@ -125,7 +220,6 @@ def check_interference(
         from repro.core.space import LazySafeSpace
 
         space = LazySafeSpace(universe, model.kept_invariants())
-        is_safe = space.is_safe_mask
         candidates: List[int] = []
         for cfg_item in model.configurations:
             try:
@@ -140,7 +234,6 @@ def check_interference(
             for mask, safe in zip(candidates, space.are_safe_masks(candidates))
             if safe
         ]
-        sources = named
         report.add(
             "SA605",
             f"SA601/SA603 interference analysis restricted to the "
@@ -154,65 +247,8 @@ def check_interference(
             f"SA601/SA603 restricted to named configurations: "
             f"{restricted_reason}"
         )
+        sweep(named, space.is_safe_mask, range(len(items)), 0)
 
-    if not sources or is_safe is None:
-        return
-
-    # Fired from a mask m where it is applicable (m & touch == required),
-    # an action flips exactly its touched bits.  Only a disjoint-touch pair
-    # can race, and only from a source where exactly one first step stays
-    # safe and the joint result is safe again (DESIGN.md §15), so each
-    # source sweeps the library once and pairs its safe first steps with
-    # its exiting ones.
-    steps = [
-        (m.required | m.forbidden, m.required)
-        for m in (masked[item.action.action_id] for item in items)
-    ]
-    partners = [
-        {
-            j
-            for j, y_item in enumerate(items)
-            if not touch & steps[j][0]
-            and frozenset((x_item.action.action_id, y_item.action.action_id))
-            not in declared
-        }
-        for (touch, _), x_item in zip(steps, items)
-    ]
-    delta_index = {
-        (item.action.removes, item.action.adds): i
-        for i, item in enumerate(items)
-    }
-    inverse = [
-        delta_index.get((item.action.adds, item.action.removes))
-        for item in items
-    ]
-    # A race is SA603 exactly when the safe-first action p has a declared
-    # inverse: it restores the source after p alone, and lands on the
-    # partner's unsafe first step once both commit.  Per pair keep the
-    # minimum ((SA603 first, popcount, mask), p, partner); sources are
-    # distinct, so the minimum does not depend on sweep order.
-    best: Dict[Tuple[int, int], Tuple[Tuple[int, int, int], int, int]] = {}
-    for mask in sources:
-        stays: List[Tuple[int, int]] = []
-        exits: List[int] = []
-        for i, (touch, required) in enumerate(steps):
-            if mask & touch == required:
-                mid = mask ^ touch
-                if is_safe(mid):
-                    stays.append((i, mid))
-                else:
-                    exits.append(i)
-        if not exits:
-            continue
-        weight = mask.bit_count()
-        for p, mid in stays:
-            rank = (inverse[p] is None, weight, mask)
-            for q in exits:
-                if q in partners[p] and is_safe(mid ^ steps[q][0]):
-                    pair = (p, q) if p < q else (q, p)
-                    held = best.get(pair)
-                    if held is None or rank < held[0]:
-                        best[pair] = (rank, p, q)
     for (i, j), ((_, _, mask), p, q) in sorted(best.items()):
         inv = inverse[p]
         _report_pair_witness(
@@ -232,8 +268,7 @@ def check_interference(
 
 
 def _describe(universe, mask: int) -> str:
-    config = universe.from_mask(mask)
-    return f"{universe.to_bits(config)} {config.label()}"
+    return f"{mask:0{len(universe)}b} {universe.from_mask(mask).label()}"
 
 
 def _serialize_fixes(
@@ -340,11 +375,11 @@ def _check_blocking_overlap(
         for y_item, py in participants[index + 1 :]:
             if py == all_processes:
                 continue
+            if not (px & py) or (px | py) != all_processes:
+                continue
             xid = x_item.action.action_id
             yid = y_item.action.action_id
             if frozenset((xid, yid)) in declared:
-                continue
-            if not (px & py) or (px | py) != all_processes:
                 continue
             shared = ", ".join(sorted(px & py))
             report.add(
@@ -380,19 +415,17 @@ def _check_conflicting_touch(
     has SA304/rollback semantics.
     """
     universe = model.universe
-    items = model.actions
-    for index, x_item in enumerate(items):
+    items = [(item, masked[item.action.action_id]) for item in model.actions]
+    for index, (x_item, mx) in enumerate(items):
         x = x_item.action
-        mx = masked[x.action_id]
-        for y_item in items[index + 1 :]:
+        for y_item, my in items[index + 1 :]:
+            collide = (mx.set_bits & my.clear) | (my.set_bits & mx.clear)
+            if not collide:
+                continue
             y = y_item.action
             if x.removes == y.adds and x.adds == y.removes:
                 continue
             if frozenset((x.action_id, y.action_id)) in declared:
-                continue
-            my = masked[y.action_id]
-            collide = (mx.set_bits & my.clear) | (my.set_bits & mx.clear)
-            if not collide:
                 continue
             set_xy = (mx.set_bits & ~my.clear) | my.set_bits
             set_yx = (my.set_bits & ~mx.clear) | mx.set_bits

@@ -39,7 +39,13 @@ def render_text(report: LintReport, verbose: bool = False) -> str:
 
 def render_json(report: LintReport) -> str:
     """Stable JSON dump (diagnostics in report order + summary counts)."""
-    payload: Dict[str, Any] = {
+    return json.dumps(report_payload(report), indent=2, sort_keys=False)
+
+
+def report_payload(report: LintReport) -> Dict[str, Any]:
+    """The document :func:`render_json` serializes (JSON-native values
+    only, so it equals ``json.loads(render_json(report))``)."""
+    return {
         "tool": TOOL_NAME,
         "diagnostics": [_diagnostic_json(d) for d in report],
         "summary": {
@@ -49,7 +55,6 @@ def render_json(report: LintReport) -> str:
         },
         "skipped": list(report.skipped),
     }
-    return json.dumps(payload, indent=2, sort_keys=False)
 
 
 def _diagnostic_json(diagnostic: Diagnostic) -> Dict[str, Any]:

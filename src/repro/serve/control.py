@@ -489,6 +489,7 @@ class ControlPlane:
             render_sarif,
             render_text,
         )
+        from repro.lint.render import report_payload
 
         if request.format not in ("text", "json", "sarif"):
             raise _fail(
@@ -527,7 +528,7 @@ class ControlPlane:
                 "warnings": len(merged.warnings),
                 "notes": len(merged.notes),
             },
-            report=json.loads(render_json(merged)),
+            report=report_payload(merged),
         )
 
     def _handle_trace_check(self, request: TraceCheckRequest) -> Response:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.analysis import (
     affected_components,
+    blast_radii,
     blast_radius,
     impact_report,
     invariants_at_risk,
@@ -70,6 +71,34 @@ class TestBlastRadius:
     def test_video_blast_radius_spans_all_processes(self, universe, invariants, actions):
         radius = blast_radius(universe, invariants, actions.get("A2"))
         assert radius == frozenset({"server", "handheld", "laptop"})
+
+
+class TestBlastRadii:
+    def test_matches_the_per_action_fixpoint_on_the_video_library(
+        self, universe, invariants, actions
+    ):
+        assert list(blast_radii(universe, invariants, actions)) == [
+            blast_radius(universe, invariants, action) for action in actions
+        ]
+
+    def test_atoms_outside_the_universe_bridge_two_groups(self):
+        # GHOST is no component, yet A -> GHOST and GHOST -> B couple A
+        # with B exactly as the fixpoint does
+        from repro.core.actions import AdaptiveAction
+
+        universe = ComponentUniverse.from_names(
+            ["A", "B", "X"], {"A": "p1", "B": "p2", "X": "p3"}
+        )
+        invariants = InvariantSet.of("A -> GHOST", "GHOST -> B", "true")
+        library = [
+            AdaptiveAction.remove("ra", "A", 1),
+            AdaptiveAction.insert("ix", "X", 1),
+        ]
+        radii = blast_radii(universe, invariants, library)
+        assert radii == (frozenset({"p1", "p2"}), frozenset({"p3"}))
+        assert list(radii) == [
+            blast_radius(universe, invariants, action) for action in library
+        ]
 
 
 class TestReport:

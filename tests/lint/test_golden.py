@@ -1,4 +1,9 @@
-"""Golden-output tests: the fixture's text/JSON/SARIF renderings are frozen.
+"""Golden-output tests: each fixture's text/JSON/SARIF renderings are frozen.
+
+``defective.manifest`` fires every enumerable code;
+``decomposable.manifest`` spreads its findings over five interleaved
+collaborative sets (its goldens were rendered by the global SA3xx/SA6xx
+engine, before lint analyzed one set at a time).
 
 Regenerate after an intentional output change with::
 
@@ -12,22 +17,29 @@ import pytest
 
 from repro.lint import lint_text, render_json, render_sarif, render_text
 
-FIXTURE = Path("tests/lint/fixtures/defective.manifest")
+FIXTURES = Path("tests/lint/fixtures")
 GOLDEN = Path("tests/lint/golden")
 
 RENDERERS = {
-    "defective.txt": lambda report: render_text(report, verbose=True),
-    "defective.json": render_json,
-    "defective.sarif": render_sarif,
+    "txt": lambda report: render_text(report, verbose=True),
+    "json": render_json,
+    "sarif": render_sarif,
 }
 
 
-@pytest.mark.parametrize("name", sorted(RENDERERS))
+@pytest.mark.parametrize(
+    "name",
+    [
+        f"{fixture}.{suffix}"
+        for fixture in ("decomposable", "defective")
+        for suffix in sorted(RENDERERS)
+    ],
+)
 def test_golden(name):
-    report = lint_text(
-        FIXTURE.read_text(encoding="utf-8"), path=FIXTURE.as_posix()
-    )
-    rendered = RENDERERS[name](report) + "\n"
+    fixture, suffix = name.split(".")
+    source = FIXTURES / f"{fixture}.manifest"
+    report = lint_text(source.read_text(encoding="utf-8"), path=source.as_posix())
+    rendered = RENDERERS[suffix](report) + "\n"
     golden_path = GOLDEN / name
     if os.environ.get("REGEN_GOLDEN"):
         golden_path.write_text(rendered, encoding="utf-8")

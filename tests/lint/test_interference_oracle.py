@@ -1,22 +1,24 @@
-"""The source-major SA601/SA603 sweep against the pair-major reference.
+"""The per-set SA601/SA603 sweep against the pair-major reference.
 
-:func:`repro.lint.interference.check_interference` sweeps the action
-library once per safe source and races only disjoint-touch pairs;
+:func:`repro.lint.interference.check_interference` sweeps each
+collaborative set's action library once per safe source of that set and
+races only disjoint-touch pairs;
 :func:`tests.oracles.interference_reference.reference_check_interference`
-is the scan it replaced (every pair, every source, both firing orders in
-full).  Linting the same manifest with either installed must yield the
-same report: codes, messages, spans, related locations, fixes, and the
-skipped-stage notes — over random universes, invariants and libraries
-that mix mutual inverses, declared ``[conflicts]``, set/clear
-(divergent) pairs, and disjoint- and overlapping-touch pairs, with and
-without the SA605 fallbacks.
+is the scan the source-major sweep replaced (every pair, every global
+source, both firing orders in full), run on the global safe space of
+:func:`tests.oracles.lint_reference.reference_check_actions`.  Linting
+the same manifest with either installed must yield the same report:
+codes, messages, spans, related locations, fixes, and the skipped-stage
+notes — over random universes, invariants and libraries that mix mutual
+inverses, declared ``[conflicts]``, set/clear (divergent) pairs, and
+disjoint- and overlapping-touch pairs, with and without the SA605
+fallbacks.
 """
 
 from unittest import mock
 
 from hypothesis import event, given, settings, strategies as st
 
-import repro.lint.checks as checks
 import repro.lint.interference as interference
 from repro.bench.workloads import replicated_video_system
 from repro.lint import lint_text
@@ -24,6 +26,7 @@ from repro.manifest import SystemManifest, dumps
 from tests.lint.test_interference import RACING
 from tests.oracles import interference_reference
 from tests.oracles.interference_reference import reference_check_interference
+from tests.oracles.lint_reference import global_engine
 
 NAMES = tuple(f"C{i}" for i in range(10))
 PROCESSES = ("p0", "p1", "p2")
@@ -31,7 +34,8 @@ RACE_CODES = {"SA601", "SA603", "SA604", "SA605"}
 
 
 def lint_both(text, cap=None, budget=None):
-    """Lint *text* with the product sweep and with the reference."""
+    """Lint *text* with the product and with the global pair-major
+    reference."""
     budget_patches = []
     if budget is not None:
         budget_patches = [
@@ -44,9 +48,7 @@ def lint_both(text, cap=None, budget=None):
         patch.start()
     try:
         got = lint_text(text, max_enum_components=cap)
-        with mock.patch.object(
-            checks, "check_interference", reference_check_interference
-        ):
+        with global_engine(reference_check_interference):
             want = lint_text(text, max_enum_components=cap)
     finally:
         for patch in budget_patches:

@@ -9,10 +9,16 @@ Two claims behind the `repro.ltl` refactor, recorded into
   of :class:`repro.ltl.PTLTLMonitor` (dict allocation plus a method call
   per subformula) — gated below;
 * **path-check latency** — one :func:`repro.ltl.verify_paths` query as a
-  function of the quantification width *k* (eager CSR Yen on the paper's
+  function of the quantification width *k* (eager Yen on the paper's
   7-component video system) and of universe size (lazy frontier Yen on
   replicated video universes, where the eager safe space is never
-  materialized).
+  materialized);
+* **one k-best engine** — eager ``verify-paths`` at k = 8 on the ~20-
+  component shapes the repo benchmark asks about (fleet ×6, video + 4
+  services, video ×3): ``plan_k``'s two-phase corridor spurs over the
+  built SAG against the banned-set CSR Yen they replaced (the oracle
+  ``tests/oracles/csr_yen_reference.py``), identical verdicts and paths
+  first, then gated at ≥ 3x on fleet ×6.
 
 Timing is manual (``time.perf_counter`` best-of), so the assertions hold
 under ``--benchmark-disable`` in CI's bench smoke; one
@@ -21,11 +27,13 @@ under ``--benchmark-disable`` in CI's bench smoke; one
 
 from __future__ import annotations
 
+import os
+import random
 import time
 from pathlib import Path
 
 from benchmarks.conftest import report
-from repro.bench import format_table, replicated_video_system
+from repro.bench import format_table, replicated_video_system, service_fleet_system
 from repro.core.planner import AdaptationPlanner
 from repro.ltl import (
     CompiledProperty,
@@ -33,6 +41,7 @@ from repro.ltl import (
     parse_property,
     verify_paths,
 )
+from tests.oracles.csr_yen_reference import reference_plan_k
 
 LTL_PATHS_JSON = Path(__file__).with_name("BENCH_ltl_paths.json")
 
@@ -175,4 +184,91 @@ def test_path_check_latency(benchmark):
         format_table(["query", "latency (ms)", "paths checked"], rows),
         data=data,
         json_path=LTL_PATHS_JSON,
+    )
+
+
+#: eager verify shapes: (row name, system, a property every safe
+#: configuration satisfies, so each verify walks all k paths)
+ENGINE_SHAPES = (
+    ("fleet x6", lambda: service_fleet_system(6),
+     "historically({one_of(S0v1, S0v2, S0v3)})"),
+    ("video + 4", lambda: service_fleet_system(4, video_groups=1),
+     "historically({one_of(S0v1, S0v2, S0v3)})"),
+    ("video x3", lambda: replicated_video_system(3),
+     "historically({one_of(E1@g0, E2@g0)})"),
+)
+ENGINE_PAIRS = 24
+ENGINE_K = 8
+ENGINE_GATE = 3.0
+
+
+class _CSRYenPlanner(AdaptationPlanner):
+    """The former eager ``plan_k``: banned-set CSR Yen, uncached."""
+
+    def plan_k(self, source, target, k):
+        return reference_plan_k(self, source, target, k)
+
+
+def _reachable_pairs(system, planner, count):
+    rng = random.Random(7)
+    masks = planner.space.enumerate_masks()
+    pairs = []
+    while len(pairs) < count:
+        source, target = (system.universe.from_mask(m) for m in rng.sample(masks, 2))
+        if planner.plan_many([(source, target)])[0] is not None:
+            pairs.append((source, target))
+    return pairs
+
+
+def test_eager_k_best_engine(benchmark):
+    rows = []
+    data = {"nproc": os.cpu_count(), "k": ENGINE_K, "pairs": ENGINE_PAIRS,
+            "gate_fleet_x6": ENGINE_GATE}
+    speedups = {}
+    for name, make, formula in ENGINE_SHAPES:
+        system = make()
+        sag_owner = AdaptationPlanner(system.universe, system.invariants, system.actions)
+        pairs = _reachable_pairs(system, sag_owner, ENGINE_PAIRS)
+        phi = parse_property(formula)
+        compiled = CompiledProperty(phi, system.universe.atom_bits)
+
+        def walk(planner_class, sag_owner=sag_owner, pairs=pairs, phi=phi,
+                 compiled=compiled, system=system):
+            # a fresh planner per round (no k-best cache hits) on the
+            # shared, already built SAG: the rows time the k-best search
+            planner = planner_class(system.universe, system.invariants, system.actions)
+            planner._sag = sag_owner.sag
+            return [
+                verify_paths(planner, s, t, phi, k=ENGINE_K, lazy=False,
+                             compiled=compiled)
+                for s, t in pairs
+            ]
+
+        oracle_s, oracle_verdicts = _best_of(lambda: walk(_CSRYenPlanner))
+        engine_s, engine_verdicts = _best_of(lambda: walk(AdaptationPlanner))
+        assert engine_verdicts == oracle_verdicts
+        assert all(v.holds is True for v in engine_verdicts)
+        speedups[name] = oracle_s / engine_s
+        per_oracle = oracle_s * 1e3 / len(pairs)
+        per_engine = engine_s * 1e3 / len(pairs)
+        rows.append((f"{name} ({len(system.universe)} comps)",
+                     f"{per_oracle:.2f}", f"{per_engine:.2f}",
+                     f"{speedups[name]:.1f}x"))
+        key = name.replace(" ", "").replace("+", "_plus_")
+        data[f"{key}_csr_yen_ms"] = round(per_oracle, 3)
+        data[f"{key}_two_phase_ms"] = round(per_engine, 3)
+        data[f"{key}_speedup"] = round(speedups[name], 2)
+        data[f"{key}_paths_checked"] = sum(v.paths_checked for v in engine_verdicts)
+        last = walk
+    benchmark.pedantic(lambda: last(AdaptationPlanner), rounds=1, iterations=1)
+    report(
+        f"T1 — eager verify k = {ENGINE_K}, CSR Yen oracle vs two-phase",
+        format_table(["shape", "CSR Yen (ms/verify)", "two-phase (ms/verify)",
+                      "speedup"], rows)
+        + f"\n{os.cpu_count()} cpu(s); gate: fleet x6 >= {ENGINE_GATE:g}x",
+        data=data,
+        json_path=LTL_PATHS_JSON,
+    )
+    assert speedups["fleet x6"] >= ENGINE_GATE, (
+        f"eager k-best only {speedups['fleet x6']:.1f}x over CSR Yen on fleet x6"
     )

@@ -4,6 +4,7 @@ from repro.bench.workloads import (
     RandomSystem,
     random_system,
     replicated_video_system,
+    service_fleet_system,
 )
 from repro.bench.tables import format_table
 
@@ -11,5 +12,6 @@ __all__ = [
     "RandomSystem",
     "random_system",
     "replicated_video_system",
+    "service_fleet_system",
     "format_table",
 ]

@@ -7,6 +7,10 @@ Two families:
   ``8^n`` and the monolithic SAG explodes exactly as §7 warns, while the
   collaborative decomposition and lazy A* planners scale linearly — the
   scalability experiment (exp C3 in DESIGN.md).
+* :func:`service_fleet_system` — independent services with
+  interchangeable variants, optionally behind copies of the video model:
+  the eager (below the cap) k-best shapes of the ``verify-paths``
+  benchmarks;
 * :func:`random_system` — seeded random universes/invariants/actions for
   property-based testing of the planner (plans, when they exist, must be
   valid regardless of the instance).
@@ -14,6 +18,7 @@ Two families:
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -117,6 +122,56 @@ def replicated_video_system(n_groups: int) -> RandomSystem:
         actions=ActionLibrary(actions),
         source=Configuration(source_members),
         target=Configuration(target_members),
+    )
+
+
+def service_fleet_system(
+    services: int, video_groups: int = 0, variants: int = 3, seed: int = 0
+) -> RandomSystem:
+    """*video_groups* copies of the §5 video model plus *services* services.
+
+    Service *i* runs exactly one of the variants ``S<i>v1..`` (process
+    ``node<i>``), and one replace action per ordered variant pair moves
+    it (``U<i><a><b>`` upgrades, ``R<i><a><b>`` rollbacks, costs drawn
+    from *seed*).  Every service and every video group is its own
+    collaborative set.  The source runs every service on ``v1`` (and the
+    video groups on the paper's source); the target moves the first half
+    of the services to ``v2`` or ``v3`` (and the groups to the paper's
+    target).
+    """
+    rng = random.Random(seed)
+    components: List[Component] = []
+    invariants: List[Invariant] = []
+    actions: List[AdaptiveAction] = []
+    source: List[str] = []
+    target: List[str] = []
+    if video_groups:
+        video = replicated_video_system(video_groups)
+        components += video.universe
+        invariants += video.invariants
+        actions += video.actions
+        source += video.source.members
+        target += video.target.members
+    for index in range(services):
+        names = [f"S{index}v{v}" for v in range(1, variants + 1)]
+        components += [Component(name, process=f"node{index}") for name in names]
+        invariants.append(Invariant(exactly_one(*names), name=f"service{index}"))
+        base = 10 + 5 * (index % 3)
+        for a, b in itertools.permutations(range(variants), 2):
+            kind = "U" if b > a else "R"
+            actions.append(AdaptiveAction.replace(
+                f"{kind}{index}{a}{b}", names[a], names[b],
+                float(base + rng.randrange(0, 3) * 5),
+            ))
+        source.append(names[0])
+        target.append(names[1 + index % (variants - 1)] if index < services // 2
+                      else names[0])
+    return RandomSystem(
+        universe=ComponentUniverse(components),
+        invariants=InvariantSet(invariants),
+        actions=ActionLibrary(actions),
+        source=Configuration(source),
+        target=Configuration(target),
     )
 
 

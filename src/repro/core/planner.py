@@ -28,7 +28,7 @@ from repro.core.sag import LazySAG, SafeAdaptationGraph
 from repro.core.space import SafeConfigurationSpace
 from repro.errors import NoSafePathError
 from repro.graphs.astar import astar_cost, corridor_search
-from repro.graphs.csr import ShortestPathTree, k_shortest_paths_csr
+from repro.graphs.csr import ShortestPathTree
 from repro.graphs.dijkstra import Path
 from repro.graphs.yen import extend_k_shortest
 
@@ -146,7 +146,8 @@ class AdaptationPlanner:
         """Drop every derived cache (after mutating the action library).
 
         Clears the SAG (and with it the compiled CSR view), the lazy
-        successor generator, the lazy search's per-set distance tables,
+        successor generator, the k-best and lazy searches' per-set
+        distance tables,
         the per-pair plan caches, and the shortest-path-tree LRU — all of
         them are derived from the action library, so any of them could
         otherwise serve a path using an action that no longer exists.
@@ -293,18 +294,23 @@ class AdaptationPlanner:
         """Up to *k* minimum-cost plans in non-decreasing cost order (Yen).
 
         Plan 2 is the paper's "second minimum adaptation path" used when a
-        step fails and the manager re-routes.  Runs Yen over the CSR view
-        (banned-set spur queries, no per-spur graph copies); cached per
-        ``(source, target, k)`` for the same reason as :meth:`plan`.
+        step fails and the manager re-routes.  The same Yen loop and
+        spur search as :meth:`lazy_plan_k`, with no budget; at or below
+        :data:`LAZY_PLAN_COMPONENTS` components every spur searches the
+        built SAG (:meth:`SafeAdaptationGraph.banned_view
+        <repro.core.sag.SafeAdaptationGraph.banned_view>`), above it the
+        implicit one.  Cached per ``(source, target, k)`` for the same
+        reason as :meth:`plan`.
         """
         self._validate_endpoints(source, target)
         key = (source, target, k)
         cached = self._plan_k_cache.get(key)
         if cached is None:
-            mask_of = self.universe.mask_of
-            paths = k_shortest_paths_csr(
-                self.sag.csr, mask_of(source), mask_of(target), k
+            graph = (
+                self.sag if len(self.universe) <= LAZY_PLAN_COMPONENTS
+                else self.lazy_sag
             )
+            paths, _ = self._k_shortest(graph, source, target, k, None)
             cached = tuple(
                 self._plan_from_mask_path(source, target, path) for path in paths
             )
@@ -341,7 +347,7 @@ class AdaptationPlanner:
         :class:`~repro.core.sag.LazySAG` and returns a plan **identical
         — path, cost, and tie-break — to the eager CSR path** wherever
         both are defined, without ever materializing the safe space.
-        The search is :meth:`_lazy_banned_shortest` with nothing banned;
+        The search is :meth:`_banned_shortest` with nothing banned;
         *max_expansions* bounds both of its phases together.
 
         Results are written through to the shared plan cache, so a later
@@ -367,8 +373,8 @@ class AdaptationPlanner:
             return cached
         source_mask = self.universe.mask_of(source)
         target_mask = self.universe.mask_of(target)
-        path, exhausted, _ = self._lazy_banned_shortest(
-            source_mask, target_mask, frozenset(), frozenset(),
+        path, exhausted, _ = self._banned_shortest(
+            self.lazy_sag.successors, source_mask, target_mask,
             self._lazy_heuristic(source_mask, target_mask), max_expansions,
         )
         if path is None:
@@ -389,35 +395,39 @@ class AdaptationPlanner:
     def _lazy_heuristic(self, source_mask: int, target_mask: int):
         """The per-collaborative-set distance heuristic toward *target_mask*
         (:class:`~repro.core.collaborative.SetDistanceHeuristic`; its
-        tables are built on first use and live until :meth:`reset_caches`)."""
+        tables are built on first use and live until :meth:`reset_caches`).
+        Every search of the planner but :meth:`plan` runs under it, over
+        the built SAG or the implicit one alike."""
         if self._set_distances is None:
             self._set_distances = SetDistanceHeuristic(
                 self.space, self.actions, LAZY_PLAN_COMPONENTS, self.spt_cache_size
             )
         return self._set_distances.for_query(source_mask, target_mask)
 
-    def _lazy_banned_shortest(
+    def _banned_shortest(
         self,
+        successors,
         source_mask: int,
         target_mask: int,
-        banned_nodes,
-        banned_arcs,
         heuristic,
         budget: Optional[int],
     ) -> Tuple[Optional[Path], bool, int]:
-        """One exact banned-set shortest-path query on the implicit SAG.
+        """One exact banned-set shortest-path query.
 
-        The one lazy search, in two phases over the shared successor
-        generator (both pull adjacency from the same per-mask cache, so
-        the replay never re-pays the probe's safety checks):
+        The one search behind :meth:`lazy_plan` and every Yen spur of
+        :meth:`plan_k` and :meth:`lazy_plan_k`, in two phases over
+        *successors* — a banned view of the built SAG or of the
+        :class:`~repro.core.sag.LazySAG` (both pull adjacency from
+        storage shared across phases and spurs, so the replay never
+        re-pays the probe's safety checks):
 
         1. :func:`~repro.graphs.astar.astar_cost` — a deep-tie A* probe
            under the consistent *heuristic* — establishes the optimal
            cost ``D`` (or proves the target unreachable);
-        2. :func:`~repro.graphs.astar.corridor_search` replays the eager
-           banned-set Dijkstra's ``(cost, hops, counter)`` relaxation
-           sequence, confined to the corridor ``g + h <= D`` — same
-           path, cost and tie-break as the eager solver.
+        2. :func:`~repro.graphs.astar.corridor_search` replays
+           Dijkstra's ``(cost, hops, counter)`` relaxation sequence over
+           the same view, confined to the corridor ``g + h <= D`` — same
+           path, cost and tie-break as an unpruned banned-set Dijkstra.
 
         Both phases share one *budget* of node expansions.  Returns
         ``(path, exhausted, expansions_spent)`` — ``path`` is ``None``
@@ -426,7 +436,6 @@ class AdaptationPlanner:
         """
         if source_mask == target_mask:
             return Path(nodes=(source_mask,), edges=(), cost=0.0), False, 0
-        successors = self.lazy_sag.banned_view(banned_nodes, banned_arcs)
         stats: Dict[str, object] = {}
         cost = astar_cost(
             source_mask, target_mask, successors, heuristic, budget, stats=stats
@@ -455,15 +464,14 @@ class AdaptationPlanner:
         """Up to *k* minimum-cost plans by frontier search — no SAG (§7).
 
         Yen's loopless enumeration run entirely over the
-        :class:`~repro.core.sag.LazySAG` successor generator: the
-        candidate loop is :func:`repro.graphs.csr.k_shortest_paths_csr`'s
-        own (:func:`repro.graphs.yen.extend_k_shortest`), and every
-        spur query is the two-phase exact search of :meth:`lazy_plan`
-        (:meth:`_lazy_banned_shortest`) — so the returned plans are
-        **identical (paths, costs, and order) to** :meth:`plan_k`
-        wherever both are defined, without ever enumerating the safe
-        space.  One heuristic serves every spur, and one
-        *max_expansions* budget is shared by all of them.
+        :class:`~repro.core.sag.LazySAG` successor generator: the loop
+        and the spur search are :meth:`plan_k`'s own
+        (:func:`repro.graphs.yen.extend_k_shortest` over
+        :meth:`_banned_shortest`), so the returned plans are **identical
+        (paths, costs, and order) to** :meth:`plan_k` wherever both are
+        defined, without ever enumerating the safe space.  One heuristic
+        serves every spur, and one *max_expansions* budget is shared by
+        all of them.
 
         Returns ``(plans, complete)``: *complete* is ``False`` when the
         shared *max_expansions* budget ran out before the enumeration
@@ -475,16 +483,46 @@ class AdaptationPlanner:
         self._validate_endpoints(source, target)
         if k <= 0:
             return [], True
+        paths, complete = self._k_shortest(
+            self.lazy_sag, source, target, k, max_expansions
+        )
+        if not paths:
+            if complete:
+                self._plan_cache.setdefault((source, target), None)
+            return [], complete
+        plans = [
+            self._plan_from_mask_path(source, target, path) for path in paths
+        ]
+        # write the optimal plan through to the shared pair cache (it is
+        # exact regardless of whether the enumeration finished)
+        self._plan_cache.setdefault((source, target), plans[0])
+        return plans, complete
+
+    def _k_shortest(
+        self,
+        graph,
+        source: Configuration,
+        target: Configuration,
+        k: int,
+        budget: Optional[int],
+    ) -> Tuple[List[Path], bool]:
+        """Yen over *graph*'s banned views (a built or a lazy SAG).
+
+        Returns ``(paths, complete)`` as :meth:`lazy_plan_k` does; the
+        paths are mask-level.  *budget* bounds every spur together.
+        """
+        if k <= 0:
+            return [], True
         source_mask = self.universe.mask_of(source)
         target_mask = self.universe.mask_of(target)
         heuristic = self._lazy_heuristic(source_mask, target_mask)
-        remaining = max_expansions
+        remaining = budget
 
         def spur_query(spur_mask, banned_nodes, banned_arcs):
             nonlocal remaining
-            path, exhausted, spent = self._lazy_banned_shortest(
-                spur_mask, target_mask, banned_nodes, banned_arcs,
-                heuristic, remaining,
+            path, exhausted, spent = self._banned_shortest(
+                graph.banned_view(banned_nodes, banned_arcs),
+                spur_mask, target_mask, heuristic, remaining,
             )
             if remaining is not None:
                 remaining = max(0, remaining - spent)
@@ -492,17 +530,8 @@ class AdaptationPlanner:
 
         first, exhausted = spur_query(source_mask, frozenset(), frozenset())
         if first is None:
-            if not exhausted:
-                self._plan_cache.setdefault((source, target), None)
             return [], not exhausted
-        found, complete = extend_k_shortest(first, target_mask, k, spur_query)
-        plans = [
-            self._plan_from_mask_path(source, target, path) for path in found
-        ]
-        # write the optimal plan through to the shared pair cache (it is
-        # exact regardless of whether the enumeration finished)
-        self._plan_cache.setdefault((source, target), plans[0])
-        return plans, complete
+        return extend_k_shortest(first, target_mask, k, spur_query)
 
     def plan_collaborative(
         self, source: Configuration, target: Configuration

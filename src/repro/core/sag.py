@@ -9,7 +9,7 @@ is that action's cost.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.actions import ActionLibrary, AdaptiveAction
 from repro.core.model import ComponentUniverse, Configuration
@@ -93,27 +93,35 @@ class LazySAG:
         """A successor function skipping banned masks and banned arcs.
 
         *banned_nodes* is a set of masks, *banned_arcs* a set of
-        ``(source_mask, action_id)`` pairs — the lazy mirror of the
-        banned node/edge-id sets Yen's spur queries pass to
-        :func:`repro.graphs.csr.k_shortest_paths_csr` (an action id
-        identifies at most one arc out of a given mask, so the pair bans
-        exactly what banning the CSR edge ids with that label does).
-        Filtering preserves the underlying arc order, so a search driven
-        by the view relaxes the surviving edges in the same sequence the
-        eager banned-set Dijkstra does; the per-mask adjacency cache is
-        shared with unfiltered traversals.
+        ``(source_mask, action_id)`` pairs — the bans Yen's spur queries
+        pass (an action id identifies at most one arc out of a given
+        mask).  Filtering preserves the underlying arc order, so a
+        search driven by the view relaxes the surviving edges in the
+        same sequence as over the built SAG's
+        :meth:`SafeAdaptationGraph.banned_view`; the per-mask adjacency
+        cache is shared with unfiltered traversals.
         """
-        if not banned_nodes and not banned_arcs:
-            return self.successors
-        successors = self.successors
+        return _filtered(self.successors, banned_nodes, banned_arcs)
 
-        def view(mask: int):
-            for action_id, cost, result in successors(mask):
-                if result in banned_nodes or (mask, action_id) in banned_arcs:
-                    continue
-                yield action_id, cost, result
 
-        return view
+def _filtered(successors, banned_nodes, banned_arcs):
+    """*successors* without arcs into *banned_nodes* or in *banned_arcs*."""
+    if not banned_nodes and not banned_arcs:
+        return successors
+    banned_labels: Dict[int, Set[str]] = {}
+    for mask, label in banned_arcs:
+        banned_labels.setdefault(mask, set()).add(label)
+
+    def view(mask: int):
+        labels = banned_labels.get(mask)
+        if labels is None:
+            return [arc for arc in successors(mask) if arc[2] not in banned_nodes]
+        return [
+            arc for arc in successors(mask)
+            if arc[2] not in banned_nodes and arc[0] not in labels
+        ]
+
+    return view
 
 
 class SafeAdaptationGraph:
@@ -131,6 +139,7 @@ class SafeAdaptationGraph:
         self._actions = actions
         self._universe = universe
         self._graph: Optional[Digraph] = None
+        self._successors: Optional[Callable[[int], Iterator[Tuple[str, float, int]]]] = None
 
     @classmethod
     def build(
@@ -194,6 +203,44 @@ class SafeAdaptationGraph:
         labels = tuple(action.action_id for action in actions)
         csr = CSRGraph(masks, index_of, offsets, targets, weights, label_ids, labels)
         return cls(csr, actions, universe)
+
+    # -- search view -----------------------------------------------------------
+    def banned_view(self, banned_nodes, banned_arcs):
+        """The SAG's arcs as a successor function, minus the banned ones.
+
+        The eager counterpart of :meth:`LazySAG.banned_view`, with the
+        same ban sets (masks, and ``(source_mask, action_id)`` pairs);
+        the planner's k-best spurs search the built SAG through it.  A
+        vertex's ``(action_id, cost, next_mask)`` arcs are read straight
+        off the CSR arrays, in edge order — the arcs
+        :meth:`LazySAG.successors` yields for that mask, in the same
+        order, since both walk the compiled actions in library order and
+        keep the results that are safe.  So a search relaxes the same
+        edges in the same sequence over either view.
+        """
+        successors = self._successors
+        if successors is None:
+            successors = self._successors = self._arc_reader()
+        return _filtered(successors, banned_nodes, banned_arcs)
+
+    def _arc_reader(self) -> Callable[[int], Iterator[Tuple[str, float, int]]]:
+        csr = self._csr
+        index_of = csr.index_of
+        offsets = csr.offsets
+        weights = csr.weights
+        # per-edge label and target mask, so one vertex's arcs are three
+        # slices zipped together (no per-arc tuple is kept)
+        labels = [csr.labels[label] for label in csr.label_ids]
+        nodes = csr.nodes
+        next_masks = [nodes[target] for target in csr.targets]
+
+        def successors(mask: int) -> Iterator[Tuple[str, float, int]]:
+            index = index_of[mask]
+            start = offsets[index]
+            stop = offsets[index + 1]
+            return zip(labels[start:stop], weights[start:stop], next_masks[start:stop])
+
+        return successors
 
     # -- structure -------------------------------------------------------------
     @property

@@ -15,11 +15,7 @@ from repro.graphs.digraph import Digraph, Edge
 from repro.graphs.dijkstra import Path, dijkstra, shortest_path
 from repro.graphs.yen import k_shortest_paths
 from repro.graphs.astar import astar_path, lazy_astar
-from repro.graphs.csr import (
-    CSRGraph,
-    ShortestPathTree,
-    k_shortest_paths_csr,
-)
+from repro.graphs.csr import CSRGraph, ShortestPathTree
 
 __all__ = [
     "Digraph",
@@ -32,5 +28,4 @@ __all__ = [
     "lazy_astar",
     "CSRGraph",
     "ShortestPathTree",
-    "k_shortest_paths_csr",
 ]

@@ -22,35 +22,23 @@ Kernels provided:
   settled target's ``path_to`` is O(path length).  This is what makes
   batched multi-source MAP solving amortized: one tree serves every
   request that shares its source, and a lone request pays for one path.
-* :func:`k_shortest_paths_csr` — Yen's algorithm with per-query edge/node
-  ban sets instead of pruned graph copies; output is identical to
-  :func:`repro.graphs.yen.k_shortest_paths`.
 
-Optional ``banned_nodes``/``banned_edges`` sets on the Dijkstra kernel
-subtract vertices and ``(source, label)`` arcs without copying the graph —
-the CSR replacement for :meth:`Digraph.subgraph_without`.
+k-best queries are not a kernel here: the planner's Yen spurs run the
+two-phase corridor search of :mod:`repro.graphs.astar` over a banned
+successor view of the SAG's arrays
+(:meth:`repro.core.sag.SafeAdaptationGraph.banned_view`).  The former
+banned-set Dijkstra Yen is the test oracle
+``tests/oracles/csr_yen_reference.py``.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from typing import (
-    AbstractSet,
-    Dict,
-    Generic,
-    Hashable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    TypeVar,
-)
+from typing import Dict, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.graphs.digraph import Digraph, Edge
 from repro.graphs.dijkstra import Path
-from repro.graphs.yen import extend_k_shortest
 
 N = TypeVar("N", bound=Hashable)
 L = TypeVar("L", bound=Hashable)
@@ -87,7 +75,6 @@ class CSRGraph(Generic[N, L]):
         self.weights = weights
         self.label_ids = label_ids
         self.labels = labels
-        self._label_cache: Dict[Tuple[int, L], Tuple[int, ...]] = {}
 
     @classmethod
     def from_digraph(cls, graph: Digraph[N, L]) -> "CSRGraph[N, L]":
@@ -140,25 +127,6 @@ class CSRGraph(Generic[N, L]):
         """Every edge as an :class:`Edge`, in edge-id order."""
         return tuple(map(self.edge, range(self.edge_count)))
 
-    def edges_labelled(self, source_index: int, label: L) -> Tuple[int, ...]:
-        """Ids of the parallel arcs from *source_index* carrying *label*.
-
-        Cached: Yen bans the same ``(source, label)`` pairs across many
-        spur queries.
-        """
-        key = (source_index, label)
-        cached = self._label_cache.get(key)
-        if cached is None:
-            cached = tuple(
-                edge_id
-                for edge_id in range(
-                    self.offsets[source_index], self.offsets[source_index + 1]
-                )
-                if self.edge_label(edge_id) == label
-            )
-            self._label_cache[key] = cached
-        return cached
-
     # -- query front ends --------------------------------------------------------
     def shortest_path_tree(self, source: N) -> "ShortestPathTree[N, L]":
         """Resumable single-source shortest-path tree rooted at *source*."""
@@ -179,8 +147,6 @@ class CSRGraph(Generic[N, L]):
 def _settle(
     csr: CSRGraph[N, L], heap: list, dist: List[float], hops: List[int],
     pred: List[int], settled: bytearray, counter: int, stop: int = -1,
-    banned_nodes: Optional[AbstractSet[int]] = None,
-    banned_edges: Optional[AbstractSet[int]] = None,
 ) -> int:
     """Run Dijkstra on the given search state until node *stop* is settled.
 
@@ -201,12 +167,8 @@ def _settle(
             continue
         settled[index] = 1
         for edge_id in range(offsets[index], offsets[index + 1]):
-            if banned_edges is not None and edge_id in banned_edges:
-                continue
             neighbour = targets[edge_id]
             if settled[neighbour]:
-                continue
-            if banned_nodes is not None and neighbour in banned_nodes:
                 continue
             candidate = cost + weights[edge_id]
             candidate_hops = nhops + 1
@@ -228,8 +190,6 @@ def csr_dijkstra(
     csr: CSRGraph[N, L],
     source_index: int,
     target: Optional[int] = None,
-    banned_nodes: Optional[AbstractSet[int]] = None,
-    banned_edges: Optional[AbstractSet[int]] = None,
 ) -> Tuple[List[float], List[int], List[int]]:
     """Scalar-heap Dijkstra over node indices.
 
@@ -242,8 +202,7 @@ def csr_dijkstra(
     The relaxation rule replicates :func:`repro.graphs.dijkstra.dijkstra`
     exactly — prefer lower cost, then fewer hops, then earlier relaxation
     order — so predecessor trees match the dict-graph reference node for
-    node.  *banned_nodes*/*banned_edges* subtract vertices and edge ids
-    without touching the arrays (Yen's spur queries).
+    node.
     """
     n = csr.node_count
     dist = [_INF] * n
@@ -252,7 +211,7 @@ def csr_dijkstra(
     dist[source_index] = 0.0
     stop = -1 if target is None else target
     heap = [(0.0, 0, 0, source_index)]
-    _settle(csr, heap, dist, hops, pred, bytearray(n), 0, stop, banned_nodes, banned_edges)
+    _settle(csr, heap, dist, hops, pred, bytearray(n), 0, stop)
     return dist, hops, pred
 
 
@@ -349,35 +308,3 @@ class ShortestPathTree(Generic[N, L]):
             if value != _INF
         }
 
-
-def k_shortest_paths_csr(
-    csr: CSRGraph[N, L], source: N, target: N, k: int
-) -> List[Path[N, L]]:
-    """Yen's k shortest loopless paths over the compiled graph.
-
-    Mirrors :func:`repro.graphs.yen.k_shortest_paths` candidate for
-    candidate — spur queries run banned-set Dijkstra on the shared CSR
-    arrays instead of materializing pruned :class:`Digraph` copies, so
-    the output (paths, costs, order) is identical while each spur query
-    skips the full graph copy.
-    """
-    if k <= 0:
-        return []
-    first = csr.shortest_path(source, target)
-    if first is None:
-        return []
-    index_of = csr.index_of
-    target_index = index_of[target]
-
-    def spur_query(spur, banned_nodes, banned_arcs):
-        banned_edges: Set[int] = set()
-        for node, label in banned_arcs:
-            banned_edges.update(csr.edges_labelled(index_of[node], label))
-        spur_index = index_of[spur]
-        dist, _, pred = csr_dijkstra(
-            csr, spur_index, target_index,
-            {index_of[node] for node in banned_nodes}, banned_edges,
-        )
-        return reconstruct_path(csr, spur_index, target_index, dist, pred), False
-
-    return extend_k_shortest(first, target, k, spur_query)[0]

@@ -56,7 +56,7 @@ from repro.core.invariants import Invariant, InvariantSet
 from repro.core.model import Component, ComponentUniverse, Configuration
 from repro.errors import ActionError, ParseError
 from repro.expr.ast import Expr
-from repro.expr.compile import compile_conjunction
+from repro.expr.compile import MaskFn, compile_expr
 from repro.expr.parser import parse
 from repro.lint.diagnostics import LintReport, Related, Severity
 from repro.lint.fixes import Edit, delete_line_fix
@@ -143,28 +143,39 @@ def truth_profile(
     that can never be present), so the table over in-universe atoms is
     exact.  Returns ``None`` when the fan-in exceeds :data:`MAX_SAT_ATOMS`.
     """
-    return _profile_conjunction((expr,), universe)
+    return _profile(
+        compile_expr(expr, universe.atom_bits), expr.atoms() & universe.names,
+        universe,
+    )
 
 
 def jointly_satisfiable(
     left: Expr, right: Expr, universe: ComponentUniverse
 ) -> Optional[bool]:
     """Whether two expressions can hold in one configuration (or ``None``)."""
-    profile = _profile_conjunction((left, right), universe)
+    bits = universe.atom_bits
+    profile = _profile(
+        _both(compile_expr(left, bits), compile_expr(right, bits)),
+        (left.atoms() | right.atoms()) & universe.names,
+        universe,
+    )
     return None if profile is None else profile[0]
 
 
-def _profile_conjunction(
-    exprs: Sequence[Expr], universe: ComponentUniverse
+def _both(first: MaskFn, second: MaskFn) -> MaskFn:
+    return lambda mask: first(mask) and second(mask)
+
+
+def _profile(
+    fn: MaskFn, atoms: FrozenSet[str], universe: ComponentUniverse
 ) -> Optional[Tuple[bool, bool]]:
-    atoms: Set[str] = set()
-    for expr in exprs:
-        atoms |= expr.atoms() & universe.names
+    """``(satisfiable, tautology)`` of the compiled *fn* over *atoms*
+    (the in-universe atoms it reads), or ``None`` above
+    :data:`MAX_SAT_ATOMS`."""
     names = sorted(atoms)
     if len(names) > MAX_SAT_ATOMS:
         return None
     bits = [universe.bit_of(name) for name in names]
-    fn = compile_conjunction(exprs, universe.atom_bits)
     satisfiable = False
     tautology = True
     for combo in range(1 << len(bits)):
@@ -542,8 +553,14 @@ def _looks_like_bits(value: str) -> bool:
 
 def _check_invariants(model: _Model, report: LintReport, path: Optional[str]) -> None:
     universe = model.universe
+    # each invariant is compiled once; a pair's conjunction combines the
+    # two closures instead of compiling both expressions again
+    compiled: List[Tuple[_InvariantItem, MaskFn, FrozenSet[str]]] = []
     for item in model.invariants:
-        profile = truth_profile(item.invariant.expr, universe)
+        fn = compile_expr(item.invariant.expr, universe.atom_bits)
+        atoms = item.invariant.atoms() & universe.names
+        compiled.append((item, fn, atoms))
+        profile = _profile(fn, atoms, universe)
         if profile is None:
             report.skipped.append(
                 f"SA201/SA202 skipped for {item.invariant.name!r}: "
@@ -574,19 +591,19 @@ def _check_invariants(model: _Model, report: LintReport, path: Optional[str]) ->
     # hold somewhere, but never together — the safe space is empty even
     # though every line looks reasonable on its own.  Only overlapping
     # atom sets can conflict (disjoint expressions compose freely).
-    alive = [item for item in model.invariants if not item.dropped]
-    for i, first in enumerate(alive):
+    alive = [entry for entry in compiled if not entry[0].dropped]
+    for i, (first, first_fn, first_atoms) in enumerate(alive):
         if first.dropped:
             continue
-        for second in alive[i + 1:]:
+        for second, second_fn, second_atoms in alive[i + 1:]:
             if second.dropped:
                 continue
             if not (first.invariant.atoms() & second.invariant.atoms()):
                 continue
-            verdict = jointly_satisfiable(
-                first.invariant.expr, second.invariant.expr, model.universe
+            profile = _profile(
+                _both(first_fn, second_fn), first_atoms | second_atoms, universe
             )
-            if verdict is False:
+            if profile is not None and not profile[0]:
                 second.dropped = True
                 report.add(
                     "SA203",

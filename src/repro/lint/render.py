@@ -10,9 +10,9 @@ per diagnostic with ``relatedLocations`` for the secondary spans.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
+from repro.jsonfmt import dumps_indented
 from repro.lint.diagnostics import CODES, Diagnostic, LintReport, Related, Severity
 from repro.lint.fixes import Fix
 
@@ -39,7 +39,13 @@ def render_text(report: LintReport, verbose: bool = False) -> str:
 
 def render_json(report: LintReport) -> str:
     """Stable JSON dump (diagnostics in report order + summary counts)."""
-    return json.dumps(report_payload(report), indent=2, sort_keys=False)
+    return render_payload_json(report_payload(report))
+
+
+def render_payload_json(payload: Dict[str, Any]) -> str:
+    """:func:`render_json` of the report whose :func:`report_payload` is
+    *payload* (callers that keep the payload build it once)."""
+    return dumps_indented(payload)
 
 
 def report_payload(report: LintReport) -> Dict[str, Any]:
@@ -128,7 +134,7 @@ def render_sarif(report: LintReport) -> str:
             }
         ],
     }
-    return json.dumps(document, indent=2)
+    return dumps_indented(document)
 
 
 def _sarif_result(diagnostic: Diagnostic) -> Dict[str, Any]:

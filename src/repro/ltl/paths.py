@@ -14,10 +14,12 @@ for every path the manager may actually commit.
 Two execution modes, one verdict semantics:
 
 * **eager** (≤ :data:`~repro.core.planner.LAZY_PLAN_COMPONENTS`
-  components): walk :meth:`AdaptationPlanner.plan_k`'s CSR Yen paths;
+  components): walk :meth:`AdaptationPlanner.plan_k`'s paths — Yen
+  whose spurs run the two-phase corridor search over the built SAG;
 * **lazy** (above the cap): :meth:`AdaptationPlanner.lazy_plan_k` runs
-  the same Yen candidate loop over the :class:`~repro.core.sag.LazySAG`
-  frontier with an expansion budget — verdicts are tri-state
+  the same Yen loop and spur search over the
+  :class:`~repro.core.sag.LazySAG` frontier with an expansion budget —
+  verdicts are tri-state
   (``holds=None`` when the budget ran out before a decision), and
   early exits still decide exactly: one violating path refutes ∀, one
   satisfying path proves ∃, budget or not.
@@ -65,7 +67,8 @@ class PathVerdict:
     paths_checked: int
     #: the enumerated path set covered all k-best paths that exist
     complete: bool
-    #: "eager" (CSR Yen) or "lazy" (budget-bounded frontier Yen)
+    #: "eager" (Yen over the built SAG) or "lazy" (budget-bounded
+    #: frontier Yen)
     mode: str
     #: ∀-refutation, minimized to the first violating prefix
     counterexample: Optional[AdaptationPlan] = None

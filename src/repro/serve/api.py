@@ -21,6 +21,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.jsonfmt import dumps_indented
+
 # -- error envelopes ----------------------------------------------------------
 
 #: the closed set of wire error codes (golden-tested; extend deliberately)
@@ -524,7 +526,7 @@ def envelope(response: Response) -> Dict[str, Any]:
 
 def to_json(response: Response) -> str:
     """Pretty, key-sorted JSON — what ``--json`` CLI modes print."""
-    return json.dumps(envelope(response), indent=2, sort_keys=True)
+    return dumps_indented(envelope(response), sort_keys=True)
 
 
 def to_wire(response: Response) -> bytes:

@@ -485,11 +485,10 @@ class ControlPlane:
             LintReport,
             Severity,
             lint_text,
-            render_json,
             render_sarif,
             render_text,
         )
-        from repro.lint.render import report_payload
+        from repro.lint.render import render_payload_json, report_payload
 
         if request.format not in ("text", "json", "sarif"):
             raise _fail(
@@ -513,8 +512,9 @@ class ControlPlane:
                 )
             )
         merged.sort()
+        payload = report_payload(merged)
         if request.format == "json":
-            rendered = render_json(merged)
+            rendered = render_payload_json(payload)
         elif request.format == "sarif":
             rendered = render_sarif(merged)
         else:
@@ -528,7 +528,7 @@ class ControlPlane:
                 "warnings": len(merged.warnings),
                 "notes": len(merged.notes),
             },
-            report=report_payload(merged),
+            report=payload,
         )
 
     def _handle_trace_check(self, request: TraceCheckRequest) -> Response:

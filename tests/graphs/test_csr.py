@@ -2,14 +2,17 @@
 
 The CSR kernels are only allowed to be *faster* — every distance, every
 path, and every deterministic tie-break must match
-:func:`repro.graphs.dijkstra.dijkstra` / :func:`shortest_path` /
-:func:`repro.graphs.yen.k_shortest_paths` bit for bit.
+:func:`repro.graphs.dijkstra.dijkstra` / :func:`shortest_path` bit for
+bit.  The banned-set CSR Yen (now the oracle
+``tests/oracles/csr_yen_reference.py`` that ``plan_k`` is pinned to) must
+match :func:`repro.graphs.yen.k_shortest_paths` the same way.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import Digraph, dijkstra, k_shortest_paths, shortest_path
-from repro.graphs.csr import CSRGraph, k_shortest_paths_csr
+from repro.graphs.csr import CSRGraph
+from tests.oracles.csr_yen_reference import k_shortest_paths_csr
 
 
 @st.composite

@@ -171,7 +171,7 @@ PROPERTIES = tuple(
 def test_lazy_and_eager_verdicts_agree(
     size, source_bits, target_bits, phi, quantifier, k
 ):
-    """On unconstrained universes the frontier Yen must equal CSR Yen."""
+    """On unconstrained universes the frontier Yen must equal eager Yen."""
     names = [f"C{i}" for i in range(size)]
     universe = ComponentUniverse.from_names(names)
     library = toggle_library(names)

@@ -331,7 +331,7 @@ class ReferenceLazyPlanner:
 
         Yen's loopless enumeration run entirely over the
         :class:`~repro.core.sag.LazySAG` successor generator: the
-        candidate loop is :func:`repro.graphs.csr.k_shortest_paths_csr`'s
+        candidate loop is the eager CSR Yen's
         own (:func:`repro.graphs.yen.extend_k_shortest`), and every
         spur query is the two-phase exact search of :meth:`lazy_plan` —
         so the returned plans are **identical (paths, costs, and order)

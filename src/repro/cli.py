@@ -32,10 +32,10 @@ Usage (``python -m repro <command> ...``):
   checker offline on a persisted ``--save-trace`` JSONL file; with
   ``--ltl``, also check the named ``[properties]`` formula against the
   trace's committed configurations (constant memory).
-* ``serve MANIFEST... [--host --port --workers --max-inflight]`` —
-  serve the control plane over HTTP/JSON (asyncio, stdlib-only) with
-  admission control, per-request deadlines, and digest-sharded worker
-  processes; SIGINT/SIGTERM drain in-flight requests before exit.
+* ``serve MANIFEST... [--host --port --max-inflight]`` — serve the
+  control plane over HTTP/JSON (asyncio, stdlib-only, one process) with
+  admission control and per-request deadlines; SIGINT/SIGTERM drain
+  in-flight requests before exit.
 * ``example-manifest`` — print the §5 video system as a manifest.
 
 ``plan``, ``verify-paths``, and ``trace check`` accept ``--json`` to
@@ -263,11 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8080,
                        help="bind port; 0 picks a free port (default: 8080)")
-    serve.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes sharing the listening socket; specs shard "
-             "across them by digest (default: 1)",
-    )
     serve.add_argument(
         "--max-inflight", type=int, default=64, metavar="N",
         help="concurrent dispatches before requests queue (default: 64)",
@@ -768,7 +763,6 @@ def cmd_serve(args, out) -> int:
         manifests=args.manifests,
         host=args.host,
         port=args.port,
-        workers=args.workers,
         max_inflight=args.max_inflight,
         queue_limit=args.queue_limit,
         deadline_ms=args.deadline_ms,

@@ -16,7 +16,9 @@ the automatically derived local safe state.
 :class:`PTLTLMonitor` walks the AST with id-keyed value dicts; it is the
 semantic source of truth that the compiled core
 (:mod:`repro.ltl.compile`) and the naive full-history reference in the
-test suite are both pinned against.
+test suite are both pinned against.  The runtime itself
+(:class:`SafeStateMonitor`, and :class:`TemporalObserver` when handed a
+compiled monitor) steps the compiled core.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.ltl.ast import PFormula
+from repro.ltl.compile import compile_property
 from repro.obs import Observer
 from repro.trace import (
     AdaptationApplied,
@@ -79,7 +82,8 @@ class SafeStateMonitor:
     matching end-decode", which pure ptLTL cannot count).  The process is
     in a safe state when the formula holds **and** every pair is balanced
     — exactly "all the obligations of the formula are fulfilled in a
-    state".
+    state".  The formula runs on the compiled core
+    (:meth:`~repro.ltl.compile.CompiledProperty.monitor`).
     """
 
     def __init__(
@@ -87,7 +91,9 @@ class SafeStateMonitor:
         formula: Optional[PFormula] = None,
         pairs: Iterable[BalancedPair] = (),
     ):
-        self.monitor = PTLTLMonitor(formula) if formula is not None else None
+        self.monitor = (
+            compile_property(formula).monitor() if formula is not None else None
+        )
         self.pairs = tuple(pairs)
         self._open: Dict[BalancedPair, int] = {pair: 0 for pair in self.pairs}
         self._callbacks: List[Callable[[], None]] = []
@@ -109,9 +115,8 @@ class SafeStateMonitor:
                         f"unmatched {pair.done!r} (no open {pair.start!r})"
                     )
                 self._open[pair] -= 1
-        formula_ok = True
         if self.monitor is not None:
-            formula_ok = self.monitor.step(event_set)
+            self.monitor.step(event_set)
         if self.safe and self._callbacks:
             for callback in self._callbacks:
                 callback()

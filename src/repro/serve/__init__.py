@@ -7,11 +7,12 @@ Layered sans-io design:
 * :mod:`repro.serve.api` — typed request/response dataclasses and
   :class:`ErrorEnvelope`, the wire vocabulary every transport shares;
 * :mod:`repro.serve.registry` — the LRU-bounded multi-tenant
-  :class:`SpecRegistry` (manifest uploads keyed by digest, shardable);
+  :class:`SpecRegistry` (manifest uploads keyed by digest);
 * :mod:`repro.serve.control` — :class:`ControlPlane.dispatch`, the one
   entry point the CLI and the network adapter both answer through;
 * :mod:`repro.serve.http` — the asyncio HTTP/1.1 JSON adapter
-  (stdlib-only) with admission control, deadlines, and worker sharding.
+  (stdlib-only) with admission control, deadlines, and graceful drain,
+  served from one process.
 
 ``from repro.serve import PlanningService, spec_digest`` keeps working
 exactly as it did when this package was a single module.

@@ -481,12 +481,8 @@ class StatsResult:
 
     service: Dict[str, int]
     specs: Tuple[Dict[str, Any], ...] = ()
-    #: filled in by the HTTP layer (in-flight, served, rejections, shard)
+    #: filled in by the HTTP layer (in-flight, served, rejections)
     server: Optional[Dict[str, Any]] = field(default=None, compare=False)
-    #: fleet-wide counter sums across every forked worker (filled in by
-    #: the HTTP layer from the shared-memory counter block; absent when
-    #: the server runs a single process with no block)
-    cluster: Optional[Dict[str, Any]] = field(default=None, compare=False)
 
     def payload(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {
@@ -495,8 +491,6 @@ class StatsResult:
         }
         if self.server is not None:
             doc["server"] = dict(self.server)
-        if self.cluster is not None:
-            doc["cluster"] = dict(self.cluster)
         return doc
 
 

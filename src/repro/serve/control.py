@@ -168,7 +168,6 @@ class ControlPlane:
         service: the shared :class:`PlanningService` (one is created
             when omitted).
         max_specs: LRU bound on the spec registry.
-        shard: ``(index, total)`` worker identity for digest sharding.
     """
 
     def __init__(
@@ -176,12 +175,9 @@ class ControlPlane:
         service: Optional[PlanningService] = None,
         *,
         max_specs: int = 64,
-        shard: Optional[Tuple[int, int]] = None,
     ):
         self.service = service if service is not None else PlanningService()
-        self.registry = SpecRegistry(
-            self.service, max_specs=max_specs, shard=shard
-        )
+        self.registry = SpecRegistry(self.service, max_specs=max_specs)
         #: (spec, source, target, method) → precomputed wire bytes
         self._fast_cache: Dict[Tuple[str, str, str, str], bytes] = {}
         #: canonical /v1/lint body → (wire bytes, spec digests it depends on)
@@ -197,11 +193,6 @@ class ControlPlane:
             TraceCheckRequest: self._handle_trace_check,
             StatsRequest: self._handle_stats,
         }
-
-    @property
-    def lint_hits(self) -> int:
-        """Lint wire-cache hits (published into the cluster counters)."""
-        return self._lint_hits
 
     # -- dispatch ----------------------------------------------------------------
     def dispatch(self, request: Request) -> Response:
@@ -270,10 +261,9 @@ class ControlPlane:
         except ReproError as exc:
             raise _fail("unknown-configuration", str(exc)) from exc
 
-    def _oversized(self, record: SpecRecord) -> Tuple[bool, Optional[int], int]:
+    def _oversized(self, record: SpecRecord) -> bool:
         cap = self.service.lazy_components
-        n = len(record.manifest.universe)
-        return (cap is not None and n > cap), cap, n
+        return cap is not None and len(record.manifest.universe) > cap
 
     # -- handlers ----------------------------------------------------------------
     def _handle_register(self, request: RegisterSpecRequest) -> Response:
@@ -307,17 +297,10 @@ class ControlPlane:
         record = self._resolve_spec(request.spec, request.manifest)
         source = self._resolve_config(record, request.source)
         target = self._resolve_config(record, request.target)
-        oversized, cap, n = self._oversized(record)
         method = request.method
         if method == "auto":
             # above the cap the eager 2^n pipeline is off the table
-            method = "lazy" if oversized else "dijkstra"
-        if request.k > 1 and oversized:
-            raise _fail(
-                "bad-request",
-                f"k-best alternates need the eager SAG, which is capped "
-                f"at {cap} components (spec has {n})",
-            )
+            method = "lazy" if self._oversized(record) else "dijkstra"
         plan = self.service.plan_digest(
             record.digest, source, target, method=method
         )

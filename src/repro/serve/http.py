@@ -34,10 +34,9 @@ Operational behavior:
   requests drain (bounded by ``drain_timeout``), then connections
   close; the same close → drain → join shape as
   :meth:`repro.exec.aio.AioAdaptationSystem.shutdown`.
-* **Workers** — ``run_server(workers=N)`` binds one listening socket
-  and forks N processes that all accept from it (kernel load
-  balancing); each worker is shard ``(i, N)`` of the digest space, so a
-  spec's warm caches concentrate on its owner.
+
+One serving process holds one registry and one set of counters; see
+DESIGN.md §16 for what it would take to bring back several.
 """
 
 from __future__ import annotations
@@ -112,25 +111,20 @@ def _next_or_none(iterator: Iterator[Dict[str, Any]]) -> Optional[Dict[str, Any]
 
 
 class ControlPlaneHTTPServer:
-    """One process's HTTP front end over a :class:`ControlPlane`.
+    """The HTTP front end over a :class:`ControlPlane`.
 
     Args:
         control: the dispatch core (and its registry/service).
         host/port: bind address (``port=0`` picks a free port) — ignored
             when *sock* is given.
-        sock: an already-bound listening socket (workers mode inherits
-            one socket across processes).
+        sock: an already-bound listening socket (:func:`run_server` binds
+            before preloading manifests, so its banner can name the port).
         max_inflight: dispatches allowed to run concurrently.
         queue_limit: admitted-but-waiting bound; beyond it → 429.
             Defaults to ``max_inflight``.
         deadline_ms: default per-request deadline (None: no deadline).
         drain_timeout: seconds :meth:`shutdown` waits for in-flight
             requests before closing connections.
-        counters: shared :class:`~repro.serve.counters.CounterBlock`
-            for fleet-wide ``/v1/stats`` aggregation; this server
-            publishes into row *worker_index* before every response and
-            sums the columns on the stats route.
-        worker_index: this process's row in *counters*.
     """
 
     def __init__(
@@ -144,8 +138,6 @@ class ControlPlaneHTTPServer:
         queue_limit: Optional[int] = None,
         deadline_ms: Optional[float] = None,
         drain_timeout: float = 5.0,
-        counters: Optional[Any] = None,
-        worker_index: int = 0,
     ):
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
@@ -174,8 +166,6 @@ class ControlPlaneHTTPServer:
         self._fast_hits = 0
         self._rejected_overload = 0
         self._rejected_deadline = 0
-        self._counters = counters
-        self._worker_index = worker_index
 
     # -- lifecycle ---------------------------------------------------------------
     async def start(self) -> None:
@@ -219,29 +209,6 @@ class ControlPlaneHTTPServer:
             await asyncio.sleep(0.01)
         self._executor.shutdown(wait=False)
 
-    def publish_counters(self) -> None:
-        """Write this worker's row into the shared counter block.
-
-        Called right before each response goes out (and before
-        aggregating on the stats route), so once a client holds a reply,
-        any worker's ``/v1/stats`` already counts that request.  Single
-        writer per row, whole-word counters — no locking.
-        """
-        if self._counters is None:
-            return
-        try:
-            row = self.control.service.stats().counters()
-            row.update(
-                served=self._served,
-                fast_hits=self._fast_hits,
-                rejected_overload=self._rejected_overload,
-                rejected_deadline=self._rejected_deadline,
-                lint_hits=self.control.lint_hits,
-            )
-            self._counters.publish(self._worker_index, row)
-        except Exception:  # pragma: no cover - stats must never kill serving
-            pass
-
     def server_stats(self) -> Dict[str, Any]:
         return {
             "served": self._served,
@@ -251,11 +218,6 @@ class ControlPlaneHTTPServer:
             "rejected_deadline": self._rejected_deadline,
             "max_inflight": self.max_inflight,
             "queue_limit": self.queue_limit,
-            "shard": (
-                None
-                if self.control.registry.shard is None
-                else list(self.control.registry.shard)
-            ),
         }
 
     # -- connection loop ---------------------------------------------------------
@@ -339,14 +301,8 @@ class ControlPlaneHTTPServer:
         if path == "/v1/stats" and method == "GET":
             response = self.control.dispatch(StatsRequest())
             if isinstance(response, StatsResult):
-                cluster = None
-                if self._counters is not None:
-                    # publish our own row first so the sums include the
-                    # answering worker's latest counters
-                    self.publish_counters()
-                    cluster = self._counters.aggregate()
                 response = dataclasses.replace(
-                    response, server=self.server_stats(), cluster=cluster
+                    response, server=self.server_stats()
                 )
             self._respond(writer, response, keep_alive)
             return keep_alive
@@ -589,8 +545,6 @@ class ControlPlaneHTTPServer:
                 )
                 await writer.drain()
             self._served += 1
-            # the client sees the end of the stream only when we close
-            self.publish_counters()
         finally:
             self._inflight -= 1
             self._semaphore.release()
@@ -610,8 +564,7 @@ class ControlPlaneHTTPServer:
         content_type: str = _JSON,
         keep_alive: bool = False,
     ) -> None:
-        """Write one whole response, publishing the counter row first."""
-        self.publish_counters()
+        """Write one whole response (status line, headers, body)."""
         reason = _REASONS.get(status, "OK")
         connection = "keep-alive" if keep_alive else "close"
         writer.write(
@@ -625,11 +578,11 @@ class ControlPlaneHTTPServer:
         )
 
 
-# -- sockets and process fan-out ----------------------------------------------
+# -- process entry point -------------------------------------------------------
 
 
 def create_listen_socket(host: str, port: int, backlog: int = 512):
-    """A bound, listening TCP socket workers can inherit across fork."""
+    """A bound, listening TCP socket for :class:`ControlPlaneHTTPServer`."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     sock.bind((host, port))
@@ -638,84 +591,11 @@ def create_listen_socket(host: str, port: int, backlog: int = 512):
     return sock
 
 
-async def _serve_on(
-    sock,
-    control: ControlPlane,
-    *,
-    max_inflight: int,
-    queue_limit: Optional[int],
-    deadline_ms: Optional[float],
-    install_signals: bool = True,
-    counters: Optional[Any] = None,
-    worker_index: int = 0,
-) -> None:
-    server = ControlPlaneHTTPServer(
-        control,
-        sock=sock,
-        max_inflight=max_inflight,
-        queue_limit=queue_limit,
-        deadline_ms=deadline_ms,
-        counters=counters,
-        worker_index=worker_index,
-    )
-    await server.start()
-    if install_signals:
-        import signal as _signal
-
-        loop = asyncio.get_running_loop()
-        for signum in (_signal.SIGINT, _signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, server.request_stop)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-    await server.serve_until_stopped()
-
-
-def _build_control(
-    manifests: Sequence[str],
-    *,
-    max_specs: int,
-    shard: Optional[Tuple[int, int]],
-) -> ControlPlane:
-    from pathlib import Path
-
-    control = ControlPlane(max_specs=max_specs, shard=shard)
-    for path in manifests:
-        response = control.dispatch(
-            RegisterSpecRequest(Path(path).read_text(encoding="utf-8"))
-        )
-        if isinstance(response, ErrorEnvelope):
-            raise SystemExit(f"error: cannot preload {path}: {response.message}")
-    return control
-
-
-def _worker_main(
-    sock, index: int, total: int, manifests, options: Dict[str, Any]
-) -> None:  # pragma: no cover - exercised in forked children
-    control = _build_control(
-        manifests,
-        max_specs=options["max_specs"],
-        shard=(index, total) if total > 1 else None,
-    )
-    asyncio.run(
-        _serve_on(
-            sock,
-            control,
-            max_inflight=options["max_inflight"],
-            queue_limit=options["queue_limit"],
-            deadline_ms=options["deadline_ms"],
-            counters=options.get("counters"),
-            worker_index=index,
-        )
-    )
-
-
 def run_server(
     manifests: Sequence[str] = (),
     *,
     host: str = "127.0.0.1",
     port: int = 8080,
-    workers: int = 1,
     max_inflight: int = 64,
     queue_limit: Optional[int] = None,
     deadline_ms: Optional[float] = None,
@@ -724,82 +604,53 @@ def run_server(
 ) -> int:
     """Blocking server entry point behind ``repro serve``.
 
-    Binds once, prints the address, then serves until SIGINT/SIGTERM —
-    in-process for ``workers=1``, else across *workers* forked processes
-    sharing the listening socket (each one shard of the digest space).
+    Binds, prints the address, preloads *manifests*, then serves in this
+    process until SIGINT/SIGTERM.
     """
+    import signal as _signal
     import sys
+    from pathlib import Path
 
     out = out if out is not None else sys.stdout
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     sock = create_listen_socket(host, port)
     bound = sock.getsockname()
     print(
         f"serving on http://{bound[0]}:{bound[1]} "
-        f"({workers} worker(s), max in-flight {max_inflight})",
+        f"(max in-flight {max_inflight})",
         file=out,
         flush=True,
     )
-    options = {
-        "max_specs": max_specs,
-        "max_inflight": max_inflight,
-        "queue_limit": queue_limit,
-        "deadline_ms": deadline_ms,
-    }
-    if workers == 1:
-        try:
-            _worker_main(sock, 0, 1, tuple(manifests), options)
-        except KeyboardInterrupt:  # pragma: no cover - signal race fallback
-            pass
-        finally:
-            sock.close()
-        return 0
-    import multiprocessing
-    import signal as _signal
-
-    from repro.serve.counters import CounterBlock
-
-    # One shared counter block, created before forking so every child
-    # inherits the attached segment; each worker publishes its own row and
-    # /v1/stats on any worker sums the columns into the "cluster" payload.
-    counters = CounterBlock(workers)
-    options["counters"] = counters
-    context = multiprocessing.get_context("fork")
-    children = [
-        context.Process(
-            target=_worker_main,
-            args=(sock, index, workers, tuple(manifests), options),
-            daemon=False,
+    control = ControlPlane(max_specs=max_specs)
+    for path in manifests:
+        response = control.dispatch(
+            RegisterSpecRequest(Path(path).read_text(encoding="utf-8"))
         )
-        for index in range(workers)
-    ]
-    for child in children:
-        child.start()
+        if isinstance(response, ErrorEnvelope):
+            raise SystemExit(f"error: cannot preload {path}: {response.message}")
 
-    def _forward(signum, frame):  # pragma: no cover - signal path
-        for child in children:
-            if child.pid is not None:
-                try:
-                    import os
+    async def serve() -> None:
+        server = ControlPlaneHTTPServer(
+            control,
+            sock=sock,
+            max_inflight=max_inflight,
+            queue_limit=queue_limit,
+            deadline_ms=deadline_ms,
+        )
+        await server.start()
+        loop = asyncio.get_running_loop()
+        for signum in (_signal.SIGINT, _signal.SIGTERM):
+            try:
+                loop.add_signal_handler(signum, server.request_stop)
+            except (NotImplementedError, RuntimeError):  # pragma: no cover
+                pass
+        await server.serve_until_stopped()
 
-                    os.kill(child.pid, _signal.SIGTERM)
-                except ProcessLookupError:
-                    pass
-
-    previous = {
-        signum: _signal.signal(signum, _forward)
-        for signum in (_signal.SIGINT, _signal.SIGTERM)
-    }
     try:
-        for child in children:
-            child.join()
+        asyncio.run(serve())
+    except KeyboardInterrupt:  # pragma: no cover - signal race fallback
+        pass
     finally:
-        for signum, handler in previous.items():
-            _signal.signal(signum, handler)
         sock.close()
-        counters.close()
-        counters.unlink()
     return 0
 
 

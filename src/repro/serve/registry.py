@@ -11,11 +11,7 @@ the digest.
 
 The registry is LRU-bounded (``max_specs``): registering past the bound
 evicts the least-recently-used spec, dropping its warm planner from the
-service as well.  In ``--workers`` mode each worker process gets a
-``shard=(index, total)`` and **owns** the digests that hash onto it;
-foreign specs are still served (any worker can be asked anything) but
-are marked *transient* and evicted first, so the shard owner is the
-process that keeps a spec's caches warm.
+service as well.
 """
 
 from __future__ import annotations
@@ -31,15 +27,11 @@ from repro.serve.service import PlanningService
 class SpecRecord:
     """One registered spec: its digest plus the parsed manifest."""
 
-    __slots__ = ("digest", "manifest", "transient")
+    __slots__ = ("digest", "manifest")
 
-    def __init__(
-        self, digest: str, manifest: SystemManifest, transient: bool = False
-    ):
+    def __init__(self, digest: str, manifest: SystemManifest):
         self.digest = digest
         self.manifest = manifest
-        #: True on a sharded worker that does not own this digest
-        self.transient = transient
 
 
 class SpecRegistry:
@@ -49,40 +41,15 @@ class SpecRegistry:
         service: the planning service warm caches live in; evicting a
             record evicts the service entry too.
         max_specs: LRU bound on registered specs (≥ 1).
-        shard: ``(index, total)`` worker identity, or ``None`` when the
-            process serves the whole digest space.
     """
 
-    def __init__(
-        self,
-        service: PlanningService,
-        max_specs: int = 64,
-        shard: Optional[Tuple[int, int]] = None,
-    ):
+    def __init__(self, service: PlanningService, max_specs: int = 64):
         if max_specs < 1:
             raise ValueError(f"max_specs must be >= 1, got {max_specs}")
-        if shard is not None:
-            index, total = shard
-            if not (total >= 1 and 0 <= index < total):
-                raise ValueError(f"shard index/total out of range: {shard}")
         self.service = service
         self.max_specs = max_specs
-        self.shard = shard
         self._lock = threading.RLock()
         self._records: "OrderedDict[str, SpecRecord]" = OrderedDict()
-
-    # -- sharding ----------------------------------------------------------------
-    def owns(self, digest: str) -> bool:
-        """True when this process's shard is the home of *digest*.
-
-        Unsharded registries own everything.  The digest is already a
-        uniform hash, so its leading 32 bits modulo the worker count is
-        a stable, even assignment.
-        """
-        if self.shard is None:
-            return True
-        index, total = self.shard
-        return int(digest[:8], 16) % total == index
 
     # -- registration ------------------------------------------------------------
     def register(self, text: str) -> Tuple[SpecRecord, bool]:
@@ -102,22 +69,12 @@ class SpecRegistry:
             if record is not None:
                 self._records.move_to_end(digest)
                 return record, False
-            record = SpecRecord(
-                digest, manifest, transient=not self.owns(digest)
-            )
+            record = SpecRecord(digest, manifest)
             self._records[digest] = record
-            self._evict_over_bound()
+            while len(self._records) > self.max_specs:
+                victim, _ = self._records.popitem(last=False)
+                self.service.evict(victim)
         return record, True
-
-    def _evict_over_bound(self) -> None:
-        """Drop LRU records past ``max_specs`` (transient ones first)."""
-        while len(self._records) > self.max_specs:
-            victim = next(
-                (d for d, r in self._records.items() if r.transient),
-                next(iter(self._records)),
-            )
-            del self._records[victim]
-            self.service.evict(victim)
 
     # -- lookup ------------------------------------------------------------------
     def get(self, digest: str) -> SpecRecord:
@@ -168,7 +125,7 @@ class SpecRegistry:
                 "components": len(record.manifest.universe),
                 "configurations": sorted(record.manifest.configurations),
                 "properties": sorted(record.manifest.properties),
-                "owned": self.owns(record.digest),
+                "owned": True,  # wire-compatible: one process owns every spec
             }
             spec_counters = dict(counters.get(record.digest, {}))
             # the service's "properties" counter is its compiled-formula

@@ -107,18 +107,6 @@ class ServiceStats:
     #: spec entries dropped via :meth:`PlanningService.evict`
     evictions: int = 0
 
-    def counters(self) -> Dict[str, int]:
-        """The snapshot as a plain counter dict (shared-memory publishing
-        and the ``/v1/stats`` service document use the same keys)."""
-        return {
-            "specs": self.specs,
-            "warm_hits": self.warm_hits,
-            "cold_plans": self.cold_plans,
-            "lazy_plans": self.lazy_plans,
-            "verify_hits": self.verify_hits,
-            "evictions": self.evictions,
-        }
-
 
 #: methods :meth:`PlanningService.plan_digest` understands; ``auto`` routes
 #: by universe size exactly as the in-process service always has
@@ -430,17 +418,12 @@ class PlanningService:
     ) -> List[AdaptationPlan]:
         """The k best alternates for a pair, by digest.
 
-        Eager-only (the k-shortest enumeration needs the materialized
-        SAG): oversized specs raise :class:`ValueError` carrying the
-        explanation the CLI shows.
+        Unbudgeted on every spec: above the lazy cap
+        :meth:`~repro.core.planner.AdaptationPlanner.plan_k` searches the
+        implicit SAG, so no 2^n graph is built (a server's deadline bounds
+        the request).
         """
         entry = self._entry(digest)
-        if self._oversized(entry.planner.universe):
-            raise ValueError(
-                f"k-best alternates need the eager SAG, which is capped at "
-                f"{self.lazy_components} components "
-                f"(spec has {len(entry.planner.universe)})"
-            )
         with entry.lock:
             return list(entry.planner.plan_k(source, target, k))
 

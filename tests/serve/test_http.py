@@ -100,6 +100,13 @@ class TestRoundTrips:
         # register + two plans
         assert stats["result"]["server"]["served"] == 3
 
+    def test_stats_carry_no_cluster_or_shard_key(self, server, video_text):
+        register(server, video_text)
+        status, stats, _ = request(server.address, "GET", "/v1/stats")
+        assert status == 200
+        assert "cluster" not in stats["result"]
+        assert "shard" not in stats["result"]["server"]
+
     def test_plan_batch_streams_ndjson(self, server, video_text):
         digest = register(server, video_text)
         status, raw, headers = request(

@@ -1,4 +1,4 @@
-"""SpecRegistry: LRU bound, sharding, service sync."""
+"""SpecRegistry: LRU bound, service sync."""
 
 import pytest
 
@@ -79,51 +79,6 @@ class TestLookup:
         assert registry.evict(record.digest) is True
         assert registry.evict(record.digest) is False
         assert not registry.service.has_spec(record.digest)
-
-
-class TestSharding:
-    def test_owns_partitions_the_digest_space(self):
-        service = PlanningService()
-        total = 4
-        shards = [
-            SpecRegistry(service, shard=(i, total)) for i in range(total)
-        ]
-        digests = [f"{v:08x}{'0' * 56}" for v in range(64)]
-        for digest in digests:
-            owners = [s.owns(digest) for s in shards]
-            assert sum(owners) == 1
-            assert owners[int(digest[:8], 16) % total]
-
-    def test_unsharded_registry_owns_everything(self, registry):
-        assert registry.owns("0" * 64)
-        assert registry.owns("f" * 64)
-
-    def test_foreign_specs_are_transient_and_evicted_first(self):
-        text = manifest_with_n_components(2)
-        probe = SpecRegistry(PlanningService(), max_specs=8)
-        digest, _ = probe.register(text)
-        index = int(digest.digest[:8], 16) % 2
-        foreign = (index + 1) % 2
-
-        registry = SpecRegistry(
-            PlanningService(), max_specs=2, shard=(foreign, 2)
-        )
-        record, _ = registry.register(text)
-        assert record.transient is True
-        # two owned specs push the transient one out first, even though
-        # it is not the least recently used
-        owned = []
-        for n in (3, 4, 5):
-            rec, _ = registry.register(manifest_with_n_components(n))
-            if not rec.transient:
-                owned.append(rec)
-            if record.digest not in registry:
-                break
-        assert record.digest not in registry
-
-    def test_bad_shard_rejected(self):
-        with pytest.raises(ValueError):
-            SpecRegistry(PlanningService(), shard=(2, 2))
 
 
 class TestDescribe:

@@ -1,11 +1,14 @@
 """Tests for the command-line interface."""
 
 import io
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.manifest import video_manifest_text
+from repro.core.planner import AdaptationPlanner
+from repro.manifest import loads, video_manifest_text
 
 
 @pytest.fixture
@@ -211,16 +214,12 @@ class TestLint:
         assert code == 1
 
     def test_json_format(self):
-        import json
-
         code, output = run_cli("lint", self.FIXTURE, "--format", "json")
         assert code == 1
         payload = json.loads(output)
         assert payload["summary"]["errors"] > 0
 
     def test_sarif_format(self):
-        import json
-
         code, output = run_cli("lint", self.FIXTURE, "--format", "sarif")
         assert code == 1
         assert json.loads(output)["version"] == "2.1.0"
@@ -352,7 +351,6 @@ def test_fix_output_is_independent_of_the_hash_seed(tmp_path):
     import shutil
     import subprocess
     import sys
-    from pathlib import Path
 
     root = Path(__file__).resolve().parent.parent
     fixed = {}
@@ -384,13 +382,25 @@ class TestExampleManifest:
         assert "safe configurations: 8" in output
 
 
+class TestServe:
+    def test_workers_flag_is_an_argparse_error(self, monkeypatch, capsys):
+        started = []
+        monkeypatch.setattr(
+            "repro.serve.http.run_server",
+            lambda *args, **kwargs: started.append(kwargs) or 0,
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", "--workers", "2"])
+        assert exc.value.code == 2
+        assert started == []
+        assert "--workers" in capsys.readouterr().err
+
+
 class TestLazyPlanCLI:
     """--lazy / --method and the automatic routing above the lazy cap."""
 
     @pytest.fixture
     def fleet_path(self):
-        from pathlib import Path
-
         return str(Path(__file__).parent.parent / "examples" / "fleet30.manifest")
 
     def test_lazy_flag_matches_dijkstra(self, manifest_path):
@@ -420,11 +430,30 @@ class TestLazyPlanCLI:
         assert code == 0
         assert "cost 25, 2 steps" in output
 
-    def test_oversized_rejects_k_best(self, fleet_path):
-        code, _ = run_cli(
-            "plan", fleet_path, "--from", "baseline", "--to", "canary", "--k", "2"
+    def test_oversized_answers_k_best(self, fleet_path):
+        code, output = run_cli(
+            "plan", fleet_path, "--from", "baseline", "--to", "canary",
+            "--k", "3", "--json",
         )
-        assert code == 2
+        assert code == 0
+        result = json.loads(output)["result"]
+        assert result["method"] == "lazy"
+        manifest = loads(Path(fleet_path).read_text(encoding="utf-8"))
+        planner = AdaptationPlanner(
+            manifest.universe, manifest.invariants, manifest.actions
+        )
+        expected, complete = planner.lazy_plan_k(
+            manifest.resolve_configuration("baseline"),
+            manifest.resolve_configuration("canary"),
+            3,
+            max_expansions=None,
+        )
+        assert complete
+        assert len(expected) == 3
+        assert result["alternates"] == [
+            {"actions": list(plan.action_ids), "cost": plan.total_cost}
+            for plan in expected
+        ]
 
     def test_lazy_reports_unreachable(self, manifest_path, capsys):
         # the one-way video SAG: target cannot reach source

@@ -22,6 +22,7 @@ from repro.ltl import (
     compile_property,
     no_open_segments,
 )
+from tests.oracles.safe_state_reference import ReferenceSafeStateMonitor
 
 A, B = Prop("a"), Prop("b")
 
@@ -229,3 +230,38 @@ class TestSafeStateMonitor:
         assert fired == []
         monitor.observe("done")
         assert fired == [True]
+
+
+_PAIR_EVENTS = ["a", "b", "c", "start", "done"]
+
+
+def _drive(monitor, stream):
+    """Per-step ``(observe value, .safe)`` (or the error), plus the steps
+    at which ``on_safe`` fired."""
+    log, fired = [("initial", monitor.safe)], []
+    monitor.on_safe(lambda: fired.append(len(log)))
+    for events in stream:
+        try:
+            log.append((monitor.observe(*sorted(events)), monitor.safe))
+        except ValueError as exc:
+            log.append(("error", str(exc)))
+            break
+    return log, fired
+
+
+@given(
+    st.none() | formulas(),
+    st.lists(
+        st.lists(
+            st.sampled_from(_PAIR_EVENTS), min_size=2, max_size=2, unique=True
+        ).map(lambda ends: BalancedPair(*ends)),
+        max_size=2,
+    ),
+    st.lists(st.sets(st.sampled_from(_PAIR_EVENTS)), max_size=10),
+)
+@settings(max_examples=300, deadline=None)
+def test_safe_state_monitor_matches_the_ast_engine(formula, pairs, stream):
+    """The compiled runtime monitor answers as the AST-driven one does."""
+    assert _drive(SafeStateMonitor(formula, pairs), stream) == _drive(
+        ReferenceSafeStateMonitor(formula, pairs), stream
+    )

@@ -37,7 +37,7 @@ from repro.core.model import Configuration
 from repro.core.planner import AdaptationPlanner
 from repro.expr.partial import evaluate_partial
 from repro.graphs import Digraph
-from repro.graphs.dijkstra import shortest_path
+from tests.oracles.graph_reference import shortest_path
 
 TABLE1_BITS = {
     "0100101", "0101001", "1001010", "1010010",
@@ -49,7 +49,9 @@ TABLE1_BITS = {
 #
 # A verbatim re-statement of the seed algorithms, kept here so the speedup
 # is measured in-bench against the real former hot path rather than a
-# strawman.  Dijkstra is shared: both sides use repro.graphs.dijkstra.
+# strawman.  The seed side runs the dict-graph Dijkstra it used, now the
+# test oracle ``tests/oracles/graph_reference.py``; the compiled side
+# runs the planner's CSR shortest-path tree.
 
 
 def _ast_enumerate(universe, invariants):

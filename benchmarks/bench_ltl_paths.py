@@ -6,13 +6,15 @@ Two claims behind the `repro.ltl` refactor, recorded into
 * **compiled vs AST monitor** — evaluating one ptLTL formula over a long
   step stream through :class:`repro.ltl.CompiledProperty` (a couple of
   int ops per slot, state in one int) must be ≥ 5x the per-step AST walk
-  of :class:`repro.ltl.PTLTLMonitor` (dict allocation plus a method call
-  per subformula) — gated below;
+  of the reference ``PTLTLMonitor`` (``tests/oracles/ptltl_reference.py``:
+  dict allocation plus a type dispatch per subformula) — gated below;
 * **path-check latency** — one :func:`repro.ltl.verify_paths` query as a
   function of the quantification width *k* (eager Yen on the paper's
   7-component video system) and of universe size (lazy frontier Yen on
   replicated video universes, where the eager safe space is never
-  materialized);
+  materialized; the 14- and 21-component rows are below the size cap, so
+  they route the planner lazily by patching
+  :attr:`AdaptationPlanner.oversized`);
 * **one k-best engine** — eager ``verify-paths`` at k = 8 on the ~20-
   component shapes the repo benchmark asks about (fleet ×6, video + 4
   services, video ×3): ``plan_k``'s two-phase corridor spurs over the
@@ -31,17 +33,14 @@ import os
 import random
 import time
 from pathlib import Path
+from unittest import mock
 
 from benchmarks.conftest import report
 from repro.bench import format_table, replicated_video_system, service_fleet_system
 from repro.core.planner import AdaptationPlanner
-from repro.ltl import (
-    CompiledProperty,
-    PTLTLMonitor,
-    parse_property,
-    verify_paths,
-)
+from repro.ltl import CompiledProperty, parse_property, verify_paths
 from tests.oracles.csr_yen_reference import reference_plan_k
+from tests.oracles.ptltl_reference import PTLTLMonitor
 
 LTL_PATHS_JSON = Path(__file__).with_name("BENCH_ltl_paths.json")
 
@@ -143,7 +142,7 @@ def test_path_check_latency(benchmark):
     for k in (2, 8, 16):
         seconds, verdict = _best_of(
             lambda k=k: verify_paths(
-                planner, source, target, phi, k=k, lazy=False, compiled=compiled
+                planner, source, target, phi, k=k, compiled=compiled
             )
         )
         assert verdict.holds is True and verdict.mode == "eager"
@@ -163,10 +162,11 @@ def test_path_check_latency(benchmark):
 
         def query(planner=lazy_planner, phi=lazy_phi, compiled=lazy_compiled,
                   s=system.source, t=system.target):
-            return verify_paths(
-                planner, s, t, phi, k=2, lazy=True, compiled=compiled,
-                max_expansions=60_000,
-            )
+            with mock.patch.object(AdaptationPlanner, "oversized", True):
+                return verify_paths(
+                    planner, s, t, phi, k=2, compiled=compiled,
+                    max_expansions=60_000,
+                )
 
         seconds, verdict = _best_of(query)
         assert verdict.holds is True and verdict.mode == "lazy"
@@ -239,8 +239,7 @@ def test_eager_k_best_engine(benchmark):
             planner = planner_class(system.universe, system.invariants, system.actions)
             planner._sag = sag_owner.sag
             return [
-                verify_paths(planner, s, t, phi, k=ENGINE_K, lazy=False,
-                             compiled=compiled)
+                verify_paths(planner, s, t, phi, k=ENGINE_K, compiled=compiled)
                 for s, t in pairs
             ]
 

@@ -11,10 +11,11 @@ Usage (``python -m repro <command> ...``):
   Exit code: 0 when no diagnostic at or above ``--fail-on`` remains,
   1 otherwise, 2 on usage errors (argparse).
 * ``safe-configs MANIFEST`` — enumerate the safe configuration set (Table 1).
-* ``plan MANIFEST --from SRC --to DST [--k N] [--lazy]
-  [--method auto|dijkstra|lazy|collaborative]`` — compute the Minimum
-  Adaptation Path (Figure 4's result); ``auto`` picks the lazy frontier
-  search above the enumeration cap.
+* ``plan MANIFEST --from SRC --to DST [--k N]`` — compute the Minimum
+  Adaptation Path (Figure 4's result).  The engine follows the spec's
+  size: eager Dijkstra over the built SAG at or below the enumeration
+  cap, the exact lazy frontier search above it (same plan wherever both
+  apply).
 * ``sag MANIFEST [--highlight-map --from SRC --to DST]`` — emit Graphviz
   DOT of the Safe Adaptation Graph (Figure 4 itself).
 * ``simulate MANIFEST --from SRC --to DST [--backend sim|live|aio]
@@ -23,11 +24,12 @@ Usage (``python -m repro <command> ...``):
   simulator, threaded live runtime, or asyncio) and check the execution
   against the paper's safety definition.
 * ``verify-paths MANIFEST --from SRC --to DST --property NAME
-  [--quantifier all|exists] [--k N]`` — path-quantified temporal
-  verification: decide whether the named ``[properties]`` formula holds
-  at every committed configuration along every (or some) k-best safe
-  adaptation path; exits 0 when proven, 1 on a violation (with the
-  minimized counterexample), 3 when inconclusive under the lazy budget.
+  [--quantifier all|exists] [--k N] [--max-expansions N]`` —
+  path-quantified temporal verification: decide whether the named
+  ``[properties]`` formula holds at every committed configuration along
+  every (or some) k-best safe adaptation path; exits 0 when proven, 1 on
+  a violation (with the minimized counterexample), 3 when inconclusive
+  under the lazy budget (which applies only above the enumeration cap).
 * ``trace check FILE --manifest MANIFEST [--ltl NAME]`` — run the safety
   checker offline on a persisted ``--save-trace`` JSONL file; with
   ``--ltl``, also check the named ``[properties]`` formula against the
@@ -125,17 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--k", type=int, default=1,
                       help="also list the k best alternate plans")
     plan.add_argument(
-        "--method", choices=("auto", "dijkstra", "lazy", "collaborative"),
-        default="auto",
-        help="planning algorithm (default: auto — eager Dijkstra within "
-             "the enumeration cap, lazy frontier search above it)",
-    )
-    plan.add_argument(
-        "--lazy", action="store_true",
-        help="force the lazy frontier search (never materializes the "
-             "safe space; shorthand for --method lazy)",
-    )
-    plan.add_argument(
         "--batch", metavar="FILE",
         help="plan many requests from FILE (one 'SRC -> DST' per line; "
              "'-' reads stdin) through a shared PlanningService",
@@ -208,14 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="width of the quantified path set (default: 8)",
     )
     verify.add_argument(
-        "--lazy", action="store_true",
-        help="force the budget-bounded frontier enumeration (default: "
-             "automatic above the enumeration cap)",
-    )
-    verify.add_argument(
         "--max-expansions", type=int, default=None, metavar="N",
-        help="node budget for the lazy enumeration (exhaustion yields "
-             "an inconclusive verdict, exit code 3)",
+        help="node budget for the lazy enumeration, which runs only "
+             "above the enumeration cap (exhaustion yields an "
+             "inconclusive verdict, exit code 3); ignored at or below "
+             "the cap, where the eager enumeration is exact",
     )
     verify.add_argument(
         "--json", action="store_true",
@@ -496,7 +484,6 @@ def cmd_plan(args, out) -> int:
         target=args.target,
         manifest=manifest_text,
         k=max(args.k, 1),
-        method="lazy" if args.lazy else args.method,
     )
     if args.json:
         response = control.dispatch(request)
@@ -715,7 +702,6 @@ def cmd_verify_paths(args, out) -> int:
         property_name=args.prop,
         quantifier=args.quantifier,
         k=args.k,
-        lazy=True if args.lazy else None,
         max_expansions=args.max_expansions,
         manifest=Path(args.manifest).read_text(encoding="utf-8"),
     )

@@ -29,13 +29,14 @@ from repro.core.space import SafeConfigurationSpace
 from repro.errors import NoSafePathError
 from repro.graphs.astar import astar_cost, corridor_search
 from repro.graphs.csr import ShortestPathTree
-from repro.graphs.dijkstra import Path
+from repro.graphs.digraph import Path
 from repro.graphs.yen import extend_k_shortest
 
 
-#: above this many components the eager 2^n enumeration is off the table
-#: by default — the service and CLI route requests to :meth:`lazy_plan`
-#: (the lint pipeline applies the same cap to its safe-space checks)
+#: above this many components the eager 2^n enumeration is off the table:
+#: :attr:`AdaptationPlanner.oversized` reads it, and every planning entry
+#: point routes by that predicate (the lint pipeline applies the same cap
+#: to its safe-space checks)
 LAZY_PLAN_COMPONENTS = 24
 
 
@@ -174,6 +175,17 @@ class AdaptationPlanner:
             self._lazy_sag = LazySAG(self.space, self.actions)
         return self._lazy_sag
 
+    @property
+    def oversized(self) -> bool:
+        """True when the universe exceeds :data:`LAZY_PLAN_COMPONENTS`.
+
+        The one place the size cap is read.  Above it the safe space and
+        the SAG are never built: the planning service answers MAPs with
+        :meth:`lazy_plan`, and :meth:`plan_k` and
+        :func:`repro.ltl.paths.verify_paths` search the implicit SAG.
+        """
+        return len(self.universe) > LAZY_PLAN_COMPONENTS
+
     def _validate_endpoints(self, source: Configuration, target: Configuration) -> None:
         self.universe.validate_members(source.members)
         self.universe.validate_members(target.members)
@@ -295,21 +307,17 @@ class AdaptationPlanner:
 
         Plan 2 is the paper's "second minimum adaptation path" used when a
         step fails and the manager re-routes.  The same Yen loop and
-        spur search as :meth:`lazy_plan_k`, with no budget; at or below
-        :data:`LAZY_PLAN_COMPONENTS` components every spur searches the
-        built SAG (:meth:`SafeAdaptationGraph.banned_view
-        <repro.core.sag.SafeAdaptationGraph.banned_view>`), above it the
-        implicit one.  Cached per ``(source, target, k)`` for the same
-        reason as :meth:`plan`.
+        spur search as :meth:`lazy_plan_k`, with no budget; every spur
+        searches the built SAG (:meth:`SafeAdaptationGraph.banned_view
+        <repro.core.sag.SafeAdaptationGraph.banned_view>`), or the
+        implicit one when the planner is :attr:`oversized`.  Cached per
+        ``(source, target, k)`` for the same reason as :meth:`plan`.
         """
         self._validate_endpoints(source, target)
         key = (source, target, k)
         cached = self._plan_k_cache.get(key)
         if cached is None:
-            graph = (
-                self.sag if len(self.universe) <= LAZY_PLAN_COMPONENTS
-                else self.lazy_sag
-            )
+            graph = self.lazy_sag if self.oversized else self.sag
             paths, _ = self._k_shortest(graph, source, target, k, None)
             cached = tuple(
                 self._plan_from_mask_path(source, target, path) for path in paths

@@ -1,31 +1,32 @@
-"""From-scratch graph algorithms used by the adaptation planner.
+"""From-scratch graph kernels behind the adaptation planner.
 
 The Safe Adaptation Graph (paper §3.1/§4.2) needs single-pair shortest
-paths (Dijkstra, for the Minimum Adaptation Path), k-shortest loopless
-paths (Yen, for the failure-handling cascade "try the second minimum
-adaptation path"), and best-first partial exploration (A*, the paper's
-§7 future-work heuristic that avoids materializing the whole SAG).
+paths (the Minimum Adaptation Path), k-shortest loopless paths (the
+failure-handling cascade's "second minimum adaptation path", §4.4), and
+partial exploration that never materializes the whole SAG (§7).  The
+planner runs one engine per question, over int configuration masks:
 
-All algorithms work over a generic :class:`Digraph` with labelled weighted
-edges; nodes may be any hashable value (the planner uses frozensets of
-component names).
+* :class:`CSRGraph` / :class:`ShortestPathTree` — resumable Dijkstra
+  over the built SAG's compressed-sparse-row arrays;
+* :func:`~repro.graphs.astar.astar_cost` and
+  :func:`~repro.graphs.astar.corridor_search` — the exact two-phase
+  search over an implicit successor function;
+* :func:`~repro.graphs.yen.extend_k_shortest` — Yen's candidate loop,
+  whose spurs run that two-phase search.
+
+:class:`Digraph` is the generic labelled multigraph (``sag.graph``,
+:meth:`CSRGraph.from_digraph`); :class:`Path` is every engine's result.
+The textbook dict-graph Dijkstra, Yen and A* are test oracles
+(``tests/oracles/graph_reference.py``), not product engines.
 """
 
-from repro.graphs.digraph import Digraph, Edge
-from repro.graphs.dijkstra import Path, dijkstra, shortest_path
-from repro.graphs.yen import k_shortest_paths
-from repro.graphs.astar import astar_path, lazy_astar
+from repro.graphs.digraph import Digraph, Edge, Path
 from repro.graphs.csr import CSRGraph, ShortestPathTree
 
 __all__ = [
     "Digraph",
     "Edge",
     "Path",
-    "dijkstra",
-    "shortest_path",
-    "k_shortest_paths",
-    "astar_path",
-    "lazy_astar",
     "CSRGraph",
     "ShortestPathTree",
 ]

@@ -1,17 +1,15 @@
-"""A* search, including a *lazy* variant over implicitly defined graphs.
+"""A* over implicitly defined graphs: the planner's exact two-phase search.
 
 The paper's §7 names the scalability problem directly: "Dijkstra's shortest
 path algorithm requires the entire SAG to be generated.  However, in many
 cases, only a small fraction of the graph is actually related to the given
-adaptation."  :func:`lazy_astar` implements the proposed remedy — best-first
-partial exploration that expands safe configurations on demand via a
-successor function, never materializing the full graph.
-
-The planner's exact lazy search runs in two phases over such a successor
-function: :func:`astar_cost` (a deep-tie A* probe that only establishes
-the optimal cost) and :func:`corridor_search` (Dijkstra's exact pop order
-and tie-break, confined to the nodes a consistent heuristic places on
-some optimal path).
+adaptation."  The remedy is best-first partial exploration that expands
+safe configurations on demand through a successor function, never
+materializing the full graph.  The planner's exact search runs in two
+phases over such a function: :func:`astar_cost` (a deep-tie A* probe that
+only establishes the optimal cost) and :func:`corridor_search`
+(Dijkstra's exact pop order and tie-break, confined to the nodes a
+consistent heuristic places on some optimal path).
 """
 
 from __future__ import annotations
@@ -19,8 +17,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple, TypeVar
 
-from repro.graphs.digraph import Digraph, Edge
-from repro.graphs.dijkstra import Path
+from repro.graphs.digraph import Edge, Path
 
 _INF = float("inf")
 
@@ -30,85 +27,6 @@ L = TypeVar("L", bound=Hashable)
 # successor function for implicit graphs: node -> iterable of (label, weight, next_node)
 SuccessorFn = Callable[[N], Iterable[Tuple[L, float, N]]]
 HeuristicFn = Callable[[N], float]
-
-
-def astar_path(
-    graph: Digraph[N, L],
-    source: N,
-    target: N,
-    heuristic: HeuristicFn,
-) -> Optional[Path[N, L]]:
-    """A* over an explicit :class:`Digraph`.
-
-    With an admissible *heuristic* (never overestimates the remaining cost)
-    the returned path is optimal; with ``heuristic = lambda n: 0`` this
-    degenerates to Dijkstra.
-    """
-
-    def successors(node: N) -> Iterable[Tuple[L, float, N]]:
-        for edge in graph.adjacency(node):
-            yield edge.label, edge.weight, edge.target
-
-    return lazy_astar(source, target, successors, heuristic)
-
-
-def lazy_astar(
-    source: N,
-    target: N,
-    successors: SuccessorFn,
-    heuristic: HeuristicFn,
-    max_expansions: Optional[int] = None,
-) -> Optional[Path[N, L]]:
-    """A* over an *implicit* graph defined by a successor function.
-
-    Args:
-        source: start node.
-        target: goal node.
-        successors: yields ``(label, weight, next_node)`` triples; called
-            only for nodes the search actually expands.
-        heuristic: admissible estimate of remaining cost to *target*.
-        max_expansions: optional safety valve; when exceeded the search
-            gives up and returns ``None``.
-
-    Returns:
-        An optimal :class:`Path`, or ``None`` if *target* is unreachable
-        (or the expansion budget ran out).
-    """
-    g_score: Dict[N, float] = {source: 0.0}
-    hops: Dict[N, int] = {source: 0}
-    came_from: Dict[N, Edge[N, L]] = {}
-    settled: set = set()
-    counter = 0
-    heap: List[Tuple[float, int, int, N]] = [(heuristic(source), 0, counter, source)]
-    expansions = 0
-    while heap:
-        _, nhops, _, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if node == target:
-            return _rebuild(source, target, came_from, g_score[target])
-        expansions += 1
-        if max_expansions is not None and expansions > max_expansions:
-            return None
-        for label, weight, nxt in successors(node):
-            if weight < 0:
-                raise ValueError(f"negative edge weight {weight} from {node!r}")
-            if nxt in settled:
-                continue
-            tentative = g_score[node] + weight
-            best = g_score.get(nxt)
-            if best is None or tentative < best or (
-                tentative == best and nhops + 1 < hops[nxt]
-            ):
-                g_score[nxt] = tentative
-                hops[nxt] = nhops + 1
-                came_from[nxt] = Edge(node, nxt, label, weight)
-                counter += 1
-                heapq.heappush(
-                    heap, (tentative + heuristic(nxt), nhops + 1, counter, nxt)
-                )
-    return None
 
 
 def _account(

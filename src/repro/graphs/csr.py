@@ -13,9 +13,10 @@ Graph does).
 Kernels provided:
 
 * :func:`csr_dijkstra` — scalar-heap Dijkstra over node indices, with the
-  **same deterministic tie-break** as :func:`repro.graphs.dijkstra.dijkstra`
-  (cost, then hop count, then relaxation order): the property suite pins
-  distances *and* predecessor paths to the dict-graph reference.
+  **same deterministic tie-break** as the dict-graph reference Dijkstra
+  in ``tests/oracles/graph_reference.py`` (cost, then hop count, then
+  relaxation order): the property suite pins distances *and*
+  predecessor paths to it.
 * :meth:`CSRGraph.shortest_path_tree` — a resumable single-source
   shortest-path *tree* (:class:`ShortestPathTree`): each query settles
   the search only as far as its target, later queries resume it, and a
@@ -37,8 +38,7 @@ import heapq
 from bisect import bisect_right
 from typing import Dict, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.graphs.digraph import Digraph, Edge
-from repro.graphs.dijkstra import Path
+from repro.graphs.digraph import Digraph, Edge, Path
 
 N = TypeVar("N", bound=Hashable)
 L = TypeVar("L", bound=Hashable)
@@ -135,8 +135,8 @@ class CSRGraph(Generic[N, L]):
     def shortest_path(self, source: N, target: N) -> Optional[Path[N, L]]:
         """Point-to-point query with early termination at *target*.
 
-        Identical output to :func:`repro.graphs.dijkstra.shortest_path`
-        on the uncompiled graph.
+        Identical output to the reference dict-graph Dijkstra on the
+        uncompiled graph.
         """
         source_index = self.index_of[source]
         target_index = self.index_of[target]
@@ -199,7 +199,7 @@ def csr_dijkstra(
     With a *target*, only the entries of settled nodes (the target and
     its predecessor chain among them) are final.
 
-    The relaxation rule replicates :func:`repro.graphs.dijkstra.dijkstra`
+    The relaxation rule replicates the reference dict-graph Dijkstra
     exactly — prefer lower cost, then fewer hops, then earlier relaxation
     order — so predecessor trees match the dict-graph reference node for
     node.
@@ -292,7 +292,7 @@ class ShortestPathTree(Generic[N, L]):
     def path_to(self, node: N) -> Optional[Path[N, L]]:
         """The minimum-cost path to *node* (``None`` if unreachable).
 
-        Matches :func:`repro.graphs.dijkstra.shortest_path` from the
+        Matches the reference dict-graph Dijkstra from the
         tree's source — same cost, same nodes, same edge tie-breaks.
         """
         index = self.csr.index_of[node]

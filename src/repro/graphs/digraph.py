@@ -1,16 +1,19 @@
-"""A small directed multigraph with labelled, weighted edges.
+"""A small directed multigraph with labelled, weighted edges, and paths.
 
-Kept deliberately minimal: the planner needs adjacency iteration, edge
-labels (adaptive-action identifiers), and non-negative weights (costs).
-Parallel edges between the same node pair are allowed — two different
-adaptive actions may connect the same pair of configurations — which is why
-this is a multigraph keyed by labels rather than an adjacency matrix.
+Kept deliberately minimal: the generic graph surface (the SAG's
+``graph`` view, :meth:`repro.graphs.csr.CSRGraph.from_digraph`) needs
+adjacency iteration, edge labels (adaptive-action identifiers), and
+non-negative weights (costs).  Parallel edges between the same node pair
+are allowed — two different adaptive actions may connect the same pair of
+configurations — which is why this is a multigraph keyed by labels rather
+than an adjacency matrix.  :class:`Path` is the result type of every
+search in :mod:`repro.graphs`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generic, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple, TypeVar
+from typing import Dict, Generic, Hashable, Iterator, List, Sequence, Set, Tuple, TypeVar
 
 N = TypeVar("N", bound=Hashable)
 L = TypeVar("L", bound=Hashable)
@@ -30,6 +33,35 @@ class Edge(Generic[N, L]):
     def __post_init__(self):
         if self.weight < 0:
             raise ValueError(f"edge weight must be non-negative, got {self.weight}")
+
+
+@dataclass(frozen=True)
+class Path(Generic[N, L]):
+    """A directed path: nodes visited, the edges taken, and the total cost."""
+
+    nodes: Tuple[N, ...]
+    edges: Tuple[Edge[N, L], ...]
+    cost: float
+
+    def __post_init__(self):
+        if len(self.nodes) != len(self.edges) + 1:
+            raise ValueError("a path over k edges must have k+1 nodes")
+
+    @property
+    def labels(self) -> Tuple[L, ...]:
+        """Edge labels along the path (for the planner: action ids)."""
+        return tuple(edge.label for edge in self.edges)
+
+    @property
+    def source(self) -> N:
+        return self.nodes[0]
+
+    @property
+    def target(self) -> N:
+        return self.nodes[-1]
+
+    def __len__(self) -> int:
+        return len(self.edges)
 
 
 class Digraph(Generic[N, L]):
@@ -110,29 +142,6 @@ class Digraph(Generic[N, L]):
         return tuple(
             e.label for e in self._adjacency.get(source, ()) if e.target == target
         )
-
-    def subgraph_without(
-        self,
-        removed_edges: Iterable[Tuple[N, L]] = (),
-        removed_nodes: Iterable[N] = (),
-    ) -> "Digraph[N, L]":
-        """Copy of the graph minus the given ``(source, label)`` edges and nodes.
-
-        Used by Yen's algorithm to generate spur candidates.
-        """
-        removed_edge_set = set(removed_edges)
-        removed_node_set = set(removed_nodes)
-        out: Digraph[N, L] = Digraph()
-        for node in self._nodes:
-            if node not in removed_node_set:
-                out.add_node(node)
-        for edge in self.edges():
-            if edge.source in removed_node_set or edge.target in removed_node_set:
-                continue
-            if (edge.source, edge.label) in removed_edge_set:
-                continue
-            out.add_edge(edge.source, edge.target, edge.label, edge.weight)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Digraph(nodes={self.node_count}, edges={self.edge_count})"

@@ -1153,7 +1153,7 @@ def _check_properties(
     from repro.core.planner import AdaptationPlanner
     from repro.core.space import LazySafeSpace, SafeConfigurationSpace
     from repro.ltl.compile import CompiledProperty
-    from repro.ltl.paths import DEFAULT_K, verify_paths
+    from repro.ltl.paths import DEFAULT_K, LAZY_VERIFY_EXPANSIONS, decide_paths
 
     cap = MAX_ENUM_COMPONENTS if max_enum_components is None else max_enum_components
     universe = model.universe
@@ -1215,15 +1215,21 @@ def _check_properties(
             for dst_item in endpoints:
                 if src_item is dst_item:
                     continue
-                verdict = verify_paths(
-                    planner,
-                    src_item.configuration,
-                    dst_item.configuration,
-                    prop.formula,
-                    "all",
-                    DEFAULT_K,
-                    lazy=lazy_mode,
-                    compiled=compiled[prop.name],
+                # the lint cap, not the planner's, picks the mode: a
+                # lowered --max-enum-components must not build the SAG
+                if lazy_mode:
+                    plans, complete = planner.lazy_plan_k(
+                        src_item.configuration, dst_item.configuration,
+                        DEFAULT_K, max_expansions=LAZY_VERIFY_EXPANSIONS,
+                    )
+                else:
+                    plans = planner.plan_k(
+                        src_item.configuration, dst_item.configuration, DEFAULT_K
+                    )
+                    complete = True
+                verdict = decide_paths(
+                    compiled[prop.name], planner, plans, complete, "all",
+                    DEFAULT_K, "lazy" if lazy_mode else "eager",
                 )
                 if verdict.holds is None:
                     report.add(

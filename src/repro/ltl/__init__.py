@@ -1,9 +1,8 @@
 """Past-time LTL: one property core for every evaluation surface (§7).
 
-Previously a single module housing the AST and the live-trace monitor,
-``repro.ltl`` is now a package whose center of gravity is the **compiled
-property IR** — formulas compiled once per spec and evaluated in
-O(formula) per step over int bitmasks:
+The package's center of gravity is the **compiled property IR** —
+formulas compiled once per spec and evaluated in O(formula) per step
+over int bitmasks; it is the one evaluation engine:
 
 * :mod:`repro.ltl.ast` — the formula classes (``Prop``, boolean and
   past-time operators, the configuration-level ``StateProp`` atom) and
@@ -12,14 +11,15 @@ O(formula) per step over int bitmasks:
 * :mod:`repro.ltl.compile` — :class:`CompiledProperty` /
   :class:`CompiledMonitor`, the bit-slot program shared by paths, lint,
   the planning service, and offline trace checking;
-* :mod:`repro.ltl.monitor` — the incremental AST monitor
-  (:class:`PTLTLMonitor`, the semantic source of truth), the
-  safe-state machinery, and the observation-bus surface;
+* :mod:`repro.ltl.monitor` — the safe-state machinery and the
+  observation-bus surface, both stepping the compiled core;
 * :mod:`repro.ltl.paths` — :func:`verify_paths`, path-quantified
   checking over the Safe Adaptation Graph ("along every/some k-best
   path from S to T, φ holds at each committed configuration").
 
-Every name importable from the old module is re-exported here.
+The AST-walking reference semantics (``PTLTLMonitor``) is a test oracle,
+``tests/oracles/ptltl_reference.py``, that the compiled core is pinned
+to.
 """
 
 from repro.ltl.ast import (
@@ -44,7 +44,6 @@ from repro.ltl.compile import (
 )
 from repro.ltl.monitor import (
     BalancedPair,
-    PTLTLMonitor,
     SafeStateMonitor,
     TemporalObserver,
     TemporalReport,
@@ -72,7 +71,6 @@ __all__ = [
     "PImplies",
     "PNot",
     "POr",
-    "PTLTLMonitor",
     "PathVerdict",
     "Previously",
     "Prop",

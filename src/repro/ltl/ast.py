@@ -2,10 +2,10 @@
 
 The formula classes are shared by every property-evaluation surface:
 
-* the incremental :class:`~repro.ltl.monitor.PTLTLMonitor` walks the AST
-  directly (``_step`` per subformula — the semantic source of truth);
-* the compiled core (:mod:`repro.ltl.compile`) lowers the same AST to a
-  slot program over int bitmasks;
+* the compiled core (:mod:`repro.ltl.compile`) lowers the AST to a slot
+  program over int bitmasks — the one evaluation engine of the product
+  (the AST-walking reference semantics it is pinned to lives with the
+  tests, in ``tests/oracles/ptltl_reference.py``);
 * manifests carry formulas as text in a ``[properties]`` section, parsed
   by :func:`parse_property` and rendered back by :func:`property_to_text`.
 
@@ -39,7 +39,7 @@ or ``since`` stay usable as presence atoms.
 from __future__ import annotations
 
 import re
-from typing import AbstractSet, Dict, FrozenSet, List, Set, Tuple
+from typing import FrozenSet, List, Set, Tuple
 
 from repro.errors import ParseError
 from repro.expr.ast import Expr, to_text
@@ -71,10 +71,6 @@ class PFormula:
     def _collect(self, out: List["PFormula"]) -> None:
         raise NotImplementedError
 
-    def _step(self, events: AbstractSet[str], now: Dict[int, bool],
-              prev: Dict[int, bool]) -> bool:
-        raise NotImplementedError
-
 
 class Prop(PFormula):
     """Atomic proposition: the current step carries this event name."""
@@ -89,9 +85,6 @@ class Prop(PFormula):
 
     def _collect(self, out):
         out.append(self)
-
-    def _step(self, events, now, prev):
-        return self.name in events
 
     def __repr__(self):
         return f"Prop({self.name!r})"
@@ -115,9 +108,6 @@ class StateProp(PFormula):
 
     def _collect(self, out):
         out.append(self)
-
-    def _step(self, events, now, prev):
-        return self.expr.evaluate(events)
 
     def __repr__(self):
         return f"StateProp({to_text(self.expr)})"
@@ -160,54 +150,36 @@ class _Binary(PFormula):
 
 
 class PNot(_Unary):
-    def _step(self, events, now, prev):
-        return not now[id(self.operand)]
+    """¬f — f does not hold now."""
 
 
 class PAnd(_Binary):
-    def _step(self, events, now, prev):
-        return now[id(self.left)] and now[id(self.right)]
+    """f ∧ g — both hold now."""
 
 
 class POr(_Binary):
-    def _step(self, events, now, prev):
-        return now[id(self.left)] or now[id(self.right)]
+    """f ∨ g — at least one holds now."""
 
 
 class PImplies(_Binary):
-    def _step(self, events, now, prev):
-        return (not now[id(self.left)]) or now[id(self.right)]
+    """f → g — g holds now whenever f does."""
 
 
 class Previously(_Unary):
     """⊙f — f held at the previous step (false at the first step)."""
 
-    def _step(self, events, now, prev):
-        return prev.get(id(self.operand), False)
-
 
 class Once(_Unary):
     """⧫f — f held at some step up to and including now."""
-
-    def _step(self, events, now, prev):
-        return now[id(self.operand)] or prev.get(id(self), False)
 
 
 class Historically(_Unary):
     """⊡f — f held at every step up to and including now."""
 
-    def _step(self, events, now, prev):
-        return now[id(self.operand)] and prev.get(id(self), True)
-
 
 class Since(_Binary):
     """f S g — g held at some past-or-present step, and f has held since
     (strictly after that step, through now)."""
-
-    def _step(self, events, now, prev):
-        return now[id(self.right)] or (
-            now[id(self.left)] and prev.get(id(self), False)
-        )
 
 
 # -- text syntax ----------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The compiled property IR: ptLTL lowered to a slot program over ints.
 
-:class:`PTLTLMonitor` walks the AST per step — a dict allocation, an
-id-keyed write and a Python method call per subformula.  Paths, lint,
+Walking the AST per step costs a dict allocation, an id-keyed write and
+a Python dispatch per subformula.  Paths, lint,
 the planning service, and offline trace checking all evaluate the *same*
 property thousands of times over configuration masks, so the formula is
 compiled **once per spec** into a :class:`CompiledProperty`:
@@ -16,15 +16,16 @@ compiled **once per spec** into a :class:`CompiledProperty`:
   (a couple of int ops per slot, ``Prop`` bit tests inlined) — O(formula)
   per step with no allocation beyond two ints and no per-slot dispatch.
 
-The recursive-update semantics are byte-for-byte those of
-``PTLTLMonitor.step``: ``Once``/``Historically``/``Since`` read their
-own slot's previous value; ``Previously`` reads its own slot too, where
+The recursive-update semantics are byte-for-byte those of the AST
+reference (``PTLTLMonitor`` in ``tests/oracles/ptltl_reference.py``):
+``Once``/``Historically``/``Since`` read their own slot's previous
+value; ``Previously`` reads its own slot too, where
 the state packing stored the *operand's* value from the previous step
 (reading the operand's slot directly would leak a ``Historically``
 operand's vacuous-true initial bit into the first step).
 ``initial_state`` sets the ``Historically`` slots (vacuously true before
 the first step) and nothing else.  The hypothesis suite pins
-``CompiledProperty == PTLTLMonitor`` on random formulas and streams.
+``CompiledProperty`` to that reference on random formulas and streams.
 """
 
 from __future__ import annotations
@@ -241,8 +242,7 @@ class CompiledProperty:
 class CompiledMonitor:
     """Stateful stream evaluator over a :class:`CompiledProperty`.
 
-    API-compatible with :class:`~repro.ltl.monitor.PTLTLMonitor`
-    (``step``/``run``/``steps``/``value``), so it can drive a
+    Exposes ``step``/``run``/``steps``/``value``, so it can drive a
     :class:`~repro.ltl.monitor.TemporalObserver` — the online surface
     running on the same compiled core as paths, lint, and trace check.
     """

@@ -7,18 +7,14 @@
     fulfilled in a state, then the state can be automatically identified
     as a safe state."
 
-We implement exactly that: the ptLTL AST of :mod:`repro.ltl.ast`
-evaluated *incrementally* in O(formula) per event (the standard
-recursive-update construction), plus a :class:`SafeStateMonitor` that
-watches a process's event stream and reports when the formula holds —
-the automatically derived local safe state.
-
-:class:`PTLTLMonitor` walks the AST with id-keyed value dicts; it is the
-semantic source of truth that the compiled core
-(:mod:`repro.ltl.compile`) and the naive full-history reference in the
-test suite are both pinned against.  The runtime itself
-(:class:`SafeStateMonitor`, and :class:`TemporalObserver` when handed a
-compiled monitor) steps the compiled core.
+We implement exactly that: a ptLTL formula compiled once
+(:mod:`repro.ltl.compile`) and evaluated *incrementally* in O(formula)
+per event (the standard recursive-update construction), plus a
+:class:`SafeStateMonitor` that watches a process's event stream and
+reports when the formula holds — the automatically derived local safe
+state.  :class:`TemporalObserver` steps either one from an observation
+bus.  The AST-walking reference semantics the compiled core is pinned to
+lives with the tests (``tests/oracles/ptltl_reference.py``).
 """
 
 from __future__ import annotations
@@ -38,32 +34,6 @@ from repro.trace import (
     RollbackRecord,
     TraceRecord,
 )
-
-
-class PTLTLMonitor:
-    """Incremental evaluator: O(|formula|) per step, O(|formula|) state."""
-
-    def __init__(self, formula: PFormula):
-        self.formula = formula
-        self._order = formula.subformulas()
-        self._prev: Dict[int, bool] = {}
-        self.steps = 0
-        self.value: Optional[bool] = None
-
-    def step(self, events: Iterable[str]) -> bool:
-        """Feed one step's event set; returns the formula's current value."""
-        event_set = frozenset(events)
-        now: Dict[int, bool] = {}
-        for sub in self._order:
-            now[id(sub)] = sub._step(event_set, now, self._prev)
-        self._prev = now
-        self.steps += 1
-        self.value = now[id(self.formula)]
-        return self.value
-
-    def run(self, trace: Iterable[Iterable[str]]) -> List[bool]:
-        """Evaluate over a whole trace; returns the per-step values."""
-        return [self.step(events) for events in trace]
 
 
 @dataclass(frozen=True)
@@ -184,10 +154,9 @@ class TemporalObserver(Observer):
     calling ``SafeStateMonitor.observe`` by hand): subscribe one of these
     to a trace's bus and the monitor is stepped from the published record
     stream itself, on any backend.  Wraps a :class:`SafeStateMonitor`
-    (balanced pairs + formula; its safe-state callbacks keep firing), a
-    bare :class:`PTLTLMonitor`, or a
-    :class:`~repro.ltl.compile.CompiledMonitor` (the bit-slot core —
-    anything exposing ``step(events) -> bool``).
+    (balanced pairs + formula; its safe-state callbacks keep firing) or
+    a :class:`~repro.ltl.compile.CompiledMonitor` (the bit-slot core) —
+    anything exposing ``step(events) -> bool``.
 
     ``events`` maps each record to the step's proposition set
     (default :func:`record_events`); records mapping to no events are
@@ -197,7 +166,7 @@ class TemporalObserver(Observer):
 
     def __init__(
         self,
-        monitor: Union[SafeStateMonitor, PTLTLMonitor, "StepMonitor"],
+        monitor: Union[SafeStateMonitor, "StepMonitor"],
         events: Callable[[TraceRecord], Iterable[str]] = record_events,
         process: Optional[str] = None,
         name: str = "temporal",

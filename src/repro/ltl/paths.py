@@ -11,11 +11,14 @@ k defaulting to :data:`DEFAULT_K` — the same alternates the §4.4 failure
 cascade would re-route through, so a property verified here is verified
 for every path the manager may actually commit.
 
-Two execution modes, one verdict semantics:
+Two execution modes, one verdict semantics, chosen by the spec's size
+(:attr:`AdaptationPlanner.oversized
+<repro.core.planner.AdaptationPlanner.oversized>`, the one reader of
+:data:`~repro.core.planner.LAZY_PLAN_COMPONENTS`):
 
-* **eager** (≤ :data:`~repro.core.planner.LAZY_PLAN_COMPONENTS`
-  components): walk :meth:`AdaptationPlanner.plan_k`'s paths — Yen
-  whose spurs run the two-phase corridor search over the built SAG;
+* **eager** (at or below the cap): walk
+  :meth:`AdaptationPlanner.plan_k`'s paths — Yen whose spurs run the
+  two-phase corridor search over the built SAG;
 * **lazy** (above the cap): :meth:`AdaptationPlanner.lazy_plan_k` runs
   the same Yen loop and spur search over the
   :class:`~repro.core.sag.LazySAG` frontier with an expansion budget —
@@ -32,13 +35,9 @@ where φ is false — the shortest replayable witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.core.planner import (
-    LAZY_PLAN_COMPONENTS,
-    AdaptationPlan,
-    AdaptationPlanner,
-)
+from repro.core.planner import AdaptationPlan, AdaptationPlanner
 from repro.ltl.ast import PFormula
 from repro.ltl.compile import CompiledProperty
 
@@ -113,7 +112,6 @@ def verify_paths(
     quantifier: str = "all",
     k: Optional[int] = None,
     *,
-    lazy: Optional[bool] = None,
     max_expansions: Optional[int] = None,
     compiled: Optional[CompiledProperty] = None,
 ) -> PathVerdict:
@@ -127,10 +125,10 @@ def verify_paths(
             configuration along each path (source first).
         quantifier: ``"all"`` (∀ paths) or ``"exists"`` (∃ path).
         k: path-set width; ``None`` means :data:`DEFAULT_K`.
-        lazy: force the frontier mode (or eager with ``False``);
-            ``None`` routes by universe size exactly as planning does.
-        max_expansions: lazy-mode node budget
-            (default :data:`LAZY_VERIFY_EXPANSIONS`).
+        max_expansions: node budget of the lazy mode, which runs only
+            when the planner is oversized (default
+            :data:`LAZY_VERIFY_EXPANSIONS`); at or below the cap the
+            eager enumeration is exact and the budget does not apply.
         compiled: a pre-compiled property for this planner's universe
             (the planning service's per-digest cache passes one); must
             have been compiled against ``planner.universe.atom_bits``.
@@ -149,11 +147,8 @@ def verify_paths(
         raise ValueError(f"k must be positive, got {width}")
     if compiled is None:
         compiled = CompiledProperty(phi, planner.universe.atom_bits)
-    use_lazy = (
-        len(planner.universe) > LAZY_PLAN_COMPONENTS if lazy is None else lazy
-    )
-    mode = "lazy" if use_lazy else "eager"
-    if use_lazy:
+    mode = "lazy" if planner.oversized else "eager"
+    if planner.oversized:
         budget = (
             LAZY_VERIFY_EXPANSIONS if max_expansions is None else max_expansions
         )
@@ -163,12 +158,12 @@ def verify_paths(
     else:
         plans = planner.plan_k(source, target, width)
         complete = True
-    return _decide(
+    return decide_paths(
         compiled, planner, plans, complete, quantifier, width, mode
     )
 
 
-def _decide(
+def decide_paths(
     compiled: CompiledProperty,
     planner: AdaptationPlanner,
     plans: Sequence[AdaptationPlan],
@@ -177,6 +172,13 @@ def _decide(
     width: int,
     mode: str,
 ) -> PathVerdict:
+    """The verdict of φ over an enumerated k-best path set.
+
+    *plans* are the best paths in cost order; *complete* is ``False``
+    when a budget stopped their enumeration early.  The decision half of
+    :func:`verify_paths`, for callers that enumerate the paths
+    themselves (the linter, whose own enumeration cap picks the mode).
+    """
     checked = 0
     for plan in plans:
         violation = check_plan(compiled, planner, plan)

@@ -24,9 +24,9 @@ can **enforce** online — the first violation raises a structured
 :class:`~repro.errors.SafetyViolationError` the moment the violating
 record is published, aborting an unsafe adaptation in flight.
 :meth:`SafetyChecker.check` is a thin batch wrapper that feeds a finished
-trace through the same streaming core; the pre-bus replay implementation
-survives as :meth:`SafetyChecker.check_replay`, the reference oracle the
-property tests pin the streaming verdict against, byte for byte.
+trace through the same streaming core.  The pre-bus whole-trace replay
+checker is the test oracle ``tests/oracles/replay_safety_reference.py``;
+the property tests pin the streaming verdict to it, byte for byte.
 
 Baseline strategies in :mod:`repro.baselines` demonstrably fail these
 checks; the safe-adaptation protocol passes them under randomized
@@ -315,87 +315,11 @@ class SafetyChecker:
 
     def check(self, trace: Trace) -> SafetyReport:
         """Batch verdict: stream the finished trace through the incremental
-        checker (byte-identical to the pre-bus replay implementation)."""
+        checker."""
         stream = self.streaming()
         for record in trace.snapshot():
             stream.feed(record)
         return stream.finish()
-
-    # -- legacy replay implementation (reference oracle) ---------------------------
-    def check_replay(self, trace: Trace) -> SafetyReport:
-        """The original whole-trace replay checker.
-
-        Kept verbatim as the independent reference implementation: the
-        property suite pins ``check`` (streaming) against this, so any
-        divergence in the incremental bookkeeping fails loudly.
-        """
-        report = SafetyReport()
-        self._check_dependencies(trace, report)
-        if self.ccs is not None:
-            self._check_segments(trace, report)
-        self._check_corruption(trace, report)
-        if self.check_discipline:
-            self._check_discipline(trace, report)
-        return report
-
-    # -- clause 1: dependency relationships -------------------------------------
-    def _check_dependencies(self, trace: Trace, report: SafetyReport) -> None:
-        for record in trace.of_type(ConfigCommitted):
-            report.configurations_checked += 1
-            broken = self.invariants.violated(record.configuration)
-            for invariant in broken:
-                report.violations.append(
-                    _dependency_violation(record, invariant.name)
-                )
-
-    # -- clause 2: critical communication segments ---------------------------------
-    def _check_segments(self, trace: Trace, report: SafetyReport) -> None:
-        assert self.ccs is not None
-        last_time: Dict[int, float] = {}
-        for record in trace.of_type(CommRecord):
-            last_time[record.cid] = record.time
-        for verdict in self.ccs.judge_trace(trace):
-            report.segments_checked += 1
-            if verdict.complete:
-                report.segments_complete += 1
-            elif verdict.interrupted:
-                report.violations.append(
-                    _ccs_violation(
-                        verdict.cid, verdict.sequence, last_time.get(verdict.cid, 0.0)
-                    )
-                )
-            # else: in progress at end of trace — permitted.
-
-    def _check_corruption(self, trace: Trace, report: SafetyReport) -> None:
-        for record in trace.of_type(CorruptionRecord):
-            report.violations.append(
-                Violation(
-                    kind="corruption",
-                    time=record.time,
-                    detail=f"[{record.process}] {record.detail}",
-                )
-            )
-
-    # -- clause 3 (derived): in-actions only in held-safe processes ------------------
-    def _check_discipline(self, trace: Trace, report: SafetyReport) -> None:
-        blocked: Dict[str, bool] = {}
-        for record in trace:
-            if isinstance(record, BlockRecord):
-                blocked[record.process] = record.blocked
-            elif isinstance(record, AdaptationApplied):
-                report.in_actions_checked += 1
-                if not blocked.get(record.process, False):
-                    report.violations.append(
-                        Violation(
-                            kind="discipline",
-                            time=record.time,
-                            detail=(
-                                f"in-action {record.action_id} executed on "
-                                f"process {record.process!r} while it was not "
-                                "held in a safe (blocked) state"
-                            ),
-                        )
-                    )
 
 
 def check_safe(

@@ -60,7 +60,6 @@ from repro.serve.http import (
 )
 from repro.serve.registry import SpecRecord, SpecRegistry
 from repro.serve.service import (
-    PLAN_METHODS,
     PlanningService,
     ServiceStats,
     no_safe_path_message,
@@ -69,7 +68,6 @@ from repro.serve.service import (
 
 __all__ = [
     "ERROR_CODES",
-    "PLAN_METHODS",
     "STATUS_BY_CODE",
     "ControlPlane",
     "ControlPlaneHTTPServer",

@@ -93,8 +93,6 @@ class PlanRequest:
     manifest: Optional[str] = None
     #: also answer the k best alternates when > 1
     k: int = 1
-    #: "auto" | "dijkstra" | "lazy" | "collaborative"
-    method: str = "auto"
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,6 @@ class VerifyPathsRequest:
     formula: Optional[str] = None
     quantifier: str = "all"
     k: Optional[int] = None
-    lazy: Optional[bool] = None
     max_expansions: Optional[int] = None
     spec: Optional[str] = None
     manifest: Optional[str] = None
@@ -235,7 +232,7 @@ class PlanResult:
 
     digest: str
     plan: PlanInfo
-    #: the method that actually answered ("dijkstra" | "lazy" | "collaborative")
+    #: the engine that answered: "dijkstra" (eager) or "lazy" (above the cap)
     method: str
     #: (action_ids, cost) per alternate, present when the request asked k > 1
     alternates: Tuple[Tuple[Tuple[str, ...], float], ...] = ()
@@ -571,7 +568,7 @@ _SPEC_FIELDS: Dict[str, type] = {"spec": str, "manifest": str}
 def plan_request_from_json(payload: Dict[str, Any]) -> PlanRequest:
     fields = _take(
         payload,
-        {"source": str, "target": str, "k": int, "method": str, **_SPEC_FIELDS},
+        {"source": str, "target": str, "k": int, **_SPEC_FIELDS},
         required=("source", "target"),
     )
     return PlanRequest(**fields)
@@ -607,7 +604,6 @@ def verify_paths_request_from_json(payload: Dict[str, Any]) -> VerifyPathsReques
             "formula": str,
             "quantifier": str,
             "k": int,
-            "lazy": bool,
             "max_expansions": int,
             **_SPEC_FIELDS,
         },

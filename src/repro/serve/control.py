@@ -67,7 +67,7 @@ from repro.serve.api import (
     VerifyPathsResult,
 )
 from repro.serve.registry import SpecRecord, SpecRegistry
-from repro.serve.service import PLAN_METHODS, PlanningService
+from repro.serve.service import PlanningService
 
 
 class _Fail(Exception):
@@ -152,7 +152,7 @@ class _PropertyCheck:
 
 
 #: the only /v1/plan body shape the wire cache may answer
-_FAST_FIELDS = frozenset(("spec", "source", "target", "k", "method"))
+_FAST_FIELDS = frozenset(("spec", "source", "target", "k"))
 #: every /v1/lint body field (the lint wire cache keys on all of them)
 _LINT_FIELDS = frozenset((
     "manifest", "sources", "format", "fail_on", "verbose",
@@ -178,8 +178,8 @@ class ControlPlane:
     ):
         self.service = service if service is not None else PlanningService()
         self.registry = SpecRegistry(self.service, max_specs=max_specs)
-        #: (spec, source, target, method) → precomputed wire bytes
-        self._fast_cache: Dict[Tuple[str, str, str, str], bytes] = {}
+        #: (spec, source, target) → precomputed wire bytes
+        self._fast_cache: Dict[Tuple[str, str, str], bytes] = {}
         #: canonical /v1/lint body → (wire bytes, spec digests it depends on)
         self._lint_cache: Dict[str, Tuple[bytes, Tuple[str, ...]]] = {}
         self._lint_hits = 0
@@ -261,10 +261,6 @@ class ControlPlane:
         except ReproError as exc:
             raise _fail("unknown-configuration", str(exc)) from exc
 
-    def _oversized(self, record: SpecRecord) -> bool:
-        cap = self.service.lazy_components
-        return cap is not None and len(record.manifest.universe) > cap
-
     # -- handlers ----------------------------------------------------------------
     def _handle_register(self, request: RegisterSpecRequest) -> Response:
         record, created = self.registry.register(request.manifest)
@@ -286,24 +282,13 @@ class ControlPlane:
         )
 
     def _handle_plan(self, request: PlanRequest) -> Response:
-        if request.method not in PLAN_METHODS:
-            raise _fail(
-                "bad-request",
-                f"method must be one of {PLAN_METHODS}, "
-                f"got {request.method!r}",
-            )
         if request.k < 1:
             raise _fail("bad-request", f"k must be positive, got {request.k}")
         record = self._resolve_spec(request.spec, request.manifest)
         source = self._resolve_config(record, request.source)
         target = self._resolve_config(record, request.target)
-        method = request.method
-        if method == "auto":
-            # above the cap the eager 2^n pipeline is off the table
-            method = "lazy" if self._oversized(record) else "dijkstra"
-        plan = self.service.plan_digest(
-            record.digest, source, target, method=method
-        )
+        oversized = self.service.planner_digest(record.digest).oversized
+        plan = self.service.plan_digest(record.digest, source, target)
         alternates: Tuple[Tuple[Tuple[str, ...], float], ...] = ()
         if request.k > 1:
             alternates = tuple(
@@ -315,7 +300,7 @@ class ControlPlane:
         return PlanResult(
             digest=record.digest,
             plan=_plan_info(plan),
-            method=method,
+            method="lazy" if oversized else "dijkstra",
             alternates=alternates,
         )
 
@@ -439,7 +424,6 @@ class ControlPlane:
             quantifier=request.quantifier,
             k=request.k,
             max_expansions=request.max_expansions,
-            lazy=request.lazy,
         )
         return VerifyPathsResult(
             digest=record.digest,
@@ -615,7 +599,7 @@ class ControlPlane:
             or payload.get("k", 1) != 1
         ):
             return None
-        key = (spec, source, target, payload.get("method", "auto"))
+        key = (spec, source, target)
         wire = self._fast_cache.get(key)
         if wire is None:
             return None
@@ -647,13 +631,7 @@ class ControlPlane:
             return
         if len(self._fast_cache) >= _FAST_CACHE_LIMIT:
             self._fast_cache.clear()
-        key = (
-            spec,
-            payload["source"],
-            payload["target"],
-            payload.get("method", "auto"),
-        )
-        self._fast_cache[key] = wire
+        self._fast_cache[spec, payload["source"], payload["target"]] = wire
 
     # -- warm-path lint cache ----------------------------------------------------
     @staticmethod

@@ -125,7 +125,6 @@ class SpecRegistry:
                 "components": len(record.manifest.universe),
                 "configurations": sorted(record.manifest.configurations),
                 "properties": sorted(record.manifest.properties),
-                "owned": True,  # wire-compatible: one process owns every spec
             }
             spec_counters = dict(counters.get(record.digest, {}))
             # the service's "properties" counter is its compiled-formula

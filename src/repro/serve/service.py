@@ -42,11 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.actions import ActionLibrary
 from repro.core.invariants import InvariantSet
 from repro.core.model import ComponentUniverse, Configuration
-from repro.core.planner import (
-    LAZY_PLAN_COMPONENTS,
-    AdaptationPlan,
-    AdaptationPlanner,
-)
+from repro.core.planner import AdaptationPlan, AdaptationPlanner
 from repro.errors import NoSafePathError
 from repro.expr.ast import to_text
 from repro.ltl.ast import PFormula, property_to_text
@@ -108,11 +104,6 @@ class ServiceStats:
     evictions: int = 0
 
 
-#: methods :meth:`PlanningService.plan_digest` understands; ``auto`` routes
-#: by universe size exactly as the in-process service always has
-PLAN_METHODS = ("auto", "dijkstra", "lazy", "collaborative")
-
-
 class _SpecEntry:
     """One spec's shared planner plus its cold-path lock and counters."""
 
@@ -159,24 +150,23 @@ class _SpecEntry:
 class PlanningService:
     """Shared planning front end for many callers over many specs.
 
+    Oversized specs (:attr:`AdaptationPlanner.oversized
+    <repro.core.planner.AdaptationPlanner.oversized>`) are planned
+    through :meth:`AdaptationPlanner.lazy_plan` — the frontier search
+    that never materializes the safe space or the SAG — instead of the
+    eager CSR pipeline.  Lazy results land in the same per-pair plan
+    cache, so warm reads stay lock-free whichever engine planned the
+    pair.
+
     Args:
         spt_cache_size: per-planner bound on cached shortest-path trees.
-        lazy_components: specs with more components than this are planned
-            through :meth:`AdaptationPlanner.lazy_plan` — the frontier
-            search that never materializes the safe space or the SAG —
-            instead of the eager CSR pipeline.  ``None`` disables the
-            routing (every spec plans eagerly, 2^n be damned).  Lazy
-            results land in the same per-pair plan cache, so warm reads
-            stay lock-free regardless of which path planned the pair.
     """
 
     def __init__(
         self,
         spt_cache_size: int = AdaptationPlanner.SPT_CACHE_SIZE,
-        lazy_components: Optional[int] = LAZY_PLAN_COMPONENTS,
     ):
         self.spt_cache_size = spt_cache_size
-        self.lazy_components = lazy_components
         self._registry_lock = threading.Lock()
         self._specs: Dict[str, _SpecEntry] = {}
         self._evictions = 0
@@ -271,6 +261,10 @@ class PlanningService:
         """
         return self._entry_for(universe, invariants, actions).planner
 
+    def planner_digest(self, digest: str) -> AdaptationPlanner:
+        """:meth:`planner_for` addressed by digest (``KeyError`` when unknown)."""
+        return self._entry(digest).planner
+
     # -- planning ----------------------------------------------------------------
     def plan(
         self,
@@ -297,26 +291,15 @@ class PlanningService:
         digest: str,
         source: Configuration,
         target: Configuration,
-        method: str = "auto",
     ) -> AdaptationPlan:
-        """:meth:`plan` addressed by digest (``KeyError`` when unknown).
-
-        *method* ``auto`` routes by universe size; ``dijkstra``, ``lazy``,
-        and ``collaborative`` force the respective planner entry point
-        (all land in the shared per-pair plan cache).
-        """
-        if method not in PLAN_METHODS:
-            raise ValueError(
-                f"method must be one of {PLAN_METHODS}, got {method!r}"
-            )
-        return self._plan_entry(self._entry(digest), source, target, method)
+        """:meth:`plan` addressed by digest (``KeyError`` when unknown)."""
+        return self._plan_entry(self._entry(digest), source, target)
 
     def _plan_entry(
         self,
         entry: _SpecEntry,
         source: Configuration,
         target: Configuration,
-        method: str = "auto",
     ) -> AdaptationPlan:
         hit, plan = entry.planner.peek_plan(source, target)
         if hit:
@@ -335,14 +318,10 @@ class PlanningService:
                 if plan is None:
                     raise NoSafePathError(no_safe_path_message(source, target))
                 return plan
-            if method == "lazy" or (
-                method == "auto" and self._oversized(entry.planner.universe)
-            ):
+            if entry.planner.oversized:
                 entry.count("lazy_plans")
                 return entry.planner.lazy_plan(source, target)
             entry.count("cold_plans")
-            if method == "collaborative":
-                return entry.planner.plan_collaborative(source, target)
             return entry.planner.plan(source, target)
 
     def count_warm_hit(self, digest: str) -> bool:
@@ -358,13 +337,6 @@ class PlanningService:
             return False
         entry.count("warm_hits")
         return True
-
-    def _oversized(self, universe: ComponentUniverse) -> bool:
-        """True when the spec must be routed to the lazy frontier path."""
-        return (
-            self.lazy_components is not None
-            and len(universe) > self.lazy_components
-        )
 
     def plan_many(
         self,
@@ -397,7 +369,7 @@ class PlanningService:
         pairs: Sequence[Tuple[Configuration, Configuration]],
     ) -> List[Optional[AdaptationPlan]]:
         with entry.lock:
-            if self._oversized(entry.planner.universe):
+            if entry.planner.oversized:
                 entry.count("lazy_plans", len(pairs))
                 results: List[Optional[AdaptationPlan]] = []
                 for source, target in pairs:
@@ -468,7 +440,6 @@ class PlanningService:
         quantifier: str = "all",
         k: Optional[int] = None,
         max_expansions: Optional[int] = None,
-        lazy: Optional[bool] = None,
     ) -> PathVerdict:
         """Path-quantified verification against the shared spec caches.
 
@@ -476,11 +447,11 @@ class PlanningService:
         service's amortization on top: the property compiles once per
         spec digest, the path enumeration reuses (and feeds) the shared
         plan caches, and oversized specs route to the lazy frontier
-        exactly as :meth:`plan` does (*lazy* forces either mode).
+        exactly as :meth:`plan` does.
         """
         entry = self._entry_for(universe, invariants, actions)
         return self._verify_entry(
-            entry, source, target, phi, quantifier, k, max_expansions, lazy
+            entry, source, target, phi, quantifier, k, max_expansions
         )
 
     def verify_paths_digest(
@@ -492,7 +463,6 @@ class PlanningService:
         quantifier: str = "all",
         k: Optional[int] = None,
         max_expansions: Optional[int] = None,
-        lazy: Optional[bool] = None,
     ) -> PathVerdict:
         """:meth:`verify_paths` addressed by digest (``KeyError`` when unknown)."""
         return self._verify_entry(
@@ -503,7 +473,6 @@ class PlanningService:
             quantifier,
             k,
             max_expansions,
-            lazy,
         )
 
     def _verify_entry(
@@ -515,11 +484,8 @@ class PlanningService:
         quantifier: str,
         k: Optional[int],
         max_expansions: Optional[int],
-        lazy: Optional[bool],
     ) -> PathVerdict:
         compiled = self._compiled_property(entry, phi)
-        if lazy is None:
-            lazy = self._oversized(entry.planner.universe)
         with entry.lock:
             return _verify_paths(
                 entry.planner,
@@ -528,7 +494,6 @@ class PlanningService:
                 phi,
                 quantifier,
                 k,
-                lazy=lazy,
                 max_expansions=max_expansions,
                 compiled=compiled,
             )

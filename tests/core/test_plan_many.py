@@ -7,7 +7,7 @@ from repro.bench.workloads import random_system
 from repro.core.actions import AdaptiveAction
 from repro.core.planner import AdaptationPlanner
 from repro.errors import NoSafePathError, UnsafeConfigurationError
-from repro.graphs import shortest_path
+from tests.oracles.graph_reference import shortest_path
 
 
 def try_plan(planner, source, target):

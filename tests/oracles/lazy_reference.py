@@ -30,8 +30,7 @@ from repro.core.model import Configuration
 from repro.core.planner import AdaptationPlan, AdaptationPlanner
 from repro.errors import NoSafePathError
 from repro.graphs.astar import HeuristicFn, L, N, SuccessorFn
-from repro.graphs.digraph import Edge
-from repro.graphs.dijkstra import Path
+from repro.graphs.digraph import Edge, Path
 from repro.graphs.yen import extend_k_shortest
 
 

@@ -3,12 +3,12 @@
 :class:`ReferenceSafeStateMonitor` is :class:`repro.ltl.SafeStateMonitor`
 as it ran before the runtime switched to the compiled core: balanced-pair
 counting plus a formula evaluated by the AST walker
-:class:`~repro.ltl.PTLTLMonitor`.  ``tests/test_ltl.py`` pins the product
+:class:`~tests.oracles.ptltl_reference.PTLTLMonitor`.  ``tests/test_ltl.py`` pins the product
 monitor to it: same ``observe()`` values, ``safe`` flags, ``on_safe``
 firings and unmatched-``done`` errors on random formulas and streams.
 """
 
-from repro.ltl import PTLTLMonitor
+from tests.oracles.ptltl_reference import PTLTLMonitor
 
 
 class ReferenceSafeStateMonitor:

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.manifest import loads
 from repro.serve import (
@@ -20,6 +22,11 @@ from repro.serve import (
     spec_digest,
     to_json,
     to_wire,
+)
+from repro.serve.api import (
+    RequestDecodeError,
+    plan_request_from_json,
+    verify_paths_request_from_json,
 )
 from tests.serve.conftest import STUCK_MANIFEST
 
@@ -122,11 +129,13 @@ class TestPlan:
         assert result.code == "unsafe-configuration"
 
     def test_bad_method_and_spec_xor_manifest(self, video_text):
+        # no engine is selectable: "method" is not a plan field at all
+        with pytest.raises(RequestDecodeError, match=r"\['method'\]"):
+            plan_request_from_json(
+                {"source": "a", "target": "b", "manifest": video_text,
+                 "method": "magic"}
+            )
         control = ControlPlane()
-        assert control.dispatch(
-            PlanRequest(source="a", target="b", manifest=video_text,
-                        method="magic")
-        ).code == "bad-request"
         assert control.dispatch(
             PlanRequest(source="a", target="b")
         ).code == "bad-request"
@@ -298,6 +307,36 @@ class TestTraceCheck:
         assert result.message.startswith("malformed trace")
 
 
+class TestRemovedEngineFields:
+    """The size cap picks the engine; no request can pick one."""
+
+    def test_plan_method_is_rejected(self, video_text):
+        control = ControlPlane()
+        warm = {"source": "source", "target": "target", "manifest": video_text}
+        result = control.dispatch(plan_request_from_json(warm))
+        assert result.method == "dijkstra"
+        body = {"spec": result.digest, "source": "source", "target": "target"}
+        control.plan_wire_store(body, result, to_wire(result))
+        assert control.plan_wire_fast(body) == to_wire(result)
+        # the warm wire cache never answers a body that names an engine
+        assert control.plan_wire_fast({**body, "method": "dijkstra"}) is None
+        with pytest.raises(RequestDecodeError) as excinfo:
+            plan_request_from_json({**body, "method": "dijkstra"})
+        assert str(excinfo.value) == "unknown request field(s): ['method']"
+        with pytest.raises(TypeError):
+            PlanRequest(source="source", target="target", method="dijkstra")
+
+    def test_verify_paths_lazy_is_rejected(self, property_text):
+        body = {"source": "source", "target": "target",
+                "property": "encoder specified", "manifest": property_text}
+        assert verify_paths_request_from_json(body).source == "source"
+        with pytest.raises(RequestDecodeError) as excinfo:
+            verify_paths_request_from_json({**body, "lazy": True})
+        assert str(excinfo.value) == "unknown request field(s): ['lazy']"
+        with pytest.raises(TypeError):
+            VerifyPathsRequest(source="source", target="target", lazy=True)
+
+
 class TestStats:
     def test_stats_reflect_traffic(self, video_text):
         control = ControlPlane()
@@ -311,7 +350,7 @@ class TestStats:
         assert stats.service["warm_hits"] == 1
         (spec,) = stats.specs
         assert spec["configurations"] == ["source", "target"]
-        assert spec["owned"] is True
+        assert "owned" not in spec
 
 
 class TestCLIDispatchParity:
@@ -324,7 +363,7 @@ class TestCLIDispatchParity:
         assert code == 0
         direct = ControlPlane().dispatch(
             PlanRequest(source="source", target="target",
-                        manifest=video_text, method="auto", k=1)
+                        manifest=video_text, k=1)
         )
         assert output == to_json(direct) + "\n"
 

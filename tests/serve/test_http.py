@@ -273,6 +273,35 @@ class TestGoldenErrorEnvelopes:
             },
         }
 
+    @pytest.mark.parametrize("path, field, value", [
+        ("/v1/plan", "method", "dijkstra"),
+        ("/v1/verify-paths", "lazy", True),
+    ])
+    def test_engine_fields_are_bad_requests(
+        self, server, property_text, path, field, value
+    ):
+        """No client can pick the engine (the size cap does), not even on
+        a warm spec: the body carrying the removed field gets the typed
+        400 that every unknown field gets."""
+        digest = register(server, property_text)
+        body = {"spec": digest, "source": "source", "target": "target"}
+        if path == "/v1/verify-paths":
+            body["property"] = "encoder specified"
+        for _ in range(2):  # the second answer comes from the wire cache
+            status, _, _ = request(server.address, "POST", path, body=body)
+            assert status == 200
+        status, reply, _ = request(
+            server.address, "POST", path, body={**body, field: value}
+        )
+        assert status == 400
+        assert reply == {
+            "ok": False,
+            "error": {
+                "code": "bad-request",
+                "message": f"unknown request field(s): ['{field}']",
+            },
+        }
+
     def test_invalid_json_body(self, server):
         status, body, _ = request(
             server.address, "POST", "/v1/plan", body="{not json",

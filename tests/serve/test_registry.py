@@ -92,5 +92,5 @@ class TestDescribe:
         assert doc["digest"] == record.digest
         assert doc["components"] == 2
         assert doc["configurations"] == ["base"]
-        assert doc["owned"] is True
+        assert "owned" not in doc
         assert doc["cold_plans"] == 1

@@ -3,6 +3,7 @@
 import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -62,15 +63,6 @@ class TestPlan:
     def test_bits_and_members_accepted(self, manifest_path):
         code, output = run_cli(
             "plan", manifest_path, "--from", "0100101", "--to", "D3, D5, E2"
-        )
-        assert code == 0
-        assert "cost 50" in output
-
-    @pytest.mark.parametrize("method", ["lazy", "collaborative"])
-    def test_alternate_methods(self, manifest_path, method):
-        code, output = run_cli(
-            "plan", manifest_path, "--from", "source", "--to", "target",
-            "--method", method,
         )
         assert code == 0
         assert "cost 50" in output
@@ -396,32 +388,42 @@ class TestServe:
         assert "--workers" in capsys.readouterr().err
 
 
+def above_cap():
+    """Route every planner as if its spec exceeded the enumeration cap."""
+    return mock.patch.object(AdaptationPlanner, "oversized", True)
+
+
 class TestLazyPlanCLI:
-    """--lazy / --method and the automatic routing above the lazy cap."""
+    """The engine follows the spec's size: lazy routing above the cap."""
 
     @pytest.fixture
     def fleet_path(self):
         return str(Path(__file__).parent.parent / "examples" / "fleet30.manifest")
 
     def test_lazy_flag_matches_dijkstra(self, manifest_path):
-        code, lazy_out = run_cli(
-            "plan", manifest_path, "--from", "source", "--to", "target", "--lazy"
-        )
+        with above_cap():
+            code, lazy_out = run_cli(
+                "plan", manifest_path, "--from", "source", "--to", "target"
+            )
         assert code == 0
         _, eager_out = run_cli(
-            "plan", manifest_path, "--from", "source", "--to", "target",
-            "--method", "dijkstra",
+            "plan", manifest_path, "--from", "source", "--to", "target"
         )
         assert lazy_out == eager_out  # identical plan, identical rendering
         assert "cost 50" in lazy_out
 
-    def test_method_lazy_spelling(self, manifest_path):
-        code, output = run_cli(
-            "plan", manifest_path, "--from", "source", "--to", "target",
-            "--method", "lazy",
-        )
-        assert code == 0
-        assert "cost 50" in output
+    @pytest.mark.parametrize("argv", [
+        ("plan", "--method", "dijkstra"),
+        ("plan", "--lazy"),
+        ("verify-paths", "--property", "p", "--lazy"),
+    ], ids=["plan --method", "plan --lazy", "verify-paths --lazy"])
+    def test_engine_flags_are_argparse_errors(self, manifest_path, capsys, argv):
+        command, *flags = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, manifest_path, "--from", "source", "--to", "target",
+                  *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_oversized_manifest_routes_to_lazy_automatically(self, fleet_path):
         code, output = run_cli(
@@ -457,9 +459,10 @@ class TestLazyPlanCLI:
 
     def test_lazy_reports_unreachable(self, manifest_path, capsys):
         # the one-way video SAG: target cannot reach source
-        code, _ = run_cli(
-            "plan", manifest_path, "--from", "target", "--to", "source", "--lazy"
-        )
+        with above_cap():
+            code, _ = run_cli(
+                "plan", manifest_path, "--from", "target", "--to", "source"
+            )
         assert code == 2
         assert "no safe adaptation path" in capsys.readouterr().err
 
@@ -512,13 +515,22 @@ class TestVerifyPaths:
         assert code == 0
         assert "HOLDS" in output
 
-    def test_lazy_budget_exhaustion_exits_three(self, property_manifest):
+    def test_lazy_budget_exhaustion_exits_three(self):
         code, output = run_cli(
-            "verify-paths", property_manifest, "--from", "source", "--to", "target",
-            "--property", "encoder specified", "--lazy", "--max-expansions", "1",
+            "verify-paths", "examples/fleet30.manifest",
+            "--from", "baseline", "--to", "canary",
+            "--property", "service0 specified", "--max-expansions", "1",
         )
         assert code == 3
         assert "INCONCLUSIVE" in output
+
+    def test_budget_is_ignored_below_the_cap(self, property_manifest):
+        code, output = run_cli(
+            "verify-paths", property_manifest, "--from", "source", "--to", "target",
+            "--property", "encoder specified", "--max-expansions", "1",
+        )
+        assert code == 0
+        assert "eager enumeration" in output
 
     def test_unknown_property_is_an_error(self, property_manifest):
         code, _ = run_cli(

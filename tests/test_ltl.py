@@ -13,7 +13,6 @@ from repro.ltl import (
     PImplies,
     PNot,
     POr,
-    PTLTLMonitor,
     Previously,
     Prop,
     SafeStateMonitor,
@@ -22,6 +21,7 @@ from repro.ltl import (
     compile_property,
     no_open_segments,
 )
+from tests.oracles.ptltl_reference import PTLTLMonitor
 from tests.oracles.safe_state_reference import ReferenceSafeStateMonitor
 
 A, B = Prop("a"), Prop("b")

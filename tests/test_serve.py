@@ -2,6 +2,7 @@
 
 import io
 import threading
+from unittest import mock
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.apps.video.system import (
     video_universe,
 )
 from repro.cli import main
+from repro.core.planner import AdaptationPlanner
 from repro.errors import NoSafePathError
 from repro.manifest import video_manifest_text
 from repro.serve import PlanningService, spec_digest
@@ -227,43 +229,35 @@ class TestLazyRouting:
         assert results[1] is None
         assert service.stats().lazy_plans == 2
 
-    def test_threshold_is_configurable(self, video_spec):
-        universe, invariants, actions = video_spec
-        service = PlanningService(lazy_components=3)  # 7-component spec is "big"
-        source, target = paper_source(universe), paper_target(universe)
-        plan = service.plan(universe, invariants, actions, source, target)
-        assert plan.total_cost == 50.0
-        assert service.stats().lazy_plans == 1
-
-    def test_lazy_routing_disabled_with_none(self, video_spec):
-        universe, invariants, actions = video_spec
-        service = PlanningService(lazy_components=None)
-        source, target = paper_source(universe), paper_target(universe)
-        service.plan(universe, invariants, actions, source, target)
-        assert service.stats().lazy_plans == 0
-
 
 class TestTemporalVerification:
     """Path-quantified checks through the service's amortizing caches."""
 
     def test_verify_matches_direct_call(self, video_spec):
-        from repro.core.planner import AdaptationPlanner
         from repro.ltl import parse_property, verify_paths
 
         universe, invariants, actions = video_spec
-        service = PlanningService()
         source, target = paper_source(universe), paper_target(universe)
         phi = parse_property("historically({one_of(E1, E2)})")
-        via_service = service.verify_paths(
+        direct = verify_paths(
+            AdaptationPlanner(universe, invariants, actions), source, target, phi
+        )
+        via_service = PlanningService().verify_paths(
             universe, invariants, actions, source, target, phi
         )
-        direct = verify_paths(
-            AdaptationPlanner(universe, invariants, actions),
-            source, target, phi, lazy=False,
+        # the lazy route (above the cap) gives the same verdict
+        with mock.patch.object(AdaptationPlanner, "oversized", True):
+            via_lazy = PlanningService().verify_paths(
+                universe, invariants, actions, source, target, phi
+            )
+        assert via_service.holds is direct.holds is via_lazy.holds is True
+        assert (
+            via_service.paths_checked
+            == direct.paths_checked
+            == via_lazy.paths_checked
         )
-        assert via_service.holds is direct.holds is True
-        assert via_service.paths_checked == direct.paths_checked
-        assert via_service.mode == "eager"
+        assert direct.mode == via_service.mode == "eager"
+        assert via_lazy.mode == "lazy"
 
     def test_structurally_equal_formulas_share_one_compilation(self, video_spec):
         from repro.ltl import parse_property

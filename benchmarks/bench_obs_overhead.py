@@ -12,8 +12,16 @@ safety checker + metrics observer on the bus), asserts the wall-clock
 ratio stays under a pinned bound, and records the headline numbers —
 ratio, per-observer mean feed latency, rolling counters — into
 ``benchmarks/BENCH_obs.json``.
+
+Offline checking (``repro trace check``, ``POST /v1/trace-check``) first
+decodes the persisted JSON lines, and decoding used to cost more than the
+check.  A second row times :func:`repro.trace.iter_jsonl` against the
+per-line ``json.loads`` decoder it replaced
+(``tests/oracles/trace_reference.py``) on the Section 5 trace and on a
+two-phase hardening run, and gates the product at >= 1.7x.
 """
 
+import os
 import time
 from pathlib import Path
 
@@ -22,6 +30,8 @@ from repro.apps.video import VideoScenario
 from repro.apps.video.scenario import VIDEO_CCS
 from repro.obs import MetricsObserver, ObservationBus
 from repro.safety import StreamingSafetyChecker
+from repro.trace import iter_jsonl
+from tests.oracles import trace_reference
 
 OBS_JSON = Path(__file__).with_name("BENCH_obs.json")
 
@@ -102,3 +112,70 @@ def test_observer_overhead(benchmark):
         {"ratio": round(ratio, 3), "records": records}
     )
     assert ratio < MAX_OVERHEAD_RATIO
+
+
+#: the product decoder must decode at least this much faster per record
+DECODE_GATE = 1.7
+DECODE_ROUNDS = 40
+
+
+def twophase_trace() -> str:
+    """JSONL of a two-phase hardening swap on the video system."""
+    from repro.apps.video.system import paper_target
+    from repro.baselines import TwoPhaseSwap
+
+    cluster = VideoScenario(seed=11).cluster
+    cluster.start_apps()
+    cluster.sim.run(until=20.0)
+    TwoPhaseSwap(cluster, paper_target()).run()
+    cluster.sim.run(until=80.0)
+    return cluster.trace.to_jsonl()
+
+
+def decode_row(text: str) -> dict:
+    """Best-of-rounds µs/record of both decoders, interleaved per round."""
+    lines = text.splitlines(keepends=True)  # as a file handle yields them
+    assert list(iter_jsonl(lines)) == list(trace_reference.iter_jsonl(lines))
+    decoders = {"reference": trace_reference.iter_jsonl, "product": iter_jsonl}
+    best = dict.fromkeys(decoders, float("inf"))
+    for _ in range(DECODE_ROUNDS):
+        for name, decode in decoders.items():
+            t0 = time.perf_counter()
+            for _ in decode(lines):
+                pass
+            best[name] = min(best[name], time.perf_counter() - t0)
+    row = {
+        f"{name}_us_per_record": round(seconds / len(lines) * 1e6, 3)
+        for name, seconds in best.items()
+    }
+    row["records"] = len(lines)
+    row["speedup"] = round(best["reference"] / best["product"], 2)
+    return row
+
+
+def test_trace_decode_speedup(benchmark):
+    scenario = VideoScenario(seed=7)
+    scenario.run()
+    traces = {
+        "section5": scenario.cluster.trace.to_jsonl(),
+        "twophase": twophase_trace(),
+    }
+    rows = benchmark.pedantic(
+        lambda: {name: decode_row(text) for name, text in traces.items()},
+        rounds=1, iterations=1,
+    )
+    assert rows["section5"]["records"] == 958
+    data = {**rows, "nproc": os.cpu_count(), "gate": DECODE_GATE}
+    report(
+        "trace decode us/record, reference decoder vs product",
+        "\n".join(
+            f"{name:9} {row['records']:4} records: reference "
+            f"{row['reference_us_per_record']:6.2f} us, product "
+            f"{row['product_us_per_record']:6.2f} us ({row['speedup']:.2f}x)"
+            for name, row in rows.items()
+        ) + f"\n{os.cpu_count()} cpu(s); gate: >= {DECODE_GATE:g}x on each",
+        data=data,
+        json_path=OBS_JSON,
+    )
+    for row in rows.values():
+        assert row["speedup"] >= DECODE_GATE

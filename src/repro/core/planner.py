@@ -35,8 +35,8 @@ from repro.graphs.yen import extend_k_shortest
 
 #: above this many components the eager 2^n enumeration is off the table:
 #: :attr:`AdaptationPlanner.oversized` reads it, and every planning entry
-#: point routes by that predicate (the lint pipeline applies the same cap
-#: to its safe-space checks)
+#: point routes by that predicate (lint's default safe-space cap,
+#: ``repro.lint.MAX_ENUM_COMPONENTS``, is this same constant)
 LAZY_PLAN_COMPONENTS = 24
 
 

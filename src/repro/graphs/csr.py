@@ -132,17 +132,6 @@ class CSRGraph(Generic[N, L]):
         """Resumable single-source shortest-path tree rooted at *source*."""
         return ShortestPathTree(self, self.index_of[source])
 
-    def shortest_path(self, source: N, target: N) -> Optional[Path[N, L]]:
-        """Point-to-point query with early termination at *target*.
-
-        Identical output to the reference dict-graph Dijkstra on the
-        uncompiled graph.
-        """
-        source_index = self.index_of[source]
-        target_index = self.index_of[target]
-        dist, _, pred = csr_dijkstra(self, source_index, target=target_index)
-        return reconstruct_path(self, source_index, target_index, dist, pred)
-
 
 def _settle(
     csr: CSRGraph[N, L], heap: list, dist: List[float], hops: List[int],

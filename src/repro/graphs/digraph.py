@@ -114,16 +114,11 @@ class Digraph(Generic[N, L]):
         for out_edges in self._adjacency.values():
             yield from out_edges
 
-    def out_edges(self, node: N) -> Tuple[Edge[N, L], ...]:
-        """Outgoing edges of *node* (empty tuple if the node is unknown)."""
-        return tuple(self._adjacency.get(node, ()))
-
     def adjacency(self, node: N) -> Sequence[Edge[N, L]]:
         """Outgoing edges of *node* without a defensive copy.
 
         Hot-path accessor for the search algorithms: returns the internal
-        edge list (do not mutate).  :meth:`out_edges` stays the safe,
-        copying API for everyone else.
+        edge list (do not mutate).
         """
         return self._adjacency.get(node, _NO_EDGES)
 
@@ -133,15 +128,6 @@ class Digraph(Generic[N, L]):
             if edge.target not in seen:
                 seen.add(edge.target)
                 yield edge.target
-
-    def has_edge(self, source: N, target: N) -> bool:
-        return any(e.target == target for e in self._adjacency.get(source, ()))
-
-    def edge_labels(self, source: N, target: N) -> Tuple[L, ...]:
-        """Labels of all parallel edges from *source* to *target*."""
-        return tuple(
-            e.label for e in self._adjacency.get(source, ()) if e.target == target
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Digraph(nodes={self.node_count}, edges={self.edge_count})"

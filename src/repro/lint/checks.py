@@ -54,6 +54,7 @@ from repro.core.analysis import blast_radii, invariants_at_risk
 from repro.core.collaborative import UnionFind, collaborative_sets
 from repro.core.invariants import Invariant, InvariantSet
 from repro.core.model import Component, ComponentUniverse, Configuration
+from repro.core.planner import LAZY_PLAN_COMPONENTS
 from repro.errors import ActionError, ParseError
 from repro.expr.ast import Expr
 from repro.expr.compile import MaskFn, compile_expr
@@ -73,10 +74,11 @@ from repro.span import Span
 #: Enumerating a truth table is capped at this many variable bits —
 #: beyond it the check is skipped (recorded in ``report.skipped``).
 MAX_SAT_ATOMS = 16
-#: Default cap on safe-space enumeration (SA3xx).  Overridable per run
-#: (``max_enum_components=``); a skip now emits an explicit SA307 note
-#: besides the ``report.skipped`` line.
-MAX_ENUM_COMPONENTS = 24
+#: Default cap on safe-space enumeration (SA3xx): the planner's own cap,
+#: so lint and planning switch to frontier search at the same size.
+#: Overridable per run (``max_enum_components=``); a skip now emits an
+#: explicit SA307 note besides the ``report.skipped`` line.
+MAX_ENUM_COMPONENTS = LAZY_PLAN_COMPONENTS
 
 
 @dataclass

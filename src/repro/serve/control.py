@@ -68,6 +68,7 @@ from repro.serve.api import (
 )
 from repro.serve.registry import SpecRecord, SpecRegistry
 from repro.serve.service import PlanningService
+from repro.trace import ConfigCommitted, iter_jsonl
 
 
 class _Fail(Exception):
@@ -120,8 +121,6 @@ class _PropertyCheck:
         self.first_violation = None  # (commit index, record)
 
     def feed(self, record) -> None:
-        from repro.trace import ConfigCommitted
-
         if not isinstance(record, ConfigCommitted):
             return
         value, self.state = self.compiled.step(
@@ -501,7 +500,6 @@ class ControlPlane:
     def _handle_trace_check(self, request: TraceCheckRequest) -> Response:
         from repro.obs import MetricsObserver
         from repro.safety import SafetyChecker
-        from repro.trace import iter_jsonl
 
         if (request.trace is None) == (request.trace_path is None):
             raise _fail(
@@ -530,14 +528,16 @@ class ControlPlane:
             handle = io.StringIO(request.trace)
         # Constant memory either way: records flow source → decoder →
         # checker one at a time; the trace is never materialized.
+        feeders = tuple(
+            observer.feed
+            for observer in (stream, metrics, ltl)
+            if observer is not None
+        )
         try:
             with handle:
                 for rec in iter_jsonl(handle):
-                    stream.feed(rec)
-                    if metrics is not None:
-                        metrics.feed(rec)
-                    if ltl is not None:
-                        ltl.feed(rec)
+                    for feed in feeders:
+                        feed(rec)
         except ValueError as exc:
             if request.trace_path is not None:
                 message = f"malformed trace file {request.trace_path}: {exc}"

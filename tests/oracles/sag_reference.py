@@ -18,6 +18,7 @@ from repro.core.model import Configuration
 from repro.core.space import SafeConfigurationSpace
 from repro.errors import UnknownComponentError
 from repro.graphs import Digraph
+from tests.oracles.graph_reference import edge_labels, has_edge, out_edges
 
 
 class ReferenceSAG:
@@ -121,15 +122,15 @@ class ReferenceSAG:
         """Outgoing adaptation steps: (action, resulting configuration)."""
         return tuple(
             (self._actions.get(edge.label), edge.target)
-            for edge in self._graph.out_edges(config)
+            for edge in out_edges(self._graph, config)
         )
 
     def has_step(self, source: Configuration, target: Configuration) -> bool:
-        return self._graph.has_edge(source, target)
+        return has_edge(self._graph, source, target)
 
     def step_actions(self, source: Configuration, target: Configuration) -> Tuple[str, ...]:
         """Ids of every action realizing the arc source→target (parallel arcs)."""
-        return self._graph.edge_labels(source, target)
+        return edge_labels(self._graph, source, target)
 
     def edge_list(self) -> List[Tuple[Configuration, str, Configuration]]:
         """All arcs as (source, action id, target), deterministic order."""

@@ -278,6 +278,24 @@ class TestLint:
         assert result.summary["errors"] >= 1
 
 
+GOOD_RECORD = (
+    '{"action": "a", "cid": 1, "component": "", "process": "", '
+    '"time": 1.0, "type": "CommRecord"}\n'
+)
+
+#: hostile second lines and the decoder's typed complaint about each
+SHAPE_ERRORS = [
+    ("3", "line 2: expected a JSON object, got a number"),
+    ("[1, 2]", "line 2: expected a JSON object, got an array"),
+    ('{"type": "CommRecord", "time": 1.0, "action": "a"}',
+     "line 2: CommRecord record missing required field(s) 'cid'"),
+    ('{"type": "ConfigCommitted", "time": 2.0, "configuration": 5, '
+     '"step_id": "initial", "action_id": ""}',
+     "line 2: ConfigCommitted field 'configuration' must be a JSON array "
+     "of strings, got a number"),
+]
+
+
 class TestTraceCheck:
     def _trace_text(self, video_path, tmp_path):
         trace = tmp_path / "run.jsonl"
@@ -305,6 +323,32 @@ class TestTraceCheck:
         )
         assert result.code == "bad-trace"
         assert result.message.startswith("malformed trace")
+
+    @pytest.mark.parametrize("line, detail", SHAPE_ERRORS)
+    def test_shape_errors_are_bad_trace(self, property_text, line, detail):
+        result = ControlPlane().dispatch(
+            TraceCheckRequest(trace=GOOD_RECORD + line + "\n",
+                              manifest=property_text)
+        )
+        assert isinstance(result, ErrorEnvelope)
+        assert (result.code, result.message) == (
+            "bad-trace", f"malformed trace: {detail}"
+        )
+
+    @pytest.mark.parametrize("stream", [(), ("--stream",)])
+    @pytest.mark.parametrize("line, detail", SHAPE_ERRORS)
+    def test_cli_reports_shape_errors(
+        self, property_path, tmp_path, capsys, line, detail, stream
+    ):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(GOOD_RECORD + line + "\n", encoding="utf-8")
+        code, output = run_cli(
+            "trace", "check", str(path), "--manifest", property_path, *stream
+        )
+        assert (code, output) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: malformed trace file {path}: {detail}\n"
+        )
 
 
 class TestRemovedEngineFields:

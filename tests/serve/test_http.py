@@ -209,6 +209,21 @@ class TestGoldenErrorEnvelopes:
         assert body["error"]["code"] == "bad-manifest"
         assert "Traceback" not in json.dumps(body)
 
+    def test_hostile_trace_line_is_a_typed_422(self, server, video_text):
+        status, body, _ = request(
+            server.address, "POST", "/v1/trace-check",
+            body={"manifest": video_text, "trace": "3\n"},
+        )
+        assert status == 422
+        assert body == {
+            "ok": False,
+            "error": {
+                "code": "bad-trace",
+                "message": "malformed trace: line 1: expected a JSON object, "
+                           "got a number",
+            },
+        }
+
     def test_deadline_exceeded(self, server, video_text):
         status, body, _ = request(
             server.address, "POST", "/v1/plan",

@@ -206,3 +206,140 @@ class TestSerialization:
         again = check_safe(restored, invariants)
         assert original.ok == again.ok
         assert len(original.violations) == len(again.violations)
+
+
+class TestShapeErrors:
+    """Hostile lines fail as ``ValueError("line N: …")``, never deeper."""
+
+    GOOD = (
+        '{"type": "CommRecord", "time": 1.0, "cid": 1, "action": "a", '
+        '"component": "", "process": ""}\n'
+    )
+
+    def decode(self, bad_line):
+        import pytest
+
+        from repro.trace import iter_jsonl
+
+        with pytest.raises(ValueError) as caught:
+            list(iter_jsonl([self.GOOD, bad_line]))
+        return str(caught.value)
+
+    def test_scalar_line(self):
+        assert self.decode("3\n") == (
+            "line 2: expected a JSON object, got a number"
+        )
+
+    def test_array_line(self):
+        assert self.decode("[1, 2]\n") == (
+            "line 2: expected a JSON object, got an array"
+        )
+
+    def test_null_and_string_lines(self):
+        assert self.decode("null\n").endswith("got null")
+        assert self.decode('"x"\n').endswith("got a string")
+
+    def test_missing_required_field(self):
+        assert self.decode(
+            '{"type": "CommRecord", "time": 1.0, "action": "a"}\n'
+        ) == "line 2: CommRecord record missing required field(s) 'cid'"
+
+    def test_set_field_not_an_array(self):
+        assert self.decode(
+            '{"type": "ConfigCommitted", "time": 0.0, "configuration": 5, '
+            '"step_id": "initial", "action_id": ""}\n'
+        ) == (
+            "line 2: ConfigCommitted field 'configuration' must be a JSON "
+            "array of strings, got a number"
+        )
+
+    def test_set_field_with_non_string_members(self):
+        # the generic path (step_id omitted) checks the same rule
+        message = self.decode(
+            '{"type": "AdaptationApplied", "time": 0.0, "process": "p", '
+            '"action_id": "A1", "removes": [], "adds": [["X"]]}\n'
+        )
+        assert message == (
+            "line 2: AdaptationApplied field 'adds' must be a JSON array of "
+            "strings, got an array holding an array"
+        )
+        assert self.decode(
+            '{"type": "ConfigCommitted", "time": 0.0, "configuration": '
+            '["A", 1], "step_id": "initial", "action_id": ""}\n'
+        ).endswith("got an array holding a number")
+
+    def test_unhashable_type_tag(self):
+        assert self.decode('{"type": ["CommRecord"], "time": 0.0}\n') == (
+            "line 2: unknown record type ['CommRecord']"
+        )
+
+    def test_nesting_too_deep(self):
+        depth = 100_000
+        assert self.decode("[" * depth + "]" * depth + "\n") == (
+            "line 2: JSON nested too deeply"
+        )
+
+    def test_syntax_errors_keep_the_json_message(self):
+        import json
+
+        import pytest
+
+        from repro.trace import iter_jsonl
+
+        for bad in ("not json\n", '{"type": "NoteRecord"} x\n', "﻿{}\n"):
+            with pytest.raises(json.JSONDecodeError) as caught:
+                list(iter_jsonl([bad]))
+            with pytest.raises(json.JSONDecodeError) as expected:
+                json.loads(bad)
+            assert str(caught.value) == str(expected.value)
+
+
+class TestDecodePaths:
+    def test_exact_payload_builds_an_equal_frozen_record(self):
+        import dataclasses
+
+        import pytest
+
+        record = list(Trace.from_jsonl(
+            '{"type": "ConfigCommitted", "time": 0.0, "configuration": '
+            '["B", "A"], "step_id": "s", "action_id": "A1"}'
+        ))[0]
+        assert record == ConfigCommitted(
+            time=0.0, configuration=frozenset({"A", "B"}), step_id="s",
+            action_id="A1",
+        )
+        assert type(record.configuration) is frozenset
+        assert hash(record) == hash(dataclasses.replace(record))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.time = 1.0
+
+    def test_omitted_defaults_are_filled(self):
+        record = list(Trace.from_jsonl(
+            '{"type": "ConfigCommitted", "time": 0.0, "configuration": ["A"]}'
+        ))[0]
+        assert record.step_id == "initial" and record.action_id == ""
+
+    def test_indented_and_crlf_lines_decode(self):
+        text = make_trace().to_jsonl()
+        mangled = "\r\n".join("  " + line + " \t" for line in text.splitlines())
+        assert list(Trace.from_jsonl(mangled)) == list(make_trace())
+
+    def test_lines_are_not_joined_into_one_array(self):
+        # "[" + ",".join(lines) + "]" parses these four lines as three
+        # records; decoded line by line the first line is malformed
+        import json
+
+        import pytest
+
+        from repro.trace import iter_jsonl
+
+        first, second = make_trace().to_jsonl().splitlines()[:2]
+        lines = [
+            first + ", " + second + "\n",
+            '{"type": "NoteRecord"\n',
+            '"time": 0.0, "text": "x"}\n',
+        ]
+        joined = json.loads("[" + ",".join(lines) + "]")
+        assert len(joined) == 3
+        with pytest.raises(json.JSONDecodeError, match="Extra data"):
+            list(iter_jsonl(lines))

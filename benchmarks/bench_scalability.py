@@ -17,6 +17,14 @@ Two measured axes, both persisted to ``BENCH_scalability.json``:
   query to beat eager build+plan by >=10x; the 35-component rows are
   the beyond-the-barrier acceptance check (eager enumeration of 8^5
   configurations is no longer attempted at all).
+* **factored cold build** — cold ``enumerate_masks()`` +
+  ``SafeAdaptationGraph.build`` composed from per-set factors against
+  the whole-universe backtracking plus the vertex × action loop it
+  replaced (``tests/oracles/space_reference.py``,
+  ``tests/oracles/sag_reference.py``), on video ×3, video + 5 services,
+  fleet ×7 and a shape whose sets interleave (xor-stress n=16).
+  Identical arrays are asserted before timing; the gate
+  (``test_factored_cold_build``) requires >=2x on video ×3.
 * **lazy cost vs distance** — cold ``lazy_plan`` on the 30-component
   ``examples/fleet30.manifest`` from ``baseline`` to targets moving
   1/2/4/6/10 services to v3, recorded with the host's CPU count.  The
@@ -33,21 +41,28 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import report
-from repro.bench import format_table, replicated_video_system
+from repro.bench import format_table, replicated_video_system, service_fleet_system
 from repro.bench.workloads import enumeration_stress_system
 from repro.core.model import Configuration
 from repro.core.planner import AdaptationPlanner
+from repro.core.sag import SafeAdaptationGraph
 from repro.core.space import SafeConfigurationSpace
 from repro.manifest import load_path
+from tests.oracles.sag_reference import vertex_action_build
+from tests.oracles.space_reference import backtracking_masks
 
 SCALABILITY_JSON = Path(__file__).with_name("BENCH_scalability.json")
 FLEET30 = Path(__file__).resolve().parents[1] / "examples" / "fleet30.manifest"
 
 
 def plan_monolithic(system):
-    planner = AdaptationPlanner(system.universe, system.invariants, system.actions)
-    plan = planner.plan(system.source, system.target)
-    return plan, planner.sag.node_count
+    """The §7 monolithic baseline: one SAG over the whole universe, built by
+    backtracking over every component and testing every action at every
+    safe vertex (the oracles the factored build replaced), then Dijkstra."""
+    space = SafeConfigurationSpace(system.universe, system.invariants)
+    sag = vertex_action_build(space, system.actions, backtracking_masks(space))
+    tree = sag.csr.shortest_path_tree(system.universe.mask_of(system.source))
+    return tree.path_to(system.universe.mask_of(system.target)), sag.node_count
 
 
 def plan_lazy(system):
@@ -63,9 +78,9 @@ def plan_collaborative(system):
 @pytest.mark.parametrize("groups", [1, 2, 3])
 def test_monolithic_sag(benchmark, groups):
     system = replicated_video_system(groups)
-    plan, nodes = benchmark(lambda: plan_monolithic(system))
+    path, nodes = benchmark(lambda: plan_monolithic(system))
     assert nodes == 8 ** groups  # the exponential blow-up, literally
-    assert plan.total_cost == 50.0 * groups
+    assert path.cost == 50.0 * groups
     benchmark.extra_info["sag_nodes"] = nodes
 
 
@@ -117,6 +132,85 @@ def test_serial_enumeration(benchmark, n):
             "nproc": os.cpu_count(),
         },
         json_path=SCALABILITY_JSON,
+    )
+
+
+# --- factored cold build ----------------------------------------------------
+
+#: (row name, JSON key prefix, system)
+FACTORED_SHAPES = (
+    ("video x3", "video_x3", lambda: replicated_video_system(3)),
+    ("video + 5", "video_plus_5", lambda: service_fleet_system(5, video_groups=1)),
+    ("fleet x7", "fleet_x7", lambda: service_fleet_system(7)),
+    ("xor-stress n=16", "xor_stress_16", lambda: enumeration_stress_system(16)),
+)
+FACTORED_ROUNDS = 7
+FACTORED_GATE = 2.0
+
+
+def _csr_arrays(sag):
+    csr = sag.csr
+    return (csr.nodes, csr.offsets, csr.targets, csr.weights, csr.label_ids, csr.labels)
+
+
+def test_factored_cold_build():
+    """Cold safe space + SAG: per-set factors vs the whole-universe build.
+
+    Both sides start from a fresh space (no enumeration, no safety memo)
+    and end with the CSR arrays; rounds alternate between them and each
+    side keeps its best.  The xor-stress shape has one large
+    invariant-connected set whose actions interleave with two singleton
+    sets in library order, so its build is one factor: what it gains
+    comes from enumerating that set without the two free components.
+    """
+
+    def whole_universe(system):
+        space = SafeConfigurationSpace(system.universe, system.invariants)
+        return vertex_action_build(space, system.actions, backtracking_masks(space))
+
+    def factored(system):
+        space = SafeConfigurationSpace(system.universe, system.invariants)
+        return SafeAdaptationGraph.build(space, system.actions)
+
+    rows = []
+    data = {"nproc": os.cpu_count(), "rounds": FACTORED_ROUNDS,
+            "gate_video_x3": FACTORED_GATE}
+    speedups = {}
+    for name, key, make in FACTORED_SHAPES:
+        system = make()
+        sag = factored(system)
+        assert _csr_arrays(sag) == _csr_arrays(whole_universe(system))
+        best = {whole_universe: float("inf"), factored: float("inf")}
+        for _ in range(FACTORED_ROUNDS):
+            for build in best:
+                t0 = time.perf_counter()
+                build(system)
+                best[build] = min(best[build], time.perf_counter() - t0)
+        speedups[name] = best[whole_universe] / best[factored]
+        data[f"{key}_vertices"] = sag.node_count
+        data[f"{key}_arcs"] = sag.edge_count
+        data[f"{key}_whole_universe_ms"] = round(best[whole_universe] * 1e3, 3)
+        data[f"{key}_factored_ms"] = round(best[factored] * 1e3, 3)
+        data[f"{key}_speedup"] = round(speedups[name], 2)
+        rows.append((
+            f"{name} ({len(system.universe)} comps)", sag.node_count, sag.edge_count,
+            f"{best[whole_universe] * 1e3:.2f}", f"{best[factored] * 1e3:.2f}",
+            f"{speedups[name]:.1f}x",
+        ))
+    report(
+        "P3 factored cold build (enumerate_masks + SafeAdaptationGraph.build)",
+        format_table(
+            ["shape", "vertices", "arcs", "whole universe (ms)", "factored (ms)",
+             "speedup"],
+            rows,
+        )
+        + f"\n{os.cpu_count()} cpu(s); gate: video x3 >= {FACTORED_GATE:g}x",
+        data=data,
+        json_path=SCALABILITY_JSON,
+    )
+    assert speedups["video x3"] >= FACTORED_GATE, (
+        f"factored cold build on video x3 ran {speedups['video x3']:.2f}x the "
+        f"whole-universe build (gate {FACTORED_GATE:g}x)"
     )
 
 

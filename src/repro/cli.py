@@ -221,18 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="manifest supplying the dependency invariants to check against",
     )
     trace_check.add_argument(
-        "--stream", action="store_true",
-        help="stream the file through the incremental checker line by line "
-             "(constant memory; the record list is never materialized)",
-    )
-    trace_check.add_argument(
         "--metrics", action="store_true",
         help="also print rolling execution counters for the trace",
     )
     trace_check.add_argument(
         "--ltl", metavar="NAME", default=None,
         help="also check the named [properties] formula at each committed "
-             "configuration of the trace (works with --stream)",
+             "configuration of the trace",
     )
     trace_check.add_argument(
         "--json", action="store_true",
@@ -651,7 +646,6 @@ def cmd_trace(args, out) -> int:
         trace_path=args.tracefile,
         ltl=args.ltl,
         metrics=args.metrics,
-        stream=args.stream,
         manifest=Path(args.manifest).read_text(encoding="utf-8"),
     )
     control = ControlPlane()

@@ -9,22 +9,51 @@ Two components collaborate iff some invariant mentions both or some
 adaptive action touches both.  Collaborative sets are the connected
 components of that relation, computed with a union-find structure.
 
-The same independence makes the implicit SAG a product of per-set
-sub-SAGs, which :class:`SetDistanceHeuristic` turns into the lazy
-planner's exact distance-to-target heuristic.
+The same independence factors everything built over the safe space.
+:class:`SafeFactorization` owns it: the safe space is the product of the
+sets' safe projections, each enumerated on its own.  The SAG is the
+product of per-set sub-SAGs (:func:`sag_factors` feeds
+:meth:`SafeAdaptationGraph.build <repro.core.sag.SafeAdaptationGraph.build>`),
+:class:`SetDistanceHeuristic` turns the sub-SAGs into the lazy planner's
+exact distance-to-target heuristic, and lint's per-set analysis reads
+the same projections.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.actions import ActionLibrary
 from repro.core.invariants import InvariantSet
 from repro.core.model import ComponentUniverse
-from repro.core.space import SafeConfigurationSpace
 from repro.graphs.csr import CSRGraph, csr_dijkstra
+
+if TYPE_CHECKING:
+    from repro.core.space import SafeConfigurationSpace
+
+#: one arc of a collaborative set's sub-SAG, as compiled from an action:
+#: ``(care, required, cost, label)`` — the action applies where
+#: ``mask & care == required`` and moves ``mask`` to ``mask ^ care``
+SetArc = Tuple[int, int, float, int]
+#: one arc out of a projection in a set's sub-SAG: ``(target projection
+#: index, cost, label)``
+ProjectionArc = Tuple[int, float, int]
+#: collaborative sets, sorted by smallest member, and per set its
+#: :data:`SetArc` list in library order
+ActionSets = Tuple[Tuple[FrozenSet[str], ...], Tuple[Tuple[SetArc, ...], ...]]
 
 
 class UnionFind:
@@ -116,6 +145,212 @@ def project_invariants(
     )
 
 
+class SafeFactorization:
+    """The safe space as a product of per-set factors (paper §7).
+
+    No invariant spans two *invariant-connected* sets of components
+    (:func:`collaborative_sets` with no actions), so a mask is safe iff
+    its projection onto every such set is safe under the invariants
+    whose in-universe atoms lie in that set.  Each set's safe
+    projections are enumerated on their own, once, on first use
+    (:meth:`~repro.core.space.SafeConfigurationSpace.extensions` over
+    the set's components, every other bit undecided), and stay in the
+    universe's own bit encoding with every bit outside the set clear.
+    Invariants with no atom in the universe are constants: every set
+    carries them, so a false one empties every factor.
+
+    A space holds one (:meth:`SafeConfigurationSpace.projections
+    <repro.core.space.SafeConfigurationSpace.projections>`) and passes
+    its enumerator in on each call: the factorization keeps no
+    reference back, so an evicted space is freed by reference counting
+    rather than waiting for the cycle collector.
+    """
+
+    def __init__(self, universe: ComponentUniverse, invariants: InvariantSet):
+        self._universe = universe
+        group_of = {
+            name: group
+            for group in collaborative_sets(universe, invariants, ActionLibrary())
+            for name in group
+        }
+        # sets by their first component, most significant first: for sets
+        # that occupy contiguous runs of the universe order, the product
+        # comes out ascending
+        members: Dict[FrozenSet[str], List[str]] = {}
+        for name in universe.order:
+            members.setdefault(group_of[name], []).append(name)
+        self._sets = list(members)
+        self._order = [tuple(names) for names in members.values()]
+        self._set_of = {
+            name: index for index, names in enumerate(self._order) for name in names
+        }
+        self._projections: Dict[int, Tuple[int, ...]] = {}
+        #: the last :meth:`action_sets` answer, keyed by the library's
+        #: compiled masks (a new tuple whenever the library grows)
+        self._action_sets: Optional[Tuple[tuple, ActionSets]] = None
+
+    def projections(
+        self,
+        component_set: Iterable[str],
+        extensions: Callable[[Tuple[str, ...]], List[int]],
+    ) -> Tuple[int, ...]:
+        """The safe projections of *component_set*, ascending.
+
+        *component_set* must be a union of invariant-connected sets (any
+        collaborative set is, with or without ``[conflicts]``); its safe
+        projections are the product of those sets' own.  Over the whole
+        universe this is the safe space.  *extensions* is the space's
+        :meth:`~repro.core.space.SafeConfigurationSpace.extensions`.
+
+        Raises:
+            ValueError: *component_set* splits an invariant-connected set.
+        """
+        members = frozenset(component_set)
+        indices = sorted({self._set_of[name] for name in members})
+        if not indices:
+            # no set to vary: the empty mask, unless a constant is false
+            return tuple(extensions(()))
+        masks = [0]
+        for index in indices:
+            if not self._sets[index] <= members:
+                raise ValueError(
+                    f"{sorted(members)} splits the invariant-connected set "
+                    f"{sorted(self._sets[index])}"
+                )
+            projections = self._projections.get(index)
+            if projections is None:
+                projections = self._projections[index] = tuple(
+                    extensions(self._order[index])
+                )
+            masks = [mask | projection for mask in masks for projection in projections]
+        masks.sort()
+        return tuple(masks)
+
+
+    def action_sets(self, actions: ActionLibrary) -> ActionSets:
+        """The collaborative sets of *actions* and each one's :func:`set_arcs`.
+
+        The sets are :func:`collaborative_sets` ``(universe, invariants,
+        actions)``, found by joining the invariant-connected sets along
+        the actions rather than by a second pass over the invariants.
+        The answer is kept for the last library, so the SAG build and
+        the lazy heuristic of one planner share it.
+        """
+        universe = self._universe
+        compiled = actions.compiled_for(universe)
+        cached = self._action_sets
+        if cached is not None and cached[0] is compiled:
+            return cached[1]
+        set_of = self._set_of
+        uf = UnionFind(range(len(self._sets)))
+        for action in actions:
+            touched = [set_of[name] for name in action.touched if name in set_of]
+            for other in touched[1:]:
+                uf.union(touched[0], other)
+        groups = [
+            frozenset().union(*(self._sets[index] for index in indices))
+            for indices in uf.groups()
+        ]
+        groups.sort(key=min)
+        answer = (
+            tuple(groups),
+            tuple(map(tuple, set_arcs(universe, groups, actions))),
+        )
+        self._action_sets = (compiled, answer)
+        return answer
+
+
+def set_arcs(
+    universe: ComponentUniverse,
+    groups: Sequence[FrozenSet[str]],
+    actions: ActionLibrary,
+) -> List[List[SetArc]]:
+    """Per collaborative set, the arcs of its actions in library order.
+
+    *groups* must be collaborative sets of *actions* (every action
+    touches one set only); actions touching components outside the
+    universe can never connect two configurations and are skipped.
+    Labels index ``actions`` in iteration order.
+    """
+    group_of_bit: Dict[int, int] = {}
+    for index, group in enumerate(groups):
+        for name in group:
+            group_of_bit[universe.bit_of(name)] = index
+    arcs: List[List[SetArc]] = [[] for _ in groups]
+    for label, (masked, action) in enumerate(zip(actions.compiled_for(universe), actions)):
+        if masked is None:
+            continue
+        # the bits an action clears are required and the bits it sets
+        # forbidden, so applying it is one XOR with ``care``; all of them
+        # lie in one set, named here by the lowest
+        care = masked.required | masked.forbidden
+        arcs[group_of_bit[care & -care]].append((care, masked.required, action.cost, label))
+    return arcs
+
+
+def projection_arcs(
+    projections: Sequence[int], arcs: Sequence[SetArc]
+) -> List[List[ProjectionArc]]:
+    """A set's sub-SAG: per projection, its ``(target index, cost, label)`` arcs.
+
+    *projections* are the set's safe projections and *arcs* its actions'
+    arcs; each projection's arcs keep the order of *arcs* and lead to a
+    safe projection.
+    """
+    index_of = {node: index for index, node in enumerate(projections)}
+    get_target = index_of.get
+    rows: List[List[ProjectionArc]] = []
+    for node in projections:
+        row = []
+        for care, required, cost, label in arcs:
+            if node & care == required:
+                target = get_target(node ^ care)
+                if target is not None:
+                    row.append((target, cost, label))
+        rows.append(row)
+    return rows
+
+
+def sag_factors(
+    space: "SafeConfigurationSpace", actions: ActionLibrary
+) -> List[Tuple[Tuple[int, ...], List[List[ProjectionArc]]]]:
+    """The SAG as a product of sub-SAGs: ``(projections, arcs)`` per factor.
+
+    A factor is a collaborative set, or several whose actions interleave
+    in library order, so that concatenating one projection's arcs per
+    factor, in factor order, lists a vertex's arcs in action-library
+    order.  Factors with actions come first, ordered by their first
+    action; the sets without any action form one last factor.  *arcs*
+    is :func:`projection_arcs` over the factor's safe projections.
+    """
+    groups, arcs_of = space.factorization.action_sets(actions)
+
+    def first_label(item: Tuple[FrozenSet[str], Sequence[SetArc]]) -> float:
+        _, arcs = item
+        return arcs[0][3] if arcs else math.inf
+
+    merged: List[Tuple[FrozenSet[str], Sequence[SetArc]]] = []
+    idle: List[FrozenSet[str]] = []
+    for group, arcs in sorted(zip(groups, arcs_of), key=first_label):
+        if not arcs:
+            idle.append(group)
+        elif merged and arcs[0][3] < merged[-1][1][-1][3]:
+            # this set's actions interleave with the previous factor's
+            first, first_arcs = merged.pop()
+            merged.append(
+                (first | group, sorted((*first_arcs, *arcs), key=lambda arc: arc[3]))
+            )
+        else:
+            merged.append((group, arcs))
+    if idle:
+        merged.append((frozenset(name for group in idle for name in group), []))
+    factors: List[Tuple[Tuple[int, ...], List[List[ProjectionArc]]]] = []
+    for group, arcs in merged:
+        projections = space.projections(group)
+        factors.append((projections, projection_arcs(projections, arcs)))
+    return factors
+
+
 class SetDistanceHeuristic:
     """The lazy planner's heuristic: exact distance, one set at a time (§7).
 
@@ -149,11 +384,14 @@ class SetDistanceHeuristic:
     consistent and ``h(target) == 0``; Yen's bans only lengthen true
     distances, so it stays admissible in every spur.
 
-    The sub-SAG is enumerated in place, in the planner's own bit
-    encoding: :meth:`~repro.core.space.SafeConfigurationSpace.restricted_masks`
-    varies only the set's components over a safe anchor, where the other
-    sets' invariants hold — exactly the sub-universe's safe set under the
-    projected invariants, with no second universe or mask translation.
+    The sub-SAG is built in place, in the planner's own bit encoding:
+    its nodes are the set's safe projections
+    (:meth:`SafeConfigurationSpace.projections
+    <repro.core.space.SafeConfigurationSpace.projections>`, shared with
+    the eager build)
+    and its arcs :func:`projection_arcs` — no second universe or mask
+    translation.  The sets ignore ``[conflicts]``: they only shape the
+    heuristic, which stays exact on the finer partition.
     """
 
     def __init__(
@@ -167,40 +405,19 @@ class SetDistanceHeuristic:
         self._space = space
         self._cap = cap
         self._cache_size = max(1, cache_size)
-        groups = collaborative_sets(universe, space.invariants, actions)
-        group_of_bit: Dict[int, int] = {}
-        members: List[List[str]] = [[] for _ in groups]
-        for index, group in enumerate(groups):
-            for name in group:
-                group_of_bit[universe.bit_of(name)] = index
-        for name in universe.order:
-            members[group_of_bit[universe.bit_of(name)]].append(name)
-        arcs: List[List[Tuple[int, int, float, int]]] = [[] for _ in groups]
-        for label, (masked, action) in enumerate(
-            zip(actions.compiled_for(universe), actions)
-        ):
-            if masked is None:
-                continue
-            # the bits an action clears are required and the bits it sets
-            # forbidden, so applying it is one XOR with ``care``; all of
-            # them lie in one set, named here by the lowest
-            care = masked.required | masked.forbidden
-            if care:
-                arcs[group_of_bit[care & -care]].append(
-                    (care, masked.required, action.cost, label)
-                )
+        groups, arcs_of = space.factorization.action_sets(actions)
         self._labels = actions.ids()
-        #: per set: (mask, member names in universe order, arc specs,
-        #: the mask bound's max_flip and min_cost)
+        #: per set: (mask, members, arcs, the mask bound's max_flip and
+        #: min_cost)
         self._sets = tuple(
             (
-                universe.mask_of_names(names),
-                tuple(names),
-                tuple(set_arcs),
-                max((care.bit_count() for care, _, _, _ in set_arcs), default=1),
-                min((cost for _, _, cost, _ in set_arcs), default=math.inf),
+                universe.mask_of_names(group),
+                group,
+                arcs,
+                max((care.bit_count() for care, _, _, _ in arcs), default=1),
+                min((cost for _, _, cost, _ in arcs), default=math.inf),
             )
-            for names, set_arcs in zip(members, arcs)
+            for group, arcs in zip(groups, arcs_of)
         )
         self._graphs: Dict[int, CSRGraph] = {}
         self._tables: "OrderedDict[Tuple[int, int], Dict[int, float]]" = OrderedDict()
@@ -216,10 +433,10 @@ class SetDistanceHeuristic:
         """
         exact: List[Tuple[int, Dict[int, float]]] = []
         bounded: List[Tuple[int, int, int, float]] = []
-        for index, (set_mask, names, _, max_flip, min_cost) in enumerate(self._sets):
+        for index, (set_mask, group, _, max_flip, min_cost) in enumerate(self._sets):
             projection = target_mask & set_mask
-            if len(names) <= self._cap and source_mask & set_mask != projection:
-                exact.append((set_mask, self._table(index, projection, target_mask)))
+            if len(group) <= self._cap and source_mask & set_mask != projection:
+                exact.append((set_mask, self._table(index, projection)))
             else:
                 bounded.append((set_mask, projection, max_flip, min_cost))
         memo: Dict[int, float] = {}
@@ -239,7 +456,7 @@ class SetDistanceHeuristic:
 
         return heuristic
 
-    def _table(self, index: int, projection: int, anchor: int) -> Dict[int, float]:
+    def _table(self, index: int, projection: int) -> Dict[int, float]:
         """Distance from every projection of set *index* to *projection*."""
         key = (index, projection)
         tables = self._tables
@@ -249,7 +466,7 @@ class SetDistanceHeuristic:
             return table
         graph = self._graphs.get(index)
         if graph is None:
-            graph = self._graphs[index] = self._reversed_sub_sag(index, anchor)
+            graph = self._graphs[index] = self._reversed_sub_sag(index)
         dist, _, _ = csr_dijkstra(graph, graph.index_of[projection])
         table = dict(zip(graph.nodes, dist))
         tables[key] = table
@@ -257,24 +474,14 @@ class SetDistanceHeuristic:
             tables.popitem(last=False)
         return table
 
-    def _reversed_sub_sag(self, index: int, anchor: int) -> CSRGraph:
-        """Set *index*'s sub-SAG with every arc reversed (nodes: projections).
-
-        *anchor* is any safe mask; only its bits outside the set are used.
-        """
-        set_mask, names, arcs, _, _ = self._sets[index]
-        nodes = tuple(
-            mask & set_mask
-            for mask in self._space.restricted_masks(anchor & ~set_mask, names)
-        )
-        index_of = {node: i for i, node in enumerate(nodes)}
-        incoming: List[List[Tuple[int, float, int]]] = [[] for _ in nodes]
-        for source, node in enumerate(nodes):
-            for care, required, cost, label in arcs:
-                if node & care == required:
-                    target = index_of.get(node ^ care)
-                    if target is not None:
-                        incoming[target].append((source, cost, label))
+    def _reversed_sub_sag(self, index: int) -> CSRGraph:
+        """Set *index*'s sub-SAG with every arc reversed (nodes: projections)."""
+        _, group, arcs, _, _ = self._sets[index]
+        nodes = self._space.projections(group)
+        incoming: List[List[ProjectionArc]] = [[] for _ in nodes]
+        for source, row in enumerate(projection_arcs(nodes, arcs)):
+            for target, cost, label in row:
+                incoming[target].append((source, cost, label))
         offsets = [0]
         targets: List[int] = []
         weights: List[float] = []
@@ -285,4 +492,5 @@ class SetDistanceHeuristic:
                 weights.append(cost)
                 label_ids.append(label)
             offsets.append(len(targets))
+        index_of = {node: i for i, node in enumerate(nodes)}
         return CSRGraph(nodes, index_of, offsets, targets, weights, label_ids, self._labels)

@@ -34,8 +34,9 @@ from repro.graphs.yen import extend_k_shortest
 
 
 #: above this many components the eager 2^n enumeration is off the table:
-#: :attr:`AdaptationPlanner.oversized` reads it, and every planning entry
-#: point routes by that predicate (lint's default safe-space cap,
+#: the default of :attr:`AdaptationPlanner.max_components`, the cap
+#: :attr:`AdaptationPlanner.oversized` reads; every planning entry point
+#: routes by that predicate (lint's default safe-space cap,
 #: ``repro.lint.MAX_ENUM_COMPONENTS``, is this same constant)
 LAZY_PLAN_COMPONENTS = 24
 
@@ -127,6 +128,9 @@ class AdaptationPlanner:
         #: inside one collaborative set so they serialize under one manager
         self.conflicts = tuple(conflicts)
         self.space = SafeConfigurationSpace(universe, invariants)
+        #: the size cap :attr:`oversized` reads; lint sets it to its
+        #: ``--max-enum-components``
+        self.max_components = LAZY_PLAN_COMPONENTS
         self.spt_cache_size = max(1, spt_cache_size)
         self._sag: Optional[SafeAdaptationGraph] = None
         self._lazy_sag: Optional[LazySAG] = None
@@ -177,14 +181,15 @@ class AdaptationPlanner:
 
     @property
     def oversized(self) -> bool:
-        """True when the universe exceeds :data:`LAZY_PLAN_COMPONENTS`.
+        """True when the universe exceeds :attr:`max_components`
+        (:data:`LAZY_PLAN_COMPONENTS` unless lint lowered or raised it).
 
         The one place the size cap is read.  Above it the safe space and
         the SAG are never built: the planning service answers MAPs with
         :meth:`lazy_plan`, and :meth:`plan_k` and
         :func:`repro.ltl.paths.verify_paths` search the implicit SAG.
         """
-        return len(self.universe) > LAZY_PLAN_COMPONENTS
+        return len(self.universe) > self.max_components
 
     def _validate_endpoints(self, source: Configuration, target: Configuration) -> None:
         self.universe.validate_members(source.members)

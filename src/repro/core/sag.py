@@ -9,9 +9,13 @@ is that action's cost.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+import math
+from itertools import accumulate, chain, product, repeat
+from operator import add
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.actions import ActionLibrary, AdaptiveAction
+from repro.core.collaborative import sag_factors
 from repro.core.model import ComponentUniverse, Configuration
 from repro.core.space import SafeConfigurationSpace
 from repro.errors import UnknownComponentError
@@ -143,66 +147,83 @@ class SafeAdaptationGraph:
 
     @classmethod
     def build(
-        cls,
-        space: SafeConfigurationSpace,
-        actions: ActionLibrary,
-        restrict_to: Optional[Iterable[Configuration]] = None,
+        cls, space: SafeConfigurationSpace, actions: ActionLibrary
     ) -> "SafeAdaptationGraph":
-        """Materialize the SAG straight into CSR arrays.
+        """Materialize the SAG straight into CSR arrays, one factor at a time.
 
-        One pass over ``(vertex mask x maskable action)``: applicability,
-        application and the target lookup are each a couple of int ops on
-        precompiled masks.  Nodes keep vertex order (ascending masks for
-        the full safe set) and each vertex's arcs keep action-library
-        order.  Actions touching components outside the universe can
-        never connect two vertices (their result always leaves the
-        universe), so they are skipped.
-
-        Args:
-            space: the safe-configuration space (provides the vertices).
-            actions: the available adaptive actions (provide the arcs).
-            restrict_to: optional vertex subset of the universe's
-                configurations; defaults to the full safe set
-                ``space.enumerate_masks()``.
-
-        Raises:
-            UnknownComponentError: a *restrict_to* vertex names a
-                component outside the universe (it has no mask).
+        No invariant and no action spans two collaborative sets, so the
+        SAG is the product of the sets' sub-SAGs (§7): a vertex's arcs
+        are, per set, the sub-SAG arcs of its projection onto that set,
+        each moving that projection alone.
+        :func:`~repro.core.collaborative.sag_factors` tests each action
+        against its own set's safe projections only (|projections| ·
+        |set actions| tests, not |vertices| · |actions|), and orders the
+        factors so that joining their arc lists keeps action-library
+        order.  The product numbers the vertices in mixed radix, last
+        factor fastest: an arc of a factor with stride ``s`` from
+        projection ``i`` to ``j`` leads ``(j - i) · s`` vertices on.
+        When the factors' bits interleave, that order is not ascending
+        by mask, and the vertices are emitted re-sorted.  Nodes are
+        ``space.enumerate_masks()``, and every array is the one the
+        vertex × action loop it replaced writes
+        (``tests/oracles/sag_reference.py``).  Actions touching
+        components outside the universe can never connect two vertices
+        (their result always leaves the universe), so they are skipped.
         """
-        universe = space.universe
-        if restrict_to is None:
-            masks = space.enumerate_masks()
-        else:
-            masks = tuple(dict.fromkeys(map(universe.mask_of, restrict_to)))
-        index_of = {mask: i for i, mask in enumerate(masks)}
-        # an action applies iff the mask holds every required bit and no
-        # forbidden one (one AND, one compare); the bits it clears are
-        # required and the bits it sets forbidden, so applying is one XOR
-        arc_specs = [
-            (index, masked.required | masked.forbidden, masked.required,
-             masked.clear | masked.set_bits, action.cost)
-            for index, (masked, action) in enumerate(
-                zip(actions.compiled_for(universe), actions)
-            )
-            if masked is not None
-        ]
-        offsets = [0]
-        targets: List[int] = []
-        weights: List[float] = []
-        label_ids: List[int] = []
-        get_target = index_of.get
-        for mask in masks:
-            for index, care, required, flip, cost in arc_specs:
-                if mask & care == required:
-                    target = get_target(mask ^ flip)
-                    if target is not None:
-                        targets.append(target)
-                        weights.append(cost)
-                        label_ids.append(index)
-            offsets.append(len(targets))
-        labels = tuple(action.action_id for action in actions)
-        csr = CSRGraph(masks, index_of, offsets, targets, weights, label_ids, labels)
-        return cls(csr, actions, universe)
+        masks = space.enumerate_masks()
+        factors = sag_factors(space, actions)
+        # per factor and projection: its arcs' labels, weights, steps and
+        # count
+        labels: List[List[List[int]]] = []
+        weights: List[List[List[float]]] = []
+        steps: List[List[List[int]]] = []
+        degrees: List[List[int]] = []
+        for index, (projections, rows) in enumerate(factors):
+            stride = math.prod(len(later) for later, _ in factors[index + 1:])
+            labels.append([[label for _, _, label in row] for row in rows])
+            weights.append([[cost for _, cost, _ in row] for row in rows])
+            steps.append([
+                [(target - source) * stride for target, _, _ in row]
+                for source, row in enumerate(rows)
+            ])
+            degrees.append(list(map(len, rows)))
+        # per vertex in factor order (projections share no bit, so a sum
+        # is their union)
+        vertex_masks = list(map(sum, product(*(projections for projections, _ in factors))))
+        vertex_degrees = list(map(sum, product(*degrees)))
+        node_ids = list(range(len(masks)))
+        order = position = node_ids
+        if vertex_masks != list(masks):
+            # the factors' bits interleave: emit in ascending mask order
+            order = sorted(node_ids, key=vertex_masks.__getitem__)
+            vertex_degrees = [vertex_degrees[vertex] for vertex in order]
+            position = [0] * len(masks)
+            for node, vertex in zip(node_ids, order):
+                position[vertex] = node
+
+        def flat(rows: List[List[List[Any]]]) -> Iterator[Any]:
+            """Per-factor rows joined vertex by vertex, in node order."""
+            vertices: Iterable[Tuple[List[Any], ...]] = product(*rows)
+            if order is not node_ids:
+                in_factor_order = list(vertices)
+                vertices = [in_factor_order[vertex] for vertex in order]
+            return chain.from_iterable(chain.from_iterable(vertices))
+
+        # an arc's target is its source vertex plus its step, read back
+        # as a node id (so every target shares index_of's int objects)
+        targets = map(
+            add, chain.from_iterable(map(repeat, order, vertex_degrees)), flat(steps)
+        )
+        csr = CSRGraph(
+            masks,
+            dict(zip(masks, node_ids)),
+            [0, *accumulate(vertex_degrees)],
+            list(map(position.__getitem__, targets)),
+            list(flat(weights)),
+            list(flat(labels)),
+            tuple(action.action_id for action in actions),
+        )
+        return cls(csr, actions, space.universe)
 
     # -- search view -----------------------------------------------------------
     def banned_view(self, banned_nodes, banned_arcs):

@@ -5,10 +5,13 @@ dependency relationships, this step produces a set of safe configurations."
 
 A configuration is safe iff it satisfies every invariant.  Enumeration over
 *n* components is 2^n in the worst case — the paper acknowledges this in §7
-— so besides the full sweep we support *restricted* enumeration: freeze the
-components no adaptive action can touch at their current values and only
-vary the rest.  The restriction is exact (it enumerates precisely the safe
-configurations reachable by the given actions from the given base).
+— but no invariant spans two invariant-connected sets of components, so the
+full sweep enumerates each set on its own and takes the product
+(:class:`~repro.core.collaborative.SafeFactorization`).  We also support
+*restricted* enumeration: freeze the components no adaptive action can
+touch at their current values and only vary the rest.  The restriction is
+exact (it enumerates precisely the safe configurations reachable by the
+given actions from the given base).
 
 Performance: safety testing runs on the bitmask fast path.  The invariant
 conjunction is compiled once (:mod:`repro.expr.compile`) to a closure over
@@ -33,6 +36,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.collaborative import SafeFactorization
 from repro.core.invariants import InvariantSet
 from repro.core.model import ComponentUniverse, Configuration
 from repro.errors import UnknownComponentError, UnsafeConfigurationError
@@ -51,6 +55,7 @@ class SafeConfigurationSpace:
         self._compiled: Optional[Callable[[int], bool]] = None
         self._compiled_partial: Optional[Tuple[Callable, ...]] = None
         self._checks_by_name: Optional[Dict[str, Tuple[Callable, ...]]] = None
+        self._factors: Optional[SafeFactorization] = None
 
     # -- compiled fast path ------------------------------------------------------
     @property
@@ -100,6 +105,12 @@ class SafeConfigurationSpace:
             self._safe_memo[mask] = verdict
         return verdict
 
+    def _record_safe(self, masks: Iterable[int]) -> None:
+        """Memoize *masks*, each a whole safe configuration, as safe."""
+        memo = self._safe_memo
+        for mask in masks:
+            memo[mask] = True
+
     def are_safe_masks(self, masks: Iterable[int]) -> List[bool]:
         """Batched :meth:`is_safe_mask` — one verdict per mask, in order.
 
@@ -138,16 +149,40 @@ class SafeConfigurationSpace:
             )
 
     # -- enumeration ------------------------------------------------------------
+    def projections(self, component_set: Iterable[str]) -> Tuple[int, ...]:
+        """The safe projections of *component_set*, ascending.
+
+        *component_set* is a union of invariant-connected sets (any
+        collaborative set); see :meth:`SafeFactorization.projections
+        <repro.core.collaborative.SafeFactorization.projections>`.  Each
+        set is enumerated once per space, on first use.
+        """
+        return self.factorization.projections(component_set, self.extensions)
+
+    @property
+    def factorization(self) -> SafeFactorization:
+        """The space's :class:`~repro.core.collaborative.SafeFactorization`,
+        built on first use."""
+        if self._factors is None:
+            self._factors = SafeFactorization(self.universe, self.invariants)
+        return self._factors
+
     def enumerate_masks(self) -> Tuple[int, ...]:
         """Masks of every safe configuration, ascending (cached).
 
-        The enumeration itself is :meth:`_backtracking_masks` (invariant
-        propagation prunes hopeless branches early).  The SAG build and
-        lint consume the masks directly; the exhaustive filter over
-        ``all_configurations`` is kept as the property-test oracle.
+        No invariant spans two invariant-connected sets, so the safe
+        space is the sorted product of the sets' safe projections
+        (:meth:`projections` over the whole universe); each set is
+        enumerated on its own by :meth:`extensions`.  Every safe mask is recorded in the shared
+        safety memo.  The SAG build and lint consume the masks directly;
+        the exhaustive filter over ``all_configurations`` and the
+        whole-universe backtracking this replaced are the property-test
+        oracles.
         """
         if self._cache is None:
-            self._cache = self._backtracking_masks()
+            masks = self.projections(self.universe.names)
+            self._record_safe(masks)
+            self._cache = masks
         return self._cache
 
     def enumerate(self) -> Tuple[Configuration, ...]:
@@ -183,41 +218,45 @@ class SafeConfigurationSpace:
             return self._enumerate_restricted_setwise(frozen, free)
         universe = self.universe
         present0 = universe.mask_of_names(frozen)
-        from_mask = universe.from_mask
-        out = [from_mask(mask) for mask in self.restricted_masks(present0, free)]
+        # everything outside the free components is decided up front, so
+        # every extension is a whole safe mask
+        decided0 = universe.full_mask ^ universe.mask_of_names(free)
+        masks = self.extensions(free, present0, decided0)
+        self._record_safe(masks)
+        out = list(map(universe.from_mask, masks))
         # free components may interleave with frozen ones in universe
         # order, so recursion order is not globally ascending — re-sort
         out.sort(key=universe.to_bits)
         return tuple(out)
 
-    def restricted_masks(
-        self, present0: int, free: Tuple[str, ...]
+    def extensions(
+        self, free: Tuple[str, ...], present0: int = 0, decided0: int = 0
     ) -> List[int]:
-        """Safe masks varying only *free* bits over the frozen *present0*.
+        """Masks over the *free* components that no invariant rules out.
 
-        The masks-only core of :meth:`enumerate_restricted`, and how the
-        lazy planner enumerates one collaborative set's projections in
-        place.  Leaf masks are recorded in the shared safety memo.  Output
-        follows recursion order: ascending whenever the free components
-        form a suffix of the universe order.
+        Backtracks over *free* in the given order, on top of *present0*,
+        with the bits of *decided0* (and each free bit as it is reached)
+        decided and every other bit undecided; a branch is cut as soon as
+        an invariant is *determined false* under three-valued evaluation.
+        Every invariant the root already decides (all of them when
+        *decided0* covers everything outside *free*; those with no atom
+        in the universe when it is 0) is checked once up front.
+        Output is recursion order: ascending whenever *free* follows the
+        universe order.  Nothing is written to the safety memo: with
+        bits left undecided, an extension is a projection, not a safe
+        configuration.
         """
-        universe = self.universe
-        free_bits = tuple(universe.bit_of(name) for name in free)
-        # everything outside the free components is decided up front
-        decided0 = universe.full_mask ^ universe.mask_of_names(free)
-        # invariants not touching a free component are fully decided at
-        # the root; reject the whole restriction in one pass if any fails
         for expr in self._compiled_partial_fns():
             if expr(present0, decided0) is False:
                 return []
+        universe = self.universe
+        free_bits = tuple(universe.bit_of(name) for name in free)
         schedule = self._check_schedule(free)
-        memo = self._safe_memo
         out: List[int] = []
         n = len(free_bits)
 
         def recurse(index: int, present: int, decided: int) -> None:
             if index == n:
-                memo[present] = True
                 out.append(present)
                 return
             bit = free_bits[index]
@@ -251,57 +290,6 @@ class SafeConfigurationSpace:
         out.sort(key=lambda c: "".join(
             "1" if name in c else "0" for name in self.universe.order
         ))
-        return tuple(out)
-
-    def enumerate_backtracking(self) -> Tuple[Configuration, ...]:
-        """Safe set via backtracking with invariant propagation.
-
-        Decides components one at a time (in universe order) and prunes a
-        branch as soon as any invariant is *determined false* under
-        three-valued evaluation — so branches that can never satisfy a
-        one-of/dependency constraint are abandoned without expanding the
-        remaining 2^k subtree.  Produces exactly :meth:`enumerate`'s
-        result (same order) but scales far better on constrained spaces.
-        """
-        return tuple(map(self.universe.from_mask, self._backtracking_masks()))
-
-    def _backtracking_masks(self) -> Tuple[int, ...]:
-        """The masks-only core of :meth:`enumerate_backtracking`.
-
-        Runs entirely on compiled bitmask closures; every leaf verdict is
-        recorded in the shared safety memo so later SAG construction and
-        lazy planning reuse it for free.
-        """
-        universe = self.universe
-        order = universe.order
-        order_bits = tuple(universe.bit_of(name) for name in order)
-        # invariants with no universe atom are constant under the mask
-        # encoding — decide them once up front instead of per node
-        for expr in self._compiled_partial_fns():
-            if expr(0, 0) is False:
-                return ()
-        schedule = self._check_schedule(order)
-        memo = self._safe_memo
-        out: List[int] = []
-        n = len(order_bits)
-
-        def recurse(index: int, present: int, decided: int) -> None:
-            if index == n:
-                memo[present] = True
-                out.append(present)
-                return
-            bit = order_bits[index]
-            decided |= bit
-            checks = schedule[index]
-            # '0' branch first so results come out in ascending bit order
-            for candidate in (present, present | bit):
-                for expr in checks:
-                    if expr(candidate, decided) is False:
-                        break
-                else:
-                    recurse(index + 1, candidate, decided)
-
-        recurse(0, 0, 0)
         return tuple(out)
 
     def lazy_view(self) -> "LazySafeSpace":

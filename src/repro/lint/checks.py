@@ -49,12 +49,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.actions import AdaptiveAction, MaskedAction
+from repro.core.actions import ActionLibrary, AdaptiveAction, MaskedAction
 from repro.core.analysis import blast_radii, invariants_at_risk
 from repro.core.collaborative import UnionFind, collaborative_sets
 from repro.core.invariants import Invariant, InvariantSet
 from repro.core.model import Component, ComponentUniverse, Configuration
-from repro.core.planner import LAZY_PLAN_COMPONENTS
+from repro.core.planner import LAZY_PLAN_COMPONENTS, AdaptationPlanner
 from repro.errors import ActionError, ParseError
 from repro.expr.ast import Expr
 from repro.expr.compile import MaskFn, compile_expr
@@ -122,6 +122,7 @@ class _Model:
     sections: Dict[str, Span] = field(default_factory=dict)
     #: declared ``[conflicts]`` pairs (sorted, deduped) — SA6xx skips them
     conflicts: List[Tuple[str, str]] = field(default_factory=list)
+    _planner: Optional[AdaptationPlanner] = field(default=None, repr=False)
 
     def section_span(self, name: str) -> Span:
         return self.sections.get(name, Span(1, 1))
@@ -130,6 +131,24 @@ class _Model:
         return InvariantSet(
             [item.invariant for item in self.invariants if not item.dropped]
         )
+
+    def planner(self, cap: int) -> AdaptationPlanner:
+        """The spec's planner over the kept model, made on first use.
+
+        SA3xx reads the per-set factors of its space and SA5xx plans
+        with it, so one lint enumerates each set once.  Its
+        :attr:`~AdaptationPlanner.oversized` routing reads *cap*, the
+        run's enumeration cap.  Call only after SA2xx has dropped what
+        it drops.
+        """
+        if self._planner is None:
+            self._planner = AdaptationPlanner(
+                self.universe,
+                self.kept_invariants(),
+                ActionLibrary(item.action for item in self.actions),
+            )
+            self._planner.max_components = cap
+        return self._planner
 
 
 # -- satisfiability primitives (exposed for the property tests) ------------------
@@ -659,19 +678,12 @@ class SafeFactor:
     actions: Tuple[int, ...]
 
 
-def _safe_factors(model: _Model) -> List[SafeFactor]:
-    """Enumerate each collaborative set's safe projections on its own."""
-    from repro.core.actions import ActionLibrary
-    from repro.core.space import SafeConfigurationSpace
-
+def _safe_factors(model: _Model, planner: AdaptationPlanner) -> List[SafeFactor]:
+    """Each collaborative set's safe projections, enumerated on its own."""
     universe = model.universe
-    names = universe.names
-    invariants = model.kept_invariants()
+    space = planner.space
     groups = collaborative_sets(
-        universe,
-        invariants,
-        ActionLibrary(item.action for item in model.actions),
-        model.conflicts,
+        universe, space.invariants, planner.actions, model.conflicts
     )
     factor_of: Dict[str, int] = {}
     for index, group in enumerate(groups):
@@ -682,17 +694,10 @@ def _safe_factors(model: _Model) -> List[SafeFactor]:
         members[factor_of[next(iter(item.action.touched))]].append(index)
     factors: List[SafeFactor] = []
     for group, actions in zip(groups, members):
-        free = tuple(name for name in universe.order if name in group)
-        # invariants with no atom in the universe are constants: every
-        # factor carries them, so a false one empties every factor
-        space = SafeConfigurationSpace(
-            universe,
-            InvariantSet(inv for inv in invariants if inv.atoms() & names <= group),
-        )
-        safe_masks = tuple(space.restricted_masks(0, free))
+        safe_masks = space.projections(group)
         factors.append(
             SafeFactor(
-                universe.mask_of_names(free),
+                universe.mask_of_names(group),
                 safe_masks,
                 frozenset(safe_masks),
                 tuple(actions),
@@ -739,7 +744,7 @@ def _check_actions(
         )
         _check_named_pairs_lazy(model, report, path)
         return None
-    factors = _safe_factors(model)
+    factors = _safe_factors(model, model.planner(cap))
     if not all(factor.safe_masks for factor in factors):
         report.add(
             "SA203",
@@ -1151,31 +1156,28 @@ def _check_properties(
     """
     if not model.properties:
         return
-    from repro.core.actions import ActionLibrary
-    from repro.core.planner import AdaptationPlanner
-    from repro.core.space import LazySafeSpace, SafeConfigurationSpace
     from repro.ltl.compile import CompiledProperty
-    from repro.ltl.paths import DEFAULT_K, LAZY_VERIFY_EXPANSIONS, decide_paths
+    from repro.ltl.paths import DEFAULT_K, verify_paths
 
     cap = MAX_ENUM_COMPONENTS if max_enum_components is None else max_enum_components
     universe = model.universe
-    invariants = model.kept_invariants()
     bits = universe.atom_bits
     compiled = {
         item.name: CompiledProperty(item.formula, bits)
         for item in model.properties
     }
 
-    lazy_mode = len(universe) > cap
+    # the planner's size predicate picks eager or lazy, here as in
+    # planning and verify-paths; the run's cap is the one it reads
+    planner = model.planner(cap)
+    space = planner.space
     unsatisfiable: Set[str] = set()
-    if lazy_mode:
+    if planner.oversized:
         report.skipped.append(
             f"SA501 skipped: {len(universe)} components exceed the "
             f"{cap}-component enumeration cap"
         )
-        space = LazySafeSpace(universe, invariants)
     else:
-        space = SafeConfigurationSpace(universe, invariants)
         safe_masks = space.enumerate_masks()
         if not safe_masks:
             report.skipped.append("SA5xx skipped: empty safe space")
@@ -1205,11 +1207,6 @@ def _check_properties(
 
     if len(endpoints) < 2:
         return
-    planner = AdaptationPlanner(
-        universe,
-        invariants,
-        ActionLibrary(item.action for item in model.actions),
-    )
     for prop in model.properties:
         if prop.name in unsatisfiable:
             continue
@@ -1217,21 +1214,9 @@ def _check_properties(
             for dst_item in endpoints:
                 if src_item is dst_item:
                     continue
-                # the lint cap, not the planner's, picks the mode: a
-                # lowered --max-enum-components must not build the SAG
-                if lazy_mode:
-                    plans, complete = planner.lazy_plan_k(
-                        src_item.configuration, dst_item.configuration,
-                        DEFAULT_K, max_expansions=LAZY_VERIFY_EXPANSIONS,
-                    )
-                else:
-                    plans = planner.plan_k(
-                        src_item.configuration, dst_item.configuration, DEFAULT_K
-                    )
-                    complete = True
-                verdict = decide_paths(
-                    compiled[prop.name], planner, plans, complete, "all",
-                    DEFAULT_K, "lazy" if lazy_mode else "eager",
+                verdict = verify_paths(
+                    planner, src_item.configuration, dst_item.configuration,
+                    prop.formula, compiled=compiled[prop.name],
                 )
                 if verdict.holds is None:
                     report.add(

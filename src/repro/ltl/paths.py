@@ -13,8 +13,8 @@ for every path the manager may actually commit.
 
 Two execution modes, one verdict semantics, chosen by the spec's size
 (:attr:`AdaptationPlanner.oversized
-<repro.core.planner.AdaptationPlanner.oversized>`, the one reader of
-:data:`~repro.core.planner.LAZY_PLAN_COMPONENTS`):
+<repro.core.planner.AdaptationPlanner.oversized>`, the one reader of the
+planner's size cap — lint's ``[properties]`` checks route by it too):
 
 * **eager** (at or below the cap): walk
   :meth:`AdaptationPlanner.plan_k`'s paths — Yen whose spurs run the
@@ -35,7 +35,7 @@ where φ is false — the shortest replayable witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.planner import AdaptationPlan, AdaptationPlanner
 from repro.ltl.ast import PFormula
@@ -158,27 +158,6 @@ def verify_paths(
     else:
         plans = planner.plan_k(source, target, width)
         complete = True
-    return decide_paths(
-        compiled, planner, plans, complete, quantifier, width, mode
-    )
-
-
-def decide_paths(
-    compiled: CompiledProperty,
-    planner: AdaptationPlanner,
-    plans: Sequence[AdaptationPlan],
-    complete: bool,
-    quantifier: str,
-    width: int,
-    mode: str,
-) -> PathVerdict:
-    """The verdict of φ over an enumerated k-best path set.
-
-    *plans* are the best paths in cost order; *complete* is ``False``
-    when a budget stopped their enumeration early.  The decision half of
-    :func:`verify_paths`, for callers that enumerate the paths
-    themselves (the linter, whose own enumeration cap picks the mode).
-    """
     checked = 0
     for plan in plans:
         violation = check_plan(compiled, planner, plan)

@@ -144,7 +144,6 @@ class TraceCheckRequest:
     trace_path: Optional[str] = None  # or a local file (CLI dispatch)
     ltl: Optional[str] = None  # [properties] name to check alongside
     metrics: bool = False
-    stream: bool = True
     spec: Optional[str] = None
     manifest: Optional[str] = None
 

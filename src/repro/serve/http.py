@@ -91,6 +91,16 @@ _REASONS = {
 }
 
 _MAX_BODY = 16 * 1024 * 1024  # one spec upload is kilobytes; 16M is generous
+#: bytes one socket read may take.  asyncio's default, 256 KiB, is above
+#: glibc's initial mmap threshold: unless some earlier large free happened
+#: to raise that threshold, every read maps and unmaps a fresh buffer, a
+#: page fault per warm request (perfbench plan-hot p50 0.062 against
+#: 0.038 ms on a 2-CPU host).  Below it, reads never map, whatever the
+#: startup allocations were.  The cap is the ``max_size`` attribute that
+#: the standard library's selector socket transport passes to each
+#: ``recv``; another event loop's transport may ignore it
+#: (``tests/serve/test_http.py`` pins the transport class).
+READ_CHUNK = 64 * 1024
 _JSON = "application/json"
 _NDJSON = "application/x-ndjson"
 
@@ -222,6 +232,7 @@ class ControlPlaneHTTPServer:
 
     # -- connection loop ---------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
+        writer.transport.max_size = READ_CHUNK
         self._connections.add(writer)
         try:
             while not self._stopping:

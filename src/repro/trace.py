@@ -272,7 +272,7 @@ def iter_jsonl(lines: Iterable[str]) -> Iterator[TraceRecord]:
 
     Accepts any iterable of lines — including an open file handle — so a
     persisted trace can stream through the incremental checker
-    (``repro trace check --stream``) without ever materializing the
+    (``repro trace check``) without ever materializing the
     record list.  Blank lines are skipped.
 
     Each line is decoded on its own, driven by a per-type table built once

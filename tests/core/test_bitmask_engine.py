@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.video.system import (
     paper_source,
     paper_target,
-    video_actions,
     video_invariants,
     video_planner,
     video_universe,
@@ -19,10 +18,8 @@ from repro.apps.video.system import (
 from repro.bench.workloads import random_system
 from repro.core.invariants import InvariantSet
 from repro.core.model import ComponentUniverse, Configuration
-from repro.core.sag import SafeAdaptationGraph
 from repro.core.space import SafeConfigurationSpace
 from repro.errors import NoSafePathError, UnknownComponentError
-from tests.oracles.sag_reference import ReferenceSAG
 
 
 class TestMaskCodec:
@@ -190,20 +187,3 @@ class TestPlannerCaches:
         assert lazy.configurations[0] == paper_source()
         assert lazy.configurations[-1] == paper_target()
 
-
-class TestSagFallback:
-    def test_restrict_to_foreign_vertices_is_rejected(self):
-        """Vertices outside the universe have no mask: the mask-native
-        build rejects them; only the set-based reference build (now a
-        test oracle) accepts them."""
-        space = SafeConfigurationSpace(video_universe(), video_invariants())
-        foreign = Configuration(["Z9"])
-        with pytest.raises(UnknownComponentError):
-            SafeAdaptationGraph.build(
-                space, video_actions(), restrict_to=[paper_source(), foreign]
-            )
-        ref = ReferenceSAG.build(
-            space, video_actions(), restrict_to=[paper_source(), foreign]
-        )
-        assert ref.node_count == 2
-        assert ref.edge_count == 0

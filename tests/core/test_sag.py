@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.sag import SafeAdaptationGraph
 
 
 @pytest.fixture
@@ -87,12 +86,6 @@ class TestQueries:
         assert not sag.has_step(
             universe.from_bits("1010010"), universe.from_bits("0100101")
         )
-
-    def test_build_with_restricted_vertices(self, planner, universe):
-        subset = [universe.from_bits("0100101"), universe.from_bits("0101001")]
-        sag = SafeAdaptationGraph.build(planner.space, planner.actions, subset)
-        assert sag.node_count == 2
-        assert sag.edge_count == 1  # only A2 connects them
 
 
 class TestDotExport:

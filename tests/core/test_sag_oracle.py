@@ -1,12 +1,11 @@
 """The array-built SAG against the Digraph-based reference builder.
 
-:meth:`SafeAdaptationGraph.build` writes the CSR arrays in one pass over
-``(vertex mask x maskable action)``; :class:`tests.oracles.sag_reference.
-ReferenceSAG` is the build it replaced (one ``Edge`` per arc, set-based
-fallback included).  Both must agree on vertex order, per-source arc
-order, labels and weights, and every query rendered from them —
-``edge_list``, ``steps_from``, ``has_step``/``step_actions`` and the DOT
-export — must be identical.
+:meth:`SafeAdaptationGraph.build` writes the CSR arrays from per-set
+factors; :class:`tests.oracles.sag_reference.ReferenceSAG` is the
+Digraph build that preceded the arrays (one ``Edge`` per arc).  Both
+must agree on vertex order, per-source arc order, labels and weights,
+and every query rendered from them — ``edge_list``, ``steps_from``,
+``has_step``/``step_actions`` and the DOT export — must be identical.
 """
 
 from pathlib import Path
@@ -76,26 +75,16 @@ def sag_cases(draw):
         # so both builders must skip it
         position = draw(st.integers(min_value=0, max_value=len(actions)))
         actions.insert(position, AdaptiveAction.insert("foreign", "Z9", 3.0))
-    restrict_to = None
-    if draw(st.booleans()):
-        masks = draw(
-            st.lists(
-                st.integers(min_value=0, max_value=(1 << n) - 1),
-                unique=True,
-                max_size=1 << n,
-            )
-        )
-        restrict_to = [system.universe.from_mask(mask) for mask in masks]
-    return system, ActionLibrary(actions), restrict_to
+    return system, ActionLibrary(actions)
 
 
 @given(sag_cases())
 @settings(max_examples=120, deadline=None)
 def test_array_build_matches_reference(case):
-    system, actions, restrict_to = case
+    system, actions = case
     space = SafeConfigurationSpace(system.universe, system.invariants)
-    got = SafeAdaptationGraph.build(space, actions, restrict_to)
-    ref = ReferenceSAG.build(space, actions, restrict_to)
+    got = SafeAdaptationGraph.build(space, actions)
+    ref = ReferenceSAG.build(space, actions)
     vertices = list(system.universe.all_configurations())
     assert_same_sag(got, ref, system.universe, vertices)
 

@@ -71,7 +71,7 @@ class TestBacktrackingEnumerator:
             config for config in universe.all_configurations()
             if planner.invariants.all_hold(config)
         )
-        assert planner.space.enumerate_backtracking() == brute
+        assert planner.space.enumerate() == brute
 
     def test_scales_past_brute_force(self):
         """4 replicated groups = 28 components: 2^28 brute-force states,
@@ -80,7 +80,7 @@ class TestBacktrackingEnumerator:
 
         system = replicated_video_system(4)
         space = SafeConfigurationSpace(system.universe, system.invariants)
-        configs = space.enumerate_backtracking()
+        configs = space.enumerate()
         assert len(configs) == 8 ** 4
         for config in configs[:32]:
             assert system.invariants.all_hold(config)
@@ -92,7 +92,7 @@ class TestBacktrackingEnumerator:
             config for config in system.universe.all_configurations()
             if system.invariants.all_hold(config)
         )
-        assert space.enumerate_backtracking() == brute, label
+        assert space.enumerate() == brute, label
         assert space.enumerate_masks() == tuple(
             map(system.universe.mask_of, brute)
         ), label
@@ -117,7 +117,7 @@ class TestBacktrackingEnumerator:
     def test_unsatisfiable_invariants_yield_empty(self):
         universe = ComponentUniverse.from_names(["A"])
         space = SafeConfigurationSpace(universe, InvariantSet.of("A & !A"))
-        assert space.enumerate_backtracking() == ()
+        assert space.enumerate() == ()
 
 
 class TestBruteForceCrossCheck:

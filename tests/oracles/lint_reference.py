@@ -44,6 +44,7 @@ from repro.lint.interference import (
     _check_conflicting_touch,
     _report_pair_witness,
 )
+from tests.oracles.space_reference import backtracking_masks
 
 
 @contextlib.contextmanager
@@ -95,8 +96,9 @@ def reference_check_actions(
         )
         _check_named_pairs_lazy(model, report, path)
         return None
+    # the whole-universe enumeration, independent of the per-set factors
     space = SafeConfigurationSpace(universe, model.kept_invariants())
-    safe_masks = space.enumerate_masks()
+    safe_masks = backtracking_masks(space)
     if not safe_masks:
         report.add(
             "SA203",

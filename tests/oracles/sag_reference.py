@@ -1,24 +1,74 @@
-"""Reference Safe Adaptation Graph builder (slow oracle).
+"""Reference Safe Adaptation Graph builders (slow oracles).
 
-The Digraph-based build the product used before the SAG was written
-straight into CSR arrays: every vertex is a :class:`Configuration`, every
-arc a :class:`~repro.graphs.Edge`, and vertices outside the universe fall
-back to set-based arc construction.  The differential suite in
-``tests/core/test_sag_oracle.py`` pins the array-built
-:class:`repro.core.sag.SafeAdaptationGraph` to it: vertex order,
-per-source arc order, labels, weights, and the rendered queries.
+Two builds the product used before the SAG was composed from per-set
+factors (:meth:`repro.core.sag.SafeAdaptationGraph.build`):
+
+* :class:`ReferenceSAG` — the Digraph-based build: every vertex is a
+  :class:`Configuration` and every arc a :class:`~repro.graphs.Edge`.
+  ``tests/core/test_sag_oracle.py`` pins the product to
+  it: vertex order, per-source arc order, labels, weights, and the
+  rendered queries;
+* :func:`vertex_action_build` — the one-pass ``(vertex mask x maskable
+  action)`` loop that wrote the CSR arrays directly (|S|·|A| tests).
+  ``tests/core/test_factored_build.py`` pins the product's arrays to it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.actions import ActionLibrary, AdaptiveAction
 from repro.core.model import Configuration
+from repro.core.sag import SafeAdaptationGraph
 from repro.core.space import SafeConfigurationSpace
-from repro.errors import UnknownComponentError
-from repro.graphs import Digraph
+from repro.graphs import CSRGraph, Digraph
 from tests.oracles.graph_reference import edge_labels, has_edge, out_edges
+
+
+def vertex_action_build(
+    space: SafeConfigurationSpace,
+    actions: ActionLibrary,
+    masks: Optional[Sequence[int]] = None,
+) -> SafeAdaptationGraph:
+    """The SAG written into CSR arrays by one vertex × action pass.
+
+    *masks* are the vertices (default ``space.enumerate_masks()``); a
+    test passes the backtracking oracle's to keep the whole pipeline
+    independent of the product build.
+    """
+    universe = space.universe
+    if masks is None:
+        masks = space.enumerate_masks()
+    masks = tuple(masks)
+    index_of = {mask: i for i, mask in enumerate(masks)}
+    # an action applies iff the mask holds every required bit and no
+    # forbidden one (one AND, one compare); the bits it clears are
+    # required and the bits it sets forbidden, so applying is one XOR
+    arc_specs = [
+        (index, masked.required | masked.forbidden, masked.required,
+         masked.clear | masked.set_bits, action.cost)
+        for index, (masked, action) in enumerate(
+            zip(actions.compiled_for(universe), actions)
+        )
+        if masked is not None
+    ]
+    offsets = [0]
+    targets: List[int] = []
+    weights: List[float] = []
+    label_ids: List[int] = []
+    get_target = index_of.get
+    for mask in masks:
+        for index, care, required, flip, cost in arc_specs:
+            if mask & care == required:
+                target = get_target(mask ^ flip)
+                if target is not None:
+                    targets.append(target)
+                    weights.append(cost)
+                    label_ids.append(index)
+        offsets.append(len(targets))
+    labels = tuple(action.action_id for action in actions)
+    csr = CSRGraph(masks, index_of, offsets, targets, weights, label_ids, labels)
+    return SafeAdaptationGraph(csr, actions, universe)
 
 
 class ReferenceSAG:
@@ -33,32 +83,20 @@ class ReferenceSAG:
         cls,
         space: SafeConfigurationSpace,
         actions: ActionLibrary,
-        restrict_to: Optional[Iterable[Configuration]] = None,
     ) -> "ReferenceSAG":
         """Materialize the SAG.
 
         Args:
-            space: the safe-configuration space (provides vertices and the
-                safety test for action results).
+            space: the safe-configuration space (provides the vertices,
+                ``space.enumerate()``).
             actions: the available adaptive actions (provide the arcs).
-            restrict_to: optional vertex subset; defaults to the full safe
-                set ``space.enumerate()``.
         """
-        if restrict_to is None:
-            vertices: Tuple[Configuration, ...] = space.enumerate()
-        else:
-            vertices = tuple(restrict_to)
+        vertices: Tuple[Configuration, ...] = space.enumerate()
         graph: Digraph = Digraph()
         for config in vertices:
             graph.add_node(config)
         universe = space.universe
-        try:
-            vertex_masks = [universe.mask_of(config) for config in vertices]
-        except UnknownComponentError:
-            # Vertices outside the universe (caller-supplied restrict_to)
-            # have no bit encoding; keep the set-based build for them.
-            cls._build_arcs_setwise(graph, vertices, actions)
-            return cls(graph, actions)
+        vertex_masks = [universe.mask_of(config) for config in vertices]
         # Bitmask fast path: the O(|V|·|A|) loop runs on precompiled
         # integer masks — applicability, application, and the target
         # lookup are each a couple of int ops.  Actions touching
@@ -81,22 +119,6 @@ class ReferenceSAG:
                     if target is not None:
                         add_edge(config, target, action.action_id, action.cost)
         return cls(graph, actions)
-
-    @staticmethod
-    def _build_arcs_setwise(
-        graph: Digraph,
-        vertices: Tuple[Configuration, ...],
-        actions: ActionLibrary,
-    ) -> None:
-        """Reference arc construction over frozensets (fallback path)."""
-        vertex_set = set(vertices)
-        for config in vertices:
-            for action in actions:
-                if not action.is_applicable(config):
-                    continue
-                result = action.apply(config)
-                if result in vertex_set:
-                    graph.add_edge(config, result, action.action_id, action.cost)
 
     # -- structure -------------------------------------------------------------
     @property

@@ -28,7 +28,7 @@ def iter_jsonl(lines: Iterable[str]) -> Iterator[TraceRecord]:
 
     Accepts any iterable of lines — including an open file handle — so a
     persisted trace can stream through the incremental checker
-    (``repro trace check --stream``) without ever materializing the
+    (``repro trace check``) without ever materializing the
     record list.  Blank lines are skipped; unknown record types raise
     ``ValueError`` with the offending line number.
     """

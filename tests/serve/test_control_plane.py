@@ -335,15 +335,14 @@ class TestTraceCheck:
             "bad-trace", f"malformed trace: {detail}"
         )
 
-    @pytest.mark.parametrize("stream", [(), ("--stream",)])
     @pytest.mark.parametrize("line, detail", SHAPE_ERRORS)
     def test_cli_reports_shape_errors(
-        self, property_path, tmp_path, capsys, line, detail, stream
+        self, property_path, tmp_path, capsys, line, detail
     ):
         path = tmp_path / "bad.jsonl"
         path.write_text(GOOD_RECORD + line + "\n", encoding="utf-8")
         code, output = run_cli(
-            "trace", "check", str(path), "--manifest", property_path, *stream
+            "trace", "check", str(path), "--manifest", property_path
         )
         assert (code, output) == (2, "")
         assert capsys.readouterr().err == (

@@ -4,6 +4,7 @@ import http.client
 import json
 import threading
 import time
+from asyncio import selector_events
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.serve import (
     PlanRequest,
     ServerThread,
 )
+from repro.serve.http import READ_CHUNK
 from tests.serve.conftest import STUCK_MANIFEST
 
 
@@ -66,6 +68,31 @@ class TestRoundTrips:
         assert status == 200
         assert again["result"]["digest"] == body["result"]["digest"]
         assert again["result"]["created"] is False
+
+    def test_reads_stay_below_the_mmap_threshold(self, server, video_text):
+        """Every connection reads at most READ_CHUNK bytes at a time, and
+        a body spanning many reads still arrives whole."""
+        padded = video_text + "# padding\n" * (3 * READ_CHUNK // 10)
+        assert len(padded) > 2 * READ_CHUNK
+        conn = http.client.HTTPConnection(*server.address, timeout=30)
+        try:
+            conn.request("POST", "/v1/specs", body=padded.encode("utf-8"))
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 200
+            # the connection is still open (keep-alive) while we look
+            connections = list(server._server._connections)
+            assert connections
+            # the cap is an attribute of the stdlib selector transport: on
+            # any other transport it would be set and silently ignored
+            assert all(
+                isinstance(w.transport, selector_events._SelectorSocketTransport)
+                for w in connections
+            )
+            assert all(w.transport.max_size == READ_CHUNK for w in connections)
+        finally:
+            conn.close()
+        assert body["result"]["digest"] == register(server, video_text)
 
     def test_plan_round_trip_matches_dispatch_wire(self, server, video_text):
         digest = register(server, video_text)

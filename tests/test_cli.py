@@ -576,16 +576,16 @@ class TestTraceCheckLtl:
         assert code == 1
         assert "property verdict: VIOLATED at commit" in output
 
-    def test_streaming_agrees_with_eager(self, property_manifest, trace_file):
-        eager = run_cli(
-            "trace", "check", trace_file, "--manifest", property_manifest,
-            "--ltl", "no_e2",
-        )
-        streamed = run_cli(
-            "trace", "check", trace_file, "--manifest", property_manifest,
-            "--ltl", "no_e2", "--stream",
-        )
-        assert streamed == eager
+    def test_stream_flag_is_an_argparse_error(
+        self, property_manifest, trace_file, capsys
+    ):
+        """Trace checks always stream; the flag that claimed to choose
+        it selected nothing and is gone."""
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "check", trace_file, "--manifest", property_manifest,
+                  "--ltl", "no_e2", "--stream"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --stream" in capsys.readouterr().err
 
     def test_unknown_property_is_an_error(self, property_manifest, trace_file):
         code, _ = run_cli(

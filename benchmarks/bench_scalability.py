@@ -25,6 +25,13 @@ Two measured axes, both persisted to ``BENCH_scalability.json``:
   fleet ×7 and a shape whose sets interleave (xor-stress n=16).
   Identical arrays are asserted before timing; the gate
   (``test_factored_cold_build``) requires >=2x on video ×3.
+* **cold lone point query** — the first plans of a fresh planner on the
+  ``plan-churn`` families (video ×3, fleet ×7, video + 5 services), six
+  distinct-source pairs each: :meth:`AdaptationPlanner.plan`, which
+  walks the factored corridor, against building the SAG and one
+  shortest-path tree per source.  Identical plans are asserted first;
+  the gate (``test_cold_lone_point_query``) requires the first fleet ×7
+  query to be >=3x faster.
 * **lazy cost vs distance** — cold ``lazy_plan`` on the 30-component
   ``examples/fleet30.manifest`` from ``baseline`` to targets moving
   1/2/4/6/10 services to v3, recorded with the host's CPU count.  The
@@ -35,6 +42,7 @@ Two measured axes, both persisted to ``BENCH_scalability.json``:
 """
 
 import os
+import random
 import time
 from pathlib import Path
 
@@ -221,6 +229,14 @@ def _fresh_planner(system):
     return AdaptationPlanner(system.universe, system.invariants, system.actions)
 
 
+def _eager_plan(system, source, target):
+    """Eager build+plan: a fresh planner builds the SAG and answers off a
+    shortest-path tree (``plan`` alone would take the factored corridor)."""
+    planner = _fresh_planner(system)
+    planner.sag
+    return planner.plan_many([(source, target)])[0]
+
+
 def _local_target(system):
     """The paper adaptation applied to group 0 only (a *local* query)."""
     keep = [m for m in system.source.members if "@g0" not in m]
@@ -261,7 +277,7 @@ def test_eager_vs_lazy(benchmark, groups):
     adjacent = _adjacent_target(system)
 
     eager_plan, eager_s = _best_of(
-        lambda: _fresh_planner(system).plan(system.source, system.target)
+        lambda: _eager_plan(system, system.source, system.target)
     )
     lazy_plan_full, lazy_full_s = benchmark.pedantic(
         lambda: _best_of(
@@ -306,7 +322,7 @@ def test_lazy_point_query_gate():
     system = replicated_video_system(4)
     adjacent = _adjacent_target(system)
     eager_plan, eager_s = _best_of(
-        lambda: _fresh_planner(system).plan(system.source, system.target)
+        lambda: _eager_plan(system, system.source, system.target)
     )
     lazy_point, lazy_s = _best_of(
         lambda: _fresh_planner(system).lazy_plan(system.source, adjacent)
@@ -420,6 +436,106 @@ def test_crossover_summary(benchmark):
     # shape: the gap must widen with n
     speedups = [float(r[5][:-1]) for r in rows]
     assert speedups[-1] > speedups[0]
+
+
+# --- cold lone point query ---------------------------------------------------
+
+#: (row name, JSON key prefix, system): the plan-churn families
+POINT_SHAPES = FACTORED_SHAPES[:3]
+POINT_PAIRS = 6
+POINT_ROUNDS = 7
+POINT_GATE = 3.0
+
+
+def _distinct_source_pairs(system, count, seed=0):
+    """*count* reachable pairs over a fixed draw, no two sharing a source."""
+    planner = _fresh_planner(system)
+    configs = planner.space.enumerate()
+    rng = random.Random(seed)
+    pairs, sources = [], set()
+    while len(pairs) < count:
+        source, target = rng.choice(configs), rng.choice(configs)
+        if source in sources or source == target:
+            continue
+        if planner.plan_many([(source, target)])[0] is not None:
+            pairs.append((source, target))
+            sources.add(source)
+    return pairs
+
+
+def test_cold_lone_point_query():
+    """Cold lone point queries: factored corridor vs build+SPT.
+
+    Each round starts two fresh planners on the same six distinct-source
+    pairs: one answers them with ``plan`` (the per-set distance
+    heuristic and the factored successor view, no SAG, no tree), the
+    other builds the SAG and one shortest-path tree per source.  Rounds
+    alternate the sides and each keeps its best first-query and
+    all-six times.
+    """
+
+    def corridor(system, pairs):
+        times, plans = [], []
+        t0 = time.perf_counter()
+        planner = _fresh_planner(system)
+        for source, target in pairs:
+            plans.append(planner.plan(source, target))
+            times.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+        return times, plans
+
+    def build_spt(system, pairs):
+        times, plans = [], []
+        t0 = time.perf_counter()
+        planner = _fresh_planner(system)
+        planner.sag
+        for source, target in pairs:
+            plans.append(planner.plan_many([(source, target)])[0])
+            times.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+        return times, plans
+
+    rows = []
+    data = {"nproc": os.cpu_count(), "pairs": POINT_PAIRS, "rounds": POINT_ROUNDS,
+            "gate_fleet_x7_first": POINT_GATE}
+    first_speedups = {}
+    for name, key, make in POINT_SHAPES:
+        system = make()
+        pairs = _distinct_source_pairs(system, POINT_PAIRS)
+        assert corridor(system, pairs)[1] == build_spt(system, pairs)[1]
+        first = {corridor: float("inf"), build_spt: float("inf")}
+        total = dict(first)
+        for _ in range(POINT_ROUNDS):
+            for side in first:
+                times, _ = side(system, pairs)
+                first[side] = min(first[side], times[0])
+                total[side] = min(total[side], sum(times))
+        first_speedups[name] = first[build_spt] / first[corridor]
+        for label, best in (("first", first), ("total", total)):
+            data[f"{key}_{label}_corridor_ms"] = round(best[corridor] * 1e3, 3)
+            data[f"{key}_{label}_build_spt_ms"] = round(best[build_spt] * 1e3, 3)
+        data[f"{key}_first_speedup"] = round(first_speedups[name], 2)
+        rows.append((
+            f"{name} ({len(system.universe)} comps)",
+            f"{first[corridor] * 1e3:.2f}", f"{first[build_spt] * 1e3:.2f}",
+            f"{first_speedups[name]:.1f}x",
+            f"{total[corridor] * 1e3:.2f}", f"{total[build_spt] * 1e3:.2f}",
+        ))
+    report(
+        "P3 cold lone point query: factored corridor vs build+SPT",
+        format_table(
+            ["shape", "first: corridor (ms)", "first: build+SPT (ms)", "speedup",
+             f"{POINT_PAIRS} pairs: corridor (ms)", f"{POINT_PAIRS} pairs: build+SPT (ms)"],
+            rows,
+        )
+        + f"\n{os.cpu_count()} cpu(s); gate: fleet x7 first query >= {POINT_GATE:g}x",
+        data=data,
+        json_path=SCALABILITY_JSON,
+    )
+    assert first_speedups["fleet x7"] >= POINT_GATE, (
+        f"a cold fleet x7 point query through the factored corridor ran only "
+        f"{first_speedups['fleet x7']:.2f}x faster than build+SPT (gate {POINT_GATE:g}x)"
+    )
 
 
 # --- lazy cost vs distance ---------------------------------------------------

@@ -13,7 +13,9 @@ The same independence factors everything built over the safe space.
 :class:`SafeFactorization` owns it: the safe space is the product of the
 sets' safe projections, each enumerated on its own.  The SAG is the
 product of per-set sub-SAGs (:func:`sag_factors` feeds
-:meth:`SafeAdaptationGraph.build <repro.core.sag.SafeAdaptationGraph.build>`),
+:meth:`SafeAdaptationGraph.build <repro.core.sag.SafeAdaptationGraph.build>`,
+and :class:`FactoredSAG` reads a vertex's arcs off them without building
+the product),
 :class:`SetDistanceHeuristic` turns the sub-SAGs into the lazy planner's
 exact distance-to-target heuristic, and lint's per-set analysis reads
 the same projections.
@@ -311,17 +313,16 @@ def projection_arcs(
     return rows
 
 
-def sag_factors(
+def _action_factors(
     space: "SafeConfigurationSpace", actions: ActionLibrary
-) -> List[Tuple[Tuple[int, ...], List[List[ProjectionArc]]]]:
-    """The SAG as a product of sub-SAGs: ``(projections, arcs)`` per factor.
+) -> Tuple[List[Tuple[FrozenSet[str], Sequence[SetArc]]], FrozenSet[str]]:
+    """The factors with actions, in SAG arc order, and the idle components.
 
     A factor is a collaborative set, or several whose actions interleave
     in library order, so that concatenating one projection's arcs per
     factor, in factor order, lists a vertex's arcs in action-library
-    order.  Factors with actions come first, ordered by their first
-    action; the sets without any action form one last factor.  *arcs*
-    is :func:`projection_arcs` over the factor's safe projections.
+    order; factors are ordered by their first action.  The sets without
+    any action are returned apart, joined into one component set.
     """
     groups, arcs_of = space.factorization.action_sets(actions)
 
@@ -342,13 +343,90 @@ def sag_factors(
             )
         else:
             merged.append((group, arcs))
+    return merged, frozenset(name for group in idle for name in group)
+
+
+def sag_factors(
+    space: "SafeConfigurationSpace", actions: ActionLibrary
+) -> List[Tuple[Tuple[int, ...], List[List[ProjectionArc]]]]:
+    """The SAG as a product of sub-SAGs: ``(projections, arcs)`` per factor.
+
+    The factors with actions come first, in the order that keeps a
+    vertex's arcs in action-library order (:func:`_action_factors`); the
+    sets without any action form one last factor.  *arcs* is
+    :func:`projection_arcs` over the factor's safe projections.
+    """
+    merged, idle = _action_factors(space, actions)
     if idle:
-        merged.append((frozenset(name for group in idle for name in group), []))
+        merged.append((idle, []))
     factors: List[Tuple[Tuple[int, ...], List[List[ProjectionArc]]]] = []
     for group, arcs in merged:
         projections = space.projections(group)
         factors.append((projections, projection_arcs(projections, arcs)))
     return factors
+
+
+class FactoredSAG:
+    """The SAG's arcs read off its factors, one mask at a time (§7).
+
+    A vertex's arcs are, factor by factor, the sub-SAG arcs of its
+    projection onto that factor (:func:`sag_factors`), so
+    :meth:`successors` looks the mask's projection up in every factor
+    and moves that projection alone: the ``(action_id, cost,
+    next_mask)`` arcs :meth:`SafeAdaptationGraph.banned_view
+    <repro.core.sag.SafeAdaptationGraph.banned_view>` reads off the
+    built SAG, in the same order, with no product enumerated and
+    nothing kept per mask.  Each factor with actions is enumerated once,
+    when the view is made; the sets without actions never are (they
+    contribute no arc).  :meth:`fitting` makes one only when every such
+    factor fits a component cap.
+    """
+
+    def __init__(
+        self,
+        space: "SafeConfigurationSpace",
+        actions: ActionLibrary,
+        factors: Sequence[Tuple[FrozenSet[str], Sequence[SetArc]]],
+    ):
+        universe = space.universe
+        ids = actions.ids()
+        #: per factor: its bit mask, and per safe projection its arcs as
+        #: ``(action_id, cost, flip)`` (the next mask is ``mask ^ flip``)
+        self._factors: List[Tuple[int, Dict[int, Tuple[Tuple[str, float, int], ...]]]] = []
+        for group, arcs in factors:
+            projections = space.projections(group)
+            rows = {
+                projection: tuple(
+                    (ids[label], cost, projection ^ projections[target])
+                    for target, cost, label in row
+                )
+                for projection, row in zip(
+                    projections, projection_arcs(projections, arcs)
+                )
+            }
+            self._factors.append((universe.mask_of_names(group), rows))
+        #: masks expanded so far, one per :meth:`successors` call
+        self.expanded_nodes = 0
+
+    @classmethod
+    def fitting(
+        cls, space: "SafeConfigurationSpace", actions: ActionLibrary, cap: int
+    ) -> Optional["FactoredSAG"]:
+        """The view, or ``None`` when a factor with actions has more than
+        *cap* components (its projections are not affordable)."""
+        factors, _ = _action_factors(space, actions)
+        if any(len(group) > cap for group, _ in factors):
+            return None
+        return cls(space, actions, factors)
+
+    def successors(self, mask: int) -> List[Tuple[str, float, int]]:
+        """Outgoing arcs of the safe *mask*, in SAG edge order."""
+        self.expanded_nodes += 1
+        return [
+            (action_id, cost, mask ^ flip)
+            for factor_mask, rows in self._factors
+            for action_id, cost, flip in rows[mask & factor_mask]
+        ]
 
 
 class SetDistanceHeuristic:

@@ -8,6 +8,11 @@ The :class:`AdaptationPlanner` performs the three setup steps on demand:
    the rest of the paper needs: k-best alternates (failure handling §4.4),
    lazy A* partial exploration and collaborative-set decomposition
    (scalability, §7).
+
+A lone cold MAP query skips steps 1 and 2: it searches the SAG read off
+the collaborative sets' sub-SAGs, with Dijkstra's answer (§7: "only a
+small fraction of the graph is actually related to the given
+adaptation").
 """
 
 from __future__ import annotations
@@ -103,11 +108,12 @@ class AdaptationPlanner:
     """Runs the detection & setup phase for a fixed ``(universe, I, T, A)``.
 
     The planner is **incremental**: the safe space, the SAG, and every
-    computed plan are cached.  The §4.4 failure cascade — retry the step,
-    ask for the next minimum adaptation path, roll back to the source —
-    re-enters the planner with shifting ``(source, target)`` pairs; each
-    answer is derived once from the shared SAG and the mask-level safety
-    memo, then served from the plan cache on repetition.
+    computed plan are cached, and each is built only when a query needs
+    it (a lone :meth:`plan` needs neither the space nor the SAG).  The
+    §4.4 failure cascade — retry the step, ask for the next minimum
+    adaptation path, roll back to the source — re-enters the planner
+    with shifting ``(source, target)`` pairs; each answer is derived
+    once, then served from the plan cache on repetition.
     """
 
     #: default bound on cached shortest-path trees (one per distinct source)
@@ -174,9 +180,13 @@ class AdaptationPlanner:
 
     @property
     def lazy_sag(self) -> LazySAG:
-        """The implicit-SAG successor generator (built on first use)."""
+        """The implicit-SAG successor generator (built on first use).
+
+        Its :attr:`~repro.core.sag.LazySAG.point_successors` read the
+        collaborative factors when every factor with actions fits
+        :attr:`max_components`."""
         if self._lazy_sag is None:
-            self._lazy_sag = LazySAG(self.space, self.actions)
+            self._lazy_sag = LazySAG(self.space, self.actions, self.max_components)
         return self._lazy_sag
 
     @property
@@ -215,35 +225,67 @@ class AdaptationPlanner:
         self,
         source: Configuration,
         target: Configuration,
-        tree: Optional[ShortestPathTree] = None,
+        tree: ShortestPathTree,
     ) -> Optional[AdaptationPlan]:
-        if tree is None:
-            tree = self._spt_for(source)
         path = tree.path_to(self.universe.mask_of(target))
         return None if path is None else self._plan_from_mask_path(source, target, path)
 
     def plan(self, source: Configuration, target: Configuration) -> AdaptationPlan:
-        """The Minimum Adaptation Path (Dijkstra over the compiled SAG).
+        """The Minimum Adaptation Path (§4.2 step 3).
 
-        The search runs on the CSR view's resumable shortest-path tree
-        for *source*, settled only as far as *target*; every further
-        query sharing that source — other targets in a batch, the §4.4
-        cascade re-entering while retrying/rolling back — resumes the
-        same search, and a target it already settled costs
-        O(path length).  Results are additionally
-        cached per ``(source, target)``; a cached ``None`` records that
-        the target is unreachable (distinct from an absent entry).
+        A pair is answered by the first of these that applies
+        (:meth:`_answer`):
+
+        1. the per-pair plan cache — a cached ``None`` records that the
+           target is unreachable (distinct from an absent entry);
+        2. a shortest-path tree for *source*: a cached one
+           (:meth:`plan_many` leaves one per source; a target it already
+           settled costs O(path length), others resume it), or a new
+           one when the SAG is already built (by :meth:`plan_many`,
+           :meth:`plan_k` or a read of :attr:`sag`) — on a built SAG a
+           tree settles the §4.4 cascade's shifting sources faster than
+           the corridor search does;
+        3. the exact two-phase search of :meth:`_banned_shortest` over the
+           implicit SAG (:attr:`lazy_sag`), which reads each mask's arcs
+           off the collaborative factors: a lone cold query builds
+           neither the SAG nor a tree, and the plan is **identical —
+           path, cost and tie-break — to Dijkstra on the built SAG**.
 
         Raises:
             UnsafeConfigurationError: source or target violates invariants.
             NoSafePathError: target unreachable through safe configurations.
         """
         self._validate_endpoints(source, target)
+        return self._answer(source, target, None)
+
+    def _answer(
+        self, source: Configuration, target: Configuration, budget: Optional[int]
+    ) -> AdaptationPlan:
+        """The routing shared by :meth:`plan` and :meth:`lazy_plan`: plan
+        cache, then a tree for *source* (cached, or grown on a SAG that is
+        already built), then the implicit-SAG search under *budget*
+        (exhausting it raises, and is never cached)."""
         key = (source, target)
         if key in self._plan_cache:
             plan = self._plan_cache[key]
+        elif self._sag is not None:  # every cached tree grows on it
+            plan = self._plan_uncached(source, target, self._spt_for(source))
+            self._plan_cache[key] = plan
         else:
-            plan = self._plan_uncached(source, target)
+            source_mask = self.universe.mask_of(source)
+            target_mask = self.universe.mask_of(target)
+            path, exhausted, _ = self._banned_shortest(
+                self.lazy_sag.point_successors, source_mask, target_mask,
+                self._lazy_heuristic(source_mask, target_mask), budget,
+            )
+            if exhausted:
+                raise NoSafePathError(
+                    f"no safe adaptation path from {source.label()} to "
+                    f"{target.label()} within {budget} expansions"
+                )
+            plan = None if path is None else self._plan_from_mask_path(
+                source, target, path
+            )
             self._plan_cache[key] = plan
         if plan is None:
             raise NoSafePathError(
@@ -355,18 +397,20 @@ class AdaptationPlanner:
     ) -> AdaptationPlan:
         """The exact MAP by frontier search — no safe space, no SAG (§7).
 
-        Point-query counterpart of :meth:`plan` for universes too large
-        to enumerate: it explores the *implicit* SAG through
-        :class:`~repro.core.sag.LazySAG` and returns a plan **identical
-        — path, cost, and tie-break — to the eager CSR path** wherever
-        both are defined, without ever materializing the safe space.
-        The search is :meth:`_banned_shortest` with nothing banned;
-        *max_expansions* bounds both of its phases together.
+        :meth:`plan` with an expansion budget: the same routing (plan
+        cache, cached tree, then :meth:`_banned_shortest` over
+        :attr:`lazy_sag`), for universes too large to enumerate.  The
+        implicit SAG reads each mask's arcs off the collaborative factors
+        when every factor with actions fits :attr:`max_components` (as on
+        ``fleet30``), and tests the compiled actions per mask otherwise;
+        either way the plan is **identical — path, cost, and tie-break —
+        to the eager CSR path** wherever both are defined, and the safe
+        space is never enumerated.  *max_expansions* bounds both phases
+        of the search together.
 
         Results are written through to the shared plan cache, so a later
         :meth:`plan` or :meth:`peek_plan` on the pair is a warm dict hit
-        (and vice versa: a pair already planned eagerly returns here
-        without any search).
+        (and vice versa).
 
         Raises:
             UnsafeConfigurationError: source or target violates invariants.
@@ -375,35 +419,7 @@ class AdaptationPlanner:
                 exhaustion is never cached as unreachable).
         """
         self._validate_endpoints(source, target)
-        key = (source, target)
-        if key in self._plan_cache:
-            cached = self._plan_cache[key]
-            if cached is None:
-                raise NoSafePathError(
-                    f"no safe adaptation path from {source.label()} "
-                    f"to {target.label()}"
-                )
-            return cached
-        source_mask = self.universe.mask_of(source)
-        target_mask = self.universe.mask_of(target)
-        path, exhausted, _ = self._banned_shortest(
-            self.lazy_sag.successors, source_mask, target_mask,
-            self._lazy_heuristic(source_mask, target_mask), max_expansions,
-        )
-        if path is None:
-            if exhausted:
-                raise NoSafePathError(
-                    f"no safe adaptation path from {source.label()} to "
-                    f"{target.label()} within {max_expansions} expansions"
-                )
-            self._plan_cache[key] = None
-            raise NoSafePathError(
-                f"no safe adaptation path from {source.label()} "
-                f"to {target.label()}"
-            )
-        plan = self._plan_from_mask_path(source, target, path)
-        self._plan_cache[key] = plan
-        return plan
+        return self._answer(source, target, max_expansions)
 
     def _lazy_heuristic(self, source_mask: int, target_mask: int):
         """The per-collaborative-set distance heuristic toward *target_mask*

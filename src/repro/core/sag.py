@@ -15,7 +15,7 @@ from operator import add
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.actions import ActionLibrary, AdaptiveAction
-from repro.core.collaborative import sag_factors
+from repro.core.collaborative import FactoredSAG, sag_factors
 from repro.core.model import ComponentUniverse, Configuration
 from repro.core.space import SafeConfigurationSpace
 from repro.errors import UnknownComponentError
@@ -36,22 +36,35 @@ class LazySAG:
     <repro.core.planner.AdaptationPlanner.lazy_plan>`'s tie-breaking
     provably identical to the eager path.
 
+    :meth:`successors` tests every compiled action against the mask,
+    safety-checks the results, and caches the adjacency per mask, so the
+    A* probe, the exact replay and every Yen spur pay the checks once per
+    frontier node (the k-best searches above the cap read it).
+    :attr:`point_successors` serves lone point queries
+    (:meth:`AdaptationPlanner.plan
+    <repro.core.planner.AdaptationPlanner.plan>` and ``lazy_plan``):
+    given a *cap* (and then an eager :class:`SafeConfigurationSpace`)
+    whose factors with actions all fit it, it is a
+    :class:`~repro.core.collaborative.FactoredSAG`'s, which looks each
+    factor's projection up in its sub-SAG and keeps nothing per mask
+    (memory stays that of the factors, however many queries run); with
+    a factor above the cap, or no cap, it is :meth:`successors`.  Both
+    yield the same arcs in the same order.
+
     Actions touching components outside the universe are skipped up
     front, exactly as the eager build skips them (their result always
     leaves the universe, so they can never connect two vertices).
 
-    Per-mask adjacency is cached: the A* probe and the exact replay in
-    ``lazy_plan`` pay the applicability/safety checks once per frontier
-    node, and repeated point queries against the same spec stay warm.
     *space* may be an eager :class:`SafeConfigurationSpace` or a
     :class:`~repro.core.space.LazySafeSpace` — anything with a
     ``universe`` and the memoized ``is_safe_mask`` /
     ``are_safe_masks`` query pair.
     """
 
-    def __init__(self, space, actions: ActionLibrary):
+    def __init__(self, space, actions: ActionLibrary, cap: Optional[int] = None):
         self._space = space
         self._actions = actions
+        self._cap = cap
         self.universe = space.universe
         self._arc_specs = tuple(
             (action.action_id, action.cost, masked)
@@ -59,11 +72,29 @@ class LazySAG:
             if masked is not None
         )
         self._adjacency: Dict[int, Tuple[Tuple[str, float, int], ...]] = {}
+        self._factored: Optional[FactoredSAG] = None
+        self._point_successors: Optional[Callable[[int], Any]] = None
+
+    @property
+    def point_successors(self) -> Callable[[int], Any]:
+        """The successor function of a lone query (chosen on first use):
+        the factored view's when every factor with actions fits the cap,
+        else :meth:`successors`."""
+        if self._point_successors is None:
+            if self._cap is not None:
+                self._factored = FactoredSAG.fitting(self._space, self._actions, self._cap)
+            self._point_successors = (
+                self.successors if self._factored is None else self._factored.successors
+            )
+        return self._point_successors
 
     @property
     def expanded_nodes(self) -> int:
-        """Distinct masks whose adjacency has been generated so far."""
-        return len(self._adjacency)
+        """Masks expanded so far: the distinct masks whose adjacency
+        :meth:`successors` cached, plus every expansion of the factored
+        view (which keeps nothing per mask)."""
+        factored = 0 if self._factored is None else self._factored.expanded_nodes
+        return len(self._adjacency) + factored
 
     def successors(self, mask: int) -> Tuple[Tuple[str, float, int], ...]:
         """Outgoing arcs of *mask*, in SAG edge-insertion order (cached).

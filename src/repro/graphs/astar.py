@@ -151,15 +151,18 @@ def corridor_search(
     # relative slack absorbs summation-order float drift in the
     # externally computed bound without ever rejecting an equal cost
     bound = cost_bound + 1e-9 * (1.0 + abs(cost_bound))
-    g_score: Dict[N, float] = {source: 0.0}
-    hops: Dict[N, int] = {source: 0}
-    came_from: Dict[N, Edge[N, L]] = {}
+    # per reached node its best (g, hops), compared as one tuple: lower
+    # cost, then fewer hops; and the (node, label, weight) it came from
+    # (an Edge is made only for the returned path's arcs)
+    best_of: Dict[N, Tuple[float, int]] = {source: (0.0, 0)}
+    came_from: Dict[N, Tuple[N, L, float]] = {}
     settled: set = set()
     counter = 0
     heap: List[Tuple[float, int, int, N]] = [(0.0, 0, counter, source)]
     expansions = 0
     push = heapq.heappush
     pop = heapq.heappop
+    best_get = best_of.get
     while heap:
         g, nhops, _, node = pop(heap)
         if node in settled:
@@ -167,43 +170,40 @@ def corridor_search(
         settled.add(node)
         if node == target:
             _account(stats, expansions, False)
-            return _rebuild(source, target, came_from, g_score[target])
+            return _rebuild(source, target, came_from, g)
         expansions += 1
         if max_expansions is not None and expansions > max_expansions:
             _account(stats, expansions, True)
             return None
+        next_hops = nhops + 1
         for label, weight, nxt in successors(node):
             if weight < 0:
                 raise ValueError(f"negative edge weight {weight} from {node!r}")
             if nxt in settled:
                 continue
             tentative = g + weight
-            best = g_score.get(nxt)
-            if (
-                best is None or tentative < best or (
-                    tentative == best and nhops + 1 < hops[nxt]
-                )
-            ) and tentative + heuristic(nxt) <= bound:
-                g_score[nxt] = tentative
-                hops[nxt] = nhops + 1
-                came_from[nxt] = Edge(node, nxt, label, weight)
+            key = (tentative, next_hops)
+            best = best_get(nxt)
+            if (best is None or key < best) and tentative + heuristic(nxt) <= bound:
+                best_of[nxt] = key
+                came_from[nxt] = (node, label, weight)
                 counter += 1
-                push(heap, (tentative, nhops + 1, counter, nxt))
+                push(heap, (tentative, next_hops, counter, nxt))
     _account(stats, expansions, False)
     return None
 
 
 def _rebuild(
-    source: N, target: N, came_from: Dict[N, Edge[N, L]], cost: float
+    source: N, target: N, came_from: Dict[N, Tuple[N, L, float]], cost: float
 ) -> Path[N, L]:
     if source == target:
         return Path(nodes=(source,), edges=(), cost=0.0)
     edges: List[Edge[N, L]] = []
     node = target
     while node != source:
-        edge = came_from[node]
-        edges.append(edge)
-        node = edge.source
+        previous, label, weight = came_from[node]
+        edges.append(Edge(previous, node, label, weight))
+        node = previous
     edges.reverse()
     nodes = (source,) + tuple(edge.target for edge in edges)
     return Path(nodes=nodes, edges=tuple(edges), cost=cost)

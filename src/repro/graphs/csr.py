@@ -22,7 +22,11 @@ Kernels provided:
   the search only as far as its target, later queries resume it, and a
   settled target's ``path_to`` is O(path length).  This is what makes
   batched multi-source MAP solving amortized: one tree serves every
-  request that shares its source, and a lone request pays for one path.
+  request that shares its source.  A lone cold request builds neither
+  the graph nor a tree: the planner answers it with the corridor search
+  of :mod:`repro.graphs.astar` over the factored view of the SAG
+  (:class:`repro.core.collaborative.FactoredSAG`), and grows trees only
+  for batches and on a SAG that is already built.
 
 k-best queries are not a kernel here: the planner's Yen spurs run the
 two-phase corridor search of :mod:`repro.graphs.astar` over a banned

@@ -742,7 +742,7 @@ def _check_actions(
             model.section_span("components"),
             path,
         )
-        _check_named_pairs_lazy(model, report, path)
+        _check_named_pairs_lazy(model, report, path, cap)
         return None
     factors = _safe_factors(model, model.planner(cap))
     if not all(factor.safe_masks for factor in factors):
@@ -1016,27 +1016,26 @@ LAZY_REACH_EXPANSIONS = 20_000
 
 
 def _check_named_pairs_lazy(
-    model: _Model, report: LintReport, path: Optional[str]
+    model: _Model, report: LintReport, path: Optional[str], cap: int
 ) -> None:
     """SA205/SA306 for universes too large to enumerate.
 
     Named-configuration safety is a point query against the compiled
     invariant closure; pairwise reachability is a budget-bounded BFS
-    over the implicit SAG (:class:`~repro.core.sag.LazySAG`).  Verdicts
-    are tri-state: a search that finds the other endpoint proves
-    reachability, a search that exhausts the reachable component
-    without finding it proves unreachability, and a search that runs
-    out of budget proves nothing — the pair is recorded as skipped
-    rather than misreported.
+    over the implicit SAG (:attr:`LazySAG.point_successors
+    <repro.core.sag.LazySAG.point_successors>` of the run's planner,
+    which reads the arcs off the collaborative factors when each fits
+    *cap*).  Verdicts are tri-state: a search that finds the other
+    endpoint proves reachability, a search that exhausts the reachable
+    component without finding it proves unreachability, and a search
+    that runs out of budget proves nothing — the pair is recorded as
+    skipped rather than misreported.
     """
-    from repro.core.actions import ActionLibrary
-    from repro.core.sag import LazySAG
-    from repro.core.space import LazySafeSpace
-
     universe = model.universe
-    invariants = model.kept_invariants()
-    space = LazySafeSpace(universe, invariants)
-    lazy = LazySAG(space, ActionLibrary(item.action for item in model.actions))
+    planner = model.planner(cap)
+    space = planner.space
+    invariants = planner.invariants
+    successors = planner.lazy_sag.point_successors
 
     endpoints: List[Tuple[_ConfigItem, int]] = []
     for item in model.configurations:
@@ -1071,7 +1070,7 @@ def _check_named_pairs_lazy(
                     break
                 budget -= 1
                 node = frontier.pop()
-                for _action_id, _cost, nxt in lazy.successors(node):
+                for _action_id, _cost, nxt in successors(node):
                     if nxt not in seen:
                         seen.add(nxt)
                         frontier.append(nxt)

@@ -111,7 +111,7 @@ def test_cached_none_is_distinct_from_cache_miss(planner):
 
 
 def test_reset_caches_drops_spt_and_csr_state(planner, source, target):
-    planner.plan(source, target)
+    planner.plan_many([(source, target)])
     assert planner._spt_cache and planner._plan_cache
     old_sag = planner.sag
     assert old_sag.csr is old_sag.csr  # cached view
@@ -120,6 +120,28 @@ def test_reset_caches_drops_spt_and_csr_state(planner, source, target):
     assert not planner._plan_cache
     assert not planner._plan_k_cache
     assert planner.sag is not old_sag
+
+
+def test_a_fresh_plan_builds_no_sag_and_no_tree(planner, source, target):
+    plan = planner.plan(source, target)
+    assert plan.total_cost == 50.0
+    assert planner._sag is None
+    assert not planner._spt_cache
+    assert planner.space._cache is None  # the safe space was not enumerated either
+
+
+def test_plan_resumes_a_cached_tree(planner, source, target):
+    configs = safe_configs(planner)
+    planner.plan_many([(source, source)])
+    tree = planner._spt_cache[source]
+    for other in configs:
+        try:
+            planner.plan(source, other)
+        except NoSafePathError:
+            pass
+    # every answer came off the cached tree: the implicit SAG was never read
+    assert planner._lazy_sag is None
+    assert planner._spt_cache[source] is tree
 
 
 def test_mutating_action_library_never_serves_stale_path(

@@ -8,10 +8,15 @@ point queries and budget-bounded frontier search with tri-state verdicts
 misreported as a diagnostic.
 """
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+import repro.core.collaborative as collaborative
 import repro.lint.checks as checks_mod
 from repro.lint import lint_text
+from tests.lint.test_interference_oracle import manifests
 
 
 def fleet_manifest(
@@ -140,3 +145,40 @@ def test_lazy_verdicts_match_eager_below_the_cap():
             if d.code in ("SA205", "SA306")
         )
     assert named_pair_codes(eager) == named_pair_codes(lazy)
+
+
+@given(
+    text=manifests(),
+    cap=st.integers(2, 4),
+    budget=st.sampled_from((None, 1, 3, 8)),
+)
+@settings(max_examples=120, deadline=None)
+def test_factored_reachability_matches_the_compiled_arcs(text, cap, budget):
+    """Above the cap, SA306's search expands through the factored view
+    whenever every collaborative set fits the cap; with the view turned
+    off it reads the compiled arcs.  The reports must be identical —
+    diagnostics and skipped notes, budget exhaustion included."""
+    patches = [] if budget is None else [
+        mock.patch.object(checks_mod, "LAZY_REACH_EXPANSIONS", budget)
+    ]
+    for patch in patches:
+        patch.start()
+    real = collaborative.FactoredSAG.fitting
+    used = []
+
+    def spy(*args):
+        view = real(*args)
+        used.append(view is not None)
+        return view
+
+    try:
+        with mock.patch.object(collaborative.FactoredSAG, "fitting", spy):
+            got = lint_text(text, max_enum_components=cap)
+        with mock.patch.object(collaborative.FactoredSAG, "fitting", lambda *args: None):
+            want = lint_text(text, max_enum_components=cap)
+    finally:
+        for patch in patches:
+            patch.stop()
+    event(f"factored view used: {any(used)}")
+    assert got.diagnostics == want.diagnostics
+    assert got.skipped == want.skipped

@@ -94,7 +94,7 @@ def reference_check_actions(
             model.section_span("components"),
             path,
         )
-        _check_named_pairs_lazy(model, report, path)
+        _check_named_pairs_lazy(model, report, path, cap)
         return None
     # the whole-universe enumeration, independent of the per-set factors
     space = SafeConfigurationSpace(universe, model.kept_invariants())

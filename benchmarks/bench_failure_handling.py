@@ -117,14 +117,14 @@ def test_fail_to_reset_outcome_is_parked_safe(benchmark):
         video_invariants,
         video_universe,
     )
-    from repro.sim import AdaptationCluster, QuiescentApp, StuckApp
+    from repro.sim import AdaptationCluster, QuiescentAdapter, StuckAdapter
 
     def run():
         universe = video_universe()
         apps = {
-            "handheld": StuckApp(),
-            "server": QuiescentApp(2.0),
-            "laptop": QuiescentApp(2.0),
+            "handheld": StuckAdapter(),
+            "server": QuiescentAdapter(2.0),
+            "laptop": QuiescentAdapter(2.0),
         }
         cluster = AdaptationCluster(
             universe, video_invariants(), video_actions(),

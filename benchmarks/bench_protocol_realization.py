@@ -120,7 +120,6 @@ def _backend_runners(time_scale=0.0005, quiesce=2.0):
     Each runner returns ``(outcome, wall_seconds)`` for one source→target
     adaptation with identical :class:`QuiescentAdapter` apps.
     """
-    from repro.exec.aio import run_aio_adaptation
     from repro.exec.app import QuiescentAdapter
     from repro.runtime import LiveAdaptationSystem
     from repro.sim import AdaptationCluster
@@ -149,23 +148,15 @@ def _backend_runners(time_scale=0.0005, quiesce=2.0):
             wall = time.perf_counter() - t0
         return outcome, wall
 
-    def run_aio():
-        t0 = time.perf_counter()
-        outcome, _system = run_aio_adaptation(
-            universe, invariants, actions, source, target,
-            apps=make_apps(), time_scale=time_scale, timeout=30.0,
-        )
-        return outcome, time.perf_counter() - t0
-
-    return {"sim": run_sim, "live": run_live, "aio": run_aio}
+    return {"sim": run_sim, "live": run_live}
 
 
 def test_backend_realization_latency():
-    """One substrate, three backends: same MAP, per-backend latency.
+    """One substrate, two backends: same MAP, per-backend latency.
 
     The committed-step count is backend-independent (the substrate's
     semantics set it); protocol-time duration is exact on the simulator
-    and scheduler-approximate on the wall-clock backends; wall time is
+    and scheduler-approximate on the wall-clock backend; wall time is
     what each deployment style costs.
     """
     rows, data = [], {}

@@ -23,7 +23,13 @@ from repro.apps.video.system import (
     video_universe,
 )
 from repro.protocol.failures import FailurePolicy
-from repro.sim import AdaptationCluster, BernoulliLoss, QuiescentApp, StuckApp, UniformDelay
+from repro.sim import (
+    AdaptationCluster,
+    BernoulliLoss,
+    QuiescentAdapter,
+    StuckAdapter,
+    UniformDelay,
+)
 
 POLICY = FailurePolicy(
     reset_timeout=80.0,
@@ -76,9 +82,9 @@ def stuck_process() -> None:
         video_actions(),
         paper_source(universe),
         apps={
-            "handheld": StuckApp(),  # stuck forever
-            "server": QuiescentApp(2.0),
-            "laptop": QuiescentApp(2.0),
+            "handheld": StuckAdapter(),  # stuck forever
+            "server": QuiescentAdapter(2.0),
+            "laptop": QuiescentAdapter(2.0),
         },
         policy=POLICY,
     )

@@ -21,7 +21,7 @@ from repro import (
     check_safe,
 )
 from repro.expr import exactly_one
-from repro.sim import AdaptationCluster, QuiescentApp
+from repro.sim import AdaptationCluster, QuiescentAdapter
 
 
 def main() -> None:
@@ -75,7 +75,7 @@ def main() -> None:
         invariants,
         actions,
         source,
-        apps={p: QuiescentApp(quiesce_delay=2.0) for p in universe.processes()},
+        apps={p: QuiescentAdapter(quiesce_delay=2.0) for p in universe.processes()},
     )
     outcome = cluster.adapt_to(target)
     print(f"outcome: {outcome.status} at {outcome.configuration.label()} "

@@ -18,11 +18,11 @@ Usage (``python -m repro <command> ...``):
   apply).
 * ``sag MANIFEST [--highlight-map --from SRC --to DST]`` — emit Graphviz
   DOT of the Safe Adaptation Graph (Figure 4 itself).
-* ``simulate MANIFEST --from SRC --to DST [--backend sim|live|aio]
+* ``simulate MANIFEST --from SRC --to DST [--backend sim|live]
   [--seed N --loss P --quiesce MS --save-trace FILE]`` — run the
   realization phase on the chosen execution backend (discrete-event
-  simulator, threaded live runtime, or asyncio) and check the execution
-  against the paper's safety definition.
+  simulator or threaded live runtime) and check the execution against
+  the paper's safety definition.
 * ``verify-paths MANIFEST --from SRC --to DST --property NAME
   [--quantifier all|exists] [--k N] [--max-expansions N]`` —
   path-quantified temporal verification: decide whether the named
@@ -154,9 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_manifest(simulate)
     _add_endpoints(simulate)
     simulate.add_argument(
-        "--backend", choices=("sim", "live", "aio"), default="sim",
-        help="execution substrate: discrete-event simulator (default), "
-             "threaded live runtime, or asyncio",
+        "--backend", choices=("sim", "live"), default="sim",
+        help="execution substrate: discrete-event simulator (default) "
+             "or threaded live runtime",
     )
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--loss", type=float, default=0.0,
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--quiesce", type=float, default=2.0,
                           help="per-process quiesce delay (time units)")
     simulate.add_argument("--time-scale", type=float, default=0.001,
-                          help="wall seconds per time unit (live/aio backends)")
+                          help="wall seconds per time unit (live backend)")
     simulate.add_argument("--timeline", action="store_true",
                           help="print the per-process adaptation timeline")
     simulate.add_argument("--save-trace", metavar="FILE",
@@ -549,33 +549,19 @@ def _run_backend(args, manifest, source, target, bus=None):
             bus=bus,
         )
         return cluster.adapt_to(target), cluster.trace
-    if args.backend == "live":
-        from repro.runtime import LiveAdaptationSystem
+    from repro.runtime import LiveAdaptationSystem
 
-        system = LiveAdaptationSystem(
-            manifest.universe,
-            manifest.invariants,
-            manifest.actions,
-            source,
-            apps=quiesce_apps,
-            time_scale=args.time_scale,
-            bus=bus,
-        )
-        with system:
-            outcome = system.adapt_to(target)
-        return outcome, system.trace
-    from repro.exec.aio import run_aio_adaptation
-
-    outcome, system = run_aio_adaptation(
+    system = LiveAdaptationSystem(
         manifest.universe,
         manifest.invariants,
         manifest.actions,
         source,
-        target,
         apps=quiesce_apps,
         time_scale=args.time_scale,
         bus=bus,
     )
+    with system:
+        outcome = system.adapt_to(target)
     return outcome, system.trace
 
 

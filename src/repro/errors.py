@@ -2,8 +2,9 @@
 
 Every error raised by :mod:`repro` derives from :class:`ReproError`, so
 applications embedding the library can catch one base class.  Sub-hierarchies
-mirror the package layout: expression parsing, planning, protocol execution,
-and simulation each have their own branch.
+mirror the package layout: expression parsing, planning, the protocol
+machines, and execution (simulator and threaded runtime) each have their
+own branch.
 """
 
 from __future__ import annotations
@@ -123,16 +124,16 @@ class SafetyViolationError(ReproError):
 class ExecutionError(ReproError):
     """Execution-substrate failure (backend misuse, unhandled effect...).
 
-    Backends narrow this to their own branch (:class:`SimulationError`
+    Backends narrow this to their own subclass (:class:`SimulationError`
     for the discrete-event simulator, :class:`RuntimeHostError` for the
     threaded runtime) by passing ``error=`` to the shared runtimes in
-    :mod:`repro.exec`.
+    :mod:`repro.exec`, so ``except ExecutionError`` catches both.
     """
 
 
-class SimulationError(ReproError):
+class SimulationError(ExecutionError):
     """Discrete-event simulator misuse (time travel, dead process...)."""
 
 
-class RuntimeHostError(ReproError):
+class RuntimeHostError(ExecutionError):
     """Threaded live-runtime failure (host died, queue closed...)."""

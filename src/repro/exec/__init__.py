@@ -1,4 +1,4 @@
-"""Unified execution substrate: one effect-interpreter core, N backends.
+"""Unified execution substrate: one effect-interpreter core, two backends.
 
 The sans-io protocol machines (:mod:`repro.protocol`) are pure; this
 package is the single place their effects are interpreted.  A deployment
@@ -11,8 +11,7 @@ trace emission, timer bookkeeping, and the §4.4 replan cascade.
 Shipped backends:
 
 * :mod:`repro.sim.cluster` — deterministic discrete-event simulation;
-* :mod:`repro.runtime` — threads + in-memory queues (real hot swaps);
-* :mod:`repro.exec.aio` — coroutines on one asyncio event loop.
+* :mod:`repro.runtime` — threads + in-memory queues (real hot swaps).
 
 Applications implement :class:`AppAdapter` once and run on any backend
 (see :mod:`repro.exec.app` for what "portable" requires).

@@ -1,18 +1,19 @@
 """The canonical application adapter of the execution substrate.
 
 :class:`AppAdapter` is the one interface an application implements to
-ride the safe-adaptation protocol, replacing the former
-``ProcessApp``/``LiveApp`` near-clones (both remain as aliasing shims).
+ride the safe-adaptation protocol.  The simulator's
+:class:`~repro.sim.cluster.ProcessApp` subclasses it only to type
+``host`` as a :class:`~repro.sim.cluster.ProcessHost`.
 Every hook is called by the owning :class:`~repro.exec.runtime.AgentRuntime`
 while it interprets agent effects, on whatever thread of control the
 backend gives that runtime.
 
 Adapters that only use ``self.host`` services that exist on every
 backend — ``local_safe``, ``timers``, ``components``, ``running_event`` —
-are *portable*: the same instance class runs unchanged on the simulator,
-the threaded runtime, and asyncio.  :class:`QuiescentAdapter` and
-:class:`StuckAdapter` below are the portable versions of the synthetic
-test apps and power the cross-backend conformance suite.
+are *portable*: the same instance class runs unchanged on the simulator
+and the threaded runtime.  :class:`QuiescentAdapter` and
+:class:`StuckAdapter` below are the synthetic test apps of every
+backend and power the cross-backend conformance suite.
 """
 
 from __future__ import annotations
@@ -96,8 +97,7 @@ class QuiescentAdapter(AppAdapter):
 
     Portable across backends: the delay runs on the host's
     :class:`~repro.exec.substrate.TimerService`, so it is simulated ticks
-    on the simulator and scaled wall time on the threaded/asyncio
-    backends.
+    on the simulator and scaled wall time on the threaded backend.
     """
 
     _TIMER = "app:quiesce"
@@ -126,9 +126,8 @@ class QuiescentAdapter(AppAdapter):
 class StuckAdapter(AppAdapter):
     """Fail-to-reset injection: never (or not initially) reaches safety.
 
-    The portable counterpart of :class:`repro.sim.apps.StuckApp`: the
-    process silently stays busy, so the manager's reset timeout drives
-    the §4.4 failure-handling cascade on any backend.
+    The process silently stays busy, so the manager's reset timeout
+    drives the §4.4 failure-handling cascade on any backend.
 
     Args:
         stuck_attempts: how many reset attempts to ignore before behaving

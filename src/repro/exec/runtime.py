@@ -4,8 +4,8 @@ The sans-io protocol machines (:mod:`repro.protocol`) return effects;
 *somebody* has to carry them out.  This module is that somebody — the
 single place in the library where protocol :class:`~repro.protocol.effects.Effect`
 objects are interpreted and :class:`~repro.trace.Trace` records emitted.
-Deployment backends (discrete-event simulator, threaded runtime,
-asyncio) only supply the :class:`~repro.exec.substrate.Clock`,
+Deployment backends (discrete-event simulator, threaded runtime) only
+supply the :class:`~repro.exec.substrate.Clock`,
 :class:`~repro.exec.substrate.Transport`, and
 :class:`~repro.exec.substrate.TimerService` services plus their own
 receive-loop wiring; they never touch an effect directly.

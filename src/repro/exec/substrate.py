@@ -15,10 +15,10 @@ runtimes in :mod:`repro.exec.runtime` do everything else:
   already-fired name is a no-op.  Delays are protocol units.
 
 The module also ships the substrate pieces that are backend-agnostic:
-:class:`WallClock` and :class:`ThreadTimerService` (shared by the
-threaded and asyncio backends' construction paths), :class:`NullLock`
-for single-threaded backends, and the :data:`STOP` sentinel that shuts
-down a receive loop.
+:class:`WallClock` and :class:`ThreadTimerService` (the threaded
+backend's clock and timers), :class:`NullLock` (the shared runtimes'
+default lock, which the single-threaded simulator keeps), and the
+:data:`STOP` sentinel that shuts down a receive loop.
 """
 
 from __future__ import annotations

@@ -117,7 +117,7 @@ class DecisionEngine:
           while the manager was busy gets its retry promptly.
 
         *system* is any backend wrapper with a ``manager`` runtime
-        (simulated cluster, threaded system, asyncio system).  *bus*
+        (simulated cluster or threaded system).  *bus*
         defaults to the bus attached to the system's trace; without one,
         only sensor-driven evaluation is active.  Returns the subscribed
         observer (so callers may unsubscribe it).

@@ -8,9 +8,9 @@ be judged *after it ended*.  This module is the shared streaming
 substrate instead: an :class:`ObservationBus` that receives every
 :class:`~repro.trace.TraceRecord` at emission time (a
 :class:`~repro.trace.Trace` with an attached bus publishes from
-``append``, so the simulator, the threaded runtime, the asyncio backend,
-the application adapters, and the baseline strategies all feed it
-without any per-emitter wiring) and a tiny :class:`Observer` contract —
+``append``, so the simulator, the threaded runtime, the application
+adapters, and the baseline strategies all feed it without any
+per-emitter wiring) and a tiny :class:`Observer` contract —
 ``feed(record)`` per record, ``finish()`` for the report — that the
 incremental consumers implement:
 

@@ -13,13 +13,14 @@ wiring; all effect interpretation lives in the shared runtimes.
 """
 
 from repro.runtime.transport import InMemoryTransport, STOP
-from repro.runtime.host import LiveAgentHost, LiveApp
+from repro.exec.app import AppAdapter
+from repro.runtime.host import LiveAgentHost
 from repro.runtime.live import LiveAdaptationSystem, PipelineApp
 
 __all__ = [
     "InMemoryTransport",
     "STOP",
-    "LiveApp",
+    "AppAdapter",
     "LiveAgentHost",
     "LiveAdaptationSystem",
     "PipelineApp",

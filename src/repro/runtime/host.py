@@ -26,17 +26,6 @@ from repro.runtime.transport import InMemoryTransport
 from repro.trace import Trace
 
 
-class LiveApp(AppAdapter):
-    """Application adapter for the threaded runtime.
-
-    Compatibility alias of :class:`repro.exec.app.AppAdapter`; live apps
-    may additionally use ``self.host.running_event`` to pause workers
-    while the host is blocked.
-    """
-
-    host: "LiveAgentHost"
-
-
 class LiveAgentHost(AgentRuntime):
     """One adaptive process: receive thread + agent machine + app."""
 
@@ -60,7 +49,7 @@ class LiveAgentHost(AgentRuntime):
             transport=transport,
             timers=ThreadTimerService(time_scale),
             trace=trace if trace is not None else Trace(),
-            app=app or LiveApp(),
+            app=app or AppAdapter(),
             manager_id=manager_id,
             lock=threading.RLock(),
             error=RuntimeHostError,

@@ -29,7 +29,7 @@ from repro.exec.substrate import STOP, ThreadTimerService, WallClock
 from repro.protocol.failures import FailurePolicy
 from repro.protocol.manager import FlushProvider, ManagerMachine, no_flush
 from repro.protocol.messages import Envelope
-from repro.runtime.host import LiveAgentHost, LiveApp
+from repro.runtime.host import LiveAgentHost
 from repro.runtime.transport import InMemoryTransport
 from repro.trace import Trace
 
@@ -155,9 +155,8 @@ class LiveAdaptationSystem:
     def adapt_to(self, target: Configuration, timeout: float = 30.0) -> AdaptationOutcome:
         """Plan and execute current→target; blocks until terminal outcome."""
         with self._lock:
-            plan = self.planner.plan(self.manager.committed, target)
             self._outcome_ready.clear()
-            self.manager.start_plan(plan)
+            self.manager.request_adaptation(target)
         if not self._outcome_ready.wait(timeout=timeout):
             raise RuntimeHostError(
                 f"adaptation did not finish within {timeout}s "
@@ -176,7 +175,7 @@ class LiveAdaptationSystem:
             self.manager.on_envelope(item)
 
 
-class PipelineApp(LiveApp):
+class PipelineApp(AppAdapter):
     """A live pipeline: worker thread pushing items through a FilterChain.
 
     Args:

@@ -32,8 +32,7 @@ Operational behavior:
   executor hop; this carries the single-core throughput target.
 * **Graceful shutdown** — SIGINT/SIGTERM stop the listener, in-flight
   requests drain (bounded by ``drain_timeout``), then connections
-  close; the same close → drain → join shape as
-  :meth:`repro.exec.aio.AioAdaptationSystem.shutdown`.
+  close.
 
 One serving process holds one registry and one set of counters; see
 DESIGN.md §16 for what it would take to bring back several.

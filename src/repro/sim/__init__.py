@@ -12,8 +12,11 @@ traces — strictly better for *verifying* safety claims than real hardware.
 * :mod:`repro.sim.cluster` — the discrete-event backend of the shared
   execution substrate (:mod:`repro.exec`): manager/agent hosts wiring
   the shared runtimes to the simulated clock, timers, and network.
-* :mod:`repro.sim.apps` — synthetic process applications used by tests and
-  benchmarks (configurable quiesce latency, fail-to-reset injection).
+* :mod:`repro.sim.apps` — :class:`MonitoredApp`, whose local safe state
+  comes from a temporal monitor.  The synthetic apps of tests and
+  benchmarks (configurable quiesce latency, fail-to-reset injection) are
+  the backend-portable :class:`~repro.exec.app.QuiescentAdapter` and
+  :class:`~repro.exec.app.StuckAdapter`, re-exported here.
 """
 
 from repro.sim.kernel import Simulator, TimerHandle
@@ -34,7 +37,8 @@ from repro.sim.cluster import (
     ProcessApp,
     ProcessHost,
 )
-from repro.sim.apps import MonitoredApp, QuiescentApp, StuckApp
+from repro.sim.apps import MonitoredApp
+from repro.exec.app import QuiescentAdapter, StuckAdapter
 
 __all__ = [
     "Simulator",
@@ -53,6 +57,6 @@ __all__ = [
     "ProcessHost",
     "ProcessApp",
     "MonitoredApp",
-    "QuiescentApp",
-    "StuckApp",
+    "QuiescentAdapter",
+    "StuckAdapter",
 ]

@@ -1,32 +1,17 @@
-"""Synthetic process applications for protocol tests and benchmarks.
+"""Simulator-only process applications.
 
-These adapters exercise the protocol without a real application on top:
-
-* :class:`QuiescentApp` — reaches its local safe state after a
-  configurable delay (models finishing the current critical communication
-  segment);
-* :class:`StuckApp` — never reaches the safe state (the paper's
-  *fail-to-reset* failure: "the local process may be engaged in a long
-  critical communication segment"), optionally only for the first *n*
-  attempts so retries can succeed.
+:class:`MonitoredApp` derives the local safe state from a temporal
+monitor and schedules its release on the simulator's event loop.  The
+backend-portable synthetic apps (configurable quiesce latency,
+fail-to-reset injection) are :class:`repro.exec.app.QuiescentAdapter`
+and :class:`repro.exec.app.StuckAdapter`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.exec.app import QuiescentAdapter
 from repro.sim.cluster import ProcessApp
-from repro.sim.kernel import TimerHandle
-
-
-class QuiescentApp(QuiescentAdapter):
-    """Reaches the local safe state ``quiesce_delay`` after each reset.
-
-    Thin alias of the backend-portable
-    :class:`repro.exec.app.QuiescentAdapter` (the delay runs on the
-    host's timer service, so on the simulator it is simulated ticks).
-    """
 
 
 class MonitoredApp(ProcessApp):
@@ -63,33 +48,3 @@ class MonitoredApp(ProcessApp):
     def abort_reset(self, step_key) -> None:
         if self._pending_step == step_key:
             self._pending_step = None
-
-
-class StuckApp(ProcessApp):
-    """Fail-to-reset injection: never (or not initially) reaches safety.
-
-    Args:
-        stuck_attempts: how many reset attempts to ignore before behaving
-            like a quiescent app.  ``None`` means stuck forever.
-        quiesce_delay: delay used once un-stuck.
-    """
-
-    def __init__(self, stuck_attempts: Optional[int] = None, quiesce_delay: float = 2.0):
-        self.stuck_attempts = stuck_attempts
-        self.quiesce_delay = quiesce_delay
-        self.attempts_seen = 0
-        self._pending: Optional[TimerHandle] = None
-
-    def begin_reset(self, step_key, action, inject_flush, await_flush) -> None:
-        self.attempts_seen += 1
-        if self.stuck_attempts is None or self.attempts_seen <= self.stuck_attempts:
-            return  # silently stay busy: the manager's timeout will fire
-        host = self.host
-        self._pending = host.sim.schedule(
-            self.quiesce_delay, lambda: host.local_safe(step_key)
-        )
-
-    def abort_reset(self, step_key) -> None:
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None

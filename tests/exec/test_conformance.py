@@ -1,11 +1,11 @@
-"""Cross-backend conformance: one protocol, three substrates, same answers.
+"""Cross-backend conformance: one protocol, two substrates, same answers.
 
 Runs the Section 5 video scenario and an injected-failure rollback
-scenario on every execution backend (discrete-event sim, threaded live
-runtime, asyncio) with the *same* portable app adapters, and asserts:
+scenario on both execution backends (discrete-event sim, threaded live
+runtime) with the *same* portable app adapters, and asserts:
 
 * the safety checker passes each backend's trace with zero violations;
-* every backend's ``committed_configurations()`` sequence agrees with
+* the live backend's ``committed_configurations()`` sequence agrees with
   the sim backend's (the substrate's semantics, not the backend, decide
   what gets committed).
 """
@@ -22,7 +22,6 @@ from repro.apps.video.system import (
 from repro.core.actions import ActionLibrary, AdaptiveAction
 from repro.core.invariants import InvariantSet
 from repro.core.model import ComponentUniverse
-from repro.exec.aio import run_aio_adaptation
 from repro.exec.app import QuiescentAdapter, StuckAdapter
 from repro.protocol.failures import FailurePolicy
 from repro.runtime import LiveAdaptationSystem
@@ -31,7 +30,7 @@ from repro.safety import SafetyChecker, check_safe
 from repro.sim import AdaptationCluster
 from tests.oracles.replay_safety_reference import check_replay
 
-# Wall time per protocol unit on the live/aio backends: fast enough for
+# Wall time per protocol unit on the live backend: fast enough for
 # CI, slow enough that 30-unit policy timeouts are well above scheduler
 # jitter.
 TIME_SCALE = 0.0005
@@ -69,24 +68,7 @@ def run_live(universe, invariants, actions, source, target, make_app, policy=Non
     return outcome, system.trace
 
 
-def run_aio(universe, invariants, actions, source, target, make_app, policy=None,
-            bus=None):
-    outcome, system = run_aio_adaptation(
-        universe,
-        invariants,
-        actions,
-        source,
-        target,
-        apps={p: make_app() for p in universe.processes()},
-        policy=policy,
-        time_scale=TIME_SCALE,
-        timeout=30.0,
-        bus=bus,
-    )
-    return outcome, system.trace
-
-
-BACKENDS = {"sim": run_sim, "live": run_live, "aio": run_aio}
+BACKENDS = {"sim": run_sim, "live": run_live}
 
 
 def run_all_backends(universe, invariants, actions, source, target, make_app,
@@ -126,7 +108,7 @@ class TestSection5Scenario:
         assert report.ok, f"{backend}: {report.violations[:3]}"
         assert not report.violations
 
-    @pytest.mark.parametrize("backend", ("live", "aio"))
+    @pytest.mark.parametrize("backend", ("live",))
     def test_committed_sequence_agrees_with_sim(self, results, backend):
         _, sim_trace = results["sim"]
         _, trace = results[backend]
@@ -172,7 +154,7 @@ class TestInjectedFailureRollback:
         report = check_safe(trace, results[1])
         assert report.ok, f"{backend}: {report.violations[:3]}"
 
-    @pytest.mark.parametrize("backend", ("live", "aio"))
+    @pytest.mark.parametrize("backend", ("live",))
     def test_committed_sequence_agrees_with_sim(self, results, backend):
         _, sim_trace = results[0]["sim"]
         _, trace = results[0][backend]

@@ -1,12 +1,16 @@
 """Unit tests for the backend contracts of the execution substrate."""
 
-import asyncio
 import threading
 import time
 
-from repro.exec.aio import AioTimerService, AioTransport
+import pytest
+
+from repro.core.actions import ActionLibrary, AdaptiveAction
+from repro.core.invariants import InvariantSet
+from repro.core.model import ComponentUniverse
+from repro.errors import ExecutionError
+from repro.exec.app import QuiescentAdapter
 from repro.exec.substrate import (
-    STOP,
     Clock,
     NullLock,
     ThreadTimerService,
@@ -14,8 +18,8 @@ from repro.exec.substrate import (
     Transport,
     WallClock,
 )
-from repro.protocol.messages import Envelope, FlushRequest
-from repro.sim.cluster import SimClock, SimTimerService
+from repro.runtime import InMemoryTransport, LiveAdaptationSystem
+from repro.sim.cluster import AdaptationCluster, SimClock, SimTimerService
 from repro.sim.kernel import Simulator
 
 # Fast wall scale for the threaded-timer tests: 1 unit = 1 ms.
@@ -32,15 +36,12 @@ class TestProtocolConformance:
     def test_timer_services_conform(self):
         assert isinstance(ThreadTimerService(), TimerService)
         assert isinstance(SimTimerService(Simulator()), TimerService)
-        assert isinstance(AioTimerService(), TimerService)
 
     def test_transports_conform(self):
-        from repro.runtime.transport import InMemoryTransport
         from repro.sim.net import Network
 
         assert isinstance(InMemoryTransport(), Transport)
         assert isinstance(Network(Simulator()), Transport)
-        assert isinstance(AioTransport(), Transport)
 
 
 class TestNullLock:
@@ -130,33 +131,28 @@ class TestSimTimerService:
         assert hits == []
 
 
-class TestAioPieces:
-    def test_timer_fires_and_cancels(self):
-        async def scenario():
-            timers = AioTimerService(time_scale=0.001)
-            fired = []
-            timers.set_timer("hit", 1.0, lambda: fired.append("hit"))
-            timers.set_timer("miss", 1.0, lambda: fired.append("miss"))
-            timers.cancel_timer("miss")
-            timers.set_timer("rearmed", 500.0, lambda: fired.append("slow"))
-            timers.set_timer("rearmed", 1.0, lambda: fired.append("fast"))
-            await asyncio.sleep(0.05)
-            timers.cancel_all()
-            return fired
+class TestErrorHierarchy:
+    """``except ExecutionError`` catches the failures of every backend."""
 
-        assert sorted(asyncio.run(scenario())) == ["fast", "hit"]
+    @pytest.fixture
+    def system(self):
+        universe = ComponentUniverse.from_names(
+            ["F1", "F2"], {"F1": "node", "F2": "node"}
+        )
+        actions = ActionLibrary([AdaptiveAction.replace("S12", "F1", "F2", 5)])
+        return (universe, InvariantSet.of("one_of(F1, F2)"), actions,
+                universe.configuration("F1"))
 
-    def test_transport_routes_and_stops(self):
-        async def scenario():
-            transport = AioTransport()
-            inbox = transport.register("p")
-            envelope = Envelope("manager", "p", FlushRequest(step_key="plan/0#1"))
-            transport.send(envelope)
-            transport.stop_endpoint("p")
-            first = await inbox.get()
-            second = await inbox.get()
-            return first, second
+    def test_sim_unknown_app_process(self, system):
+        with pytest.raises(ExecutionError):
+            AdaptationCluster(*system, apps={"mars": QuiescentAdapter()})
 
-        first, second = asyncio.run(scenario())
-        assert first.destination == "p"
-        assert second is STOP
+    def test_live_unknown_app_process(self, system):
+        with pytest.raises(ExecutionError):
+            LiveAdaptationSystem(*system, apps={"mars": QuiescentAdapter()})
+
+    def test_duplicate_transport_endpoint(self):
+        transport = InMemoryTransport()
+        transport.register("x")
+        with pytest.raises(ExecutionError):
+            transport.register("x")

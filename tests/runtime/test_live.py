@@ -153,7 +153,7 @@ class TestLiveAdaptation:
         # the receive loops were still alive — reaching here is the test.
 
 
-class StuckLiveApp(PipelineApp):
+class StuckPipelineApp(PipelineApp):
     """Never reaches the local safe state: live fail-to-reset injection."""
 
     def begin_reset(self, step_key, action, inject_flush, await_flush):
@@ -172,7 +172,7 @@ class TestLiveFailureHandling:
             [AdaptiveAction.replace("S12", "F1", "F2", 5)]
         )
         outputs = []
-        app = StuckLiveApp(filter_factory, sink=outputs.append, interval=0.001)
+        app = StuckPipelineApp(filter_factory, sink=outputs.append, interval=0.001)
         system = LiveAdaptationSystem(
             universe,
             invariants,

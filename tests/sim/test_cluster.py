@@ -6,13 +6,13 @@ from repro.core.model import Configuration
 from repro.errors import SimulationError, UnsafeConfigurationError
 from repro.protocol.manager import ManagerState
 from repro.safety import check_safe
-from repro.sim import AdaptationCluster, QuiescentApp
+from repro.sim import AdaptationCluster, QuiescentAdapter
 from repro.trace import AdaptationApplied, BlockRecord, ConfigCommitted
 
 
 def make_cluster(universe, invariants, actions, source, **kwargs):
     kwargs.setdefault(
-        "apps", {p: QuiescentApp(2.0) for p in universe.processes()}
+        "apps", {p: QuiescentAdapter(2.0) for p in universe.processes()}
     )
     return AdaptationCluster(universe, invariants, actions, source, **kwargs)
 
@@ -105,7 +105,7 @@ class TestValidation:
         with pytest.raises(SimulationError):
             AdaptationCluster(
                 universe, invariants, actions, source,
-                apps={"mars": QuiescentApp()},
+                apps={"mars": QuiescentAdapter()},
             )
 
     def test_plan_must_start_at_committed(

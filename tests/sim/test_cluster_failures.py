@@ -8,8 +8,8 @@ from repro.safety import check_safe
 from repro.sim import (
     AdaptationCluster,
     BernoulliLoss,
-    QuiescentApp,
-    StuckApp,
+    QuiescentAdapter,
+    StuckAdapter,
     UniformDelay,
 )
 
@@ -23,7 +23,7 @@ FAST_POLICY = FailurePolicy(
 
 def make_cluster(universe, invariants, actions, source, *, apps=None, **kwargs):
     if apps is None:
-        apps = {p: QuiescentApp(2.0) for p in universe.processes()}
+        apps = {p: QuiescentAdapter(2.0) for p in universe.processes()}
     kwargs.setdefault("policy", FAST_POLICY)
     return AdaptationCluster(universe, invariants, actions, source, apps=apps, **kwargs)
 
@@ -86,9 +86,9 @@ class TestFailToReset:
         self, universe, invariants, actions, source, target
     ):
         apps = {
-            "handheld": StuckApp(),
-            "server": QuiescentApp(2.0),
-            "laptop": QuiescentApp(2.0),
+            "handheld": StuckAdapter(),
+            "server": QuiescentAdapter(2.0),
+            "laptop": QuiescentAdapter(2.0),
         }
         cluster = make_cluster(universe, invariants, actions, source, apps=apps)
         outcome = cluster.adapt_to(target)
@@ -103,9 +103,9 @@ class TestFailToReset:
         self, universe, invariants, actions, source, target
     ):
         apps = {
-            "handheld": StuckApp(stuck_attempts=1, quiesce_delay=2.0),
-            "server": QuiescentApp(2.0),
-            "laptop": QuiescentApp(2.0),
+            "handheld": StuckAdapter(stuck_attempts=1, quiesce_delay=2.0),
+            "server": QuiescentAdapter(2.0),
+            "laptop": QuiescentAdapter(2.0),
         }
         cluster = make_cluster(universe, invariants, actions, source, apps=apps)
         outcome = cluster.adapt_to(target)
@@ -120,9 +120,9 @@ class TestFailToReset:
         # but the handheld's A2 commits first, so the system must settle at
         # {D2,D4,E1}, a safe configuration that is NOT the source.
         apps = {
-            "handheld": QuiescentApp(2.0),
-            "server": QuiescentApp(2.0),
-            "laptop": StuckApp(),
+            "handheld": QuiescentAdapter(2.0),
+            "server": QuiescentAdapter(2.0),
+            "laptop": StuckAdapter(),
         }
         cluster = make_cluster(universe, invariants, actions, source, apps=apps)
         outcome = cluster.adapt_to(target)
@@ -140,9 +140,9 @@ class TestReturnToSourcePaths:
         # "return to source" while already there — the driver answers with
         # the empty plan and the adaptation aborts cleanly at the source.
         apps = {
-            "handheld": StuckApp(),
-            "server": QuiescentApp(2.0),
-            "laptop": QuiescentApp(2.0),
+            "handheld": StuckAdapter(),
+            "server": QuiescentAdapter(2.0),
+            "laptop": QuiescentAdapter(2.0),
         }
         policy = FailurePolicy(
             reset_timeout=60.0,
@@ -166,7 +166,7 @@ class TestResumeLatency:
         self, universe, invariants, actions, source, target
     ):
         apps = {
-            p: QuiescentApp(quiesce_delay=1.0, resume_delay=5.0)
+            p: QuiescentAdapter(quiesce_delay=1.0, resume_delay=5.0)
             for p in universe.processes()
         }
         cluster = make_cluster(universe, invariants, actions, source, apps=apps)
@@ -187,9 +187,9 @@ class TestManagerStateAfterOutcomes:
 
     def test_await_user_is_terminal(self, universe, invariants, actions, source, target):
         apps = {
-            "handheld": StuckApp(),
-            "server": QuiescentApp(2.0),
-            "laptop": QuiescentApp(2.0),
+            "handheld": StuckAdapter(),
+            "server": QuiescentAdapter(2.0),
+            "laptop": QuiescentAdapter(2.0),
         }
         cluster = make_cluster(universe, invariants, actions, source, apps=apps)
         cluster.adapt_to(target)

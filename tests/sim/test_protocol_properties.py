@@ -24,8 +24,8 @@ from repro.safety import check_safe
 from repro.sim import (
     AdaptationCluster,
     BernoulliLoss,
-    QuiescentApp,
-    StuckApp,
+    QuiescentAdapter,
+    StuckAdapter,
     UniformDelay,
 )
 
@@ -50,9 +50,9 @@ def run_cluster(seed, loss, quiesce, stuck_process=None, stuck_attempts=None):
     apps = {}
     for process in UNIVERSE.processes():
         if process == stuck_process:
-            apps[process] = StuckApp(stuck_attempts=stuck_attempts, quiesce_delay=quiesce)
+            apps[process] = StuckAdapter(stuck_attempts=stuck_attempts, quiesce_delay=quiesce)
         else:
-            apps[process] = QuiescentApp(quiesce)
+            apps[process] = QuiescentAdapter(quiesce)
     cluster = AdaptationCluster(
         UNIVERSE,
         video_invariants(),
@@ -125,7 +125,7 @@ def test_safe_under_reordered_control_channels(seed, loss):
     """Non-FIFO coordination channels (beyond the paper's TCP assumption):
     duplicates and reordering must neither crash the machines nor break
     safety."""
-    apps = {p: QuiescentApp(2.0) for p in UNIVERSE.processes()}
+    apps = {p: QuiescentAdapter(2.0) for p in UNIVERSE.processes()}
     cluster = AdaptationCluster(
         UNIVERSE,
         video_invariants(),

@@ -118,7 +118,7 @@ class TestSimulate:
         )
         assert "SAFE" in output
 
-    @pytest.mark.parametrize("backend", ("live", "aio"))
+    @pytest.mark.parametrize("backend", ("live",))
     def test_alternate_backends(self, manifest_path, backend):
         code, output = run_cli(
             "simulate", manifest_path, "--from", "source", "--to", "target",
@@ -132,9 +132,18 @@ class TestSimulate:
     def test_loss_requires_sim_backend(self, manifest_path):
         code, _ = run_cli(
             "simulate", manifest_path, "--from", "source", "--to", "target",
-            "--backend", "aio", "--loss", "0.1",
+            "--backend", "live", "--loss", "0.1",
         )
         assert code == 2
+
+    def test_asyncio_backend_is_gone(self, manifest_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "simulate", manifest_path, "--from", "source", "--to", "target",
+                "--backend", "aio",
+            )
+        assert exc.value.code == 2
+        assert "invalid choice: 'aio'" in capsys.readouterr().err
 
     def test_save_trace_then_offline_check(self, manifest_path, tmp_path):
         trace_file = tmp_path / "run.jsonl"

@@ -39,6 +39,12 @@ Two measured axes, both persisted to ``BENCH_scalability.json``:
   <= 500 ms: its optimal corridor is the 2^10-node tie plateau of
   interleavings, so a search that wanders the cost ellipse instead
   (seconds) fails it.
+* **k-best memo lifetime** — random-pair ``fleet30`` ``verify_paths``
+  (k = 8) with Yen's arc memo kept for the planner's life against one
+  memo per k-best query; identical verdicts are asserted first, and the
+  gate (``test_fleet30_verify_memo_per_query``) holds the per-query p50
+  to <= 1.10x the kept one and what the planner holds afterwards to
+  <= 2 MB.
 """
 
 import os
@@ -593,4 +599,132 @@ def test_fleet30_lazy_plan_curve():
     assert far_ms <= FLEET30_FAR_GATE_MS, (
         f"fleet30 10-service lazy_plan took {far_ms:.1f} ms "
         f"(gate {FLEET30_FAR_GATE_MS:g} ms)"
+    )
+
+
+# --- k-best memo lifetime ----------------------------------------------------
+
+MEMO_PAIRS = 150
+MEMO_K = 8
+MEMO_SEED = 25
+#: the per-query memo's p50 may be at most this multiple of the kept one's
+MEMO_P50_BOUND = 1.10
+#: memory a planner may hold after the pairs, beyond its plan caches
+MEMO_HELD_BYTES = 2_000_000
+
+
+def _fleet30_pairs(planner, count, rng):
+    """*count* pairs of uniformly random safe fleet30 configurations."""
+    groups, _ = planner.space.factorization.action_sets(planner.actions)
+    projections = [planner.space.projections(group) for group in groups]
+
+    def draw():
+        return planner.universe.from_mask(sum(map(rng.choice, projections)))
+
+    return [(draw(), draw()) for _ in range(count)]
+
+
+class _KeptMemo:
+    """The former k-best arc source, for comparison: the compiled
+    per-mask arcs behind one memo that lives as long as the planner."""
+
+    def __init__(self, planner):
+        from repro.core.sag import LazySAG
+
+        planner._lazy_sag = LazySAG(planner.space, planner.actions)
+        self.memo = {}
+
+    def __call__(self, successors):  # stands in for repro.core.planner._memoized
+        memo = self.memo
+
+        def cached(mask):
+            arcs = memo.get(mask)
+            if arcs is None:
+                arcs = memo[mask] = tuple(successors(mask))
+            return arcs
+
+        return cached
+
+
+def test_fleet30_verify_memo_per_query():
+    """Random-pair ``fleet30`` ``verify_paths`` (k = 8): Yen's arc memo
+    kept for the planner's life (compiled arcs, as the k-best searches
+    above the cap once read them) against one memo per k-best query over
+    the factored arcs.  Verdicts must be identical pair by pair; the pairs
+    alternate between the two planners.  The per-query p50 is gated at
+    <= 1.10x the kept memo's, and what a planner holds afterwards beyond
+    its plan caches at <= 2 MB (tracemalloc, a second pass per arm)."""
+    import gc
+    import statistics
+    import tracemalloc
+    from unittest import mock
+
+    from repro.core import planner as planner_mod
+    from repro.ltl import verify_paths
+
+    manifest = load_path(FLEET30)
+    phi = manifest.properties["service0 specified"]
+    pairs = _fleet30_pairs(manifest.planner(), MEMO_PAIRS, random.Random(MEMO_SEED))
+
+    def arm(kept):
+        planner = manifest.planner()
+        return planner, _KeptMemo(planner) if kept else planner_mod._memoized
+
+    arms = {"kept": arm(True), "per query": arm(False)}
+    times = {name: [] for name in arms}
+    for source, target in pairs:
+        verdicts = []
+        for name, (planner, memoized) in arms.items():
+            with mock.patch.object(planner_mod, "_memoized", memoized):
+                start = time.perf_counter()
+                verdicts.append(verify_paths(planner, source, target, phi, k=MEMO_K))
+                times[name].append(time.perf_counter() - start)
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0].complete and verdicts[0].holds
+    masks_kept = len(arms["kept"][1].memo)
+
+    held = {}
+    for name in arms:
+        planner, memoized = arm(name == "kept")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with mock.patch.object(planner_mod, "_memoized", memoized):
+                for source, target in pairs:
+                    verify_paths(planner, source, target, phi, k=MEMO_K)
+            planner._plan_cache.clear()
+            planner._plan_k_cache.clear()
+            gc.collect()
+            held[name], _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    rows = []
+    data = {"nproc": os.cpu_count(), "pairs": MEMO_PAIRS, "k": MEMO_K,
+            "seed": MEMO_SEED, "masks_kept": masks_kept}
+    for name, samples in times.items():
+        ms = sorted(sample * 1e3 for sample in samples)
+        p50 = statistics.median(ms)
+        p90 = statistics.quantiles(ms, n=10)[-1]
+        key = name.replace(" ", "_")
+        data[f"{key}_p50_ms"] = round(p50, 3)
+        data[f"{key}_p90_ms"] = round(p90, 3)
+        data[f"{key}_held_mb"] = round(held[name] / 1e6, 3)
+        rows.append((name, f"{p50:.2f}", f"{p90:.2f}", f"{held[name] / 1e6:.2f}"))
+    ratio = data["per_query_p50_ms"] / data["kept_p50_ms"]
+    data["p50_ratio"] = round(ratio, 3)
+    report(
+        "P3 fleet30 verify_paths k-best memo: kept vs per query",
+        format_table(["Yen arc memo", "p50 (ms)", "p90 (ms)", "held after (MB)"], rows)
+        + f"\n{MEMO_PAIRS} pairs, k = {MEMO_K}, {masks_kept} masks kept; "
+        f"{os.cpu_count()} cpu(s); gates: p50 <= {MEMO_P50_BOUND:g}x kept, "
+        f"held <= {MEMO_HELD_BYTES / 1e6:g} MB",
+        data=data,
+        json_path=SCALABILITY_JSON,
+    )
+    assert ratio <= MEMO_P50_BOUND, (
+        f"per-query memo p50 is {ratio:.2f}x the kept memo's (gate {MEMO_P50_BOUND:g}x)"
+    )
+    assert held["per query"] <= MEMO_HELD_BYTES, (
+        f"{held['per query'] / 1e6:.2f} MB held after {MEMO_PAIRS} verify_paths pairs"
     )

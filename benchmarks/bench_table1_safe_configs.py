@@ -42,14 +42,24 @@ def test_table1_safe_configuration_set(benchmark):
 
 
 def test_table1_enumeration_scales_with_restriction(benchmark):
-    """Restricted enumeration (only handheld decoders free) is the planner's
-    fast path; it must agree with the full sweep on the pinned slice."""
+    """Backtracking over the handheld decoders alone, the rest pinned to
+    the source's values (:meth:`SafeConfigurationSpace.extensions`, the
+    enumerator behind every collaborative set's projections): it must
+    agree with the full sweep on the pinned slice."""
     universe = video_universe()
     space = SafeConfigurationSpace(universe, video_invariants())
     source = universe.from_bits("0100101")
+    free = ("D1", "D2", "D3")
+    free_mask = universe.mask_of_names(free)
+    pinned = universe.mask_of(source) & ~free_mask
 
     def restricted():
-        return space.enumerate_restricted(source, ["D1", "D2", "D3"])
+        return space.extensions(free, pinned, universe.full_mask ^ free_mask)
 
-    rows = benchmark(restricted)
-    assert {universe.to_bits(c) for c in rows} == {"0100101", "0101001"}
+    masks = benchmark(restricted)
+    slice_ = {universe.to_bits(universe.from_mask(mask)) for mask in masks}
+    assert slice_ == {"0100101", "0101001"}
+    assert slice_ == {
+        bits for bits in TABLE1
+        if universe.mask_of(universe.from_bits(bits)) & ~free_mask == pinned
+    }

@@ -1,4 +1,5 @@
-"""Benchmark support: workload generators and table rendering."""
+"""Benchmark support: workload generators (and :func:`format_table`,
+re-exported from :mod:`repro.render` for the benchmarks and examples)."""
 
 from repro.bench.workloads import (
     RandomSystem,
@@ -6,7 +7,7 @@ from repro.bench.workloads import (
     replicated_video_system,
     service_fleet_system,
 )
-from repro.bench.tables import format_table
+from repro.render import format_table
 
 __all__ = [
     "RandomSystem",

@@ -56,9 +56,9 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.bench import format_table
 from repro.errors import ReproError
 from repro.manifest import load_path, video_manifest_text
+from repro.render import format_table
 
 
 def _add_manifest(parser: argparse.ArgumentParser) -> None:

@@ -25,7 +25,7 @@ from repro.core.invariants import (
     StructuralInvariant,
 )
 from repro.core.actions import ActionKind, ActionLibrary, AdaptiveAction
-from repro.core.space import LazySafeSpace, SafeConfigurationSpace
+from repro.core.space import SafeConfigurationSpace
 from repro.core.sag import LazySAG, SafeAdaptationGraph
 from repro.core.planner import (
     LAZY_PLAN_COMPONENTS,
@@ -47,7 +47,6 @@ __all__ = [
     "AdaptiveAction",
     "ActionLibrary",
     "SafeConfigurationSpace",
-    "LazySafeSpace",
     "SafeAdaptationGraph",
     "LazySAG",
     "AdaptationPlanner",

@@ -373,8 +373,8 @@ class FactoredSAG:
     projection onto that factor (:func:`sag_factors`), so
     :meth:`successors` looks the mask's projection up in every factor
     and moves that projection alone: the ``(action_id, cost,
-    next_mask)`` arcs :meth:`SafeAdaptationGraph.banned_view
-    <repro.core.sag.SafeAdaptationGraph.banned_view>` reads off the
+    next_mask)`` arcs :attr:`SafeAdaptationGraph.successors
+    <repro.core.sag.SafeAdaptationGraph.successors>` reads off the
     built SAG, in the same order, with no product enumerated and
     nothing kept per mask.  Each factor with actions is enumerated once,
     when the view is made; the sets without actions never are (they

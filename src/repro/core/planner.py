@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.actions import ActionLibrary, AdaptiveAction
 from repro.core.collaborative import (
@@ -29,7 +29,7 @@ from repro.core.collaborative import (
 )
 from repro.core.invariants import InvariantSet
 from repro.core.model import ComponentUniverse, Configuration
-from repro.core.sag import LazySAG, SafeAdaptationGraph
+from repro.core.sag import Arcs, LazySAG, SafeAdaptationGraph
 from repro.core.space import SafeConfigurationSpace
 from repro.errors import NoSafePathError
 from repro.graphs.astar import astar_cost, corridor_search
@@ -37,6 +37,9 @@ from repro.graphs.csr import ShortestPathTree
 from repro.graphs.digraph import Path
 from repro.graphs.yen import extend_k_shortest
 
+
+#: a successor function: one mask's ``(action_id, cost, next_mask)`` arcs
+Successors = Callable[[int], Arcs]
 
 #: above this many components the eager 2^n enumeration is off the table:
 #: the default of :attr:`AdaptationPlanner.max_components`, the cap
@@ -182,7 +185,7 @@ class AdaptationPlanner:
     def lazy_sag(self) -> LazySAG:
         """The implicit-SAG successor generator (built on first use).
 
-        Its :attr:`~repro.core.sag.LazySAG.point_successors` read the
+        Its :attr:`~repro.core.sag.LazySAG.successors` read the
         collaborative factors when every factor with actions fits
         :attr:`max_components`."""
         if self._lazy_sag is None:
@@ -275,7 +278,7 @@ class AdaptationPlanner:
             source_mask = self.universe.mask_of(source)
             target_mask = self.universe.mask_of(target)
             path, exhausted, _ = self._banned_shortest(
-                self.lazy_sag.point_successors, source_mask, target_mask,
+                self.lazy_sag.successors, source_mask, target_mask,
                 self._lazy_heuristic(source_mask, target_mask), budget,
             )
             if exhausted:
@@ -355,17 +358,21 @@ class AdaptationPlanner:
         Plan 2 is the paper's "second minimum adaptation path" used when a
         step fails and the manager re-routes.  The same Yen loop and
         spur search as :meth:`lazy_plan_k`, with no budget; every spur
-        searches the built SAG (:meth:`SafeAdaptationGraph.banned_view
-        <repro.core.sag.SafeAdaptationGraph.banned_view>`), or the
-        implicit one when the planner is :attr:`oversized`.  Cached per
-        ``(source, target, k)`` for the same reason as :meth:`plan`.
+        searches the built SAG (:attr:`SafeAdaptationGraph.successors
+        <repro.core.sag.SafeAdaptationGraph.successors>`), or, when the
+        planner is :attr:`oversized`, the implicit one behind a memo
+        that lives for this one query.  Cached per ``(source, target,
+        k)`` for the same reason as :meth:`plan`.
         """
         self._validate_endpoints(source, target)
         key = (source, target, k)
         cached = self._plan_k_cache.get(key)
         if cached is None:
-            graph = self.lazy_sag if self.oversized else self.sag
-            paths, _ = self._k_shortest(graph, source, target, k, None)
+            successors: Successors = (
+                _memoized(self.lazy_sag.successors) if self.oversized
+                else self.sag.successors
+            )
+            paths, _ = self._k_shortest(successors, source, target, k, None)
             cached = tuple(
                 self._plan_from_mask_path(source, target, path) for path in paths
             )
@@ -445,10 +452,9 @@ class AdaptationPlanner:
 
         The one search behind :meth:`lazy_plan` and every Yen spur of
         :meth:`plan_k` and :meth:`lazy_plan_k`, in two phases over
-        *successors* — a banned view of the built SAG or of the
-        :class:`~repro.core.sag.LazySAG` (both pull adjacency from
-        storage shared across phases and spurs, so the replay never
-        re-pays the probe's safety checks):
+        *successors* — the built SAG's or the
+        :class:`~repro.core.sag.LazySAG`'s arcs, banned ones filtered
+        out for a spur:
 
         1. :func:`~repro.graphs.astar.astar_cost` — a deep-tie A* probe
            under the consistent *heuristic* — establishes the optimal
@@ -498,9 +504,9 @@ class AdaptationPlanner:
         (:func:`repro.graphs.yen.extend_k_shortest` over
         :meth:`_banned_shortest`), so the returned plans are **identical
         (paths, costs, and order) to** :meth:`plan_k` wherever both are
-        defined, without ever enumerating the safe space.  One heuristic
-        serves every spur, and one *max_expansions* budget is shared by
-        all of them.
+        defined, without ever enumerating the safe space.  One heuristic,
+        one memo of the masks' arcs and one *max_expansions* budget
+        serve every spur; the memo is dropped when the query returns.
 
         Returns ``(plans, complete)``: *complete* is ``False`` when the
         shared *max_expansions* budget ran out before the enumeration
@@ -513,7 +519,7 @@ class AdaptationPlanner:
         if k <= 0:
             return [], True
         paths, complete = self._k_shortest(
-            self.lazy_sag, source, target, k, max_expansions
+            _memoized(self.lazy_sag.successors), source, target, k, max_expansions
         )
         if not paths:
             if complete:
@@ -529,13 +535,13 @@ class AdaptationPlanner:
 
     def _k_shortest(
         self,
-        graph,
+        successors: Successors,
         source: Configuration,
         target: Configuration,
         k: int,
         budget: Optional[int],
     ) -> Tuple[List[Path], bool]:
-        """Yen over *graph*'s banned views (a built or a lazy SAG).
+        """Yen over the arcs of *successors*, each spur's bans filtered out.
 
         Returns ``(paths, complete)`` as :meth:`lazy_plan_k` does; the
         paths are mask-level.  *budget* bounds every spur together.
@@ -550,7 +556,7 @@ class AdaptationPlanner:
         def spur_query(spur_mask, banned_nodes, banned_arcs):
             nonlocal remaining
             path, exhausted, spent = self._banned_shortest(
-                graph.banned_view(banned_nodes, banned_arcs),
+                _filtered(successors, banned_nodes, banned_arcs),
                 spur_mask, target_mask, heuristic, remaining,
             )
             if remaining is not None:
@@ -614,3 +620,41 @@ class AdaptationPlanner:
                 f"(stopped at {current.label()})"
             )
         return AdaptationPlan(source=source, target=target, steps=tuple(steps), total_cost=total)
+
+
+def _memoized(successors: Successors) -> Successors:
+    """*successors* (a lazy one: its arcs come as lists) with each mask's
+    arcs kept — the memo one k-best query shares across its spurs,
+    dropped with it."""
+    memo: Dict[int, Arcs] = {}
+
+    def cached(mask: int) -> Arcs:
+        arcs = memo.get(mask)
+        if arcs is None:
+            arcs = memo[mask] = successors(mask)
+        return arcs
+
+    return cached
+
+
+def _filtered(successors: Successors, banned_nodes, banned_arcs) -> Successors:
+    """*successors* without arcs into *banned_nodes* (masks) or in
+    *banned_arcs* (``(source_mask, action_id)`` pairs: an action id
+    identifies at most one arc out of a mask) — the bans a Yen spur
+    passes.  Filtering keeps the arc order."""
+    if not banned_nodes and not banned_arcs:
+        return successors
+    banned_labels: Dict[int, Set[str]] = {}
+    for mask, label in banned_arcs:
+        banned_labels.setdefault(mask, set()).add(label)
+
+    def view(mask: int) -> Arcs:
+        labels = banned_labels.get(mask)
+        if labels is None:
+            return [arc for arc in successors(mask) if arc[2] not in banned_nodes]
+        return [
+            arc for arc in successors(mask)
+            if arc[2] not in banned_nodes and arc[0] not in labels
+        ]
+
+    return view

@@ -10,94 +10,80 @@ is that action's cost.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import accumulate, chain, product, repeat
 from operator import add
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
-from repro.core.actions import ActionLibrary, AdaptiveAction
+from repro.core.actions import ActionLibrary, AdaptiveAction, MaskedAction
 from repro.core.collaborative import FactoredSAG, sag_factors
 from repro.core.model import ComponentUniverse, Configuration
 from repro.core.space import SafeConfigurationSpace
 from repro.errors import UnknownComponentError
 from repro.graphs import CSRGraph, Digraph
 
+#: one vertex's outgoing arcs, ``(action_id, cost, next_mask)`` each
+Arcs = Iterable[Tuple[str, float, int]]
+
 
 class LazySAG:
-    """Frontier successor generator over the *implicit* SAG (§7).
+    """Successor generator over the *implicit* SAG (§7).
 
-    Expands ``(config, action)`` neighbors incrementally: for a safe
-    mask, :meth:`successors` yields the ``(action_id, cost, next_mask)``
-    arcs that :meth:`SafeAdaptationGraph.build` would insert for that
-    vertex — same arcs, same action-library order — without ever
-    enumerating the safe space or materializing the graph.  A search
-    driven by this generator therefore relaxes edges in exactly the
-    sequence the eager CSR solver does, which is what makes
+    For a safe mask, :attr:`successors` yields the ``(action_id, cost,
+    next_mask)`` arcs that :meth:`SafeAdaptationGraph.build` would insert
+    for that vertex — same arcs, same action-library order — without
+    ever enumerating the safe space or materializing the graph.  A search
+    driven by it therefore relaxes edges in exactly the sequence the
+    eager CSR solver does, which is what makes
     :meth:`AdaptationPlanner.lazy_plan
     <repro.core.planner.AdaptationPlanner.lazy_plan>`'s tie-breaking
     provably identical to the eager path.
 
-    :meth:`successors` tests every compiled action against the mask,
-    safety-checks the results, and caches the adjacency per mask, so the
-    A* probe, the exact replay and every Yen spur pay the checks once per
-    frontier node (the k-best searches above the cap read it).
-    :attr:`point_successors` serves lone point queries
-    (:meth:`AdaptationPlanner.plan
-    <repro.core.planner.AdaptationPlanner.plan>` and ``lazy_plan``):
-    given a *cap* (and then an eager :class:`SafeConfigurationSpace`)
-    whose factors with actions all fit it, it is a
-    :class:`~repro.core.collaborative.FactoredSAG`'s, which looks each
-    factor's projection up in its sub-SAG and keeps nothing per mask
-    (memory stays that of the factors, however many queries run); with
-    a factor above the cap, or no cap, it is :meth:`successors`.  Both
-    yield the same arcs in the same order.
+    :attr:`successors` is one arc function, chosen when the generator is
+    made and never cached per mask:
+
+    * given a *cap* under which every factor with actions fits, the
+      :class:`~repro.core.collaborative.FactoredSAG`'s, which looks each
+      factor's projection up in its sub-SAG (memory stays that of the
+      factors, however many queries run);
+    * otherwise the compiled per-mask test: every compiled action is
+      tested against the mask and the results are safety-checked
+      through the space's bool memo.
+
+    Both yield the same arcs in the same order.  A search that revisits
+    masks (Yen's spurs) memoizes them itself, for that one query.
 
     Actions touching components outside the universe are skipped up
     front, exactly as the eager build skips them (their result always
     leaves the universe, so they can never connect two vertices).
-
-    *space* may be an eager :class:`SafeConfigurationSpace` or a
-    :class:`~repro.core.space.LazySafeSpace` — anything with a
-    ``universe`` and the memoized ``is_safe_mask`` /
-    ``are_safe_masks`` query pair.
     """
 
-    def __init__(self, space, actions: ActionLibrary, cap: Optional[int] = None):
+    def __init__(
+        self, space: SafeConfigurationSpace, actions: ActionLibrary, cap: Optional[int] = None
+    ):
         self._space = space
-        self._actions = actions
-        self._cap = cap
         self.universe = space.universe
-        self._arc_specs = tuple(
-            (action.action_id, action.cost, masked)
-            for masked, action in zip(actions.compiled_for(self.universe), actions)
-            if masked is not None
-        )
-        self._adjacency: Dict[int, Tuple[Tuple[str, float, int], ...]] = {}
-        self._factored: Optional[FactoredSAG] = None
-        self._point_successors: Optional[Callable[[int], Any]] = None
-
-    @property
-    def point_successors(self) -> Callable[[int], Any]:
-        """The successor function of a lone query (chosen on first use):
-        the factored view's when every factor with actions fits the cap,
-        else :meth:`successors`."""
-        if self._point_successors is None:
-            if self._cap is not None:
-                self._factored = FactoredSAG.fitting(self._space, self._actions, self._cap)
-            self._point_successors = (
-                self.successors if self._factored is None else self._factored.successors
+        self._factored = None if cap is None else FactoredSAG.fitting(space, actions, cap)
+        self._expansions = 0
+        self._arc_specs: Tuple[Tuple[str, float, MaskedAction], ...] = ()
+        self.successors: Callable[[int], Arcs] = self._compiled_successors
+        if self._factored is not None:
+            self.successors = self._factored.successors
+        else:
+            self._arc_specs = tuple(
+                (action.action_id, action.cost, masked)
+                for masked, action in zip(actions.compiled_for(self.universe), actions)
+                if masked is not None
             )
-        return self._point_successors
 
     @property
     def expanded_nodes(self) -> int:
-        """Masks expanded so far: the distinct masks whose adjacency
-        :meth:`successors` cached, plus every expansion of the factored
-        view (which keeps nothing per mask)."""
-        factored = 0 if self._factored is None else self._factored.expanded_nodes
-        return len(self._adjacency) + factored
+        """Calls of :attr:`successors` so far."""
+        factored = self._factored
+        return self._expansions if factored is None else factored.expanded_nodes
 
-    def successors(self, mask: int) -> Tuple[Tuple[str, float, int], ...]:
-        """Outgoing arcs of *mask*, in SAG edge-insertion order (cached).
+    def _compiled_successors(self, mask: int) -> List[Tuple[str, float, int]]:
+        """Outgoing arcs of *mask*, in SAG edge-insertion order.
 
         Applicability is resolved per action, then the surviving result
         masks are safety-checked in **one batched**
@@ -105,58 +91,15 @@ class LazySAG:
         call — same verdicts, same arc order, one memo/closure dispatch
         per expansion instead of one per candidate arc.
         """
-        cached = self._adjacency.get(mask)
-        if cached is None:
-            candidates = []
-            for action_id, cost, masked in self._arc_specs:
-                required = masked.required
-                if (mask & required) == required and not (mask & masked.forbidden):
-                    result = (mask & ~masked.clear) | masked.set_bits
-                    candidates.append((action_id, cost, result))
-            verdicts = self._space.are_safe_masks(
-                [candidate[2] for candidate in candidates]
-            )
-            cached = tuple(
-                candidate
-                for candidate, safe in zip(candidates, verdicts)
-                if safe
-            )
-            self._adjacency[mask] = cached
-        return cached
-
-    def banned_view(self, banned_nodes, banned_arcs):
-        """A successor function skipping banned masks and banned arcs.
-
-        *banned_nodes* is a set of masks, *banned_arcs* a set of
-        ``(source_mask, action_id)`` pairs — the bans Yen's spur queries
-        pass (an action id identifies at most one arc out of a given
-        mask).  Filtering preserves the underlying arc order, so a
-        search driven by the view relaxes the surviving edges in the
-        same sequence as over the built SAG's
-        :meth:`SafeAdaptationGraph.banned_view`; the per-mask adjacency
-        cache is shared with unfiltered traversals.
-        """
-        return _filtered(self.successors, banned_nodes, banned_arcs)
-
-
-def _filtered(successors, banned_nodes, banned_arcs):
-    """*successors* without arcs into *banned_nodes* or in *banned_arcs*."""
-    if not banned_nodes and not banned_arcs:
-        return successors
-    banned_labels: Dict[int, Set[str]] = {}
-    for mask, label in banned_arcs:
-        banned_labels.setdefault(mask, set()).add(label)
-
-    def view(mask: int):
-        labels = banned_labels.get(mask)
-        if labels is None:
-            return [arc for arc in successors(mask) if arc[2] not in banned_nodes]
-        return [
-            arc for arc in successors(mask)
-            if arc[2] not in banned_nodes and arc[0] not in labels
-        ]
-
-    return view
+        self._expansions += 1
+        candidates = []
+        for action_id, cost, masked in self._arc_specs:
+            required = masked.required
+            if (mask & required) == required and not (mask & masked.forbidden):
+                result = (mask & ~masked.clear) | masked.set_bits
+                candidates.append((action_id, cost, result))
+        verdicts = self._space.are_safe_masks([candidate[2] for candidate in candidates])
+        return [candidate for candidate, safe in zip(candidates, verdicts) if safe]
 
 
 class SafeAdaptationGraph:
@@ -174,7 +117,6 @@ class SafeAdaptationGraph:
         self._actions = actions
         self._universe = universe
         self._graph: Optional[Digraph] = None
-        self._successors: Optional[Callable[[int], Iterator[Tuple[str, float, int]]]] = None
 
     @classmethod
     def build(
@@ -257,25 +199,18 @@ class SafeAdaptationGraph:
         return cls(csr, actions, space.universe)
 
     # -- search view -----------------------------------------------------------
-    def banned_view(self, banned_nodes, banned_arcs):
-        """The SAG's arcs as a successor function, minus the banned ones.
+    @cached_property
+    def successors(self) -> Callable[[int], Iterator[Tuple[str, float, int]]]:
+        """The SAG's arcs as a successor function (made on first read).
 
-        The eager counterpart of :meth:`LazySAG.banned_view`, with the
-        same ban sets (masks, and ``(source_mask, action_id)`` pairs);
-        the planner's k-best spurs search the built SAG through it.  A
-        vertex's ``(action_id, cost, next_mask)`` arcs are read straight
+        A vertex's ``(action_id, cost, next_mask)`` arcs are read straight
         off the CSR arrays, in edge order — the arcs
-        :meth:`LazySAG.successors` yields for that mask, in the same
+        :attr:`LazySAG.successors` yields for that mask, in the same
         order, since both walk the compiled actions in library order and
         keep the results that are safe.  So a search relaxes the same
-        edges in the same sequence over either view.
+        edges in the same sequence over either; the planner's k-best
+        spurs below the cap search the built SAG through it.
         """
-        successors = self._successors
-        if successors is None:
-            successors = self._successors = self._arc_reader()
-        return _filtered(successors, banned_nodes, banned_arcs)
-
-    def _arc_reader(self) -> Callable[[int], Iterator[Tuple[str, float, int]]]:
         csr = self._csr
         index_of = csr.index_of
         offsets = csr.offsets

@@ -7,34 +7,24 @@ A configuration is safe iff it satisfies every invariant.  Enumeration over
 *n* components is 2^n in the worst case — the paper acknowledges this in §7
 — but no invariant spans two invariant-connected sets of components, so the
 full sweep enumerates each set on its own and takes the product
-(:class:`~repro.core.collaborative.SafeFactorization`).  We also support
-*restricted* enumeration: freeze the components no adaptive action can
-touch at their current values and only vary the rest.  The restriction is
-exact (it enumerates precisely the safe configurations reachable by the
-given actions from the given base).
+(:class:`~repro.core.collaborative.SafeFactorization`).  Point queries
+(:meth:`SafeConfigurationSpace.is_safe_mask`) never enumerate anything,
+so a planner above the enumeration cap holds a space it never sweeps.
 
 Performance: safety testing runs on the bitmask fast path.  The invariant
 conjunction is compiled once (:mod:`repro.expr.compile`) to a closure over
 an integer presence mask, and verdicts are memoized per mask in a table
 shared by every consumer — :meth:`SafeConfigurationSpace.is_safe`, the
-backtracking enumerators, :meth:`SafeAdaptationGraph.build
-<repro.core.sag.SafeAdaptationGraph.build>`, and the planner's lazy A*.
+backtracking enumerator, :meth:`SafeAdaptationGraph.build
+<repro.core.sag.SafeAdaptationGraph.build>`, and the implicit SAG's
+compiled arcs.
 The frozenset/AST evaluation path remains the semantic source of truth and
 still serves configurations containing components outside the universe.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.collaborative import SafeFactorization
 from repro.core.invariants import InvariantSet
@@ -84,7 +74,7 @@ class SafeConfigurationSpace:
         those at each depth is exact (the parent node already vetted the
         rest) and drops the per-node work from |I| closures to the
         invariant's fan-in.  The per-component buckets are computed once
-        per space, so scheduling a restricted enumeration is O(|names|).
+        per space, so scheduling a set's enumeration is O(|names|).
         """
         if self._checks_by_name is None:
             buckets: Dict[str, List[Callable]] = {}
@@ -195,40 +185,6 @@ class SafeConfigurationSpace:
             self._configs = tuple(map(self.universe.from_mask, self.enumerate_masks()))
         return self._configs
 
-    def enumerate_restricted(
-        self,
-        base: Configuration,
-        free_components: Iterable[str],
-    ) -> Tuple[Configuration, ...]:
-        """Safe configurations varying only *free_components* over *base*.
-
-        Components outside *free_components* keep their membership from
-        *base*.  This is how a planner scopes the search to the components
-        an adaptation can actually touch, avoiding the full 2^n sweep: the
-        three-valued backtracking pruner runs over just the free
-        components, with everything else pre-decided, and leaf verdicts go
-        through the shared safety memo table.
-        """
-        free: Tuple[str, ...] = tuple(dict.fromkeys(free_components))
-        self.universe.validate_members(free)
-        frozen = base.members - frozenset(free)
-        if not frozen <= self.universe.names:
-            # Frozen members outside the universe have no bit encoding;
-            # keep the exhaustive set-based sweep for that corner.
-            return self._enumerate_restricted_setwise(frozen, free)
-        universe = self.universe
-        present0 = universe.mask_of_names(frozen)
-        # everything outside the free components is decided up front, so
-        # every extension is a whole safe mask
-        decided0 = universe.full_mask ^ universe.mask_of_names(free)
-        masks = self.extensions(free, present0, decided0)
-        self._record_safe(masks)
-        out = list(map(universe.from_mask, masks))
-        # free components may interleave with frozen ones in universe
-        # order, so recursion order is not globally ascending — re-sort
-        out.sort(key=universe.to_bits)
-        return tuple(out)
-
     def extensions(
         self, free: Tuple[str, ...], present0: int = 0, decided0: int = 0
     ) -> List[int]:
@@ -273,39 +229,6 @@ class SafeConfigurationSpace:
         recurse(0, present0, decided0)
         return out
 
-    def _enumerate_restricted_setwise(
-        self, frozen: FrozenSet[str], free: Tuple[str, ...]
-    ) -> Tuple[Configuration, ...]:
-        """Exhaustive fallback for bases reaching outside the universe."""
-        out: List[Configuration] = []
-        n = len(free)
-        for mask in range(1 << n):
-            members = set(frozen)
-            for i in range(n):
-                if mask & (1 << (n - 1 - i)):
-                    members.add(free[i])
-            config = Configuration(members)
-            if self.is_safe(config):
-                out.append(config)
-        out.sort(key=lambda c: "".join(
-            "1" if name in c else "0" for name in self.universe.order
-        ))
-        return tuple(out)
-
-    def lazy_view(self) -> "LazySafeSpace":
-        """A point-query view sharing this space's memo and compiled closure.
-
-        Verdicts computed by either side are visible to the other, so a
-        lazy search warmed by an earlier eager enumeration (or vice
-        versa) never re-evaluates an invariant conjunction.
-        """
-        return LazySafeSpace(
-            self.universe,
-            self.invariants,
-            memo=self._safe_memo,
-            compiled=self._compiled_mask_fn(),
-        )
-
     def count(self) -> int:
         return len(self.enumerate_masks())
 
@@ -325,108 +248,3 @@ class SafeConfigurationSpace:
     def __contains__(self, config: Configuration) -> bool:
         return self.is_safe(config)
 
-
-class LazySafeSpace:
-    """Answers "is this mask safe?" memoized and on demand — never 2^n.
-
-    The frontier-planning counterpart of :class:`SafeConfigurationSpace`:
-    it exposes the same membership interface but deliberately has **no**
-    ``enumerate`` — holding one is a static guarantee that the
-    exponential sweep cannot happen on this code path (the paper's §7
-    barrier).  Safety verdicts run on the compiled bitmask closure and
-    are memoized per mask; construct via
-    :meth:`SafeConfigurationSpace.lazy_view` to share the memo with an
-    eager space, or directly from ``(universe, invariants)`` when no
-    eager space should ever exist (oversized specs).
-
-    ``point_queries`` / ``memo_hits`` counters are exposed for benches
-    and the service layer to report cache effectiveness.
-    """
-
-    __slots__ = (
-        "universe",
-        "invariants",
-        "_safe_memo",
-        "_compiled",
-        "point_queries",
-        "memo_hits",
-    )
-
-    def __init__(
-        self,
-        universe: ComponentUniverse,
-        invariants: InvariantSet,
-        memo: Optional[Dict[int, bool]] = None,
-        compiled: Optional[Callable[[int], bool]] = None,
-    ):
-        self.universe = universe
-        self.invariants = invariants
-        self._safe_memo: Dict[int, bool] = memo if memo is not None else {}
-        self._compiled = compiled
-        self.point_queries = 0
-        self.memo_hits = 0
-
-    @property
-    def safe_memo(self) -> Dict[int, bool]:
-        """The shared mask -> verdict memo table (exposed for reuse)."""
-        return self._safe_memo
-
-    def _compiled_fn(self) -> Callable[[int], bool]:
-        if self._compiled is None:
-            self._compiled = self.invariants.compile_mask(
-                self.universe.atom_bits
-            )
-        return self._compiled
-
-    def is_safe_mask(self, mask: int) -> bool:
-        """Memoized safety verdict for an integer presence mask."""
-        self.point_queries += 1
-        verdict = self._safe_memo.get(mask)
-        if verdict is None:
-            verdict = self._compiled_fn()(mask)
-            self._safe_memo[mask] = verdict
-        else:
-            self.memo_hits += 1
-        return verdict
-
-    def are_safe_masks(self, masks: Iterable[int]) -> List[bool]:
-        """Batched :meth:`is_safe_mask` — one verdict per mask, in order.
-
-        Counter semantics match the pointwise path exactly: every mask
-        counts as a point query, every memo hit as a hit.
-        """
-        memo = self._safe_memo
-        memo_get = memo.get
-        compiled = self._compiled_fn()
-        out: List[bool] = []
-        queries = hits = 0
-        for mask in masks:
-            queries += 1
-            verdict = memo_get(mask)
-            if verdict is None:
-                verdict = compiled(mask)
-                memo[mask] = verdict
-            else:
-                hits += 1
-            out.append(verdict)
-        self.point_queries += queries
-        self.memo_hits += hits
-        return out
-
-    def is_safe(self, config: Configuration) -> bool:
-        """True iff *config* is a safe configuration (paper §3.1)."""
-        try:
-            mask = self.universe.mask_of(config)
-        except UnknownComponentError:
-            return self.invariants.all_hold(config)
-        return self.is_safe_mask(mask)
-
-    def require_safe(self, config: Configuration, role: str = "configuration") -> None:
-        """Raise :class:`UnsafeConfigurationError` with an explanation if unsafe."""
-        if not self.is_safe(config):
-            raise UnsafeConfigurationError(
-                f"{role} is unsafe: {self.invariants.explain(config)}"
-            )
-
-    def __contains__(self, config: Configuration) -> bool:
-        return self.is_safe(config)

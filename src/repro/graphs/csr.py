@@ -29,11 +29,11 @@ Kernels provided:
   for batches and on a SAG that is already built.
 
 k-best queries are not a kernel here: the planner's Yen spurs run the
-two-phase corridor search of :mod:`repro.graphs.astar` over a banned
-successor view of the SAG's arrays
-(:meth:`repro.core.sag.SafeAdaptationGraph.banned_view`).  The former
-banned-set Dijkstra Yen is the test oracle
-``tests/oracles/csr_yen_reference.py``.
+two-phase corridor search of :mod:`repro.graphs.astar` over the SAG's
+arrays read as a successor function
+(:attr:`repro.core.sag.SafeAdaptationGraph.successors`), each spur's
+bans filtered out.  The former banned-set Dijkstra Yen is the test
+oracle ``tests/oracles/csr_yen_reference.py``.
 """
 
 from __future__ import annotations

@@ -1022,10 +1022,9 @@ def _check_named_pairs_lazy(
 
     Named-configuration safety is a point query against the compiled
     invariant closure; pairwise reachability is a budget-bounded BFS
-    over the implicit SAG (:attr:`LazySAG.point_successors
-    <repro.core.sag.LazySAG.point_successors>` of the run's planner,
-    which reads the arcs off the collaborative factors when each fits
-    *cap*).  Verdicts are tri-state: a search that finds the other
+    over the implicit SAG (:attr:`LazySAG.successors
+    <repro.core.sag.LazySAG.successors>` of the run's planner, which
+    reads the arcs off the collaborative factors when each fits *cap*).  Verdicts are tri-state: a search that finds the other
     endpoint proves reachability, a search that exhausts the reachable
     component without finding it proves unreachability, and a search
     that runs out of budget proves nothing — the pair is recorded as
@@ -1035,7 +1034,7 @@ def _check_named_pairs_lazy(
     planner = model.planner(cap)
     space = planner.space
     invariants = planner.invariants
-    successors = planner.lazy_sag.point_successors
+    successors = planner.lazy_sag.successors
 
     endpoints: List[Tuple[_ConfigItem, int]] = []
     for item in model.configurations:

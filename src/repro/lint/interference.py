@@ -62,6 +62,7 @@ from typing import (
 )
 
 from repro.core.actions import MaskedAction
+from repro.core.planner import LAZY_PLAN_COMPONENTS
 from repro.lint.diagnostics import LintReport, Related
 from repro.lint.fixes import Fix, append_fix
 
@@ -217,9 +218,9 @@ def check_interference(
         return
 
     if restricted_reason:
-        from repro.core.space import LazySafeSpace
-
-        space = LazySafeSpace(universe, model.kept_invariants())
+        # the spec's planner, made by SA3xx (the cap plays no part in a
+        # safety verdict): the screen shares the run's safety memo
+        space = model.planner(LAZY_PLAN_COMPONENTS).space
         candidates: List[int] = []
         for cfg_item in model.configurations:
             try:

@@ -1,4 +1,4 @@
-"""ASCII rendering of execution traces: per-process adaptation timelines.
+"""ASCII rendering: per-process adaptation timelines, and plain tables.
 
 Turns a :class:`~repro.trace.Trace` into a human-readable lane diagram —
 one lane per process, showing blocked intervals, in-actions, rollbacks,
@@ -11,11 +11,14 @@ Example output::
     handheld ├──█ A2 ██──────────────────
     laptop   ├────────█ A17 █────────────
     server   ├───────────────█ A1 █──────
+
+:func:`format_table` renders the fixed-width tables the CLI and the
+benchmarks print, so every report looks alike.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, TextIO, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from repro.obs import Observer
 from repro.trace import (
@@ -28,6 +31,25 @@ from repro.trace import (
     Trace,
     TraceRecord,
 )
+
+
+def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """Fixed-width table with a header rule, GitHub-markdown-ish."""
+    materialized: List[List[str]] = [[str(cell) for cell in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in materialized:
+        if len(row) != len(headers):
+            raise ValueError(
+                f"row has {len(row)} cells but table has {len(headers)} columns"
+            )
+        for index, cell in enumerate(row):
+            widths[index] = max(widths[index], len(cell))
+    def render_row(cells: Sequence[str]) -> str:
+        return " | ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
+    lines = [render_row(list(headers))]
+    lines.append("-+-".join("-" * width for width in widths))
+    lines.extend(render_row(row) for row in materialized)
+    return "\n".join(lines)
 
 
 def format_record(record: TraceRecord) -> Optional[str]:

@@ -84,61 +84,26 @@ class TestSafetyMemo:
 @given(st.integers(min_value=0, max_value=500))
 @settings(max_examples=20, deadline=None)
 def test_are_safe_masks_matches_pointwise(seed):
-    """Batched verdicts == mapped is_safe_mask, on both space classes,
-    and an eager space and its lazy view share one plain-dict memo."""
+    """Batched verdicts == mapped is_safe_mask, and both fill and read
+    one plain-dict memo."""
     system = random_system(seed, n_components=8, n_invariants=4, n_actions=8)
     masks = [(seed * 2654435761 + i * 40503) % 256 for i in range(32)]
     space = SafeConfigurationSpace(system.universe, system.invariants)
-    lazy = space.lazy_view()
+    pointwise = SafeConfigurationSpace(system.universe, system.invariants)
     assert type(space.safe_memo) is dict
-    assert lazy.safe_memo is space.safe_memo
-    # half the batch through the lazy view first: the eager side then
-    # answers those masks from the shared memo
-    lazy_first = lazy.are_safe_masks(masks[:16])
-    assert lazy_first == [lazy.is_safe_mask(m) for m in masks[:16]]
-    assert space.are_safe_masks(masks) == [space.is_safe_mask(m) for m in masks]
-    assert space.are_safe_masks(masks[:16]) == lazy_first
-    assert lazy.are_safe_masks(masks) == [lazy.is_safe_mask(m) for m in masks]
-    # every verdict in the shared memo is the invariant conjunction's own
+    # half the batch first: the whole batch then answers those masks
+    # from the memo
+    first = space.are_safe_masks(masks[:16])
+    assert first == [pointwise.is_safe_mask(m) for m in masks[:16]]
+    assert space.are_safe_masks(masks) == [pointwise.is_safe_mask(m) for m in masks]
+    assert space.are_safe_masks(masks[:16]) == first
+    # every verdict in the memo is the invariant conjunction's own
     universe, invariants = system.universe, system.invariants
     assert set(masks) <= set(space.safe_memo)
     for mask, verdict in space.safe_memo.items():
         assert verdict is invariants.all_hold(universe.from_mask(mask))
     # repeat: second batch is answered from the memo, same verdicts
     assert space.are_safe_masks(masks) == [space.is_safe_mask(m) for m in masks]
-
-
-class TestRestrictedEnumeration:
-    def test_pruner_matches_exhaustive_sweep(self):
-        universe = video_universe()
-        space = SafeConfigurationSpace(universe, video_invariants())
-        base = paper_source()
-        for free in (["D1", "D2", "D3"], ["E1", "E2"], list(universe.order)):
-            got = space.enumerate_restricted(base, free)
-            frozen = base.members - frozenset(free)
-            expected = tuple(
-                sorted(
-                    (
-                        c
-                        for c in universe.all_configurations()
-                        if space.is_safe(c)
-                        and c.members - frozenset(free) == frozen
-                        and all(
-                            (m in c.members) == (m in base.members)
-                            for m in universe.order
-                            if m not in free
-                        )
-                    ),
-                    key=universe.to_bits,
-                )
-            )
-            assert got == expected, free
-
-    def test_unsatisfiable_restriction_is_empty(self):
-        universe = video_universe()
-        space = SafeConfigurationSpace(universe, video_invariants())
-        # freeze everything absent: no decoder can be selected
-        assert space.enumerate_restricted(Configuration(), ["D4"]) == ()
 
 
 class TestPlannerCaches:

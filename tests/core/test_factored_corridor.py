@@ -6,7 +6,7 @@ runs the two-phase corridor search over it instead of building the SAG
 and a shortest-path tree.  Over the random multi-set systems of
 ``test_factored_build`` (interleaved bits, interleaved libraries, idle
 and loose sets, foreign atoms and actions, empty factors) the view is
-pinned to :meth:`SafeAdaptationGraph.banned_view` mask by mask, and the
+pinned to :attr:`SafeAdaptationGraph.successors` mask by mask, and the
 plans to Dijkstra's on the built SAG: path, cost and tie-break, cached
 unreachable verdicts and ``source == target`` included, and on dense
 one-set systems whose equal-cost paths differ in length.
@@ -26,6 +26,7 @@ from repro.core.model import Configuration
 from repro.core.planner import AdaptationPlanner
 from repro.core.space import SafeConfigurationSpace
 from repro.errors import NoSafePathError
+from repro.ltl import verify_paths
 from repro.manifest import load_path
 from tests.core.test_factored_build import multi_set_systems
 
@@ -48,8 +49,8 @@ def test_view_arcs_are_the_built_arcs(system):
         SafeConfigurationSpace(universe, invariants), actions, len(universe)
     )
     assert view is not None
-    built = planner.sag.banned_view(frozenset(), frozenset())
-    point = planner.lazy_sag.point_successors
+    built = planner.sag.successors
+    point = planner.lazy_sag.successors
     for mask in planner.space.enumerate_masks():
         expected = list(built(mask))
         assert view.successors(mask) == expected
@@ -105,7 +106,7 @@ def test_a_factor_above_the_cap_falls_back_to_the_compiled_arcs(system, data):
     planner.max_components = 0  # every factor with actions is above it
     lazy = planner.lazy_sag
     factored = FactoredSAG.fitting(planner.space, actions, 0)
-    assert (lazy.point_successors == lazy.successors) == (factored is None)
+    assert (lazy._factored is None) == (factored is None)
     expected = reference.plan_many([(source, target)])[0]
     assert _plan_or_none(planner.lazy_plan, source, target) == expected
 
@@ -136,36 +137,58 @@ def test_an_unreachable_target_is_cached_as_none():
     assert planner._sag is None and not planner._spt_cache
 
 
-def test_fleet30_lone_queries_keep_nothing_per_mask():
-    """500 random fleet30 point queries (1-4 services moved): the factored
-    view keeps no per-mask adjacency, so what the planner holds beyond its
-    plan cache stays flat (the compiled-arc cache held ~5 MB here, and
-    35 MB after 100 pairs with every service free to move)."""
-    manifest = load_path(FLEET30)
-    planner = manifest.planner()
+def _fleet30_pairs(planner, count, rng):
+    """*count* random fleet30 pairs, 1-4 services moved."""
     groups, _ = planner.space.factorization.action_sets(planner.actions)
     projections = [planner.space.projections(group) for group in groups]
-    rng = random.Random(0)
     pairs = []
-    for _ in range(500):
+    for _ in range(count):
         base = [rng.choice(choices) for choices in projections]
         moved = list(base)
         for index in rng.sample(range(len(projections)), rng.randint(1, 4)):
             moved[index] = rng.choice(projections[index])
         pairs.append(tuple(planner.universe.from_mask(sum(m)) for m in (base, moved)))
-    planner.lazy_plan(manifest.configurations["baseline"], manifest.configurations["canary"])
+    return pairs
+
+
+def test_fleet30_lone_queries_keep_nothing_per_mask():
+    """500 random fleet30 lone queries, then k-best lists (``lazy_plan_k``,
+    k = 4) and ``verify_paths`` (k = 8) on 60 random pairs each: the
+    implicit SAG keeps no per-mask arcs, and each k-best memo is dropped
+    with its query, so what the planner holds beyond its plan caches
+    stays flat (a memo kept across k-best queries held ~50 MB after 150
+    ``verify_paths`` pairs; the compiled-arc cache of lone queries held
+    ~5 MB after these 500)."""
+    manifest = load_path(FLEET30)
+    planner = manifest.planner()
+    rng = random.Random(0)
+    pairs = _fleet30_pairs(planner, 500, rng)
+    k_pairs = _fleet30_pairs(planner, 60, rng)
+    verify_pairs = _fleet30_pairs(planner, 60, rng)
+    phi = manifest.properties["service0 specified"]
+    baseline = manifest.configurations["baseline"]
+    canary = manifest.configurations["canary"]
+    planner.lazy_plan(baseline, canary)
+    planner.lazy_plan_k(baseline, canary, 4)
+    verify_paths(planner, baseline, canary, phi, k=8)
     gc.collect()
     tracemalloc.start()
     try:
+        expanded = planner.lazy_sag.expanded_nodes
         for source, target in pairs:
             planner.lazy_plan(source, target)
+        lone_expansions = planner.lazy_sag.expanded_nodes - expanded
+        for source, target in k_pairs:
+            planner.lazy_plan_k(source, target, 4)
+        for source, target in verify_pairs:
+            verify_paths(planner, source, target, phi, k=8)
         planner._plan_cache.clear()
+        planner._plan_k_cache.clear()
         gc.collect()
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert planner.lazy_sag.point_successors != planner.lazy_sag.successors
-    assert not planner.lazy_sag._adjacency
-    assert planner.lazy_sag.expanded_nodes > len(pairs)
+    assert planner.lazy_sag._factored is not None
+    assert lone_expansions > len(pairs)
     assert planner._sag is None and planner.space._cache is None
-    assert held < 2_000_000, f"{held / 1e6:.2f} MB held after 500 lone queries"
+    assert held < 2_000_000, f"{held / 1e6:.2f} MB held after the fleet30 queries"

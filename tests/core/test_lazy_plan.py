@@ -18,7 +18,7 @@ from repro.core.actions import AdaptiveAction
 from repro.core.model import Configuration
 from repro.core.planner import AdaptationPlanner
 from repro.core.sag import LazySAG
-from repro.core.space import LazySafeSpace, SafeConfigurationSpace
+from repro.core.space import SafeConfigurationSpace
 from repro.errors import NoSafePathError, UnsafeConfigurationError
 
 
@@ -136,60 +136,52 @@ class TestCacheSemantics:
 
 
 class TestLazySafeSpace:
-    def test_counters_and_memo(self, universe, invariants):
-        lazy = LazySafeSpace(universe, invariants)
+    """The point queries the former ``LazySafeSpace`` answered, on the one
+    safe-space class: memoized, and never enumerating."""
+
+    def test_memo_without_enumeration(self, universe, invariants):
+        space = SafeConfigurationSpace(universe, invariants)
         mask = universe.mask_of_names(["D2", "E1", "D4"])
-        assert lazy.is_safe_mask(mask) is True
-        assert lazy.is_safe_mask(mask) is True
-        assert lazy.point_queries == 2
-        assert lazy.memo_hits == 1
-        assert lazy.safe_memo[mask] is True
+        assert space.is_safe_mask(mask) is True
+        assert space.are_safe_masks([mask, 0]) == [True, False]
+        assert space.safe_memo[mask] is True
+        assert space._cache is None
 
     def test_agrees_with_eager_space(self, universe, invariants):
-        eager = SafeConfigurationSpace(universe, invariants)
-        lazy = LazySafeSpace(universe, invariants)
+        safe = set(SafeConfigurationSpace(universe, invariants).enumerate_masks())
+        space = SafeConfigurationSpace(universe, invariants)
         for mask in range(2 ** len(universe)):
-            assert lazy.is_safe_mask(mask) == eager.is_safe_mask(mask)
-
-    def test_lazy_view_shares_memo(self, universe, invariants):
-        eager = SafeConfigurationSpace(universe, invariants)
-        view = eager.lazy_view()
-        mask = universe.mask_of_names(["D2", "E1", "D4"])
-        view.is_safe_mask(mask)
-        assert eager.safe_memo[mask] is True
-
-    def test_has_no_enumerate(self, universe, invariants):
-        # the static guarantee: this type cannot run the 2^n sweep
-        assert not hasattr(LazySafeSpace(universe, invariants), "enumerate")
+            assert space.is_safe_mask(mask) == (mask in safe)
+        assert space._cache is None
 
     def test_require_safe_raises_with_explanation(self, universe, invariants):
-        lazy = LazySafeSpace(universe, invariants)
+        space = SafeConfigurationSpace(universe, invariants)
         with pytest.raises(UnsafeConfigurationError):
-            lazy.require_safe(Configuration(["E1"]), role="source")
+            space.require_safe(Configuration(["E1"]), role="source")
 
 
 class TestLazySAG:
     def test_arcs_match_eager_sag(self, planner, universe, invariants, actions):
         eager_sag = planner.sag
-        lazy = LazySAG(LazySafeSpace(universe, invariants), actions)
-        for config in planner.space.enumerate():
-            mask = universe.mask_of(config)
-            lazy_arcs = {
-                (action_id, cost, nxt)
-                for action_id, cost, nxt in lazy.successors(mask)
-            }
-            eager_arcs = {
-                (action.action_id, action.cost, universe.mask_of(nxt))
-                for action, nxt in eager_sag.steps_from(config)
-            }
-            assert lazy_arcs == eager_arcs
+        space = SafeConfigurationSpace(universe, invariants)
+        for cap in (None, 24):  # the compiled arcs, then the factored ones
+            lazy = LazySAG(space, actions, cap)
+            assert (lazy._factored is None) == (cap is None)
+            for config in planner.space.enumerate():
+                mask = universe.mask_of(config)
+                assert list(lazy.successors(mask)) == list(eager_sag.successors(mask))
 
     def test_successor_cache(self, universe, invariants, actions):
-        lazy = LazySAG(LazySafeSpace(universe, invariants), actions)
+        # no per-mask cache on either arc source: every call recomputes
+        # the arcs and counts as an expansion
+        space = SafeConfigurationSpace(universe, invariants)
         mask = universe.mask_of_names(["D2", "E1", "D4"])
-        first = lazy.successors(mask)
-        assert lazy.successors(mask) is first  # cached, not recomputed
-        assert lazy.expanded_nodes == 1
+        for cap in (None, 24):
+            lazy = LazySAG(space, actions, cap)
+            first = lazy.successors(mask)
+            second = lazy.successors(mask)
+            assert second == first and second is not first
+            assert lazy.expanded_nodes == 2
 
 
 class TestBeyondTheBarrier:

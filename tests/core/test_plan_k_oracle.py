@@ -7,11 +7,16 @@ the former engine (a full banned-set Dijkstra over the CSR arrays per
 spur).  Both must return the same plans — paths, costs and order — on
 random systems (zero-cost actions and unreachable targets included), on
 the replicated shapes the ``verify-paths`` benchmarks use, and whatever
-the planner's caches hold.  The SAG's successor view is pinned to the
+the planner's caches hold.  Every equality also holds for the k-best
+lists read off the implicit SAG (``lazy_plan_k``, and ``plan_k`` above
+the cap) on both of its arc sources: the collaborative factors, and the
+compiled per-mask test that a cap below the largest factor selects.  The
+SAG's successor function is pinned to the
 :class:`~repro.core.sag.LazySAG` arcs it mirrors, order included.
 """
 
 import dataclasses
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +27,8 @@ from repro.bench.workloads import (
     service_fleet_system,
 )
 from repro.core.actions import ActionLibrary
-from repro.core.planner import LAZY_PLAN_COMPONENTS, AdaptationPlanner
+from repro.core.planner import LAZY_PLAN_COMPONENTS, AdaptationPlanner, _filtered
+from repro.core.sag import LazySAG
 from repro.errors import NoSafePathError
 from tests.oracles.csr_yen_reference import reference_plan_k
 
@@ -41,9 +47,32 @@ def _signatures(plans):
     return [(plan.action_ids, plan.total_cost, plan.configurations) for plan in plans]
 
 
+#: per eager planner, its companions reading the implicit SAG's arcs off
+#: the factors and off the compiled actions
+_ARC_SOURCES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _arc_source_planners(planner):
+    companions = _ARC_SOURCES.get(planner)
+    if companions is None:
+        factored = AdaptationPlanner(planner.universe, planner.invariants, planner.actions)
+        compiled = AdaptationPlanner(planner.universe, planner.invariants, planner.actions)
+        groups, _ = compiled.space.factorization.action_sets(compiled.actions)
+        compiled.max_components = max(map(len, groups), default=0) - 1
+        assert factored.lazy_sag._factored is not None
+        assert compiled.lazy_sag._factored is None or not groups
+        companions = _ARC_SOURCES[planner] = (factored, compiled)
+    return companions
+
+
 def _assert_matches(planner, source, target, k):
     expected = _signatures(reference_plan_k(planner, source, target, k))
     assert _signatures(planner.plan_k(source, target, k)) == expected
+    for companion in _arc_source_planners(planner):
+        plans, complete = companion.lazy_plan_k(source, target, k)
+        assert complete and _signatures(plans) == expected
+        if companion.oversized:  # plan_k reads the implicit SAG too
+            assert _signatures(companion.plan_k(source, target, k)) == expected
     return expected
 
 
@@ -172,10 +201,14 @@ class TestSuccessorView:
     def test_csr_view_yields_the_lazy_arcs_in_order(self, shape):
         system = SHAPES[shape]()
         planner = _fresh(system)
-        eager = planner.sag.banned_view(frozenset(), frozenset())
-        lazy = planner.lazy_sag
+        eager = planner.sag.successors
+        factored = planner.lazy_sag
+        compiled = LazySAG(planner.space, planner.actions)
+        assert factored._factored is not None and compiled._factored is None
         for mask in planner.space.enumerate_masks():
-            assert list(eager(mask)) == list(lazy.successors(mask))
+            arcs = list(eager(mask))
+            assert list(factored.successors(mask)) == arcs
+            assert list(compiled.successors(mask)) == arcs
 
     @given(st.integers(min_value=0, max_value=5_000), st.data())
     @settings(max_examples=40, deadline=None)
@@ -192,7 +225,7 @@ class TestSuccessorView:
             frozenset(data.draw(st.sets(st.sampled_from(arcs), max_size=4)))
             if arcs else frozenset()
         )
-        eager_view = planner.sag.banned_view(banned_nodes, banned_arcs)
-        lazy_view = lazy.banned_view(banned_nodes, banned_arcs)
+        eager_view = _filtered(planner.sag.successors, banned_nodes, banned_arcs)
+        lazy_view = _filtered(lazy.successors, banned_nodes, banned_arcs)
         for mask in masks:
             assert list(eager_view(mask)) == list(lazy_view(mask))

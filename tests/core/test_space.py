@@ -45,26 +45,6 @@ class TestTable1:
         assert ("1010010", "{D3,D5,E2}") in rows
 
 
-class TestRestrictedEnumeration:
-    def test_restriction_matches_full_when_all_free(self, planner, universe, source):
-        restricted = planner.space.enumerate_restricted(source, universe.order)
-        assert set(restricted) == set(planner.space.enumerate())
-
-    def test_frozen_components_pinned(self, planner, universe, source):
-        # Only vary the handheld decoders; E1, D4 stay as in source.
-        restricted = planner.space.enumerate_restricted(source, ["D1", "D2", "D3"])
-        for config in restricted:
-            assert "E1" in config and "D4" in config
-        got = {universe.to_bits(c) for c in restricted}
-        assert got == {"0100101", "0101001"}
-
-    def test_unknown_free_component_rejected(self, planner, source):
-        from repro.errors import UnknownComponentError
-
-        with pytest.raises(UnknownComponentError):
-            planner.space.enumerate_restricted(source, ["Z9"])
-
-
 class TestBacktrackingEnumerator:
     def test_matches_brute_force_on_paper_instance(self, planner, universe):
         brute = tuple(

@@ -181,9 +181,9 @@ def reference_check_interference(
         return
 
     if restricted_reason:
-        from repro.core.space import LazySafeSpace
+        from repro.core.space import SafeConfigurationSpace
 
-        space = LazySafeSpace(universe, model.kept_invariants())
+        space = SafeConfigurationSpace(universe, model.kept_invariants())
         is_safe = space.is_safe_mask
         candidates: List[int] = []
         for cfg_item in model.configurations:

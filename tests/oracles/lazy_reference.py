@@ -27,7 +27,7 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.model import Configuration
-from repro.core.planner import AdaptationPlan, AdaptationPlanner
+from repro.core.planner import AdaptationPlan, AdaptationPlanner, _filtered
 from repro.errors import NoSafePathError
 from repro.graphs.astar import HeuristicFn, L, N, SuccessorFn
 from repro.graphs.digraph import Edge, Path
@@ -295,7 +295,7 @@ class ReferenceLazyPlanner:
         """
         if source_mask == target_mask:
             return Path(nodes=(source_mask,), edges=(), cost=0.0), False, 0
-        successors = self.lazy_sag.banned_view(banned_nodes, banned_arcs)
+        successors = _filtered(self.lazy_sag.successors, banned_nodes, banned_arcs)
         stats: Dict[str, object] = {}
         probe = reference_lazy_astar(
             source_mask, target_mask, successors, heuristic, budget, stats=stats

@@ -372,6 +372,27 @@ def test_fix_output_is_independent_of_the_hash_seed(tmp_path):
     assert b"[conflicts]" in fixed["0"]["racing.manifest"]
 
 
+
+def test_importing_the_cli_loads_no_application_stack():
+    """``import repro.cli`` stays on the planning and lint core: the
+    video application, the benchmark workloads, codecs, crypto,
+    components and the simulator load only when a command needs them."""
+    import os
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.cli; print(*sys.modules)"],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    packages = {".".join(name.split(".")[:2]) for name in result.stdout.split()}
+    heavy = {"repro.apps", "repro.bench", "repro.codecs", "repro.crypto",
+             "repro.components", "repro.sim"}
+    assert "repro.cli" in packages
+    assert not packages & heavy
+
 class TestExampleManifest:
     def test_round_trips_through_check(self, tmp_path):
         code, text = run_cli("example-manifest")

@@ -29,16 +29,19 @@ under ``--benchmark-disable`` in CI's bench smoke; one
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 from benchmarks.conftest import report
 from repro.bench import format_table, replicated_video_system, service_fleet_system
 from repro.core.planner import AdaptationPlanner
-from repro.ltl import CompiledProperty, parse_property, verify_paths
+from repro.ltl import DEFAULT_K, CompiledProperty, parse_property, verify_paths
+from repro.manifest import load_path
 from tests.oracles.csr_yen_reference import reference_plan_k
 from tests.oracles.ptltl_reference import PTLTLMonitor
 
@@ -162,6 +165,7 @@ def test_path_check_latency(benchmark):
 
         def query(planner=lazy_planner, phi=lazy_phi, compiled=lazy_compiled,
                   s=system.source, t=system.target):
+            planner._k_best.clear()  # time the k-best search, not a resume
             with mock.patch.object(AdaptationPlanner, "oversized", True):
                 return verify_paths(
                     planner, s, t, phi, k=2, compiled=compiled,
@@ -202,11 +206,34 @@ ENGINE_K = 8
 ENGINE_GATE = 3.0
 
 
-class _CSRYenPlanner(AdaptationPlanner):
-    """The former eager ``plan_k``: banned-set CSR Yen, uncached."""
+class _Listed:
+    """A whole plan list behind the stream surface ``verify_paths``
+    reads: ``(cost, masks, action ids)`` paths, ``plan`` and
+    ``exhausted``."""
 
-    def plan_k(self, source, target, k):
-        return reference_plan_k(self, source, target, k)
+    def __init__(self, planner, plans, exhausted=False):
+        self._mask_of = planner.universe.mask_of
+        self._plans = plans
+        self._read = {}
+        self.exhausted = exhausted
+
+    def __iter__(self):
+        for plan in self._plans:
+            path = (plan.total_cost, tuple(map(self._mask_of, plan.configurations)),
+                    plan.action_ids)
+            self._read[path] = plan
+            yield path
+
+    def plan(self, path):
+        return self._read[path]
+
+
+class _CSRYenPlanner(AdaptationPlanner):
+    """The former eager ``plan_k``: banned-set CSR Yen, uncached, as the
+    path source of ``verify_paths``."""
+
+    def iter_paths(self, source, target, k, max_expansions=None):
+        return _Listed(self, reference_plan_k(self, source, target, k))
 
 
 def _reachable_pairs(system, planner, count):
@@ -270,4 +297,183 @@ def test_eager_k_best_engine(benchmark):
     )
     assert speedups["fleet x6"] >= ENGINE_GATE, (
         f"eager k-best only {speedups['fleet x6']:.1f}x over CSR Yen on fleet x6"
+    )
+
+
+#: streamed verify's analyze mix: pairs per eager shape, and one fleet30
+#: baseline→canary verify after every three eager ones
+EARLY_PAIRS = 120
+EARLY_GATE = 3.0
+MEMORY_GATE = 1.25
+FLEET30 = Path(__file__).resolve().parents[1] / "examples" / "fleet30.manifest"
+
+
+class _ListFirstPlanner(AdaptationPlanner):
+    """The order ``verify_paths`` ran in before it streamed: the whole
+    k-best list first, then the check.  Below the cap the list is
+    ``plan_k``'s, cached per ``(source, target, k)``; above it
+    ``lazy_plan_k``'s, recomputed on every query.  Neither keeps a Yen
+    state, so its memory is the list cache alone."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._lists = {}
+
+    def iter_paths(self, source, target, k, max_expansions=None):
+        self._validate_endpoints(source, target)
+        if self.oversized:
+            plans, complete = self.lazy_plan_k(source, target, k, max_expansions)
+            self._k_best.clear()
+            return _Listed(self, plans, not complete)
+        key = (source, target, k)
+        if key not in self._lists:
+            self._lists[key] = tuple(self.plan_k(source, target, k))
+            self._k_best.clear()
+        return _Listed(self, self._lists[key])
+
+
+def _analyze_mix():
+    """The verifies of perfbench ``analyze``, by kind: per eager shape, one
+    verify per random pair, kinds in turn — ∀ a property every safe
+    configuration satisfies (walks k paths), ∃ and ∀ ``historically(!X)``
+    for an X the target gains (∃ walks k paths, path 1 refutes ∀) — and
+    the four fleet30 ``baseline→canary`` verifies in turn, one after
+    every three eager ones.  Returns ``(specs, verifies)``: per spec its
+    ``(system, shared SAG owner or None)``, and ``(spec, source, target,
+    formula, quantifier, kind)`` tuples in mix order."""
+    specs, eager = {}, []
+    for name, make, holds in ENGINE_SHAPES:
+        system = make()
+        owner = AdaptationPlanner(system.universe, system.invariants, system.actions)
+        specs[name] = (system, owner)
+        for index, (s, t) in enumerate(_reachable_pairs(system, owner, EARLY_PAIRS)):
+            gained = sorted(t.members - s.members)
+            kinds = [(holds, "all", "full walk")]
+            if gained:
+                kinds += [(f"historically(!{gained[0]})", "exists", "full walk"),
+                          (f"historically(!{gained[0]})", "all", "path 1")]
+            formula, quantifier, kind = kinds[index % len(kinds)]
+            eager.append((name, s, t, parse_property(formula), quantifier, kind))
+    random.Random(11).shuffle(eager)
+    fleet = load_path(FLEET30)
+    specs["fleet30"] = (fleet, None)
+    baseline, canary = fleet.configurations["baseline"], fleet.configurations["canary"]
+    lazy = [("fleet30", baseline, canary, fleet.property_named(name), quantifier,
+             "repeated pair")
+            for name in ("service0 specified", "avoid_v3")
+            for quantifier in ("all", "exists")]
+    verifies = []
+    for index, verify in enumerate(eager):
+        verifies.append(verify)
+        if index % 3 == 2:
+            verifies.append(lazy[index // 3 % len(lazy)])
+    return specs, verifies
+
+
+def _run_mix(planner_class, specs, verifies):
+    """Every verify of the mix on fresh planners of *planner_class* (one
+    per spec, the eager ones sharing their owner's built SAG): the
+    verdicts, seconds per kind, and the planners."""
+    planners = {}
+    for name, (spec, owner) in specs.items():
+        if owner is None:
+            planner = planner_class(spec.universe, spec.invariants, spec.actions)
+        else:
+            planner = planner_class(spec.universe, spec.invariants, spec.actions)
+            planner._sag = owner.sag
+        planners[name] = planner
+    compiled = {}
+    seconds, verdicts = {}, []
+    for name, s, t, phi, quantifier, kind in verifies:
+        planner = planners[name]
+        key = (name, phi)
+        if key not in compiled:
+            compiled[key] = CompiledProperty(phi, planner.universe.atom_bits)
+        t0 = time.perf_counter()
+        verdicts.append(verify_paths(planner, s, t, phi, quantifier,
+                                     compiled=compiled[key]))
+        seconds[kind] = seconds.get(kind, 0.0) + time.perf_counter() - t0
+    return verdicts, seconds, planners
+
+
+def _held_bytes(planner_class, specs, verifies):
+    """Bytes the k-best caches hold after the mix: traced memory after the
+    mix less what is left once those caches are dropped."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _, _, planners = _run_mix(planner_class, specs, verifies)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+        for planner in planners.values():
+            planner._k_best.clear()
+            getattr(planner, "_lists", {}).clear()
+        gc.collect()
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held - left
+
+
+def test_verify_decided_early(benchmark):
+    specs, verifies = _analyze_mix()
+    for _, owner in specs.values():
+        if owner is not None:
+            owner.sag  # built once, outside every timing
+    best = {}
+    verdicts = {}
+    for label, planner_class in (("list first", _ListFirstPlanner),
+                                 ("streamed", AdaptationPlanner)):
+        for _ in range(BEST_OF):
+            got, seconds, _ = _run_mix(planner_class, specs, verifies)
+            assert verdicts.setdefault(label, got) == got
+            for kind, value in seconds.items():
+                best[label, kind] = min(best.get((label, kind), value), value)
+    assert verdicts["streamed"] == verdicts["list first"]
+    benchmark.pedantic(lambda: _run_mix(AdaptationPlanner, specs, verifies),
+                       rounds=1, iterations=1)
+    held = {label: _held_bytes(planner_class, specs, verifies)
+            for label, planner_class in (("list first", _ListFirstPlanner),
+                                         ("streamed", AdaptationPlanner))}
+    counts = {}
+    for verify in verifies:
+        counts[verify[-1]] = counts.get(verify[-1], 0) + 1
+    rows, data = [], {"nproc": os.cpu_count(), "k": DEFAULT_K,
+                      "verifies": len(verifies), "gate_path_1": EARLY_GATE,
+                      "gate_held_memory": MEMORY_GATE}
+    for kind in ("path 1", "full walk", "repeated pair"):
+        old = best["list first", kind] * 1e3 / counts[kind]
+        new = best["streamed", kind] * 1e3 / counts[kind]
+        rows.append((f"{kind} ({counts[kind]} verifies)", f"{old:.3f}",
+                     f"{new:.3f}", f"{old / new:.1f}x"))
+        key = kind.replace(" ", "_")
+        data[f"{key}_list_first_ms"] = round(old, 4)
+        data[f"{key}_streamed_ms"] = round(new, 4)
+        data[f"{key}_speedup"] = round(old / new, 2)
+    old_total = sum(v for (label, _), v in best.items() if label == "list first")
+    new_total = sum(v for (label, _), v in best.items() if label == "streamed")
+    data["mix_list_first_ms"] = round(old_total * 1e3 / len(verifies), 4)
+    data["mix_streamed_ms"] = round(new_total * 1e3 / len(verifies), 4)
+    data["held_list_first_mb"] = round(held["list first"] / 1e6, 3)
+    data["held_streamed_mb"] = round(held["streamed"] / 1e6, 3)
+    rows.append(("whole mix", f"{data['mix_list_first_ms']:.3f}",
+                 f"{data['mix_streamed_ms']:.3f}",
+                 f"{old_total / new_total:.1f}x"))
+    rows.append(("k-best caches held (MB)", f"{data['held_list_first_mb']:.2f}",
+                 f"{data['held_streamed_mb']:.2f}", ""))
+    report(
+        "T1 — verify decided early / repeated pair",
+        format_table(["verify kind", "list first (ms/verify)",
+                      "streamed (ms/verify)", "speedup"], rows)
+        + f"\n{os.cpu_count()} cpu(s); gates: path 1 >= {EARLY_GATE:g}x, "
+          f"held <= {MEMORY_GATE:g}x the list cache",
+        data=data,
+        json_path=LTL_PATHS_JSON,
+    )
+    assert data["path_1_speedup"] >= EARLY_GATE, (
+        f"a path-1 refutation only {data['path_1_speedup']:.1f}x the list-first verify"
+    )
+    assert held["streamed"] <= MEMORY_GATE * held["list first"], (
+        f"streamed verify holds {data['held_streamed_mb']:.2f} MB against "
+        f"{data['held_list_first_mb']:.2f} MB for the list cache"
     )

@@ -693,7 +693,7 @@ def test_fleet30_verify_memo_per_query():
                 for source, target in pairs:
                     verify_paths(planner, source, target, phi, k=MEMO_K)
             planner._plan_cache.clear()
-            planner._plan_k_cache.clear()
+            planner._k_best.clear()
             gc.collect()
             held[name], _ = tracemalloc.get_traced_memory()
         finally:

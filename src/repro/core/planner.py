@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.actions import ActionLibrary, AdaptiveAction
 from repro.core.collaborative import (
@@ -35,7 +35,7 @@ from repro.errors import NoSafePathError
 from repro.graphs.astar import astar_cost, corridor_search
 from repro.graphs.csr import ShortestPathTree
 from repro.graphs.digraph import Path
-from repro.graphs.yen import extend_k_shortest
+from repro.graphs.yen import YenState
 
 
 #: a successor function: one mask's ``(action_id, cost, next_mask)`` arcs
@@ -116,7 +116,17 @@ class AdaptationPlanner:
     §4.4 failure cascade — retry the step, ask for the next minimum
     adaptation path, roll back to the source — re-enters the planner
     with shifting ``(source, target)`` pairs; each answer is derived
-    once, then served from the plan cache on repetition.
+    once, then served from the plan cache on repetition.  A pair's
+    k-best paths live in one resumable :class:`~repro.graphs.yen.YenState`
+    that every k and both sides of the cap share.
+
+    Not thread-safe: cached shortest-path trees and Yen states grow in
+    place, so each caller serializes its calls.  The planning service
+    holds the spec entry's lock (``_SpecEntry.lock``) around every call
+    but the lock-free :meth:`peek_plan`; the live backend holds its
+    system lock (``LiveAdaptationSystem._lock``) around the manager's
+    replans, so a planner shared between a service and a live system
+    would need one lock for both; the model checker is single-threaded.
     """
 
     #: default bound on cached shortest-path trees (one per distinct source)
@@ -147,8 +157,12 @@ class AdaptationPlanner:
         self._plan_cache: Dict[
             Tuple[Configuration, Configuration], Optional[AdaptationPlan]
         ] = {}
-        self._plan_k_cache: Dict[
-            Tuple[Configuration, Configuration, int], Tuple[AdaptationPlan, ...]
+        # per pair: its resumable Yen state — one serves every k, on both
+        # sides of the cap — and the plans the list entry points decoded
+        # from it (verify_paths decodes only its deciding path, unkept)
+        self._k_best: Dict[
+            Tuple[Configuration, Configuration],
+            Tuple[YenState, List[AdaptationPlan]],
         ] = {}
         # LRU of shortest-path trees keyed by source configuration.  One
         # tree amortizes every (source, *) query — batched plan_many
@@ -161,16 +175,19 @@ class AdaptationPlanner:
 
         Clears the SAG (and with it the compiled CSR view), the lazy
         successor generator, the k-best and lazy searches' per-set
-        distance tables,
-        the per-pair plan caches, and the shortest-path-tree LRU — all of
-        them are derived from the action library, so any of them could
-        otherwise serve a path using an action that no longer exists.
+        distance tables, the plan cache, the per-pair Yen states, and the
+        shortest-path-tree LRU — all of them are derived from the action
+        library, so any of them could otherwise serve a path using an
+        action that no longer exists.  Call it under the same lock as
+        every other call (see the class docstring): a :class:`PathStream`
+        that outlives it keeps extending the dropped state, never the
+        new one.
         """
         self._sag = None
         self._lazy_sag = None
         self._set_distances = None
         self._plan_cache.clear()
-        self._plan_k_cache.clear()
+        self._k_best.clear()
         self._spt_cache.clear()
 
     # -- setup steps -------------------------------------------------------------
@@ -231,7 +248,9 @@ class AdaptationPlanner:
         tree: ShortestPathTree,
     ) -> Optional[AdaptationPlan]:
         path = tree.path_to(self.universe.mask_of(target))
-        return None if path is None else self._plan_from_mask_path(source, target, path)
+        if path is None:
+            return None
+        return self._plan_from_mask_path(source, target, path.nodes, path.labels, path.cost)
 
     def plan(self, source: Configuration, target: Configuration) -> AdaptationPlan:
         """The Minimum Adaptation Path (§4.2 step 3).
@@ -287,7 +306,7 @@ class AdaptationPlanner:
                     f"{target.label()} within {budget} expansions"
                 )
             plan = None if path is None else self._plan_from_mask_path(
-                source, target, path
+                source, target, path.nodes, path.labels, path.cost
             )
             self._plan_cache[key] = plan
         if plan is None:
@@ -356,45 +375,82 @@ class AdaptationPlanner:
         """Up to *k* minimum-cost plans in non-decreasing cost order (Yen).
 
         Plan 2 is the paper's "second minimum adaptation path" used when a
-        step fails and the manager re-routes.  The same Yen loop and
-        spur search as :meth:`lazy_plan_k`, with no budget; every spur
-        searches the built SAG (:attr:`SafeAdaptationGraph.successors
+        step fails and the manager re-routes.  :meth:`iter_paths` with no
+        budget, read to the end and decoded: every spur searches the built SAG
+        (:attr:`SafeAdaptationGraph.successors
         <repro.core.sag.SafeAdaptationGraph.successors>`), or, when the
-        planner is :attr:`oversized`, the implicit one behind a memo
-        that lives for this one query.  Cached per ``(source, target,
-        k)`` for the same reason as :meth:`plan`.
+        planner is :attr:`oversized`, the implicit one.
         """
         self._validate_endpoints(source, target)
-        key = (source, target, k)
-        cached = self._plan_k_cache.get(key)
-        if cached is None:
-            successors: Successors = (
-                _memoized(self.lazy_sag.successors) if self.oversized
-                else self.sag.successors
+        return self._stream(source, target, k, self.oversized, None).plans()
+
+    def iter_paths(
+        self,
+        source: Configuration,
+        target: Configuration,
+        k: int,
+        max_expansions: Optional[int] = None,
+    ) -> "PathStream":
+        """The *k* best paths of :meth:`plan_k`, found as they are read.
+
+        The one path source of :func:`repro.ltl.paths.verify_paths`: a
+        caller that stops reading after path *i* pays for *i* paths, not
+        *k*, and decodes (:meth:`PathStream.plan`) only the paths it
+        reports.  Routes as :meth:`plan_k` does; when the planner is
+        :attr:`oversized`, *max_expansions* bounds the new expansions of
+        this query (paths an earlier query on the pair found cost none),
+        and the stream's :attr:`~PathStream.exhausted` tells a budget cut
+        from the end of the path set.  At or below the cap the budget
+        does not apply.
+        """
+        self._validate_endpoints(source, target)
+        oversized = self.oversized
+        return self._stream(
+            source, target, k, oversized, max_expansions if oversized else None
+        )
+
+    def _stream(
+        self,
+        source: Configuration,
+        target: Configuration,
+        k: int,
+        implicit: bool,
+        budget: Optional[int],
+    ) -> "PathStream":
+        """A :class:`PathStream` over the pair's Yen state (made on first
+        use); *implicit* picks the implicit SAG's arcs over the built
+        SAG's."""
+        key = (source, target)
+        entry = self._k_best.get(key)
+        if entry is None:
+            entry = self._k_best[key] = (
+                YenState(self.universe.mask_of(source), self.universe.mask_of(target)),
+                [],
             )
-            paths, _ = self._k_shortest(successors, source, target, k, None)
-            cached = tuple(
-                self._plan_from_mask_path(source, target, path) for path in paths
-            )
-            self._plan_k_cache[key] = cached
-        return list(cached)
+        return PathStream(self, source, target, k, entry, implicit, budget)
 
     def _plan_from_mask_path(
-        self, source: Configuration, target: Configuration, path: Path
+        self,
+        source: Configuration,
+        target: Configuration,
+        nodes: Tuple[int, ...],
+        labels: Tuple[str, ...],
+        cost: float,
     ) -> AdaptationPlan:
-        """Decode a mask-level search result back into an AdaptationPlan.
+        """Decode a mask-level path (its *nodes*, arc *labels* and *cost*)
+        back into an AdaptationPlan.
 
         The one decoder behind every planning entry point: eager CSR
         trees and Yen paths, and the lazy frontier searches.
         """
-        configs = [source, *map(self.universe.from_mask, path.nodes[1:-1])]
-        if len(path.nodes) > 1:
+        configs = [source, *map(self.universe.from_mask, nodes[1:-1])]
+        if len(nodes) > 1:
             configs.append(target)
         steps = tuple(
-            PlanStep(index, self.actions.get(edge.label), configs[index], configs[index + 1])
-            for index, edge in enumerate(path.edges)
+            PlanStep(index, self.actions.get(label), configs[index], configs[index + 1])
+            for index, label in enumerate(labels)
         )
-        return AdaptationPlan(source, target, steps, path.cost)
+        return AdaptationPlan(source, target, steps, cost)
 
     def lazy_plan(
         self,
@@ -498,75 +554,22 @@ class AdaptationPlanner:
     ) -> Tuple[List[AdaptationPlan], bool]:
         """Up to *k* minimum-cost plans by frontier search — no SAG (§7).
 
-        Yen's loopless enumeration run entirely over the
-        :class:`~repro.core.sag.LazySAG` successor generator: the loop
-        and the spur search are :meth:`plan_k`'s own
-        (:func:`repro.graphs.yen.extend_k_shortest` over
-        :meth:`_banned_shortest`), so the returned plans are **identical
+        :meth:`plan_k` read off the :class:`~repro.core.sag.LazySAG`
+        successor generator, on either side of the cap: the same Yen
+        state and spur search, so the returned plans are **identical
         (paths, costs, and order) to** :meth:`plan_k` wherever both are
-        defined, without ever enumerating the safe space.  One heuristic,
-        one memo of the masks' arcs and one *max_expansions* budget
-        serve every spur; the memo is dropped when the query returns.
+        defined, without ever enumerating the safe space.
+        *max_expansions* bounds this query's new expansions.
 
         Returns ``(plans, complete)``: *complete* is ``False`` when the
-        shared *max_expansions* budget ran out before the enumeration
-        could finish — the plans returned so far are still the true
-        best ones, there may just be more.  Used by
-        :func:`repro.ltl.paths.verify_paths` for budget-bounded
-        tri-state verdicts above the enumeration cap.
+        budget ran out before the enumeration could finish — the plans
+        returned so far are still the true best ones, there may just be
+        more.
         """
         self._validate_endpoints(source, target)
-        if k <= 0:
-            return [], True
-        paths, complete = self._k_shortest(
-            _memoized(self.lazy_sag.successors), source, target, k, max_expansions
-        )
-        if not paths:
-            if complete:
-                self._plan_cache.setdefault((source, target), None)
-            return [], complete
-        plans = [
-            self._plan_from_mask_path(source, target, path) for path in paths
-        ]
-        # write the optimal plan through to the shared pair cache (it is
-        # exact regardless of whether the enumeration finished)
-        self._plan_cache.setdefault((source, target), plans[0])
-        return plans, complete
-
-    def _k_shortest(
-        self,
-        successors: Successors,
-        source: Configuration,
-        target: Configuration,
-        k: int,
-        budget: Optional[int],
-    ) -> Tuple[List[Path], bool]:
-        """Yen over the arcs of *successors*, each spur's bans filtered out.
-
-        Returns ``(paths, complete)`` as :meth:`lazy_plan_k` does; the
-        paths are mask-level.  *budget* bounds every spur together.
-        """
-        if k <= 0:
-            return [], True
-        source_mask = self.universe.mask_of(source)
-        target_mask = self.universe.mask_of(target)
-        heuristic = self._lazy_heuristic(source_mask, target_mask)
-        remaining = budget
-
-        def spur_query(spur_mask, banned_nodes, banned_arcs):
-            nonlocal remaining
-            path, exhausted, spent = self._banned_shortest(
-                _filtered(successors, banned_nodes, banned_arcs),
-                spur_mask, target_mask, heuristic, remaining,
-            )
-            if remaining is not None:
-                remaining = max(0, remaining - spent)
-            return path, exhausted
-
-        first, exhausted = spur_query(source_mask, frozenset(), frozenset())
-        if first is None:
-            return [], not exhausted
-        return extend_k_shortest(first, target_mask, k, spur_query)
+        stream = self._stream(source, target, k, True, max_expansions)
+        plans = stream.plans()
+        return plans, not stream.exhausted
 
     def plan_collaborative(
         self, source: Configuration, target: Configuration
@@ -622,9 +625,128 @@ class AdaptationPlanner:
         return AdaptationPlan(source=source, target=target, steps=tuple(steps), total_cost=total)
 
 
+class PathStream:
+    """The *k* best paths of one pair, each found when it is read.
+
+    Iterating yields up to *k* mask-level paths in Yen order, each a
+    ``(cost, nodes, labels)`` tuple (configuration masks, source first,
+    and action ids); :meth:`plan` decodes one.  Paths any earlier query
+    on the pair found are read off its
+    :class:`~repro.graphs.yen.YenState` and cost no expansion; the rest
+    extend that state one Yen round per path.  The spurs of one stream
+    share one heuristic, one budget and, on the implicit SAG, one memo
+    of the masks' arcs, dropped with the stream.  :attr:`exhausted`
+    turns ``True`` when the budget ran out before the next path; the
+    paths yielded are still the true best ones.  On the implicit SAG
+    the optimal plan (or a proven absence of any) is written through to
+    the planner's plan cache, as :meth:`AdaptationPlanner.lazy_plan`
+    writes its own.
+    """
+
+    def __init__(
+        self,
+        planner: AdaptationPlanner,
+        source: Configuration,
+        target: Configuration,
+        k: int,
+        entry: Tuple[YenState, List[AdaptationPlan]],
+        implicit: bool,
+        budget: Optional[int],
+    ):
+        self._planner = planner
+        self._source = source
+        self._target = target
+        self._k = k
+        #: the pair's Yen state, and the plans :meth:`plans` decoded from
+        #: its found paths
+        self._yen, self._decoded = entry
+        self._implicit = implicit
+        self._remaining = budget
+        self._index = 0
+        self._successors: Optional[Successors] = None
+        self._heuristic: Optional[Callable[[int], float]] = None
+        #: the budget ran out before the next path could be found
+        self.exhausted = False
+
+    def __iter__(self) -> Iterator[Tuple[float, Tuple[int, ...], Tuple[str, ...]]]:
+        return self
+
+    def __next__(self) -> Tuple[float, Tuple[int, ...], Tuple[str, ...]]:
+        index = self._index
+        if index >= self._k or self.exhausted:
+            raise StopIteration
+        yen = self._yen
+        while len(yen.found) <= index:
+            if yen.done:
+                if index == 0 and self._implicit:
+                    self._write_through(None)
+                raise StopIteration
+            if not yen.extend(self._spur_query, self._weight):
+                self.exhausted = True
+                raise StopIteration
+        self._index = index + 1
+        path = yen.found[index]
+        if index == 0 and self._implicit:
+            self._write_through(path)
+        return path
+
+    def plans(self) -> List[AdaptationPlan]:
+        """The rest of the stream, decoded — each path once per pair: the
+        list entry points (:meth:`AdaptationPlanner.plan_k`,
+        :meth:`AdaptationPlanner.lazy_plan_k`) share the pair's decoded
+        prefix, as the §4.4 cascade re-asks ``plan_k`` for the same
+        pairs."""
+        decoded = self._decoded
+        plans = []
+        for path in self:
+            index = self._index - 1
+            if index == len(decoded):
+                decoded.append(self.plan(path))
+            plans.append(decoded[index])
+        return plans
+
+    def plan(self, path: Tuple[float, Tuple[int, ...], Tuple[str, ...]]) -> AdaptationPlan:
+        """Decode one of this stream's paths into an :class:`AdaptationPlan`."""
+        cost, nodes, labels = path
+        return self._planner._plan_from_mask_path(
+            self._source, self._target, nodes, labels, cost
+        )
+
+    def _weight(self, label: str) -> float:
+        """An arc's weight: its action's cost, as the SAG's arcs carry it."""
+        return self._planner.actions.get(label).cost
+
+    def _write_through(self, path) -> None:
+        """Write the pair's optimal plan (``None``: no path) through to the
+        plan cache unless it holds the pair."""
+        cache, key = self._planner._plan_cache, (self._source, self._target)
+        if key not in cache:
+            cache[key] = None if path is None else self.plan(path)
+
+    def _spur_query(self, spur_mask, banned_nodes, banned_arcs):
+        """One Yen spur: :meth:`AdaptationPlanner._banned_shortest` over
+        this stream's arcs with the spur's bans filtered out, charged to
+        its budget."""
+        planner = self._planner
+        target_mask = self._yen.target
+        if self._successors is None:
+            self._successors = (
+                _memoized(planner.lazy_sag.successors) if self._implicit
+                else planner.sag.successors
+            )
+            self._heuristic = planner._lazy_heuristic(self._yen.source, target_mask)
+        path, exhausted, spent = planner._banned_shortest(
+            _filtered(self._successors, banned_nodes, banned_arcs),
+            spur_mask, target_mask, self._heuristic, self._remaining,
+        )
+        if self._remaining is not None:
+            self._remaining = max(0, self._remaining - spent)
+        return path, exhausted
+
+
 def _memoized(successors: Successors) -> Successors:
     """*successors* (a lazy one: its arcs come as lists) with each mask's
-    arcs kept — the memo one k-best query shares across its spurs,
+    arcs kept — the memo the spurs of one :class:`PathStream` share,
     dropped with it."""
     memo: Dict[int, Arcs] = {}
 

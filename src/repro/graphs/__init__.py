@@ -11,12 +11,14 @@ planner runs one engine per question, over int configuration masks:
 * :func:`~repro.graphs.astar.astar_cost` and
   :func:`~repro.graphs.astar.corridor_search` — the exact two-phase
   search over an implicit successor function;
-* :func:`~repro.graphs.yen.extend_k_shortest` — Yen's candidate loop,
-  whose spurs run that two-phase search.
+* :class:`~repro.graphs.yen.YenState` — Yen's candidate loop for one
+  pair, resumable one path at a time, whose spurs run that two-phase
+  search.
 
 :class:`Digraph` is the generic labelled multigraph (``sag.graph``,
 :meth:`CSRGraph.from_digraph`); :class:`Path` is every engine's result.
-The textbook dict-graph Dijkstra, Yen and A* are test oracles
+The textbook dict-graph Dijkstra, Yen and A*, and Yen's former one-shot
+candidate loop, are test oracles
 (``tests/oracles/graph_reference.py``), not product engines.
 """
 

@@ -1,82 +1,121 @@
-"""Yen's candidate loop for k shortest loopless paths.
+"""Yen's candidate loop for k shortest loopless paths, resumable.
 
 The paper's failure-handling cascade (§4.4) needs "the second minimum
 adaptation path from the current configuration to the target
 configuration", and in general the next-best alternative each time a step
 fails.  Yen's algorithm enumerates loopless paths in non-decreasing cost
-order; :func:`extend_k_shortest` is its candidate loop, with the spur
-search left to the caller (the planner runs the two-phase corridor
-search of :mod:`repro.graphs.astar` over a banned view of the SAG).
+order; :class:`YenState` is its candidate loop for one ``(source,
+target)`` pair, with the spur search left to the caller (the planner
+runs the two-phase corridor search of :mod:`repro.graphs.astar` over a
+banned view of the SAG).  The state is extended one path at a time, so
+one state serves every k: a smaller k reads a prefix of
+:attr:`YenState.found`, a larger one resumes where the last query
+stopped.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Callable, Hashable, List, Optional, Set, Tuple, TypeVar
+import heapq
+from typing import AbstractSet, Callable, Dict, Generic, Hashable, List, Optional, Set, Tuple, TypeVar
 
 from repro.graphs.digraph import Path
 
 N = TypeVar("N", bound=Hashable)
 L = TypeVar("L", bound=Hashable)
 
-
-def _path_key(path: Path) -> Tuple:
-    """Identity of a path for deduplication: the node/label sequence."""
-    return (path.nodes, path.labels)
-
-
 #: ``(spur_node, banned_nodes, banned (node, label) arcs) -> (path, exhausted)``
 SpurQuery = Callable[
     [N, AbstractSet[N], AbstractSet[Tuple[N, L]]], Tuple[Optional[Path[N, L]], bool]
 ]
 
+#: a found path, without :class:`~repro.graphs.digraph.Edge` objects:
+#: ``(cost, nodes, labels)``
+Entry = Tuple[float, Tuple, Tuple]
 
-def extend_k_shortest(
-    first: Path[N, L], target: N, k: int, spur_query: SpurQuery
-) -> Tuple[List[Path[N, L]], bool]:
-    """Yen's candidate loop from the shortest path *first* to up to *k* paths.
 
-    Shared by the built-SAG and the implicit-SAG Yen of the planner:
-    every spur bans the root's nodes and the arcs already taken from the
-    spur node by found paths sharing the root, duplicates are dropped by
-    ``(nodes, labels)``, and candidates are taken in ``(cost, insertion
-    order)`` order.  *spur_query* answers each banned-set query
-    and reports budget exhaustion; then *complete* (second result) is
-    ``False`` and the paths found so far are still the true best ones.
+class YenState(Generic[N, L]):
+    """Yen's k shortest loopless paths from *source* to *target*, found so far.
+
+    :attr:`found` holds the paths in Yen order, each as ``(cost, nodes,
+    labels)``; the candidate pool is a heap of ``(cost, order, nodes,
+    labels)`` tuples, so ties break by insertion order.  Every spur bans the root's nodes and the arcs already taken from the
+    spur node by found paths sharing the root, and duplicates are dropped
+    by their labels: a ``(node, label)`` pair names at most one arc (an
+    action id one arc out of a mask), so from the one source the labels
+    fix the nodes.  :meth:`extend` finds one more path; a round
+    (every spur of the last found path) is committed only when it
+    finishes, so a spur query that runs out of budget leaves the state as
+    it was and a later call redoes the round.
+
+    Not thread-safe: :meth:`extend` mutates the state in place, and the
+    planner that owns it is used under one lock at a time.
     """
-    found: List[Path[N, L]] = [first]
-    seen: Set[Tuple] = {_path_key(first)}
-    candidates: List[Tuple[float, int, Path[N, L]]] = []
-    order = 0
-    while len(found) < k:
-        prev = found[-1]
-        for i in range(len(prev.edges)):
-            banned_arcs = {
-                (path.nodes[i], path.edges[i].label)
-                for path in found
-                if path.nodes[: i + 1] == prev.nodes[: i + 1] and len(path.edges) > i
-            }
-            banned_nodes = set(prev.nodes[:i])  # forbid loops through the root
-            if prev.nodes[i] in banned_nodes or target in banned_nodes:
-                continue
-            spur, exhausted = spur_query(prev.nodes[i], banned_nodes, banned_arcs)
+
+    __slots__ = ("source", "target", "found", "done", "_seen", "_pool", "_order")
+
+    def __init__(self, source: N, target: N):
+        self.source = source
+        self.target = target
+        self.found: List[Entry] = []
+        #: every loopless path has been found
+        self.done = False
+        self._seen: Set[Tuple] = set()
+        self._pool: List[Tuple] = []
+        self._order = 0
+
+    def extend(self, spur_query: SpurQuery, weight: Callable[[L], float]) -> bool:
+        """Find the next path, unless :attr:`done`.
+
+        *spur_query* answers each banned-set query and reports budget
+        exhaustion; *weight* gives an arc's weight by its label (in the
+        SAG, the action's cost), which prices a spur's root.  Returns
+        ``False`` when it ran out (the state is unchanged), ``True``
+        otherwise: then one path was appended to :attr:`found`, or
+        :attr:`done` was set.
+        """
+        if self.done:
+            return True
+        found = self.found
+        if not found:
+            first, exhausted = spur_query(self.source, frozenset(), frozenset())
             if exhausted:
-                return found, False
+                return False
+            if first is None:
+                self.done = True
+                return True
+            found.append((first.cost, first.nodes, first.labels))
+            self._seen.add(first.labels)
+            return True
+        _, nodes, labels = found[-1]
+        seen = self._seen
+        fresh: Dict[Tuple, Entry] = {}  # this round's candidates, by labels
+        for i in range(len(labels)):
+            root = nodes[: i + 1]
+            banned_arcs = {
+                (path[1][i], path[2][i])
+                for path in found
+                if len(path[2]) > i and path[1][: i + 1] == root
+            }
+            banned_nodes = set(nodes[:i])  # forbid loops through the root
+            if nodes[i] in banned_nodes or self.target in banned_nodes:
+                continue
+            spur, exhausted = spur_query(nodes[i], banned_nodes, banned_arcs)
+            if exhausted:
+                return False
             if spur is None:
                 continue
-            root_edges = prev.edges[:i]
-            total = Path(
-                nodes=prev.nodes[:i] + spur.nodes,
-                edges=root_edges + spur.edges,
-                cost=sum(edge.weight for edge in root_edges) + spur.cost,
-            )
-            key = _path_key(total)
-            if key not in seen:
-                seen.add(key)
-                candidates.append((total.cost, order, total))
-                order += 1
-        if not candidates:
-            break
-        candidates.sort(key=lambda item: (item[0], item[1]))
-        found.append(candidates.pop(0)[2])
-    return found, True
-
+            key = labels[:i] + spur.labels
+            if key not in seen and key not in fresh:
+                root_cost = sum(weight(label) for label in labels[:i])
+                fresh[key] = (root_cost + spur.cost, nodes[:i] + spur.nodes, key)
+        pool = self._pool
+        for cost, path_nodes, path_labels in fresh.values():
+            seen.add(path_labels)
+            heapq.heappush(pool, (cost, self._order, path_nodes, path_labels))
+            self._order += 1
+        if not pool:
+            self.done = True
+            return True
+        cost, _, path_nodes, path_labels = heapq.heappop(pool)
+        found.append((cost, path_nodes, path_labels))
+        return True

@@ -6,26 +6,32 @@ path a live trace happens to take.  :func:`verify_paths` decides exactly
 that over our SAG: "along **every** (or **some**) k-best safe adaptation
 path from S to T, φ holds at each committed configuration".
 
-The quantification domain is the k minimum-cost loopless paths (Yen),
-k defaulting to :data:`DEFAULT_K` — the same alternates the §4.4 failure
-cascade would re-route through, so a property verified here is verified
-for every path the manager may actually commit.
+What is checked is the k minimum-cost loopless S→T paths (Yen), k
+defaulting to :data:`DEFAULT_K`, computed up to the deciding one: the
+paths come one at a time from
+:meth:`AdaptationPlanner.iter_paths
+<repro.core.planner.AdaptationPlanner.iter_paths>`, the check stops
+at the first violating path for ∀ and the first satisfying one for ∃,
+and only that path is decoded into a plan.
+These are the alternates the §4.4 cascade picks from while it re-routes
+from S; after a fault it re-plans from the point of failure, whose paths
+to T are not in this set.
 
 Two execution modes, one verdict semantics, chosen by the spec's size
 (:attr:`AdaptationPlanner.oversized
 <repro.core.planner.AdaptationPlanner.oversized>`, the one reader of the
 planner's size cap — lint's ``[properties]`` checks route by it too):
 
-* **eager** (at or below the cap): walk
-  :meth:`AdaptationPlanner.plan_k`'s paths — Yen whose spurs run the
-  two-phase corridor search over the built SAG;
-* **lazy** (above the cap): :meth:`AdaptationPlanner.lazy_plan_k` runs
-  the same Yen loop and spur search over the
+* **eager** (at or below the cap): Yen whose spurs run the two-phase
+  corridor search over the built SAG;
+* **lazy** (above the cap): the same Yen state and spur search over the
   :class:`~repro.core.sag.LazySAG` frontier with an expansion budget —
-  verdicts are tri-state
-  (``holds=None`` when the budget ran out before a decision), and
-  early exits still decide exactly: one violating path refutes ∀, one
-  satisfying path proves ∃, budget or not.
+  verdicts are tri-state (``holds=None`` when the budget ran out before
+  a decision), and early exits still decide exactly: one violating path
+  refutes ∀, one satisfying path proves ∃, budget or not.
+
+Both modes resume the pair's Yen state, so a second verify on a pair
+reads the paths the first one found and pays only for new ones.
 
 On failure the counterexample is **minimized to the first violating
 prefix**: the returned plan stops at the first committed configuration
@@ -64,7 +70,8 @@ class PathVerdict:
     k: int
     #: paths actually evaluated (≤ k: fewer exist, or early exit decided)
     paths_checked: int
-    #: the enumerated path set covered all k-best paths that exist
+    #: no budget ran out before the verdict: the paths were computed up to
+    #: the deciding one, or to the end of the k-best set
     complete: bool
     #: "eager" (Yen over the built SAG) or "lazy" (budget-bounded
     #: frontier Yen)
@@ -148,27 +155,23 @@ def verify_paths(
     if compiled is None:
         compiled = CompiledProperty(phi, planner.universe.atom_bits)
     mode = "lazy" if planner.oversized else "eager"
-    if planner.oversized:
-        budget = (
-            LAZY_VERIFY_EXPANSIONS if max_expansions is None else max_expansions
-        )
-        plans, complete = planner.lazy_plan_k(
-            source, target, width, max_expansions=budget
-        )
-    else:
-        plans = planner.plan_k(source, target, width)
-        complete = True
+    paths = planner.iter_paths(
+        source, target, width,
+        LAZY_VERIFY_EXPANSIONS if max_expansions is None else max_expansions,
+    )
     checked = 0
-    for plan in plans:
-        violation = check_plan(compiled, planner, plan)
+    for path in paths:
+        # a path's nodes are the masks of its committed configurations
+        violation = compiled.first_violation(path[1])
         checked += 1
         if quantifier == "all" and violation is not None:
+            plan = paths.plan(path)
             return PathVerdict(
                 holds=False,
                 quantifier=quantifier,
                 k=width,
                 paths_checked=checked,
-                complete=complete,
+                complete=True,
                 mode=mode,
                 counterexample=_minimized(plan, violation),
                 violation_index=violation,
@@ -179,18 +182,19 @@ def verify_paths(
                 ),
             )
         if quantifier == "exists" and violation is None:
+            plan = paths.plan(path)
             return PathVerdict(
                 holds=True,
                 quantifier=quantifier,
                 k=width,
                 paths_checked=checked,
-                complete=complete,
+                complete=True,
                 mode=mode,
                 witness=plan,
                 reason=f"path {checked} (cost {plan.total_cost:g}) satisfies φ",
             )
     # no early exit: the verdict rests on having seen the whole path set
-    if not complete:
+    if paths.exhausted:
         return PathVerdict(
             holds=None,
             quantifier=quantifier,
@@ -203,7 +207,7 @@ def verify_paths(
                 f"{checked} path(s)"
             ),
         )
-    if not plans:
+    if not checked:
         reason = "no safe path between the endpoints"
         if quantifier == "all":
             reason += " (holds vacuously)"

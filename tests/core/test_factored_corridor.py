@@ -183,7 +183,7 @@ def test_fleet30_lone_queries_keep_nothing_per_mask():
         for source, target in verify_pairs:
             verify_paths(planner, source, target, phi, k=8)
         planner._plan_cache.clear()
-        planner._plan_k_cache.clear()
+        planner._k_best.clear()
         gc.collect()
         held, _ = tracemalloc.get_traced_memory()
     finally:

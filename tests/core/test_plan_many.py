@@ -118,7 +118,7 @@ def test_reset_caches_drops_spt_and_csr_state(planner, source, target):
     planner.reset_caches()
     assert not planner._spt_cache
     assert not planner._plan_cache
-    assert not planner._plan_k_cache
+    assert not planner._k_best
     assert planner.sag is not old_sag
 
 

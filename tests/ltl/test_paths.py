@@ -152,6 +152,96 @@ class TestLazyMode:
         assert "inconclusive" in verdict.reason
 
 
+def _fleet30():
+    with open("examples/fleet30.manifest", encoding="utf-8") as handle:
+        return loads(handle.read())
+
+
+def _counting_spurs(planner):
+    """Count the planner's banned-set searches (one per Yen spur) and sum
+    their expansions."""
+    counts = {"spurs": 0, "expansions": 0}
+    search = planner._banned_shortest
+
+    def counted(*args):
+        result = search(*args)
+        counts["spurs"] += 1
+        counts["expansions"] += result[2]
+        return result
+
+    planner._banned_shortest = counted
+    return counts
+
+
+class TestEarlyExit:
+    """verify_paths reads the k best plans one at a time and stops at the
+    deciding one; the pair's Yen state keeps what it found, so a later
+    verify on the pair resumes it."""
+
+    @pytest.fixture(params=["eager video", "lazy fleet30"])
+    def case(self, request, planner, source, target):
+        """``(fresh planner factory, source, target, ∀-refuted property)``:
+        ``historically(!X)`` for an X the target gains, false at the last
+        configuration of every path."""
+        if request.param == "eager video":
+            make = lambda: AdaptationPlanner(  # noqa: E731
+                planner.universe, planner.invariants, planner.actions
+            )
+            return make, source, target, NO_E2
+        fleet = _fleet30()
+        baseline = fleet.configurations["baseline"]
+        canary = fleet.configurations["canary"]
+        gained = sorted(canary.members - baseline.members)[0]
+        return fleet.planner, baseline, canary, parse_property(
+            f"historically(!{gained})"
+        )
+
+    def test_a_refutation_by_path_one_runs_one_spur(self, case):
+        make, source, target, phi = case
+        planner = make()
+        counts = _counting_spurs(planner)
+        verdict = verify_paths(planner, source, target, phi)
+        assert verdict.holds is False and verdict.paths_checked == 1
+        assert counts["spurs"] == 1
+
+    def test_a_following_exists_resumes_the_walk(self, case):
+        make, source, target, phi = case
+        planner = make()
+        counts = _counting_spurs(planner)
+        refuted = verify_paths(planner, source, target, phi)
+        unwitnessed = verify_paths(planner, source, target, phi, "exists")
+        walk = make()
+        walk_counts = _counting_spurs(walk)
+        assert len(list(walk.iter_paths(source, target, DEFAULT_K))) == DEFAULT_K
+        assert counts == walk_counts
+        assert refuted == verify_paths(make(), source, target, phi)
+        assert unwitnessed == verify_paths(make(), source, target, phi, "exists")
+        assert unwitnessed.holds is False
+        assert unwitnessed.paths_checked == DEFAULT_K
+
+    def test_a_budget_cut_after_the_deciding_path_is_complete(self):
+        """``complete`` means no budget ran out before the verdict: a
+        budget that finds path 1 and no more still refutes ∀ with it."""
+        fleet = _fleet30()
+        baseline = fleet.configurations["baseline"]
+        canary = fleet.configurations["canary"]
+        phi = parse_property("historically(!S0v2)")
+        probe = fleet.planner()
+        counts = _counting_spurs(probe)
+        next(iter(probe.iter_paths(baseline, canary, DEFAULT_K)))
+        budget = counts["expansions"]
+        plans, complete = fleet.planner().lazy_plan_k(
+            baseline, canary, DEFAULT_K, max_expansions=budget
+        )
+        assert len(plans) == 1 and not complete
+        verdict = verify_paths(
+            fleet.planner(), baseline, canary, phi, max_expansions=budget
+        )
+        assert verdict.holds is False and verdict.complete
+        assert verdict.paths_checked == 1
+        assert verdict.counterexample is not None
+
+
 def toggle_library(names):
     actions = []
     for index, name in enumerate(names):

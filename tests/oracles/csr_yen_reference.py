@@ -23,8 +23,7 @@ from repro.core.model import Configuration
 from repro.core.planner import AdaptationPlan, AdaptationPlanner
 from repro.graphs.csr import _INF, CSRGraph, L, N, reconstruct_path
 from repro.graphs.digraph import Path
-from repro.graphs.yen import extend_k_shortest
-from tests.oracles.graph_reference import csr_shortest_path
+from tests.oracles.graph_reference import csr_shortest_path, extend_k_shortest
 
 
 def edges_labelled(
@@ -177,4 +176,7 @@ def reference_plan_k(
     paths = k_shortest_paths_csr(
         planner.sag.csr, mask_of(source), mask_of(target), k
     )
-    return [planner._plan_from_mask_path(source, target, path) for path in paths]
+    return [
+        planner._plan_from_mask_path(source, target, path.nodes, path.labels, path.cost)
+        for path in paths
+    ]

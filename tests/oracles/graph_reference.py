@@ -10,8 +10,11 @@ product engines are pinned to:
   engine reproduces (``tests/graphs/test_csr.py``,
   ``tests/core/test_plan_many.py``, ``tests/graphs/test_graph_properties.py``);
 * :func:`k_shortest_paths` — Yen over :func:`subgraph_without` copies,
-  the reference for :func:`repro.graphs.yen.extend_k_shortest` and the
-  CSR Yen oracle (``tests/graphs/test_csr.py``);
+  the reference for the CSR Yen oracle (``tests/graphs/test_csr.py``);
+* :func:`extend_k_shortest` — the one-shot Yen candidate loop the
+  planner ran before :class:`repro.graphs.yen.YenState` made it
+  resumable, with the spur search left to the caller; the CSR Yen and
+  lazy oracles (``csr_yen_reference.py``, ``lazy_reference.py``) run it;
 * :func:`astar_path` / :func:`lazy_astar` — textbook A* over an explicit
   or an implicit graph (``tests/graphs/test_astar.py``,
   ``tests/core/test_planner_properties.py``);
@@ -25,7 +28,7 @@ product engines are pinned to:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple, TypeVar
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple, TypeVar
 
 from repro.graphs.astar import HeuristicFn, SuccessorFn
 from repro.graphs.csr import CSRGraph, csr_dijkstra, reconstruct_path
@@ -334,3 +337,62 @@ def lazy_astar(
                     heap, (tentative + heuristic(nxt), nhops + 1, counter, nxt)
                 )
     return None
+
+
+# -- Yen candidate loop ----------------------------------------------------------
+
+
+def _path_key(path: Path) -> Tuple:
+    """Identity of a path for deduplication: the node/label sequence."""
+    return (path.nodes, path.labels)
+
+
+def extend_k_shortest(
+    first: Path[N, L], target: N, k: int, spur_query: Callable
+) -> Tuple[List[Path[N, L]], bool]:
+    """Yen's candidate loop from the shortest path *first* to up to *k* paths.
+
+    Every spur bans the root's nodes and the arcs already taken from the
+    spur node by found paths sharing the root, duplicates are dropped by
+    ``(nodes, labels)``, and candidates are taken in ``(cost, insertion
+    order)`` order.  *spur_query* answers each banned-set query
+    and reports budget exhaustion; then *complete* (second result) is
+    ``False`` and the paths found so far are still the true best ones.
+    """
+    found: List[Path[N, L]] = [first]
+    seen: Set[Tuple] = {_path_key(first)}
+    candidates: List[Tuple[float, int, Path[N, L]]] = []
+    order = 0
+    while len(found) < k:
+        prev = found[-1]
+        for i in range(len(prev.edges)):
+            banned_arcs = {
+                (path.nodes[i], path.edges[i].label)
+                for path in found
+                if path.nodes[: i + 1] == prev.nodes[: i + 1] and len(path.edges) > i
+            }
+            banned_nodes = set(prev.nodes[:i])  # forbid loops through the root
+            if prev.nodes[i] in banned_nodes or target in banned_nodes:
+                continue
+            spur, exhausted = spur_query(prev.nodes[i], banned_nodes, banned_arcs)
+            if exhausted:
+                return found, False
+            if spur is None:
+                continue
+            root_edges = prev.edges[:i]
+            total = Path(
+                nodes=prev.nodes[:i] + spur.nodes,
+                edges=root_edges + spur.edges,
+                cost=sum(edge.weight for edge in root_edges) + spur.cost,
+            )
+            key = _path_key(total)
+            if key not in seen:
+                seen.add(key)
+                candidates.append((total.cost, order, total))
+                order += 1
+        if not candidates:
+            break
+        candidates.sort(key=lambda item: (item[0], item[1]))
+        found.append(candidates.pop(0)[2])
+    return found, True
+

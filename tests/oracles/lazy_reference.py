@@ -31,7 +31,7 @@ from repro.core.planner import AdaptationPlan, AdaptationPlanner, _filtered
 from repro.errors import NoSafePathError
 from repro.graphs.astar import HeuristicFn, L, N, SuccessorFn
 from repro.graphs.digraph import Edge, Path
-from repro.graphs.yen import extend_k_shortest
+from tests.oracles.graph_reference import extend_k_shortest
 
 
 def reference_lazy_astar(
@@ -162,7 +162,9 @@ class ReferenceLazyPlanner:
         self._planner._validate_endpoints(source, target)
 
     def _plan_from_mask_path(self, source, target, path) -> AdaptationPlan:
-        return self._planner._plan_from_mask_path(source, target, path)
+        return self._planner._plan_from_mask_path(
+            source, target, path.nodes, path.labels, path.cost
+        )
 
     def lazy_plan(
         self,
@@ -331,7 +333,7 @@ class ReferenceLazyPlanner:
         Yen's loopless enumeration run entirely over the
         :class:`~repro.core.sag.LazySAG` successor generator: the
         candidate loop is the eager CSR Yen's
-        own (:func:`repro.graphs.yen.extend_k_shortest`), and every
+        own (:func:`tests.oracles.graph_reference.extend_k_shortest`), and every
         spur query is the two-phase exact search of :meth:`lazy_plan` —
         so the returned plans are **identical (paths, costs, and order)
         to** :meth:`plan_k` wherever both are defined, without ever

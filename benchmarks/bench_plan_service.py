@@ -87,17 +87,20 @@ def test_plan_service_throughput(benchmark):
     spec = (system.universe, system.invariants, system.actions)
 
     t0 = time.perf_counter()
-    cold_plans = service.plan_many(*spec, batch1)
+    digest = service.register(*spec)
+    cold_plans = service.plan_many_digest(digest, batch1)
     cold_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    warm_plans = service.plan_many(*spec, batch2)
+    warm_plans = service.plan_many_digest(digest, batch2)
     warm_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    repeat_plans = service.plan_many(*spec, batch1)
+    repeat_plans = service.plan_many_digest(digest, batch1)
     repeat_s = time.perf_counter() - t0
-    benchmark.pedantic(lambda: service.plan_many(*spec, batch1), rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: service.plan_many_digest(digest, batch1), rounds=1, iterations=1
+    )
 
     # identical answers before any speed claim
     assert repeat_plans == cold_plans
@@ -152,13 +155,15 @@ def test_plan_service_shares_across_equal_specs(benchmark):
     system_b = replicated_video_system(2)
     assert system_a.universe is not system_b.universe
     service = PlanningService()
-    plan_a = service.plan(
-        system_a.universe, system_a.invariants, system_a.actions,
+    plan_a = service.plan_digest(
+        service.register(system_a.universe, system_a.invariants, system_a.actions),
         system_a.source, system_a.target,
     )
     timed = benchmark.pedantic(
-        lambda: service.plan(
-            system_b.universe, system_b.invariants, system_b.actions,
+        lambda: service.plan_digest(
+            service.register(
+                system_b.universe, system_b.invariants, system_b.actions
+            ),
             system_b.source, system_b.target,
         ),
         rounds=1, iterations=1,

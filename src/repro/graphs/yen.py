@@ -42,16 +42,21 @@ class YenState(Generic[N, L]):
     spur node by found paths sharing the root, and duplicates are dropped
     by their labels: a ``(node, label)`` pair names at most one arc (an
     action id one arc out of a mask), so from the one source the labels
-    fix the nodes.  :meth:`extend` finds one more path; a round
-    (every spur of the last found path) is committed only when it
-    finishes, so a spur query that runs out of budget leaves the state as
-    it was and a later call redoes the round.
+    fix the nodes.  :meth:`extend` finds one more path from one round
+    (every spur of the last found path).  A spur's answer depends only on
+    the found paths, so a round that runs out of budget keeps the spurs
+    it finished and the candidates they gave, and a later call resumes
+    at the spur that ran out; the next path joins :attr:`found` only
+    when its round finishes.
 
     Not thread-safe: :meth:`extend` mutates the state in place, and the
     planner that owns it is used under one lock at a time.
     """
 
-    __slots__ = ("source", "target", "found", "done", "_seen", "_pool", "_order")
+    __slots__ = (
+        "source", "target", "found", "done", "_seen", "_pool", "_order",
+        "_spur", "_fresh",
+    )
 
     def __init__(self, source: N, target: N):
         self.source = source
@@ -62,6 +67,10 @@ class YenState(Generic[N, L]):
         self._seen: Set[Tuple] = set()
         self._pool: List[Tuple] = []
         self._order = 0
+        #: the round in progress: its next spur index, and the candidates
+        #: its finished spurs gave, by labels
+        self._spur = 0
+        self._fresh: Dict[Tuple, Entry] = {}
 
     def extend(self, spur_query: SpurQuery, weight: Callable[[L], float]) -> bool:
         """Find the next path, unless :attr:`done`.
@@ -69,7 +78,7 @@ class YenState(Generic[N, L]):
         *spur_query* answers each banned-set query and reports budget
         exhaustion; *weight* gives an arc's weight by its label (in the
         SAG, the action's cost), which prices a spur's root.  Returns
-        ``False`` when it ran out (the state is unchanged), ``True``
+        ``False`` when it ran out (the round keeps its finished spurs), ``True``
         otherwise: then one path was appended to :attr:`found`, or
         :attr:`done` was set.
         """
@@ -88,8 +97,8 @@ class YenState(Generic[N, L]):
             return True
         _, nodes, labels = found[-1]
         seen = self._seen
-        fresh: Dict[Tuple, Entry] = {}  # this round's candidates, by labels
-        for i in range(len(labels)):
+        fresh = self._fresh
+        for i in range(self._spur, len(labels)):
             root = nodes[: i + 1]
             banned_arcs = {
                 (path[1][i], path[2][i])
@@ -101,6 +110,7 @@ class YenState(Generic[N, L]):
                 continue
             spur, exhausted = spur_query(nodes[i], banned_nodes, banned_arcs)
             if exhausted:
+                self._spur = i
                 return False
             if spur is None:
                 continue
@@ -108,6 +118,7 @@ class YenState(Generic[N, L]):
             if key not in seen and key not in fresh:
                 root_cost = sum(weight(label) for label in labels[:i])
                 fresh[key] = (root_cost + spur.cost, nodes[:i] + spur.nodes, key)
+        self._spur, self._fresh = 0, {}
         pool = self._pool
         for cost, path_nodes, path_labels in fresh.values():
             seen.add(path_labels)

@@ -3,19 +3,18 @@
 Layered sans-io design:
 
 * :mod:`repro.serve.service` — the thread-safe, amortizing
-  :class:`PlanningService` (warm planner caches keyed by spec digest);
+  :class:`PlanningService` and its spec table: one LRU-bounded
+  :class:`SpecEntry` per spec digest (manifest, warm planner, compiled
+  properties, cached plan answers), dropped whole on eviction;
 * :mod:`repro.serve.api` — typed request/response dataclasses and
   :class:`ErrorEnvelope`, the wire vocabulary every transport shares;
-* :mod:`repro.serve.registry` — the LRU-bounded multi-tenant
-  :class:`SpecRegistry` (manifest uploads keyed by digest);
+* :mod:`repro.serve.registry` — :class:`SpecRegistry`, the stateless
+  manifest front of that table (manifest uploads keyed by digest);
 * :mod:`repro.serve.control` — :class:`ControlPlane.dispatch`, the one
   entry point the CLI and the network adapter both answer through;
 * :mod:`repro.serve.http` — the asyncio HTTP/1.1 JSON adapter
   (stdlib-only) with admission control, deadlines, and graceful drain,
   served from one process.
-
-``from repro.serve import PlanningService, spec_digest`` keeps working
-exactly as it did when this package was a single module.
 """
 
 from repro.serve.api import (
@@ -58,10 +57,12 @@ from repro.serve.http import (
     response_status,
     run_server,
 )
-from repro.serve.registry import SpecRecord, SpecRegistry
+from repro.serve.registry import SpecRegistry
 from repro.serve.service import (
     PlanningService,
     ServiceStats,
+    SpecEntry,
+    UnknownSpecError,
     no_safe_path_message,
     spec_digest,
 )
@@ -91,7 +92,7 @@ __all__ = [
     "Response",
     "ServerThread",
     "ServiceStats",
-    "SpecRecord",
+    "SpecEntry",
     "SpecRegistry",
     "StatsRequest",
     "StatsResult",
@@ -99,6 +100,7 @@ __all__ = [
     "TraceCheckResult",
     "TracePropertyInfo",
     "TraceViolationInfo",
+    "UnknownSpecError",
     "VerifyPathsRequest",
     "VerifyPathsResult",
     "create_listen_socket",

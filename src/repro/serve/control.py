@@ -18,11 +18,12 @@ envelope carrying the exception type and message — never a traceback.
 A warm-path **wire cache** (:meth:`plan_wire_fast`) lets the HTTP
 adapter answer repeated ``/v1/plan`` requests with precomputed response
 bytes while still counting the hit in the service's warm statistics —
-this is what carries the single-core throughput target.  Lint has the
-same fast lane (:meth:`lint_wire_fast`): repeated ``/v1/lint`` bodies
-are answered from cached bytes, keyed by the canonical request body and
-pinned to the spec digests of the (strictly loadable) sources so that
-evicting a spec drops every cached lint answer that mentioned it.
+this is what carries the single-core throughput target.  The bytes live
+on the spec's entry in the service's table, beside the planner that
+produced them, and die with it.  Lint has the same fast lane
+(:meth:`lint_wire_fast`): a lint answer is a pure function of the
+request body, so repeated ``/v1/lint`` bodies are answered from bytes
+keyed by the canonical body alone; linting registers no spec.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.errors import (
     UnsafeConfigurationError,
 )
 from repro.ltl.ast import parse_property, property_to_text
+from repro.manifest import SystemManifest
 from repro.serve.api import (
     ErrorEnvelope,
     EvictSpecRequest,
@@ -66,8 +68,13 @@ from repro.serve.api import (
     VerifyPathsRequest,
     VerifyPathsResult,
 )
-from repro.serve.registry import SpecRecord, SpecRegistry
-from repro.serve.service import PlanningService
+from repro.serve.registry import SpecRegistry
+from repro.serve.service import (
+    WIRE_CACHE_LIMIT,
+    PlanningService,
+    SpecEntry,
+    UnknownSpecError,
+)
 from repro.trace import ConfigCommitted, iter_jsonl
 
 
@@ -81,6 +88,14 @@ class _Fail(Exception):
 
 def _fail(code: str, message: str) -> "_Fail":
     return _Fail(code, message)
+
+
+def _answered_by(response: Response, entry: SpecEntry) -> Response:
+    """Tag a cacheable ``/v1/plan`` answer with the spec entry that produced
+    it, so :meth:`ControlPlane.plan_wire_store` caches its bytes there and
+    nowhere else (the tag is not part of the wire form)."""
+    object.__setattr__(response, "_spec_entry", entry)
+    return response
 
 
 def _plan_info(plan: AdaptationPlan) -> PlanInfo:
@@ -157,30 +172,20 @@ _LINT_FIELDS = frozenset((
     "manifest", "sources", "format", "fail_on", "verbose",
     "max_enum_components",
 ))
-_FAST_CACHE_LIMIT = 4096
 
 
 class ControlPlane:
     """Transport-agnostic dispatcher over a service + spec registry.
 
     Args:
-        service: the shared :class:`PlanningService` (one is created
-            when omitted).
-        max_specs: LRU bound on the spec registry.
+        max_specs: LRU bound on the service's spec table.
     """
 
-    def __init__(
-        self,
-        service: Optional[PlanningService] = None,
-        *,
-        max_specs: int = 64,
-    ):
-        self.service = service if service is not None else PlanningService()
-        self.registry = SpecRegistry(self.service, max_specs=max_specs)
-        #: (spec, source, target) → precomputed wire bytes
-        self._fast_cache: Dict[Tuple[str, str, str], bytes] = {}
-        #: canonical /v1/lint body → (wire bytes, spec digests it depends on)
-        self._lint_cache: Dict[str, Tuple[bytes, Tuple[str, ...]]] = {}
+    def __init__(self, *, max_specs: int = 64):
+        self.service = PlanningService(max_specs=max_specs)
+        self.registry = SpecRegistry(self.service)
+        #: canonical /v1/lint body → precomputed wire bytes
+        self._lint_cache: Dict[str, bytes] = {}
         self._lint_hits = 0
         self._handlers: Dict[type, Callable[[Any], Response]] = {
             RegisterSpecRequest: self._handle_register,
@@ -225,12 +230,7 @@ class ControlPlane:
             return ErrorEnvelope("unsafe-configuration", str(exc))
         if isinstance(exc, ReproError):
             return ErrorEnvelope("bad-request", str(exc))
-        if (
-            isinstance(exc, KeyError)
-            and exc.args
-            and isinstance(exc.args[0], str)
-            and "spec digest" in exc.args[0]
-        ):
+        if isinstance(exc, UnknownSpecError):
             return ErrorEnvelope("unknown-spec", exc.args[0])
         if isinstance(exc, FileNotFoundError):
             return ErrorEnvelope("not-found", str(exc))
@@ -241,7 +241,7 @@ class ControlPlane:
     # -- spec resolution ---------------------------------------------------------
     def _resolve_spec(
         self, spec: Optional[str], manifest: Optional[str]
-    ) -> SpecRecord:
+    ) -> Tuple[SpecEntry, SystemManifest]:
         if (spec is None) == (manifest is None):
             raise _fail(
                 "bad-request",
@@ -249,23 +249,26 @@ class ControlPlane:
                 "(inline text) is required",
             )
         if spec is not None:
-            return self.registry.get(spec)  # KeyError → unknown-spec
-        record, _created = self.registry.register(manifest)
-        return record
+            entry = self.registry.get(spec)  # UnknownSpecError → unknown-spec
+        else:
+            entry, _created = self.registry.register(manifest)
+        assert entry.manifest is not None  # the registry's entries carry one
+        return entry, entry.manifest
 
     @staticmethod
-    def _resolve_config(record: SpecRecord, spec: str) -> Configuration:
+    def _resolve_config(manifest: SystemManifest, name: str) -> Configuration:
         try:
-            return record.manifest.resolve_configuration(spec)
+            return manifest.resolve_configuration(name)
         except ReproError as exc:
             raise _fail("unknown-configuration", str(exc)) from exc
 
     # -- handlers ----------------------------------------------------------------
     def _handle_register(self, request: RegisterSpecRequest) -> Response:
-        record, created = self.registry.register(request.manifest)
-        manifest = record.manifest
+        entry, created = self.registry.register(request.manifest)
+        manifest = entry.manifest
+        assert manifest is not None  # registered from manifest text
         return RegisterSpecResult(
-            digest=record.digest,
+            digest=entry.digest,
             components=len(manifest.universe),
             processes=len(manifest.universe.processes()),
             invariants=len(manifest.invariants),
@@ -283,33 +286,38 @@ class ControlPlane:
     def _handle_plan(self, request: PlanRequest) -> Response:
         if request.k < 1:
             raise _fail("bad-request", f"k must be positive, got {request.k}")
-        record = self._resolve_spec(request.spec, request.manifest)
-        source = self._resolve_config(record, request.source)
-        target = self._resolve_config(record, request.target)
-        oversized = self.service.planner_digest(record.digest).oversized
-        plan = self.service.plan_digest(record.digest, source, target)
+        entry, manifest = self._resolve_spec(request.spec, request.manifest)
+        source = self._resolve_config(manifest, request.source)
+        target = self._resolve_config(manifest, request.target)
+        try:
+            plan = self.service.plan_digest(entry.digest, source, target)
+        except NoSafePathError as exc:
+            return _answered_by(ErrorEnvelope("no-safe-path", str(exc)), entry)
         alternates: Tuple[Tuple[Tuple[str, ...], float], ...] = ()
         if request.k > 1:
             alternates = tuple(
                 (alt.action_ids, alt.total_cost)
                 for alt in self.service.plan_k_digest(
-                    record.digest, source, target, request.k
+                    entry.digest, source, target, request.k
                 )
             )
-        return PlanResult(
-            digest=record.digest,
-            plan=_plan_info(plan),
-            method="lazy" if oversized else "dijkstra",
-            alternates=alternates,
+        return _answered_by(
+            PlanResult(
+                digest=entry.digest,
+                plan=_plan_info(plan),
+                method="lazy" if entry.planner.oversized else "dijkstra",
+                alternates=alternates,
+            ),
+            entry,
         )
 
     def _resolve_pairs(
-        self, record: SpecRecord, pairs
+        self, manifest: SystemManifest, pairs
     ) -> List[Tuple[Configuration, Configuration]]:
         return [
             (
-                self._resolve_config(record, source),
-                self._resolve_config(record, target),
+                self._resolve_config(manifest, source),
+                self._resolve_config(manifest, target),
             )
             for source, target in pairs
         ]
@@ -333,11 +341,11 @@ class ControlPlane:
     def _handle_plan_batch(self, request: PlanBatchRequest) -> Response:
         if not request.pairs:
             raise _fail("bad-request", "pairs must not be empty")
-        record = self._resolve_spec(request.spec, request.manifest)
-        pairs = self._resolve_pairs(record, request.pairs)
-        plans = self.service.plan_many_digest(record.digest, pairs)
+        entry, manifest = self._resolve_spec(request.spec, request.manifest)
+        pairs = self._resolve_pairs(manifest, request.pairs)
+        plans = self.service.plan_many_digest(entry.digest, pairs)
         return PlanBatchResult(
-            digest=record.digest,
+            digest=entry.digest,
             results=tuple(
                 self._batch_item(source, target, plan)
                 for (source, target), plan in zip(pairs, plans)
@@ -355,8 +363,8 @@ class ControlPlane:
         ``{"error": ...}`` line and ends the stream.
         """
         try:
-            record = self._resolve_spec(request.spec, request.manifest)
-            pairs = self._resolve_pairs(record, request.pairs)
+            entry, manifest = self._resolve_spec(request.spec, request.manifest)
+            pairs = self._resolve_pairs(manifest, request.pairs)
         except Exception as exc:  # noqa: BLE001 — the envelope boundary
             yield {"error": self._envelope_for(exc).payload()}
             return
@@ -364,7 +372,7 @@ class ControlPlane:
         for source, target in pairs:
             try:
                 plan: Optional[AdaptationPlan] = self.service.plan_digest(
-                    record.digest, source, target
+                    entry.digest, source, target
                 )
             except NoSafePathError:
                 plan = None
@@ -376,7 +384,7 @@ class ControlPlane:
             yield self._batch_item(source, target, plan).payload()
         yield {
             "summary": {
-                "digest": record.digest,
+                "digest": entry.digest,
                 "requested": len(pairs),
                 "reachable": reachable,
             }
@@ -402,10 +410,10 @@ class ControlPlane:
                 f"max_expansions must be positive, "
                 f"got {request.max_expansions}",
             )
-        record = self._resolve_spec(request.spec, request.manifest)
+        entry, manifest = self._resolve_spec(request.spec, request.manifest)
         if request.property_name is not None:
             try:
-                phi = record.manifest.property_named(request.property_name)
+                phi = manifest.property_named(request.property_name)
             except ReproError as exc:
                 raise _fail("unknown-property", str(exc)) from exc
         else:
@@ -413,10 +421,10 @@ class ControlPlane:
                 phi = parse_property(request.formula)
             except ParseError as exc:
                 raise _fail("bad-property", str(exc)) from exc
-        source = self._resolve_config(record, request.source)
-        target = self._resolve_config(record, request.target)
+        source = self._resolve_config(manifest, request.source)
+        target = self._resolve_config(manifest, request.target)
         verdict = self.service.verify_paths_digest(
-            record.digest,
+            entry.digest,
             source,
             target,
             phi,
@@ -425,7 +433,7 @@ class ControlPlane:
             max_expansions=request.max_expansions,
         )
         return VerifyPathsResult(
-            digest=record.digest,
+            digest=entry.digest,
             property_name=request.property_name,
             formula=property_to_text(phi),
             quantifier=verdict.quantifier,
@@ -507,8 +515,7 @@ class ControlPlane:
                 "exactly one of 'trace' (JSONL text) and 'trace_path' "
                 "is required",
             )
-        record = self._resolve_spec(request.spec, request.manifest)
-        manifest = record.manifest
+        entry, manifest = self._resolve_spec(request.spec, request.manifest)
         ltl: Optional[_PropertyCheck] = None
         if request.ltl is not None:
             try:
@@ -517,7 +524,7 @@ class ControlPlane:
                 raise _fail("unknown-property", str(exc)) from exc
             ltl = _PropertyCheck(
                 request.ltl,
-                self.service.compiled_property_digest(record.digest, phi),
+                self.service.compiled_property_digest(entry.digest, phi),
             )
         checker = SafetyChecker(manifest.invariants, universe=manifest.universe)
         stream = checker.streaming()
@@ -546,7 +553,7 @@ class ControlPlane:
             raise _fail("bad-trace", message) from exc
         report = stream.finish()
         return TraceCheckResult(
-            digest=record.digest,
+            digest=entry.digest,
             records=stream.records_seen,
             commits=stream.configurations_checked,
             safety_ok=report.ok,
@@ -583,9 +590,8 @@ class ControlPlane:
         Returns ``None`` whenever the answer is not already cached (or
         the body is anything but a plain digest-addressed single plan) —
         the caller then takes the full decode → dispatch path.  A hit is
-        still counted in the spec's warm statistics, and a hit whose
-        spec has been evicted invalidates itself and falls back, so the
-        cache can never resurrect a dropped spec.
+        still counted in the spec's warm statistics.  The bytes live on
+        the spec's entry, so an evicted spec has none left to serve.
         """
         if not isinstance(payload, dict) or set(payload) - _FAST_FIELDS:
             return None
@@ -599,14 +605,7 @@ class ControlPlane:
             or payload.get("k", 1) != 1
         ):
             return None
-        key = (spec, source, target)
-        wire = self._fast_cache.get(key)
-        if wire is None:
-            return None
-        if not self.service.count_warm_hit(spec):
-            self._fast_cache.pop(key, None)
-            return None
-        return wire
+        return self.service.wire_hit(spec, (source, target))
 
     def plan_wire_store(
         self, payload: Any, response: Response, wire: bytes
@@ -616,22 +615,21 @@ class ControlPlane:
         Only deterministic answers are eligible: a successful single
         plan, or the (equally cacheable) ``no-safe-path`` envelope.
         Transient failures — overload, deadline, unknown spec — never
-        enter the cache.
+        enter the cache.  The bytes go to the entry that produced the
+        answer, and only while it is still registered.
         """
-        if not isinstance(payload, dict) or set(payload) - _FAST_FIELDS:
+        entry = getattr(response, "_spec_entry", None)
+        if (
+            entry is None
+            or not isinstance(payload, dict)
+            or set(payload) - _FAST_FIELDS
+            or payload.get("spec") != entry.digest
+            or payload.get("k", 1) != 1
+        ):
             return
-        spec = payload.get("spec")
-        if not isinstance(spec, str) or payload.get("k", 1) != 1:
-            return
-        cacheable = isinstance(response, PlanResult) or (
-            isinstance(response, ErrorEnvelope)
-            and response.code == "no-safe-path"
+        self.service.store_wire(
+            entry, (payload["source"], payload["target"]), wire
         )
-        if not cacheable:
-            return
-        if len(self._fast_cache) >= _FAST_CACHE_LIMIT:
-            self._fast_cache.clear()
-        self._fast_cache[spec, payload["source"], payload["target"]] = wire
 
     # -- warm-path lint cache ----------------------------------------------------
     @staticmethod
@@ -644,45 +642,20 @@ class ControlPlane:
         except (TypeError, ValueError):
             return None
 
-    @staticmethod
-    def _lint_texts(payload: Dict[str, Any]) -> List[str]:
-        """The manifest texts a ``/v1/lint`` body carries (shape-tolerant)."""
-        texts: List[str] = []
-        if isinstance(payload.get("manifest"), str):
-            texts.append(payload["manifest"])
-        sources = payload.get("sources")
-        if isinstance(sources, list):
-            for entry in sources:
-                if isinstance(entry, str):
-                    texts.append(entry)
-                elif isinstance(entry, dict) and isinstance(
-                    entry.get("text"), str
-                ):
-                    texts.append(entry["text"])
-        return texts
-
     def lint_wire_fast(self, payload: Any) -> Optional[bytes]:
         """Precomputed response bytes for a warm ``/v1/lint`` body.
 
-        Lint is deterministic, so identical bodies always produce
-        identical reports — the cache answers them without re-running
-        the analyzer.  Each entry is pinned to the spec digests of the
-        sources that loaded strictly at store time; evicting any of
-        those specs (``DELETE /v1/specs/<digest>`` or registry LRU
-        pressure) invalidates the entry, so a dropped spec can never
-        keep serving stale lint bytes.
+        Lint is deterministic and reads nothing but the body, so
+        identical bodies always produce identical reports — the cache
+        answers them without re-running the analyzer, whatever specs
+        are registered or evicted in between.
         """
         key = self._lint_key(payload)
         if key is None:
             return None
-        entry = self._lint_cache.get(key)
-        if entry is None:
-            return None
-        wire, digests = entry
-        if any(not self.service.has_spec(digest) for digest in digests):
-            self._lint_cache.pop(key, None)
-            return None
-        self._lint_hits += 1
+        wire = self._lint_cache.get(key)
+        if wire is not None:
+            self._lint_hits += 1
         return wire
 
     def lint_wire_store(
@@ -692,22 +665,11 @@ class ControlPlane:
 
         Only successful reports are eligible; error envelopes (bad
         format, malformed body) are cheap to recompute and never enter
-        the cache.  Sources that load strictly are registered so the
-        entry's lifetime is tied to their spec digests; defective
-        sources — lint's bread and butter — contribute no digest and the
-        entry simply lives until the cache is cleared by size pressure.
+        the cache.  Past the bound, the cache is cleared whole.
         """
         key = self._lint_key(payload)
         if key is None or not isinstance(response, LintResult):
             return
-        digests: List[str] = []
-        for text in self._lint_texts(payload):
-            try:
-                record, _ = self.registry.register(text)
-            except Exception:  # noqa: BLE001 — defective manifests are fine
-                continue
-            if record.digest not in digests:
-                digests.append(record.digest)
-        if len(self._lint_cache) >= _FAST_CACHE_LIMIT:
+        if len(self._lint_cache) >= WIRE_CACHE_LIMIT:
             self._lint_cache.clear()
-        self._lint_cache[key] = (wire, tuple(digests))
+        self._lint_cache[key] = wire

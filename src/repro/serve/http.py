@@ -34,7 +34,7 @@ Operational behavior:
   requests drain (bounded by ``drain_timeout``), then connections
   close.
 
-One serving process holds one registry and one set of counters; see
+One serving process holds one spec table and one set of counters; see
 DESIGN.md §16 for what it would take to bring back several.
 """
 

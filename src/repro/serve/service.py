@@ -1,34 +1,42 @@
-"""PlanningService: a thread-safe, amortizing front end over planners.
+"""PlanningService: the one spec table, and a thread-safe front end over it.
 
 The ROADMAP north star is serving heavy adaptation-request traffic: many
 concurrent ``(source, target)`` requests against the *same* compiled
 ``(S, I, T, A)`` spec.  Building a fresh :class:`AdaptationPlanner` per
 request re-derives the safe space, the SAG, and every shortest path from
-scratch; the service instead keys one shared planner per spec by a
+scratch; the service instead keys one :class:`SpecEntry` per spec by a
 **content hash** of the spec itself — so two callers handing in equal
 specs (even separately constructed objects) land on the same warm
 space + SAG + shortest-path-tree caches.
 
-Concurrency model (lock-per-spec, lock-free warm reads):
+The digest → entry table is the only per-spec map in :mod:`repro.serve`.
+An entry holds everything kept for its spec: the parsed manifest (when
+it was registered from manifest text), the planner with its cold lock
+and counters, the compiled properties, and the wire bytes of its cached
+``/v1/plan`` answers.  The table is LRU-bounded (``max_specs``), and an
+eviction drops the entry whole, so nothing of an evicted spec can be
+served after it, not even to a later spec with the same digest.
 
-* the service-level registry lock is held only to look up / create a
-  spec entry — never while planning;
-* each spec entry owns an ``RLock`` serializing *cold* work (safe-space
+Concurrency model (one table lock, lock-per-spec, lock-free warm reads):
+
+* the table lock is held only to look up, create, refresh or drop an
+  entry — never while planning;
+* each entry owns an ``RLock`` serializing *cold* work (safe-space
   enumeration, SAG build, Dijkstra) for that spec only — concurrent
   traffic against different specs never contends;
-* warm reads bypass the lock entirely: a planned pair is served from
-  :meth:`AdaptationPlanner.peek_plan`, a single dict lookup that is safe
-  under the GIL because plan caches only ever grow;
+* warm reads bypass the locks entirely: a planned pair is served from
+  :meth:`AdaptationPlanner.peek_plan`, and a cached answer from
+  :meth:`PlanningService.wire_hit`, plain dict lookups that are safe
+  under the GIL;
 * counters are bumped (and snapshotted) under a dedicated per-entry
   ``stats_lock`` so accounting is **exact** under concurrency: every
   request is counted exactly once as warm, cold, or lazy, and
   :meth:`stats` returns a consistent snapshot rather than a torn read.
 
-The service is also addressable **by digest** (:meth:`register`,
-:meth:`plan_digest`, :meth:`evict`, ...) so network front ends — the
-:class:`~repro.serve.control.ControlPlane` and its HTTP adapter — can
-resolve a spec once at registration time and skip re-hashing the spec
-on every request.
+Every request names its spec by digest (:meth:`register`, then
+:meth:`plan_digest`, :meth:`verify_paths_digest`, ...), so network front
+ends — the :class:`~repro.serve.control.ControlPlane` and its HTTP
+adapter — resolve a spec once at registration time and never re-hash it.
 """
 
 from __future__ import annotations
@@ -36,8 +44,9 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.actions import ActionLibrary
 from repro.core.invariants import InvariantSet
@@ -47,8 +56,15 @@ from repro.errors import NoSafePathError
 from repro.expr.ast import to_text
 from repro.ltl.ast import PFormula, property_to_text
 from repro.ltl.compile import CompiledProperty
-from repro.ltl.paths import PathVerdict, check_plan
+from repro.ltl.paths import PathVerdict
 from repro.ltl.paths import verify_paths as _verify_paths
+
+if TYPE_CHECKING:
+    from repro.manifest import SystemManifest
+
+#: bound on the cached plan answers of all specs together (and, in the
+#: control plane, on cached lint answers); a full cache is cleared whole
+WIRE_CACHE_LIMIT = 4096
 
 
 def spec_digest(
@@ -90,6 +106,13 @@ def no_safe_path_message(source: Configuration, target: Configuration) -> str:
     )
 
 
+class UnknownSpecError(KeyError):
+    """No spec is registered under a digest (the wire's ``unknown-spec``)."""
+
+    def __init__(self, digest: str):
+        super().__init__(f"unknown spec digest {digest!r}")
+
+
 @dataclass
 class ServiceStats:
     """Counters for one service (snapshot; see :meth:`PlanningService.stats`)."""
@@ -100,25 +123,36 @@ class ServiceStats:
     lazy_plans: int = 0
     #: path-quantified verifications served from a warm compiled property
     verify_hits: int = 0
-    #: spec entries dropped via :meth:`PlanningService.evict`
+    #: spec entries dropped by eviction (explicit or LRU)
     evictions: int = 0
 
 
-class _SpecEntry:
-    """One spec's shared planner plus its cold-path lock and counters."""
+class SpecEntry:
+    """One registered spec: everything the service keeps for its digest."""
 
     __slots__ = (
+        "digest",
+        "manifest",
         "planner",
         "lock",
         "stats_lock",
         "warm_hits",
         "cold_plans",
         "lazy_plans",
-        "properties",
         "verify_hits",
+        "properties",
+        "wire",
     )
 
-    def __init__(self, planner: AdaptationPlanner):
+    def __init__(
+        self,
+        digest: str,
+        manifest: Optional["SystemManifest"],
+        planner: AdaptationPlanner,
+    ):
+        self.digest = digest
+        #: the parsed manifest (``None`` for a spec registered from objects)
+        self.manifest = manifest
         self.planner = planner
         #: serializes cold work (enumeration, SAG build, Dijkstra)
         self.lock = threading.RLock()
@@ -127,9 +161,11 @@ class _SpecEntry:
         self.warm_hits = 0
         self.cold_plans = 0
         self.lazy_plans = 0
+        self.verify_hits = 0
         #: compiled-property cache, keyed by the canonical formula text
         self.properties: Dict[str, CompiledProperty] = {}
-        self.verify_hits = 0
+        #: (source, target) names → the wire bytes of this spec's answer
+        self.wire: Dict[Tuple[str, str], bytes] = {}
 
     def count(self, counter: str, amount: int = 1) -> None:
         with self.stats_lock:
@@ -143,7 +179,7 @@ class _SpecEntry:
                 "cold_plans": self.cold_plans,
                 "lazy_plans": self.lazy_plans,
                 "verify_hits": self.verify_hits,
-                "properties": len(self.properties),
+                "compiled_properties": len(self.properties),
             }
 
 
@@ -160,18 +196,26 @@ class PlanningService:
 
     Args:
         spt_cache_size: per-planner bound on cached shortest-path trees.
+        max_specs: LRU bound on registered specs (≥ 1); registering past
+            it evicts the least-recently-used spec.
     """
 
     def __init__(
         self,
         spt_cache_size: int = AdaptationPlanner.SPT_CACHE_SIZE,
+        max_specs: int = 64,
     ):
+        if max_specs < 1:
+            raise ValueError(f"max_specs must be >= 1, got {max_specs}")
         self.spt_cache_size = spt_cache_size
-        self._registry_lock = threading.Lock()
-        self._specs: Dict[str, _SpecEntry] = {}
+        self.max_specs = max_specs
+        self._lock = threading.Lock()
+        self._specs: "OrderedDict[str, SpecEntry]" = OrderedDict()
         self._evictions = 0
+        #: cached plan answers across every entry's ``wire``
+        self._wire_answers = 0
 
-    # -- spec registry -----------------------------------------------------------
+    # -- the spec table ----------------------------------------------------------
     def register(
         self,
         universe: ComponentUniverse,
@@ -181,70 +225,93 @@ class PlanningService:
         """Ensure a spec entry exists; returns its content digest.
 
         Idempotent: registering an equal spec again lands on the same
-        warm entry.  Front ends keep the digest and address every later
-        request through the ``*_digest`` methods, skipping the per-call
-        spec hashing the object-keyed methods pay.
+        warm entry.  Callers keep the digest and address every later
+        request through the ``*_digest`` methods.
+        """
+        return self.admit(universe, invariants, actions)[0].digest
+
+    def admit(
+        self,
+        universe: ComponentUniverse,
+        invariants: InvariantSet,
+        actions: ActionLibrary,
+        manifest: Optional["SystemManifest"] = None,
+    ) -> Tuple[SpecEntry, bool]:
+        """The spec's entry, made on first use, and whether it was made.
+
+        Refreshes the spec in LRU order; a new entry past ``max_specs``
+        evicts the least recently used one.  A *manifest* given for an
+        entry registered from objects attaches to it, which counts as
+        made: the spec is new to manifest callers.
         """
         digest = spec_digest(universe, invariants, actions)
-        self._ensure_entry(digest, universe, invariants, actions)
-        return digest
+        with self._lock:
+            entry = self._specs.get(digest)
+            if entry is not None:
+                self._specs.move_to_end(digest)
+                if manifest is None or entry.manifest is not None:
+                    return entry, False
+                entry.manifest = manifest
+                return entry, True
+            entry = SpecEntry(
+                digest,
+                manifest,
+                AdaptationPlanner(
+                    universe,
+                    invariants,
+                    actions,
+                    spt_cache_size=self.spt_cache_size,
+                ),
+            )
+            self._specs[digest] = entry
+            # the victims are freed (planner and all) on return, after
+            # the lock is released
+            victims = [
+                self._drop(next(iter(self._specs)))
+                for _ in range(len(self._specs) - self.max_specs)
+            ]
+        return entry, True
 
-    def has_spec(self, digest: str) -> bool:
-        return digest in self._specs
+    def touch(self, digest: str) -> SpecEntry:
+        """The entry for *digest*, refreshed in LRU order.
 
-    def digests(self) -> Tuple[str, ...]:
-        with self._registry_lock:
-            return tuple(self._specs)
-
-    def evict(self, digest: str) -> bool:
-        """Drop a spec entry (and its warm caches); True when it existed."""
-        with self._registry_lock:
-            existed = self._specs.pop(digest, None) is not None
-            if existed:
-                self._evictions += 1
-        return existed
-
-    def _ensure_entry(
-        self,
-        digest: str,
-        universe: ComponentUniverse,
-        invariants: InvariantSet,
-        actions: ActionLibrary,
-    ) -> _SpecEntry:
-        entry = self._specs.get(digest)  # lock-free fast path (dict read)
-        if entry is not None:
-            return entry
-        with self._registry_lock:
+        Raises :class:`UnknownSpecError` when absent.
+        """
+        with self._lock:
             entry = self._specs.get(digest)
             if entry is None:
-                entry = _SpecEntry(
-                    AdaptationPlanner(
-                        universe,
-                        invariants,
-                        actions,
-                        spt_cache_size=self.spt_cache_size,
-                    )
-                )
-                self._specs[digest] = entry
+                raise UnknownSpecError(digest)
+            self._specs.move_to_end(digest)
+            return entry
+
+    def evict(self, digest: str) -> bool:
+        """Drop a spec entry (and all it holds); True when it existed."""
+        with self._lock:
+            victim = self._drop(digest)
+        return victim is not None  # the victim is freed after the lock
+
+    def _drop(self, digest: str) -> Optional[SpecEntry]:
+        """Pop *digest* from the table (the caller holds the table lock)."""
+        entry = self._specs.pop(digest, None)
+        if entry is not None:
+            self._evictions += 1
+            self._wire_answers -= len(entry.wire)
         return entry
 
-    def _entry_for(
-        self,
-        universe: ComponentUniverse,
-        invariants: InvariantSet,
-        actions: ActionLibrary,
-    ) -> _SpecEntry:
-        return self._ensure_entry(
-            spec_digest(universe, invariants, actions),
-            universe,
-            invariants,
-            actions,
-        )
+    def entries(self) -> List[SpecEntry]:
+        """The registered entries, least recently used first."""
+        with self._lock:
+            return list(self._specs.values())
 
-    def _entry(self, digest: str) -> _SpecEntry:
+    def digests(self) -> Tuple[str, ...]:
+        with self._lock:
+            return tuple(self._specs)
+
+    def _entry(self, digest: str) -> SpecEntry:
+        """Lock-free, LRU-neutral lookup for the request paths."""
         entry = self._specs.get(digest)
         if entry is None:
-            raise KeyError(f"unknown spec digest {digest!r}")
+            raise UnknownSpecError(digest)
         return entry
 
     def planner_for(
@@ -253,54 +320,68 @@ class PlanningService:
         invariants: InvariantSet,
         actions: ActionLibrary,
     ) -> AdaptationPlanner:
-        """The shared planner for this spec (created on first use).
+        """The shared planner for this spec (registered on first use).
 
         Callers holding a planner directly (e.g. a manager runtime) get
         the warm caches but bypass the service's cold-path lock — fine
         for a single-threaded runtime loop, not for concurrent callers.
         """
-        return self._entry_for(universe, invariants, actions).planner
+        return self.admit(universe, invariants, actions)[0].planner
 
-    def planner_digest(self, digest: str) -> AdaptationPlanner:
-        """:meth:`planner_for` addressed by digest (``KeyError`` when unknown)."""
-        return self._entry(digest).planner
+    # -- cached plan answers -----------------------------------------------------
+    def wire_hit(self, digest: str, key: Tuple[str, str]) -> Optional[bytes]:
+        """The cached answer bytes for a pair of a spec, or ``None``.
+
+        For front-end wire caches: a hit is counted as a warm hit of the
+        spec, takes no lock but the counter's and leaves the LRU order
+        alone.
+        """
+        entry = self._specs.get(digest)
+        if entry is None:
+            return None
+        wire = entry.wire.get(key)
+        if wire is not None:
+            entry.count("warm_hits")
+        return wire
+
+    def store_wire(
+        self, entry: SpecEntry, key: Tuple[str, str], wire: bytes
+    ) -> None:
+        """Cache the answer bytes *entry* produced for a pair.
+
+        Kept only while *entry* is the registered one: bytes of an
+        evicted entry are dropped, even when an equal spec has been
+        registered since (its configuration names may differ).  Past
+        :data:`WIRE_CACHE_LIMIT` answers, every entry's cache is cleared.
+        """
+        with self._lock:
+            if self._specs.get(entry.digest) is not entry:
+                return
+            if self._wire_answers >= WIRE_CACHE_LIMIT:
+                for live in self._specs.values():
+                    live.wire.clear()
+                self._wire_answers = 0
+            if key not in entry.wire:
+                self._wire_answers += 1
+            entry.wire[key] = wire
 
     # -- planning ----------------------------------------------------------------
-    def plan(
-        self,
-        universe: ComponentUniverse,
-        invariants: InvariantSet,
-        actions: ActionLibrary,
-        source: Configuration,
-        target: Configuration,
-    ) -> AdaptationPlan:
-        """One MAP request against the shared spec caches.
-
-        Warm pairs return without taking any lock; cold pairs serialize
-        on the spec's lock (one Dijkstra, then every waiter reads the
-        fresh cache entry).
-
-        Raises like :meth:`AdaptationPlanner.plan` (unsafe endpoints,
-        unreachable target).
-        """
-        entry = self._entry_for(universe, invariants, actions)
-        return self._plan_entry(entry, source, target)
-
     def plan_digest(
         self,
         digest: str,
         source: Configuration,
         target: Configuration,
     ) -> AdaptationPlan:
-        """:meth:`plan` addressed by digest (``KeyError`` when unknown)."""
-        return self._plan_entry(self._entry(digest), source, target)
+        """One MAP request against the spec's shared caches.
 
-    def _plan_entry(
-        self,
-        entry: _SpecEntry,
-        source: Configuration,
-        target: Configuration,
-    ) -> AdaptationPlan:
+        Warm pairs return without taking any lock; cold pairs serialize
+        on the spec's lock (one Dijkstra, then every waiter reads the
+        fresh cache entry).
+
+        Raises like :meth:`AdaptationPlanner.plan` (unsafe endpoints,
+        unreachable target), and :class:`UnknownSpecError`.
+        """
+        entry = self._entry(digest)
         hit, plan = entry.planner.peek_plan(source, target)
         if hit:
             entry.count("warm_hits")
@@ -324,50 +405,19 @@ class PlanningService:
             entry.count("cold_plans")
             return entry.planner.plan(source, target)
 
-    def count_warm_hit(self, digest: str) -> bool:
-        """Credit one warm hit to *digest*; False when the spec is gone.
-
-        For front-end wire caches that answer repeated requests from
-        precomputed bytes: the response bypasses the planner, but the
-        traffic still shows up in the spec's warm statistics — and a
-        ``False`` return tells the cache its spec was evicted.
-        """
-        entry = self._specs.get(digest)
-        if entry is None:
-            return False
-        entry.count("warm_hits")
-        return True
-
-    def plan_many(
+    def plan_many_digest(
         self,
-        universe: ComponentUniverse,
-        invariants: InvariantSet,
-        actions: ActionLibrary,
+        digest: str,
         pairs: Sequence[Tuple[Configuration, Configuration]],
     ) -> List[Optional[AdaptationPlan]]:
-        """Batched MAP solving against the shared spec caches.
+        """Batched MAP solving against the spec's shared caches.
 
         Semantics follow :meth:`AdaptationPlanner.plan_many`: one result
         per request in input order, ``None`` for unreachable pairs.
         Oversized specs answer each pair via the lazy frontier search
         (unsafe endpoints still raise; unreachable pairs yield ``None``).
         """
-        entry = self._entry_for(universe, invariants, actions)
-        return self._plan_many_entry(entry, pairs)
-
-    def plan_many_digest(
-        self,
-        digest: str,
-        pairs: Sequence[Tuple[Configuration, Configuration]],
-    ) -> List[Optional[AdaptationPlan]]:
-        """:meth:`plan_many` addressed by digest (``KeyError`` when unknown)."""
-        return self._plan_many_entry(self._entry(digest), pairs)
-
-    def _plan_many_entry(
-        self,
-        entry: _SpecEntry,
-        pairs: Sequence[Tuple[Configuration, Configuration]],
-    ) -> List[Optional[AdaptationPlan]]:
+        entry = self._entry(digest)
         with entry.lock:
             if entry.planner.oversized:
                 entry.count("lazy_plans", len(pairs))
@@ -400,15 +450,19 @@ class PlanningService:
             return list(entry.planner.plan_k(source, target, k))
 
     # -- temporal verification ---------------------------------------------------
-    def _compiled_property(
-        self, entry: _SpecEntry, phi: PFormula
+    def compiled_property_digest(
+        self, digest: str, phi: PFormula
     ) -> CompiledProperty:
         """The spec's compiled form of *phi* (compiled once, then warm).
 
         Keyed by the canonical formula text, so structurally equal
         formulas — even separately constructed objects — share one
-        compilation per spec digest.  Warm lookups bump ``verify_hits``.
+        compilation per spec.  Warm lookups bump ``verify_hits``.
         """
+        return self._compiled_property(self._entry(digest), phi)
+
+    @staticmethod
+    def _compiled_property(entry: SpecEntry, phi: PFormula) -> CompiledProperty:
         key = property_to_text(phi)
         compiled = entry.properties.get(key)  # lock-free (dict only grows)
         if compiled is not None:
@@ -423,37 +477,6 @@ class PlanningService:
                 entry.properties[key] = compiled
         return compiled
 
-    def compiled_property_digest(
-        self, digest: str, phi: PFormula
-    ) -> CompiledProperty:
-        """Per-digest compiled-property cache (``KeyError`` when unknown)."""
-        return self._compiled_property(self._entry(digest), phi)
-
-    def verify_paths(
-        self,
-        universe: ComponentUniverse,
-        invariants: InvariantSet,
-        actions: ActionLibrary,
-        source: Configuration,
-        target: Configuration,
-        phi: PFormula,
-        quantifier: str = "all",
-        k: Optional[int] = None,
-        max_expansions: Optional[int] = None,
-    ) -> PathVerdict:
-        """Path-quantified verification against the shared spec caches.
-
-        Semantics of :func:`repro.ltl.paths.verify_paths`, with the
-        service's amortization on top: the property compiles once per
-        spec digest, the path enumeration reuses (and feeds) the shared
-        plan caches, and oversized specs route to the lazy frontier
-        exactly as :meth:`plan` does.
-        """
-        entry = self._entry_for(universe, invariants, actions)
-        return self._verify_entry(
-            entry, source, target, phi, quantifier, k, max_expansions
-        )
-
     def verify_paths_digest(
         self,
         digest: str,
@@ -464,27 +487,15 @@ class PlanningService:
         k: Optional[int] = None,
         max_expansions: Optional[int] = None,
     ) -> PathVerdict:
-        """:meth:`verify_paths` addressed by digest (``KeyError`` when unknown)."""
-        return self._verify_entry(
-            self._entry(digest),
-            source,
-            target,
-            phi,
-            quantifier,
-            k,
-            max_expansions,
-        )
+        """Path-quantified verification against the spec's shared caches.
 
-    def _verify_entry(
-        self,
-        entry: _SpecEntry,
-        source: Configuration,
-        target: Configuration,
-        phi: PFormula,
-        quantifier: str,
-        k: Optional[int],
-        max_expansions: Optional[int],
-    ) -> PathVerdict:
+        Semantics of :func:`repro.ltl.paths.verify_paths`, with the
+        service's amortization on top: the property compiles once per
+        spec, the path enumeration reuses (and feeds) the shared plan
+        caches, and oversized specs route to the lazy frontier exactly
+        as :meth:`plan_digest` does.
+        """
+        entry = self._entry(digest)
         compiled = self._compiled_property(entry, phi)
         with entry.lock:
             return _verify_paths(
@@ -498,43 +509,15 @@ class PlanningService:
                 compiled=compiled,
             )
 
-    def check_plans(
-        self,
-        universe: ComponentUniverse,
-        invariants: InvariantSet,
-        actions: ActionLibrary,
-        pairs: Sequence[Tuple[Configuration, Configuration]],
-        phi: PFormula,
-    ) -> List[Optional[Tuple[AdaptationPlan, Optional[int]]]]:
-        """Batch-check φ along the MAP of every request pair.
-
-        Plans the batch via :meth:`plan_many`, then evaluates the
-        compiled property along each resulting plan's committed
-        configurations.  One result per pair, in input order:
-        ``None`` for unreachable pairs, else ``(plan, violation)``
-        where *violation* is the index of the first committed
-        configuration falsifying φ (``None`` when the plan satisfies
-        it end to end).
-        """
-        entry = self._entry_for(universe, invariants, actions)
-        compiled = self._compiled_property(entry, phi)
-        plans = self._plan_many_entry(entry, pairs)
-        return [
-            None
-            if plan is None
-            else (plan, check_plan(compiled, entry.planner, plan))
-            for plan in plans
-        ]
-
     # -- introspection -----------------------------------------------------------
     def stats(self) -> ServiceStats:
         """Aggregate counters across every registered spec.
 
         Consistent under concurrent mutation: the entry list is copied
-        under the registry lock, then each entry's counters are read
+        under the table lock, then each entry's counters are read
         atomically under its ``stats_lock`` — no torn warm/cold reads.
         """
-        with self._registry_lock:
+        with self._lock:
             entries = list(self._specs.values())
             evictions = self._evictions
         snapshots = [entry.snapshot() for entry in entries]
@@ -546,14 +529,3 @@ class PlanningService:
             verify_hits=sum(s["verify_hits"] for s in snapshots),
             evictions=evictions,
         )
-
-    def spec_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-spec counter snapshots keyed by digest (each consistent)."""
-        with self._registry_lock:
-            items = list(self._specs.items())
-        out: Dict[str, Dict[str, int]] = {}
-        for digest, entry in items:
-            snap = entry.snapshot()
-            snap["components"] = len(entry.planner.universe)
-            out[digest] = snap
-        return out

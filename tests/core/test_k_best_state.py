@@ -108,6 +108,21 @@ class TestFleet30Repeats:
             lengths.append(len(plans))
         assert complete and lengths == [4, 6, 7, 8]
 
+    def test_a_budget_below_one_round_still_advances(self, fleet):
+        """A budget smaller than one Yen round: each cut round keeps the
+        spurs it finished, so repeats resume the round instead of redoing
+        it, and reach the unbudgeted list, identical and in order."""
+        source, target = _endpoints(fleet)
+        fresh, _ = fleet.planner().lazy_plan_k(source, target, 8)
+        planner = fleet.planner()
+        lengths = []
+        for _ in range(12):
+            plans, complete = planner.lazy_plan_k(source, target, 8, max_expansions=40)
+            assert _signatures(plans) == _signatures(fresh[: len(plans)])
+            lengths.append(len(plans))
+        assert lengths == sorted(lengths) and lengths[-1] == 8
+        assert complete and _signatures(plans) == _signatures(fresh)
+
 
 def _arc_source_planners(system):
     """Planners reading the implicit SAG's arcs off the collaborative
@@ -187,3 +202,40 @@ def test_call_sequences_match_the_oracle(seed, calls, order, pair_draws):
             else:
                 assert budget is not None and len(got) < k
                 assert got == want[: len(got)]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=5_000),
+    budgets=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=12),
+    pair_index=st.integers(min_value=0, max_value=2),
+)
+@settings(max_examples=60, deadline=None)
+def test_budget_sequences_read_prefixes_of_the_oracle(seed, budgets, pair_index):
+    """Any sequence of budgeted queries on one pair answers prefixes of
+    the unbudgeted list, never shrinking, and an unbudgeted query after
+    them equals it: a cut round resumes at the spur that ran out."""
+    system = random_system(seed, n_components=6, n_invariants=2, n_actions=12)
+    reference = AdaptationPlanner(system.universe, system.invariants, system.actions)
+    safe = reference.space.enumerate()
+    candidates = [(s, t) for s in safe for t in safe if s != t]
+    reachable = [
+        pair for pair, plan in zip(candidates, reference.plan_many(candidates))
+        if plan is not None
+    ]
+    if not reachable:
+        return
+    pair = reachable[pair_index * len(reachable) // 3]
+    want = _signatures(reference_plan_k(reference, *pair, 8))
+    for planner in _arc_source_planners(system):
+        longest = 0
+        for budget in budgets:
+            plans, complete = planner.lazy_plan_k(*pair, 8, max_expansions=budget)
+            got = _signatures(plans)
+            assert got == want[: len(got)]
+            assert len(got) >= longest
+            # complete means the list is known to end here
+            assert not complete or len(got) == len(want)
+            assert complete or len(got) < 8
+            longest = len(got)
+        plans, complete = planner.lazy_plan_k(*pair, 8)
+        assert complete and _signatures(plans) == want

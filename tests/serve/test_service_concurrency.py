@@ -153,12 +153,17 @@ class TestBuildOnce:
         assert service.stats().specs == 1
 
     def test_count_warm_hit_only_credits_live_specs(self, spec):
+        """A cached wire answer counts as a warm hit of its live spec; once
+        the spec is evicted there is neither an answer nor a count."""
         manifest, _, _ = spec
         service = PlanningService()
-        digest = service.register(
+        entry, _ = service.admit(
             manifest.universe, manifest.invariants, manifest.actions
         )
-        assert service.count_warm_hit(digest) is True
+        service.store_wire(entry, ("source", "target"), b"answer")
+        assert service.wire_hit(entry.digest, ("source", "target")) == b"answer"
+        assert service.wire_hit(entry.digest, ("target", "source")) is None
         assert service.stats().warm_hits == 1
-        service.evict(digest)
-        assert service.count_warm_hit(digest) is False
+        service.evict(entry.digest)
+        assert service.wire_hit(entry.digest, ("source", "target")) is None
+        assert service.stats().warm_hits == 0  # the counts left with the entry

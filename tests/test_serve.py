@@ -17,7 +17,7 @@ from repro.cli import main
 from repro.core.planner import AdaptationPlanner
 from repro.errors import NoSafePathError
 from repro.manifest import video_manifest_text
-from repro.serve import PlanningService, spec_digest
+from repro.serve import PlanningService, UnknownSpecError, spec_digest
 
 
 def run_cli(*argv):
@@ -72,30 +72,33 @@ class TestPlanningService:
     def test_plan_matches_direct_planner(self, video_spec):
         universe, invariants, actions = video_spec
         service = PlanningService()
+        digest = service.register(universe, invariants, actions)
         source, target = paper_source(universe), paper_target(universe)
-        plan = service.plan(universe, invariants, actions, source, target)
+        plan = service.plan_digest(digest, source, target)
         assert plan.total_cost == 50.0
         # second call is a warm hit serving the identical object
-        assert service.plan(universe, invariants, actions, source, target) is plan
+        assert service.plan_digest(digest, source, target) is plan
         stats = service.stats()
         assert stats.warm_hits >= 1 and stats.cold_plans >= 1
 
     def test_unreachable_raises_warm_and_cold(self, video_spec):
         universe, invariants, actions = video_spec
         service = PlanningService()
+        digest = service.register(universe, invariants, actions)
         source, target = paper_source(universe), paper_target(universe)
         with pytest.raises(NoSafePathError):
-            service.plan(universe, invariants, actions, target, source)
+            service.plan_digest(digest, target, source)
         # now cached as unreachable; the warm path must raise too
         with pytest.raises(NoSafePathError):
-            service.plan(universe, invariants, actions, target, source)
+            service.plan_digest(digest, target, source)
 
     def test_plan_many_through_service(self, video_spec):
         universe, invariants, actions = video_spec
         service = PlanningService()
+        digest = service.register(universe, invariants, actions)
         source, target = paper_source(universe), paper_target(universe)
-        plans = service.plan_many(
-            universe, invariants, actions, [(source, target), (target, source)]
+        plans = service.plan_many_digest(
+            digest, [(source, target), (target, source)]
         )
         assert plans[0] is not None and plans[0].total_cost == 50.0
         assert plans[1] is None  # the video SAG is one-way
@@ -109,9 +112,8 @@ class TestPlanningService:
         def hammer():
             try:
                 for _ in range(20):
-                    plan = service.plan(
-                        universe, invariants, actions, source, target
-                    )
+                    digest = service.register(universe, invariants, actions)
+                    plan = service.plan_digest(digest, source, target)
                     results.append(plan.action_ids)
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
@@ -124,6 +126,23 @@ class TestPlanningService:
         assert not errors
         assert len(set(results)) == 1  # every caller saw the same MAP
         assert service.stats().specs == 1
+
+    def test_unknown_digest_is_a_typed_key_error(self):
+        service = PlanningService()
+        with pytest.raises(UnknownSpecError, match="unknown spec digest 'x'"):
+            service.plan_digest("x", None, None)
+        assert issubclass(UnknownSpecError, KeyError)
+
+    def test_object_specs_count_against_the_lru_bound(self):
+        from repro.bench.workloads import replicated_video_system
+
+        service = PlanningService(max_specs=2)
+        digests = [
+            service.register(system.universe, system.invariants, system.actions)
+            for system in map(replicated_video_system, (1, 2, 3))
+        ]
+        assert service.digests() == tuple(digests[1:])
+        assert service.stats().evictions == 1
 
 
 class TestCliBatch:
@@ -183,15 +202,14 @@ class TestLazyRouting:
 
         return replicated_video_system(4)  # 28 components > LAZY_PLAN_COMPONENTS
 
+    @staticmethod
+    def _register(service, system):
+        return service.register(system.universe, system.invariants, system.actions)
+
     def test_oversized_spec_uses_lazy_plan(self, big_system):
         service = PlanningService()
-        plan = service.plan(
-            big_system.universe,
-            big_system.invariants,
-            big_system.actions,
-            big_system.source,
-            big_system.target,
-        )
+        digest = self._register(service, big_system)
+        plan = service.plan_digest(digest, big_system.source, big_system.target)
         assert plan.total_cost == 200.0
         stats = service.stats()
         assert stats.lazy_plans == 1
@@ -204,15 +222,10 @@ class TestLazyRouting:
 
     def test_oversized_warm_hit_still_served_from_cache(self, big_system):
         service = PlanningService()
-        args = (
-            big_system.universe,
-            big_system.invariants,
-            big_system.actions,
-            big_system.source,
-            big_system.target,
-        )
-        first = service.plan(*args)
-        assert service.plan(*args) is first
+        digest = self._register(service, big_system)
+        args = (digest, big_system.source, big_system.target)
+        first = service.plan_digest(*args)
+        assert service.plan_digest(*args) is first
         stats = service.stats()
         assert stats.lazy_plans == 1 and stats.warm_hits == 1
 
@@ -222,8 +235,8 @@ class TestLazyRouting:
             (big_system.source, big_system.target),
             (big_system.target, big_system.source),  # one-way SAG: unreachable
         ]
-        results = service.plan_many(
-            big_system.universe, big_system.invariants, big_system.actions, pairs
+        results = service.plan_many_digest(
+            self._register(service, big_system), pairs
         )
         assert results[0] is not None and results[0].total_cost == 200.0
         assert results[1] is None
@@ -242,21 +255,19 @@ class TestTemporalVerification:
         direct = verify_paths(
             AdaptationPlanner(universe, invariants, actions), source, target, phi
         )
-        via_service = PlanningService().verify_paths(
-            universe, invariants, actions, source, target, phi
-        )
+
+        def via_service():
+            service = PlanningService()
+            digest = service.register(universe, invariants, actions)
+            return service.verify_paths_digest(digest, source, target, phi)
+
+        eager = via_service()
         # the lazy route (above the cap) gives the same verdict
         with mock.patch.object(AdaptationPlanner, "oversized", True):
-            via_lazy = PlanningService().verify_paths(
-                universe, invariants, actions, source, target, phi
-            )
-        assert via_service.holds is direct.holds is via_lazy.holds is True
-        assert (
-            via_service.paths_checked
-            == direct.paths_checked
-            == via_lazy.paths_checked
-        )
-        assert direct.mode == via_service.mode == "eager"
+            via_lazy = via_service()
+        assert eager.holds is direct.holds is via_lazy.holds is True
+        assert eager.paths_checked == direct.paths_checked == via_lazy.paths_checked
+        assert direct.mode == eager.mode == "eager"
         assert via_lazy.mode == "lazy"
 
     def test_structurally_equal_formulas_share_one_compilation(self, video_spec):
@@ -264,11 +275,11 @@ class TestTemporalVerification:
 
         universe, invariants, actions = video_spec
         service = PlanningService()
+        digest = service.register(universe, invariants, actions)
         source, target = paper_source(universe), paper_target(universe)
         for _ in range(3):  # separately parsed objects, same structure
-            service.verify_paths(
-                universe, invariants, actions, source, target,
-                parse_property("historically(!E2)"),
+            service.verify_paths_digest(
+                digest, source, target, parse_property("historically(!E2)")
             )
         stats = service.stats()
         assert stats.verify_hits == 2  # first call compiles, the rest are warm
@@ -279,9 +290,9 @@ class TestTemporalVerification:
 
         big = replicated_video_system(4)
         service = PlanningService()
-        verdict = service.verify_paths(
-            big.universe, big.invariants, big.actions,
-            big.source, big.target,
+        digest = service.register(big.universe, big.invariants, big.actions)
+        verdict = service.verify_paths_digest(
+            digest, big.source, big.target,
             parse_property("historically({one_of(E1@g0, E2@g0)})"),
             k=2, max_expansions=60_000,
         )
@@ -291,21 +302,24 @@ class TestTemporalVerification:
         assert planner._sag is None and planner.space._cache is None
 
     def test_check_plans_batch(self, video_spec):
-        from repro.ltl import parse_property
+        """``check_plan`` along each MAP of a ``plan_many_digest`` batch."""
+        from repro.ltl import check_plan, parse_property
 
         universe, invariants, actions = video_spec
         service = PlanningService()
+        digest = service.register(universe, invariants, actions)
         source, target = paper_source(universe), paper_target(universe)
-        results = service.check_plans(
-            universe, invariants, actions,
-            [(source, target), (target, source)],
-            parse_property("historically(!E2)"),
+        compiled = service.compiled_property_digest(
+            digest, parse_property("historically(!E2)")
         )
-        plan, violation = results[0]
+        plan, unreachable = service.plan_many_digest(
+            digest, [(source, target), (target, source)]
+        )
         assert plan.total_cost == 50.0
+        assert unreachable is None
         # the reported index is the first E2-bearing committed configuration
         expected = next(
             i for i, c in enumerate(plan.configurations) if "E2" in c.members
         )
+        violation = check_plan(compiled, service.planner_for(*video_spec), plan)
         assert violation == expected
-        assert results[1] is None  # unreachable pair

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.actions import ActionLibrary, AdaptiveAction
 from repro.core.collaborative import (
@@ -503,14 +503,20 @@ class AdaptationPlanner:
         target_mask: int,
         heuristic,
         budget: Optional[int],
+        *,
+        banned_nodes: AbstractSet[int] = frozenset(),
+        banned_labels: AbstractSet[str] = frozenset(),
     ) -> Tuple[Optional[Path], bool, int]:
         """One exact banned-set shortest-path query.
 
         The one search behind :meth:`lazy_plan` and every Yen spur of
         :meth:`plan_k` and :meth:`lazy_plan_k`, in two phases over
         *successors* — the built SAG's or the
-        :class:`~repro.core.sag.LazySAG`'s arcs, banned ones filtered
-        out for a spur:
+        :class:`~repro.core.sag.LazySAG`'s arcs.  A spur's bans are
+        applied at the source: *banned_nodes* (masks) seed both phases'
+        closed sets, and the arcs labelled *banned_labels* (action ids)
+        are dropped from the source's own arc list, the only one a Yen
+        spur bans arcs from; every other mask's arcs are read unfiltered:
 
         1. :func:`~repro.graphs.astar.astar_cost` — a deep-tie A* probe
            under the consistent *heuristic* — establishes the optimal
@@ -527,9 +533,12 @@ class AdaptationPlanner:
         """
         if source_mask == target_mask:
             return Path(nodes=(source_mask,), edges=(), cost=0.0), False, 0
+        if banned_labels:
+            successors = _without_source_arcs(successors, source_mask, banned_labels)
         stats: Dict[str, object] = {}
         cost = astar_cost(
-            source_mask, target_mask, successors, heuristic, budget, stats=stats
+            source_mask, target_mask, successors, heuristic, budget,
+            banned=banned_nodes, stats=stats,
         )
         spent = int(stats["expansions"])
         if cost is None:
@@ -538,7 +547,7 @@ class AdaptationPlanner:
         stats = {}
         exact = corridor_search(
             source_mask, target_mask, successors, heuristic, cost,
-            remaining, stats=stats,
+            remaining, banned=banned_nodes, stats=stats,
         )
         spent += int(stats["expansions"])
         if exact is None:  # only reachable with an expansion budget set
@@ -723,10 +732,9 @@ class PathStream:
         if key not in cache:
             cache[key] = None if path is None else self.plan(path)
 
-    def _spur_query(self, spur_mask, banned_nodes, banned_arcs):
+    def _spur_query(self, spur_mask, banned_nodes, banned_labels):
         """One Yen spur: :meth:`AdaptationPlanner._banned_shortest` over
-        this stream's arcs with the spur's bans filtered out, charged to
-        its budget."""
+        this stream's arcs under the spur's bans, charged to its budget."""
         planner = self._planner
         target_mask = self._yen.target
         if self._successors is None:
@@ -736,8 +744,8 @@ class PathStream:
             )
             self._heuristic = planner._lazy_heuristic(self._yen.source, target_mask)
         path, exhausted, spent = planner._banned_shortest(
-            _filtered(self._successors, banned_nodes, banned_arcs),
-            spur_mask, target_mask, self._heuristic, self._remaining,
+            self._successors, spur_mask, target_mask, self._heuristic,
+            self._remaining, banned_nodes=banned_nodes, banned_labels=banned_labels,
         )
         if self._remaining is not None:
             self._remaining = max(0, self._remaining - spent)
@@ -759,24 +767,21 @@ def _memoized(successors: Successors) -> Successors:
     return cached
 
 
-def _filtered(successors: Successors, banned_nodes, banned_arcs) -> Successors:
-    """*successors* without arcs into *banned_nodes* (masks) or in
-    *banned_arcs* (``(source_mask, action_id)`` pairs: an action id
-    identifies at most one arc out of a mask) — the bans a Yen spur
-    passes.  Filtering keeps the arc order."""
-    if not banned_nodes and not banned_arcs:
-        return successors
-    banned_labels: Dict[int, Set[str]] = {}
-    for mask, label in banned_arcs:
-        banned_labels.setdefault(mask, set()).add(label)
+def _without_source_arcs(
+    successors: Successors, source_mask: int, banned_labels
+) -> Successors:
+    """*successors* with the arcs labelled *banned_labels* dropped from
+    *source_mask*'s list, in arc order; every other mask's arcs are
+    passed through.  The list is made on its first read, so a search cut
+    by its budget before it expands the source reads no arcs."""
+    source_arcs: Optional[Arcs] = None
 
     def view(mask: int) -> Arcs:
-        labels = banned_labels.get(mask)
-        if labels is None:
-            return [arc for arc in successors(mask) if arc[2] not in banned_nodes]
-        return [
-            arc for arc in successors(mask)
-            if arc[2] not in banned_nodes and arc[0] not in labels
-        ]
+        nonlocal source_arcs
+        if mask != source_mask:
+            return successors(mask)
+        if source_arcs is None:
+            source_arcs = [arc for arc in successors(mask) if arc[0] not in banned_labels]
+        return source_arcs
 
     return view

@@ -15,7 +15,7 @@ consistent heuristic places on some optimal path).
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple, TypeVar
+from typing import AbstractSet, Callable, Dict, Hashable, Iterable, List, Optional, Tuple, TypeVar
 
 from repro.graphs.digraph import Edge, Path
 
@@ -44,6 +44,7 @@ def astar_cost(
     heuristic: HeuristicFn,
     max_expansions: Optional[int] = None,
     *,
+    banned: AbstractSet[N] = frozenset(),
     stats: Optional[Dict[str, object]] = None,
 ) -> Optional[float]:
     """The optimal cost from *source* to *target* — A* that keeps no path.
@@ -65,6 +66,9 @@ def astar_cost(
     Args:
         max_expansions: optional budget on expanded nodes; when exceeded
             the search returns ``None``.
+        banned: nodes the search must not enter (never the source or the
+            target); they seed the closed set, so an arc into one is
+            skipped as an arc into a closed node is.
         stats: optional dict updated in place with ``"expansions"``
             (nodes expanded) and ``"exhausted"`` (the search gave up on
             *max_expansions* rather than proving the target
@@ -80,7 +84,7 @@ def astar_cost(
         _account(stats, 0, False)
         return None
     g_score: Dict[N, float] = {source: 0.0}
-    closed: set = set()
+    closed: set = set(banned)
     counter = 0
     heap: List[Tuple[float, float, int, N]] = [(start, -0.0, counter, source)]
     expansions = 0
@@ -125,6 +129,7 @@ def corridor_search(
     cost_bound: float,
     max_expansions: Optional[int] = None,
     *,
+    banned: AbstractSet[N] = frozenset(),
     stats: Optional[Dict[str, object]] = None,
 ) -> Optional[Path[N, L]]:
     """Dijkstra's exact path, searched only inside the optimal corridor.
@@ -145,8 +150,9 @@ def corridor_search(
     while the expanded region shrinks from the cost ellipse ``g <= D``
     to the corridor ``g + h <= D``.
 
-    Args / Returns: as :func:`astar_cost`, but a :class:`Path` is
-    returned (``None`` on unreachability or budget exhaustion).
+    Args / Returns: as :func:`astar_cost` (*banned* seeds the settled
+    set), but a :class:`Path` is returned (``None`` on unreachability or
+    budget exhaustion).
     """
     # relative slack absorbs summation-order float drift in the
     # externally computed bound without ever rejecting an equal cost
@@ -156,7 +162,7 @@ def corridor_search(
     # (an Edge is made only for the returned path's arcs)
     best_of: Dict[N, Tuple[float, int]] = {source: (0.0, 0)}
     came_from: Dict[N, Tuple[N, L, float]] = {}
-    settled: set = set()
+    settled: set = set(banned)
     counter = 0
     heap: List[Tuple[float, int, int, N]] = [(0.0, 0, counter, source)]
     expansions = 0

@@ -32,7 +32,7 @@ k-best queries are not a kernel here: the planner's Yen spurs run the
 two-phase corridor search of :mod:`repro.graphs.astar` over the SAG's
 arrays read as a successor function
 (:attr:`repro.core.sag.SafeAdaptationGraph.successors`), each spur's
-bans filtered out.  The former banned-set Dijkstra Yen is the test
+bans applied at its source.  The former banned-set Dijkstra Yen is the test
 oracle ``tests/oracles/csr_yen_reference.py``.
 """
 

@@ -6,11 +6,13 @@ configuration", and in general the next-best alternative each time a step
 fails.  Yen's algorithm enumerates loopless paths in non-decreasing cost
 order; :class:`YenState` is its candidate loop for one ``(source,
 target)`` pair, with the spur search left to the caller (the planner
-runs the two-phase corridor search of :mod:`repro.graphs.astar` over a
-banned view of the SAG).  The state is extended one path at a time, so
-one state serves every k: a smaller k reads a prefix of
+runs the two-phase corridor search of :mod:`repro.graphs.astar` with the
+bans applied at the spur node).  The state is extended one path at a
+time, so one state serves every k: a smaller k reads a prefix of
 :attr:`YenState.found`, a larger one resumes where the last query
-stopped.
+stopped.  A spur whose answer is already known is not searched again:
+each root keeps the first label of its last answer (see
+:class:`YenState`).
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from repro.graphs.digraph import Path
 N = TypeVar("N", bound=Hashable)
 L = TypeVar("L", bound=Hashable)
 
-#: ``(spur_node, banned_nodes, banned (node, label) arcs) -> (path, exhausted)``
+#: ``(spur_node, banned_nodes, banned labels of the spur node's arcs) ->
+#: (path, exhausted)``
 SpurQuery = Callable[
-    [N, AbstractSet[N], AbstractSet[Tuple[N, L]]], Tuple[Optional[Path[N, L]], bool]
+    [N, AbstractSet[N], AbstractSet[L]], Tuple[Optional[Path[N, L]], bool]
 ]
 
 #: a found path, without :class:`~repro.graphs.digraph.Edge` objects:
@@ -38,16 +41,29 @@ class YenState(Generic[N, L]):
 
     :attr:`found` holds the paths in Yen order, each as ``(cost, nodes,
     labels)``; the candidate pool is a heap of ``(cost, order, nodes,
-    labels)`` tuples, so ties break by insertion order.  Every spur bans the root's nodes and the arcs already taken from the
-    spur node by found paths sharing the root, and duplicates are dropped
-    by their labels: a ``(node, label)`` pair names at most one arc (an
-    action id one arc out of a mask), so from the one source the labels
-    fix the nodes.  :meth:`extend` finds one more path from one round
-    (every spur of the last found path).  A spur's answer depends only on
-    the found paths, so a round that runs out of budget keeps the spurs
-    it finished and the candidates they gave, and a later call resumes
-    at the spur that ran out; the next path joins :attr:`found` only
-    when its round finishes.
+    labels)`` tuples, so ties break by insertion order.  Every spur bans
+    the root's nodes and the arcs already taken from the spur node by
+    found paths sharing the root, and duplicates are dropped by their
+    labels: a ``(node, label)`` pair names at most one arc (an action id
+    one arc out of a mask), so from the one source the labels fix the
+    nodes.  :meth:`extend` finds one more path from one round (every
+    spur of the last found path).  A spur's answer depends only on the
+    found paths, so a round that runs out of budget keeps the spurs it
+    finished and the candidates they gave, and a later call resumes at
+    the spur that ran out; the next path joins :attr:`found` only when
+    its round finishes.
+
+    The spur memo.  A root is a label prefix ``labels[:i]``; its owner,
+    the earliest found path with that prefix, keeps the root's slot: the
+    first label of its last spur answer, or ``None`` for "no path"; it
+    starts as the owner's own next label, which the root's bans always
+    hold.  A root's bans only grow, and each leaves the spur node, the
+    search's source.  When the slot says "no path", or its label is not
+    banned now, the search would return the same answer (the spur search must
+    return the least path in an order that arc removal elsewhere cannot
+    change, as the planner's does; DESIGN.md §11), whose candidate is
+    already seen: the spur is skipped.  Slots are keyed by labels, not
+    nodes, since two labels can name the same node transition.
 
     Not thread-safe: :meth:`extend` mutates the state in place, and the
     planner that owns it is used under one lock at a time.
@@ -55,7 +71,7 @@ class YenState(Generic[N, L]):
 
     __slots__ = (
         "source", "target", "found", "done", "_seen", "_pool", "_order",
-        "_spur", "_fresh",
+        "_spur", "_fresh", "_slots", "_starts",
     )
 
     def __init__(self, source: N, target: N):
@@ -71,6 +87,11 @@ class YenState(Generic[N, L]):
         #: its finished spurs gave, by labels
         self._spur = 0
         self._fresh: Dict[Tuple, Entry] = {}
+        #: the memo, flat: a found path owns the roots past the longest
+        #: label prefix an earlier path shares, and its root ``i`` sits at
+        #: ``_slots[_starts[j] + i]`` (one start per path whose round began)
+        self._slots: list = []
+        self._starts: List[int] = []
 
     def extend(self, spur_query: SpurQuery, weight: Callable[[L], float]) -> bool:
         """Find the next path, unless :attr:`done`.
@@ -98,25 +119,40 @@ class YenState(Generic[N, L]):
         _, nodes, labels = found[-1]
         seen = self._seen
         fresh = self._fresh
+        slots, starts = self._slots, self._starts
+        if len(starts) < len(found):  # the round of found[-1] begins
+            shared = max((_shared(labels, path[2]) for path in found[:-1]), default=-1)
+            starts.append(len(slots) - shared - 1)
+            slots.extend(labels[shared + 1:])
+        target = self.target
         for i in range(self._spur, len(labels)):
-            root = nodes[: i + 1]
-            banned_arcs = {
-                (path[1][i], path[2][i])
-                for path in found
-                if len(path[2]) > i and path[1][: i + 1] == root
-            }
             banned_nodes = set(nodes[:i])  # forbid loops through the root
-            if nodes[i] in banned_nodes or self.target in banned_nodes:
+            if nodes[i] in banned_nodes or target in banned_nodes:
                 continue
-            spur, exhausted = spur_query(nodes[i], banned_nodes, banned_arcs)
+            root = nodes[: i + 1]
+            root_labels = labels[:i]
+            banned_labels = set()
+            slot = -1  # the root's slot, in its owner's block
+            for j, path in enumerate(found):
+                path_labels = path[2]
+                if len(path_labels) > i and path[1][: i + 1] == root:
+                    banned_labels.add(path_labels[i])
+                    if slot < 0 and path_labels[:i] == root_labels:
+                        slot = starts[j] + i
+            first = slots[slot]
+            if first is None or first not in banned_labels:
+                continue  # the answer is the last one, already seen
+            spur, exhausted = spur_query(nodes[i], banned_nodes, banned_labels)
             if exhausted:
                 self._spur = i
                 return False
             if spur is None:
+                slots[slot] = None
                 continue
-            key = labels[:i] + spur.labels
+            slots[slot] = spur.labels[0]
+            key = root_labels + spur.labels
             if key not in seen and key not in fresh:
-                root_cost = sum(weight(label) for label in labels[:i])
+                root_cost = sum(weight(label) for label in root_labels)
                 fresh[key] = (root_cost + spur.cost, nodes[:i] + spur.nodes, key)
         self._spur, self._fresh = 0, {}
         pool = self._pool
@@ -130,3 +166,13 @@ class YenState(Generic[N, L]):
         cost, _, path_nodes, path_labels = heapq.heappop(pool)
         found.append((cost, path_nodes, path_labels))
         return True
+
+
+def _shared(a: Tuple, b: Tuple) -> int:
+    """The length of the longest common prefix of *a* and *b*."""
+    length = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        length += 1
+    return length

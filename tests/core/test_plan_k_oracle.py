@@ -27,10 +27,11 @@ from repro.bench.workloads import (
     service_fleet_system,
 )
 from repro.core.actions import ActionLibrary
-from repro.core.planner import LAZY_PLAN_COMPONENTS, AdaptationPlanner, _filtered
+from repro.core.planner import LAZY_PLAN_COMPONENTS, AdaptationPlanner
 from repro.core.sag import LazySAG
 from repro.errors import NoSafePathError
 from tests.oracles.csr_yen_reference import reference_plan_k
+from tests.oracles.lazy_reference import _filtered
 
 SHAPES = {
     "video x3": lambda: replicated_video_system(3),
@@ -83,6 +84,26 @@ def _with_zero_costs(system, zeroed):
         for index, action in enumerate(system.actions)
     ])
     return dataclasses.replace(system, actions=actions)
+
+
+def _with_twins(system, twinned, free):
+    """*system* with a twin after each action whose index is in *twinned*:
+    a second action id for the same transition, at the same cost (both
+    made free when *free*), so two parallel arcs tie on every mask the
+    action applies to."""
+    actions = []
+    for index, action in enumerate(system.actions):
+        if free and index in twinned:
+            action = dataclasses.replace(action, cost=0.0)
+        actions.append(action)
+        if index in twinned:
+            actions.append(dataclasses.replace(action, action_id=f"{action.action_id}t"))
+    return dataclasses.replace(system, actions=ActionLibrary(actions))
+
+
+def _streamed(planner, source, target, k):
+    stream = planner.iter_paths(source, target, k)
+    return _signatures([stream.plan(path) for path in stream])
 
 
 class TestRandomSystems:
@@ -194,6 +215,91 @@ class TestCaches:
         first = planner.plan_k(system.source, system.target, 4)
         first.clear()
         assert len(planner.plan_k(system.source, system.target, 4)) == 4
+
+
+class TestParallelArcs:
+    """Two actions with the same transition make two arcs between the same
+    masks.  The k-best lists still equal the oracle's, since the spur memo
+    is keyed by label roots: a root keyed by its masks would take the two
+    labels for one root and drop the candidates of the second."""
+
+    @given(
+        st.integers(min_value=0, max_value=5_000),
+        st.integers(min_value=1, max_value=30),
+        st.sets(st.integers(min_value=0, max_value=9), min_size=1, max_size=5),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_twins_match_the_oracle(self, seed, k, twinned, free):
+        system = _with_twins(
+            random_system(seed, n_components=6, n_invariants=2, n_actions=10),
+            twinned, free,
+        )
+        planner = _fresh(system)
+        safe = planner.space.enumerate()[:6]
+        for source in safe:
+            for target in safe:
+                expected = _assert_matches(planner, source, target, k)
+                assert _streamed(_fresh(system), source, target, k) == expected
+
+    @pytest.mark.parametrize("free", [False, True])
+    def test_twins_on_the_named_pair_up_to_k30(self, free):
+        system = _with_twins(replicated_video_system(2), set(range(0, 17, 2)), free)
+        planner = _fresh(system)
+        expected = _assert_matches(planner, system.source, system.target, 30)
+        assert len(expected) == 30
+        assert _streamed(_fresh(system), system.source, system.target, 30) == expected
+        for k in (1, 5, 12):
+            assert _signatures(_fresh(system).plan_k(
+                system.source, system.target, k
+            )) == expected[:k]
+
+
+class TestBansAtTheSource:
+    """A Yen spur bans nodes and arcs out of its own source, so
+    ``_banned_shortest`` seeds both phases' closed sets with the banned
+    nodes and filters only the source's arc list.  That is the search
+    over the ``_filtered`` view: same path, cost, budget cut and
+    expansion count, on both arc sources."""
+
+    @given(st.integers(min_value=0, max_value=5_000), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_search_as_the_filtered_view(self, seed, data):
+        system = random_system(seed, n_components=6, n_actions=12)
+        planner = _fresh(system)
+        masks = planner.space.enumerate_masks()
+        if len(masks) < 2:
+            return
+        source, target = data.draw(st.lists(
+            st.sampled_from(masks), min_size=2, max_size=2, unique=True
+        ))
+        others = [mask for mask in masks if mask not in (source, target)]
+        banned_nodes = frozenset(data.draw(
+            st.sets(st.sampled_from(others), max_size=3) if others else st.just(set())
+        ))
+        labels = [arc[0] for arc in planner.lazy_sag.successors(source)]
+        banned_labels = frozenset(data.draw(
+            st.sets(st.sampled_from(labels), max_size=3) if labels else st.just(set())
+        ))
+        banned_arcs = {(source, label) for label in banned_labels}
+        budget = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=40)))
+        heuristic = planner._lazy_heuristic(source, target)
+        for successors in (planner.sag.successors, planner.lazy_sag.successors):
+            path, exhausted, spent = planner._banned_shortest(
+                successors, source, target, heuristic, budget,
+                banned_nodes=banned_nodes, banned_labels=banned_labels,
+            )
+            oracle, oracle_exhausted, oracle_spent = planner._banned_shortest(
+                _filtered(successors, banned_nodes, banned_arcs),
+                source, target, heuristic, budget,
+            )
+            assert (exhausted, spent) == (oracle_exhausted, oracle_spent)
+            if oracle is None:
+                assert path is None
+            else:
+                assert (path.nodes, path.labels, path.cost) == (
+                    oracle.nodes, oracle.labels, oracle.cost
+                )
 
 
 class TestSuccessorView:

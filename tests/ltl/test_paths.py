@@ -163,8 +163,8 @@ def _counting_spurs(planner):
     counts = {"spurs": 0, "expansions": 0}
     search = planner._banned_shortest
 
-    def counted(*args):
-        result = search(*args)
+    def counted(*args, **kwargs):
+        result = search(*args, **kwargs)
         counts["spurs"] += 1
         counts["expansions"] += result[2]
         return result

@@ -18,20 +18,50 @@ in ``tests/core/test_lazy_oracle.py`` pins
 :meth:`AdaptationPlanner.lazy_plan` and :meth:`AdaptationPlanner.lazy_plan_k`
 to it: same plans (paths, costs, order) and the same completeness flag
 wherever budgets are unset.
+
+:func:`_filtered` is the banned view the product's Yen spurs searched
+before their bans were applied at the source (banned masks seeding the
+closed sets, banned arcs dropped from the spur node's own list): the
+oracle's spurs still run over it, and
+``tests/core/test_plan_k_oracle.py`` pins the product's bans to it.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.model import Configuration
-from repro.core.planner import AdaptationPlan, AdaptationPlanner, _filtered
+from repro.core.planner import AdaptationPlan, AdaptationPlanner, Successors
+from repro.core.sag import Arcs
 from repro.errors import NoSafePathError
 from repro.graphs.astar import HeuristicFn, L, N, SuccessorFn
 from repro.graphs.digraph import Edge, Path
 from tests.oracles.graph_reference import extend_k_shortest
+
+
+def _filtered(successors: Successors, banned_nodes, banned_arcs) -> Successors:
+    """*successors* without arcs into *banned_nodes* (masks) or in
+    *banned_arcs* (``(source_mask, action_id)`` pairs: an action id
+    identifies at most one arc out of a mask) — the bans a Yen spur
+    passes.  Filtering keeps the arc order."""
+    if not banned_nodes and not banned_arcs:
+        return successors
+    banned_labels: Dict[int, Set[str]] = {}
+    for mask, label in banned_arcs:
+        banned_labels.setdefault(mask, set()).add(label)
+
+    def view(mask: int) -> Arcs:
+        labels = banned_labels.get(mask)
+        if labels is None:
+            return [arc for arc in successors(mask) if arc[2] not in banned_nodes]
+        return [
+            arc for arc in successors(mask)
+            if arc[2] not in banned_nodes and arc[0] not in labels
+        ]
+
+    return view
 
 
 def reference_lazy_astar(

@@ -17,8 +17,10 @@ pipeline per collaborative set against the global engine it replaced
 (gated: ≥ 3x on video x3), and measures the control plane's warm lint
 cache against a cold dispatch (gated: warm ≥ 10x cold — the warm path is
 a dict probe returning precomputed bytes, so a miss of that factor means
-the fast lane is broken, not that the runner is slow).  Headline numbers
-land in ``benchmarks/BENCH_lint.json``.
+the fast lane is broken, not that the runner is slow), and times the
+encoding of one lint answer by the one-pass report writer against the
+dict path it replaced (gated: ≥ 1.8x on video x3 with the racing
+block).  Headline numbers land in ``benchmarks/BENCH_lint.json``.
 """
 
 import time
@@ -172,6 +174,15 @@ RACING_BLOCK = {
 }
 
 
+def video3_racing_manifest() -> str:
+    """:func:`video3_manifest` plus the racing block: 24 components, the
+    shape of the heaviest ``/v1/lint`` answers (~125 diagnostics)."""
+    return video3_manifest() + "".join(
+        f"[{key}]\n" + "\n".join(lines) + "\n"
+        for key, lines in RACING_BLOCK.items()
+    )
+
+
 def fleet_racing_manifest(services: int = 4) -> str:
     """``services`` fleet30-style services (three interchangeable
     variants each, six replaces) plus the racing block: five 3-component
@@ -194,11 +205,13 @@ def fleet_racing_manifest(services: int = 4) -> str:
     )
 
 
-def _paired_medians(first, second, rounds: int = 15):
-    """Median seconds of two callables timed in alternation, so a host
-    whose speed drifts moves both the same way."""
+def _paired_times(first, second, rounds: int = 15, statistic=None):
+    """*statistic* (default: the median) of the seconds two callables
+    take, timed in alternation, so a host whose speed drifts moves both
+    the same way."""
     import statistics
 
+    statistic = statistic or statistics.median
     first()
     second()
     times = ([], [])
@@ -207,7 +220,7 @@ def _paired_medians(first, second, rounds: int = 15):
             start = time.perf_counter()
             fn()
             out.append(time.perf_counter() - start)
-    return statistics.median(times[0]), statistics.median(times[1])
+    return statistic(times[0]), statistic(times[1])
 
 
 def _capture_stage_call(text: str):
@@ -321,7 +334,7 @@ def test_per_set_lint_against_the_global_engine():
     ):
         product = lint_text(text, path="bench.manifest")
         assert render_json(product) == render_json(run_global(text))
-        per_set_s, global_s = _paired_medians(
+        per_set_s, global_s = _paired_times(
             lambda: lint_text(text, path="bench.manifest"),
             lambda: run_global(text),
         )
@@ -386,4 +399,86 @@ def test_warm_lint_cache_speedup():
     )
     assert speedup >= 10.0, (
         f"warm lint cache only {speedup:.1f}x over cold dispatch"
+    )
+
+
+def test_lint_answer_encoding():
+    """One ``/v1/lint`` answer encoded by the schema writer vs the dict
+    path it replaced — gated ≥ 1.8x on video x3 with the racing block.
+
+    A json-format answer carries the report twice: the indented
+    ``rendered`` text and the compact, key-sorted ``report``.  The
+    writer (``repro.lint.render.encode_report``) goes from the
+    diagnostics to both in one pass and ``to_wire`` splices the second
+    into the envelope; the dict path (``tests/oracles/
+    lint_render_reference.py``) built a dict tree, wrote it with
+    ``dumps_indented`` and encoded the whole envelope again with
+    ``json.dumps(sort_keys=True)``.  Both sides escape the rendered text
+    into the wire.  The bytes are asserted identical first; each side
+    then reports its best of 30 alternating rounds, on video x3 with the
+    racing block (24 components) and on four fleet services with it
+    (15 components).
+    """
+    import json
+    import os
+
+    from repro.jsonfmt import dumps_indented
+    from repro.lint.render import encode_report
+    from repro.serve import LintResult, to_wire
+    from tests.oracles.lint_render_reference import report_payload
+
+    rows = {}
+    for label, text in (
+        ("video_x3_racing", video3_racing_manifest()),
+        ("fleet_x4_racing", fleet_racing_manifest()),
+    ):
+        findings = lint_text(text, path="bench.manifest")
+        findings.sort()
+        summary = {
+            "errors": len(findings.errors),
+            "warnings": len(findings.warnings),
+            "notes": len(findings.notes),
+        }
+
+        def writer():
+            rendered, report_json = encode_report(findings)
+            return to_wire(
+                LintResult(False, "json", rendered, summary, report_json)
+            )
+
+        def dict_path():
+            payload = report_payload(findings)
+            return json.dumps(
+                {"ok": True, "kind": "lint", "result": {
+                    "failed": False, "format": "json",
+                    "rendered": dumps_indented(payload),
+                    "summary": summary, "report": payload,
+                }},
+                separators=(",", ":"), sort_keys=True,
+            ).encode("utf-8")
+
+        wire = writer()
+        assert wire == dict_path()
+        writer_s, dict_s = _paired_times(writer, dict_path, rounds=30, statistic=min)
+        rows[label] = {
+            "diagnostics": len(findings),
+            "answer_kb": round(len(wire) / 1024, 1),
+            "writer_ms": round(writer_s * 1e3, 3),
+            "dict_path_ms": round(dict_s * 1e3, 3),
+            "speedup": round(dict_s / writer_s, 2),
+        }
+    video, fleet = rows["video_x3_racing"], rows["fleet_x4_racing"]
+    report(
+        "lint answer encoding: schema writer vs dict path (best of 30)",
+        f"video x3 + racing {video['writer_ms']:.2f} ms vs "
+        f"{video['dict_path_ms']:.2f} ms ({video['speedup']:.2f}x, "
+        f"{video['diagnostics']} diagnostics, {video['answer_kb']} KB); "
+        f"fleet x4 + racing {fleet['writer_ms']:.2f} ms vs "
+        f"{fleet['dict_path_ms']:.2f} ms ({fleet['speedup']:.2f}x)",
+        data={**rows, "nproc": os.cpu_count()},
+        json_path=LINT_JSON,
+    )
+    assert video["speedup"] >= 1.8, (
+        f"schema writer only {video['speedup']:.2f}x over the dict path "
+        "on video x3 + racing"
     )

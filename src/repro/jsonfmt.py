@@ -2,11 +2,13 @@
 
 With ``indent`` set, the standard library serializes through its
 pure-Python encoder (the C encoder only handles compact output), which
-made rendering the lint reports and the CLI's ``--json`` envelopes cost
-as much as producing them.  :func:`dumps_indented` writes the same text
-with one recursive pass that appends to a list, escaping every string
-through the C ``encode_basestring_ascii`` — the escaper the standard
-encoder itself uses.
+made rendering the CLI's ``--json`` envelopes cost as much as producing
+them.  :func:`dumps_indented` writes the same text with one recursive
+pass that appends to a list, escaping every string through the C
+``encode_basestring_ascii`` — the escaper the standard encoder itself
+uses.  It serves SARIF (:func:`repro.lint.render_sarif`) and
+:func:`repro.serve.to_json`; lint's JSON report has a fixed schema and
+its own writer, :func:`repro.lint.render.encode_report`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Output renderers for lint reports: human text, JSON, and SARIF 2.1.0.
 
 The text form is the compiler-style ``file:line:col: CODE severity:
-message`` stream.  JSON is a stable machine-readable dump for scripting.
+message`` stream.  JSON is a stable machine-readable dump for scripting;
+:func:`encode_report` writes it and, in the same pass, the compact
+key-sorted ``report`` a lint answer carries on the wire.
 SARIF follows the minimal static-analysis profile that code-review
 platforms ingest for inline annotations: one run, one rule per SA code
 (metadata straight from :data:`repro.lint.diagnostics.CODES`), one result
@@ -10,11 +12,13 @@ per diagnostic with ``relatedLocations`` for the secondary spans.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.jsonfmt import dumps_indented
 from repro.lint.diagnostics import CODES, Diagnostic, LintReport, Related, Severity
 from repro.lint.fixes import Fix
+from repro.span import Span
 
 #: SARIF ``level`` per severity (SARIF has no "error < warning" ordering
 #: of its own; ``note`` is its mildest level).
@@ -25,6 +29,13 @@ _SARIF_LEVELS = {
 }
 
 TOOL_NAME = "repro-lint"
+
+#: the escaper ``json.dumps`` uses (ASCII output, ``\uXXXX`` escapes)
+_string = encode_basestring_ascii
+_TOOL = _string(TOOL_NAME)
+_SEVERITIES = {severity: _string(severity.label) for severity in Severity}
+#: an empty array in both encodings
+_EMPTY = ("[]", "[]")
 
 
 def render_text(report: LintReport, verbose: bool = False) -> str:
@@ -39,67 +50,138 @@ def render_text(report: LintReport, verbose: bool = False) -> str:
 
 def render_json(report: LintReport) -> str:
     """Stable JSON dump (diagnostics in report order + summary counts)."""
-    return render_payload_json(report_payload(report))
+    return encode_report(report)[0]
 
 
-def render_payload_json(payload: Dict[str, Any]) -> str:
-    """:func:`render_json` of the report whose :func:`report_payload` is
-    *payload* (callers that keep the payload build it once)."""
-    return dumps_indented(payload)
+def encode_report(report: LintReport) -> Tuple[str, str]:
+    """The report's two JSON encodings, written in one pass.
+
+    Returns ``(text, wire)``: *text* is what :func:`render_json` returns,
+    ``json.dumps(document, indent=2)`` of the document below, and *wire*
+    is ``json.dumps(document, separators=(",", ":"), sort_keys=True)``,
+    the ``report`` a lint answer carries on the wire::
+
+        {"tool": "repro-lint",
+         "diagnostics": [{"code", "severity", "message", "path", "span",
+                          "related": [{"message", "path", "span"}],
+                          "fixes": [{"description",
+                                     "edits": [{"span", "replacement"}]}]}],
+         "summary": {"errors", "warnings", "notes"},
+         "skipped": [reason, ...]}
+
+    where a span is ``{"line", "column", "end_line", "end_column"}`` and a
+    related entry without a path takes its diagnostic's.  The schema is
+    fixed, so each diagnostic is a few f-string fragments per output,
+    and each string is escaped once, by ``encode_basestring_ascii``: the
+    escaper ``json.dumps`` itself uses.
+    """
+    texts: List[str] = []
+    wires: List[str] = []
+    for diagnostic in report:
+        path = _quote(diagnostic.path)
+        span_text, span_wire = _span(diagnostic.span, "      ")
+        related_text, related_wire = (
+            _related(diagnostic) if diagnostic.related else _EMPTY
+        )
+        fixes_text, fixes_wire = (
+            _fixes(diagnostic.fixes) if diagnostic.fixes else _EMPTY
+        )
+        code = _string(diagnostic.code)
+        severity = _SEVERITIES[diagnostic.severity]
+        message = _string(diagnostic.message)
+        texts.append(
+            f'    {{\n      "code": {code},\n      "severity": {severity},'
+            f'\n      "message": {message},\n      "path": {path},'
+            f'\n      "span": {span_text},\n      "related": {related_text},'
+            f'\n      "fixes": {fixes_text}\n    }}'
+        )
+        wires.append(
+            f'{{"code":{code},"fixes":{fixes_wire},"message":{message},'
+            f'"path":{path},"related":{related_wire},'
+            f'"severity":{severity},"span":{span_wire}}}'
+        )
+    skipped = [_string(reason) for reason in report.skipped]
+    errors, warnings, notes = (
+        len(report.errors), len(report.warnings), len(report.notes)
+    )
+    text = (
+        f'{{\n  "tool": {_TOOL},\n  "diagnostics": {_list(texts, "  ")},'
+        f'\n  "summary": {{\n    "errors": {errors},\n    "warnings": '
+        f'{warnings},\n    "notes": {notes}\n  }},\n  "skipped": '
+        f'{_list(["    " + reason for reason in skipped], "  ")}\n}}'
+    )
+    wire = (
+        f'{{"diagnostics":[{",".join(wires)}],"skipped":[{",".join(skipped)}],'
+        f'"summary":{{"errors":{errors},"notes":{notes},'
+        f'"warnings":{warnings}}},"tool":{_TOOL}}}'
+    )
+    return text, wire
 
 
-def report_payload(report: LintReport) -> Dict[str, Any]:
-    """The document :func:`render_json` serializes (JSON-native values
-    only, so it equals ``json.loads(render_json(report))``)."""
-    return {
-        "tool": TOOL_NAME,
-        "diagnostics": [_diagnostic_json(d) for d in report],
-        "summary": {
-            "errors": len(report.errors),
-            "warnings": len(report.warnings),
-            "notes": len(report.notes),
-        },
-        "skipped": list(report.skipped),
-    }
+def _quote(path: Optional[str]) -> str:
+    return "null" if path is None else _string(path)
 
 
-def _diagnostic_json(diagnostic: Diagnostic) -> Dict[str, Any]:
-    return {
-        "code": diagnostic.code,
-        "severity": diagnostic.severity.label,
-        "message": diagnostic.message,
-        "path": diagnostic.path,
-        "span": _span_json(diagnostic),
-        "related": [
-            {
-                "message": rel.message,
-                "path": rel.path or diagnostic.path,
-                "span": _span_json(rel),
-            }
-            for rel in diagnostic.related
-        ],
-        "fixes": [_fix_json(fix) for fix in diagnostic.fixes],
-    }
+def _list(items: List[str], pad: str) -> str:
+    """An indented JSON array of already-indented *items* whose key
+    (or enclosing item) sits at *pad*."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
 
 
-def _fix_json(fix: Fix) -> Dict[str, Any]:
-    return {
-        "description": fix.description,
-        "edits": [
-            {"span": _span_json(edit), "replacement": edit.replacement}
-            for edit in fix.edits
-        ],
-    }
+def _span(span: Span, pad: str) -> Tuple[str, str]:
+    """A span whose key sits at *pad*: its indented and compact JSON."""
+    line, column = span.line, span.column
+    end_line, end_column = span.end_line, span.end_column
+    return (
+        f'{{\n{pad}  "line": {line},\n{pad}  "column": {column},\n{pad}  '
+        f'"end_line": {end_line},\n{pad}  "end_column": {end_column}\n{pad}}}',
+        f'{{"column":{column},"end_column":{end_column},'
+        f'"end_line":{end_line},"line":{line}}}',
+    )
 
 
-def _span_json(owner: "Diagnostic | Related") -> Dict[str, int]:
-    span = owner.span
-    return {
-        "line": span.line,
-        "column": span.column,
-        "end_line": span.end_line,
-        "end_column": span.end_column,
-    }
+def _related(diagnostic: Diagnostic) -> Tuple[str, str]:
+    texts: List[str] = []
+    wires: List[str] = []
+    for rel in diagnostic.related:
+        message = _string(rel.message)
+        path = _quote(rel.path or diagnostic.path)
+        span_text, span_wire = _span(rel.span, "          ")
+        texts.append(
+            f'        {{\n          "message": {message},\n          '
+            f'"path": {path},\n          "span": {span_text}\n        }}'
+        )
+        wires.append(f'{{"message":{message},"path":{path},"span":{span_wire}}}')
+    return _list(texts, "      "), "[" + ",".join(wires) + "]"
+
+
+def _fixes(fixes: Tuple[Fix, ...]) -> Tuple[str, str]:
+    texts: List[str] = []
+    wires: List[str] = []
+    for fix in fixes:
+        edit_texts: List[str] = []
+        edit_wires: List[str] = []
+        for edit in fix.edits:
+            replacement = _string(edit.replacement)
+            span_text, span_wire = _span(edit.span, "              ")
+            edit_texts.append(
+                f'            {{\n              "span": {span_text},\n'
+                f'              "replacement": {replacement}\n            }}'
+            )
+            edit_wires.append(
+                f'{{"replacement":{replacement},"span":{span_wire}}}'
+            )
+        description = _string(fix.description)
+        texts.append(
+            f'        {{\n          "description": {description},\n'
+            f'          "edits": {_list(edit_texts, "          ")}\n        }}'
+        )
+        wires.append(
+            f'{{"description":{description},"edits":[{",".join(edit_wires)}]}}'
+        )
+    return _list(texts, "      "), "[" + ",".join(wires) + "]"
 
 
 def render_sarif(report: LintReport) -> str:

@@ -341,8 +341,16 @@ class LintResult:
     #: the report rendered in the requested format (text/json/sarif)
     rendered: str
     summary: Dict[str, int]
-    #: the structured JSON report, format-independent
-    report: Dict[str, Any]
+    #: the structured report, format-independent, already encoded as the
+    #: compact key-sorted JSON the wire carries
+    #: (:func:`repro.lint.render.encode_report`): :func:`to_wire` splices
+    #: it in as is, and :attr:`report` decodes it only when asked
+    report_json: str
+
+    @property
+    def report(self) -> Dict[str, Any]:
+        """The structured report as a dict (decoded from :attr:`report_json`)."""
+        return json.loads(self.report_json)
 
     def payload(self) -> Dict[str, Any]:
         return {
@@ -521,9 +529,26 @@ def to_json(response: Response) -> str:
 
 def to_wire(response: Response) -> bytes:
     """Compact JSON bytes — what the HTTP adapter writes (same payload)."""
-    return json.dumps(
-        envelope(response), separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
+    if isinstance(response, LintResult):
+        return _lint_wire(response).encode("utf-8")
+    return _compact(envelope(response)).encode("utf-8")
+
+
+def _compact(value: Any) -> str:
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+
+def _lint_wire(result: LintResult) -> str:
+    """:func:`to_wire` text of a lint answer, its report spliced in as
+    encoded: ``report`` sorts between ``rendered`` and ``summary``."""
+    head = _compact(
+        {"failed": result.failed, "format": result.format,
+         "rendered": result.rendered}
+    )
+    return (
+        '{"kind":"lint","ok":true,"result":' + head[:-1] + ',"report":'
+        + result.report_json + ',"summary":' + _compact(result.summary) + "}}"
+    )
 
 
 # -- JSON → request builders (used by the HTTP adapter) -----------------------

@@ -70,6 +70,7 @@ from repro.serve.api import (
 )
 from repro.serve.registry import SpecRegistry
 from repro.serve.service import (
+    LINT_CACHE_BYTES,
     WIRE_CACHE_LIMIT,
     PlanningService,
     SpecEntry,
@@ -184,8 +185,10 @@ class ControlPlane:
     def __init__(self, *, max_specs: int = 64):
         self.service = PlanningService(max_specs=max_specs)
         self.registry = SpecRegistry(self.service)
-        #: canonical /v1/lint body → precomputed wire bytes
+        #: canonical /v1/lint body → precomputed wire bytes, oldest first
         self._lint_cache: Dict[str, bytes] = {}
+        #: bytes held by ``_lint_cache``, keys included
+        self._lint_bytes = 0
         self._lint_hits = 0
         self._handlers: Dict[type, Callable[[Any], Response]] = {
             RegisterSpecRequest: self._handle_register,
@@ -462,7 +465,7 @@ class ControlPlane:
             render_sarif,
             render_text,
         )
-        from repro.lint.render import render_payload_json, report_payload
+        from repro.lint.render import encode_report
 
         if request.format not in ("text", "json", "sarif"):
             raise _fail(
@@ -486,9 +489,9 @@ class ControlPlane:
                 )
             )
         merged.sort()
-        payload = report_payload(merged)
+        text, report_json = encode_report(merged)
         if request.format == "json":
-            rendered = render_payload_json(payload)
+            rendered = text
         elif request.format == "sarif":
             rendered = render_sarif(merged)
         else:
@@ -502,7 +505,7 @@ class ControlPlane:
                 "warnings": len(merged.warnings),
                 "notes": len(merged.notes),
             },
-            report=payload,
+            report_json=report_json,
         )
 
     def _handle_trace_check(self, request: TraceCheckRequest) -> Response:
@@ -665,11 +668,26 @@ class ControlPlane:
 
         Only successful reports are eligible; error envelopes (bad
         format, malformed body) are cheap to recompute and never enter
-        the cache.  Past the bound, the cache is cleared whole.
+        the cache.  The oldest answers leave first, to keep the cache
+        within :data:`WIRE_CACHE_LIMIT` bodies and
+        :data:`LINT_CACHE_BYTES` bytes; an answer larger than that alone
+        is not kept.
         """
         key = self._lint_key(payload)
         if key is None or not isinstance(response, LintResult):
             return
-        if len(self._lint_cache) >= WIRE_CACHE_LIMIT:
-            self._lint_cache.clear()
-        self._lint_cache[key] = wire
+        size = len(key) + len(wire)
+        if size > LINT_CACHE_BYTES:
+            return
+        cache = self._lint_cache
+        held = cache.pop(key, None)
+        if held is not None:
+            self._lint_bytes -= len(key) + len(held)
+        while cache and (
+            len(cache) >= WIRE_CACHE_LIMIT
+            or self._lint_bytes + size > LINT_CACHE_BYTES
+        ):
+            oldest = next(iter(cache))
+            self._lint_bytes -= len(oldest) + len(cache.pop(oldest))
+        cache[key] = wire
+        self._lint_bytes += size

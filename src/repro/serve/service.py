@@ -62,9 +62,14 @@ from repro.ltl.paths import verify_paths as _verify_paths
 if TYPE_CHECKING:
     from repro.manifest import SystemManifest
 
-#: bound on the cached plan answers of all specs together (and, in the
-#: control plane, on cached lint answers); a full cache is cleared whole
+#: bound on the cached plan answers of all specs together (a full plan
+#: cache is cleared whole) and, in the control plane, on cached lint
+#: answers (the oldest leave first)
 WIRE_CACHE_LIMIT = 4096
+#: bound on the bytes of the control plane's cached lint answers, request
+#: keys included: about 130 replicated-video x3 answers of ~250 KB; the
+#: oldest answers leave first
+LINT_CACHE_BYTES = 32 << 20
 
 
 def spec_digest(

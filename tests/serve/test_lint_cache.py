@@ -8,6 +8,7 @@ evicting specs leaves cached answers as they are.
 
 import pytest
 
+import repro.serve.control as control_module
 from repro.serve import (
     ControlPlane,
     ErrorEnvelope,
@@ -17,6 +18,7 @@ from repro.serve import (
     to_wire,
 )
 from repro.serve.api import lint_request_from_json
+from repro.serve.service import LINT_CACHE_BYTES
 from tests.serve.test_http import register, request
 
 
@@ -104,6 +106,62 @@ class TestLintWireCache:
         )
         control.lint_wire_store(payload, response, to_wire(response))
         assert control.lint_wire_fast(payload) is None
+
+
+class TestLintCacheBound:
+    """The lint cache holds at most LINT_CACHE_BYTES, oldest answers
+    leaving first, so the recent bodies a client repeats still hit."""
+
+    @staticmethod
+    def _held(control):
+        return sum(len(key) + len(wire) for key, wire in control._lint_cache.items())
+
+    def test_many_large_answers_stay_under_the_byte_bound(self, video_text):
+        control = ControlPlane()
+        response = control.dispatch(lint_request_from_json({"manifest": video_text}))
+        # one shared bytes object: the test itself holds ~1.6 MB
+        wire = b"x" * (LINT_CACHE_BYTES // 20)
+        payloads = [
+            {"manifest": video_text, "max_enum_components": index}
+            for index in range(60)
+        ]
+        for payload in payloads:
+            control.lint_wire_store(payload, response, wire)
+            assert control._lint_bytes == self._held(control) <= LINT_CACHE_BYTES
+        for payload in payloads[-16:]:
+            assert control.lint_wire_fast(payload) == wire
+        assert control.lint_wire_fast(payloads[0]) is None
+
+    def test_storing_a_body_again_counts_its_bytes_once(self, video_text):
+        control = ControlPlane()
+        payload = {"manifest": video_text}
+        response = control.dispatch(lint_request_from_json(payload))
+        for _ in range(3):
+            control.lint_wire_store(payload, response, to_wire(response))
+        assert len(control._lint_cache) == 1
+        assert control._lint_bytes == self._held(control)
+
+    def test_an_answer_above_the_bound_is_not_kept(self, video_text):
+        control = ControlPlane()
+        payload = {"manifest": video_text}
+        response = control.dispatch(lint_request_from_json(payload))
+        control.lint_wire_store({"manifest": "small"}, response, b"answer")
+        control.lint_wire_store(payload, response, b"x" * LINT_CACHE_BYTES)
+        assert control.lint_wire_fast(payload) is None
+        # nothing was evicted to make room for it
+        assert control.lint_wire_fast({"manifest": "small"}) == b"answer"
+
+    def test_the_body_count_bound_drops_the_oldest(self, video_text, monkeypatch):
+        monkeypatch.setattr(control_module, "WIRE_CACHE_LIMIT", 4)
+        control = ControlPlane()
+        response = control.dispatch(lint_request_from_json({"manifest": video_text}))
+        payloads = [{"manifest": f"body {index}"} for index in range(6)]
+        for payload in payloads:
+            control.lint_wire_store(payload, response, b"answer")
+        assert [control.lint_wire_fast(p) for p in payloads] == [
+            None, None, b"answer", b"answer", b"answer", b"answer"
+        ]
+        assert control._lint_bytes == self._held(control)
 
 
 class TestWarmLintOverHttp:

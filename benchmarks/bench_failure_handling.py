@@ -4,8 +4,15 @@ Sweeps control-plane loss and reports the outcome mix (complete / aborted
 / await-user), rollback counts, and recovery cost.  The paper's claims to
 verify in shape: transient loss is absorbed (still completes), rollbacks
 only ever happen before a step's first resume, and whatever happens the
-system sits at a safe configuration.
+system sits at a safe configuration.  :func:`test_replan_latency` times
+the re-planning cascade itself against the 8-best scan it replaced and
+records the row in ``BENCH_backends.json``.
 """
+
+import os
+import statistics
+import time
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +20,17 @@ from benchmarks.conftest import report
 from repro.apps.video import build_video_cluster
 from repro.apps.video.scenario import VideoScenario
 from repro.apps.video.system import paper_target
-from repro.bench import format_table
-from repro.protocol.failures import FailurePolicy
+from repro.bench import format_table, replicated_video_system
+from repro.core.planner import AdaptationPlanner
+from repro.errors import NoSafePathError, UnsafeConfigurationError
+from repro.exec.runtime import resolve_replan
+from repro.protocol.effects import AdaptationAborted, RequestReplan
+from repro.protocol.failures import FailurePolicy, ReplanKind
+from repro.protocol.manager import ManagerMachine, ManagerState
 from repro.safety import check_safe
 from repro.sim.net import BernoulliLoss, UniformDelay
+
+BACKENDS_JSON = Path(__file__).with_name("BENCH_backends.json")
 
 POLICY = FailurePolicy(
     reset_timeout=80.0,
@@ -137,3 +151,89 @@ def test_fail_to_reset_outcome_is_parked_safe(benchmark):
     assert outcome.status == "await_user"
     assert cluster.planner.space.is_safe(cluster.manager.committed)
     benchmark.extra_info["rollbacks"] = outcome.steps_rolled_back
+
+
+REPLAN_ROUNDS = 7
+
+
+def eight_best_scan(machine, planner, request, k=8):
+    """The cascade as it was: the MAP if it avoids every failed edge,
+    else the cheapest of the *k* best plans that does, else no plan."""
+    if request.kind == ReplanKind.ALTERNATE_TO_TARGET:
+        destination = machine.target
+    else:
+        destination = machine.original_source
+    failed = set(request.failed_edges)
+
+    def avoids(plan):
+        return all((step.source, step.action.action_id) not in failed for step in plan.steps)
+
+    try:
+        best = planner.plan(request.current, destination)
+        if avoids(best):
+            return machine.on_new_plan(best)
+        candidates = planner.plan_k(request.current, destination, k)
+    except (NoSafePathError, UnsafeConfigurationError):
+        return machine.on_no_plan()
+    for plan in candidates:
+        if avoids(plan):
+            return machine.on_new_plan(plan)
+    return machine.on_no_plan()
+
+
+def test_replan_latency():
+    """Video x3 with the MAP's first two steps failed at the source: none
+    of the 8 best plans avoids them, an equal-cost plan does.
+
+    Cold rounds use a fresh planner that has planned only the MAP (the
+    plan the manager started; the SAG is not built); warm rounds re-ask
+    the planner the cold round left.  The cascade must
+    re-route where the scan gave up, and do it cold >= 3x faster.
+    """
+    system = replicated_video_system(3)
+    source, target = system.source, system.target
+    request = RequestReplan(
+        ReplanKind.ALTERNATE_TO_TARGET, source,
+        ((source, "A2@g0"), (source, "A17@g0")),
+    )
+
+    def replan(cascade, planner):
+        machine = ManagerMachine(planner.universe)
+        machine.start(planner.plan(source, target))
+        machine.state = ManagerState.PREPARING
+        start = time.perf_counter()
+        effects = cascade(machine, planner, request)
+        return (time.perf_counter() - start) * 1000, effects, machine
+
+    cascades = {"cascade": resolve_replan, "8-best scan": eight_best_scan}
+    times = {(name, phase): [] for name in cascades for phase in ("cold", "warm")}
+    for _ in range(REPLAN_ROUNDS):
+        for name, cascade in cascades.items():
+            planner = AdaptationPlanner(system.universe, system.invariants, system.actions)
+            for phase in ("cold", "warm"):
+                ms, effects, machine = replan(cascade, planner)
+                times[name, phase].append(ms)
+                aborted = any(isinstance(effect, AdaptationAborted) for effect in effects)
+                if name == "cascade":
+                    assert not aborted
+                    assert machine.plan.total_cost == 150.0
+                    assert machine.plan.action_ids[0] == "A2@g1"
+                else:
+                    assert aborted  # none of the 8 best avoids the failed edges
+    data = {"nproc": os.cpu_count(), "runs": REPLAN_ROUNDS}
+    rows = []
+    for (name, phase), walls in times.items():
+        q1, median, q3 = statistics.quantiles(walls, n=4)
+        data[f"{name} {phase}"] = {"ms": median, "ms_q1": q1, "ms_q3": q3}
+        rows.append((name, phase, f"{median:.2f}", f"{q1:.2f}-{q3:.2f}"))
+    cold_ratio = data["8-best scan cold"]["ms"] / data["cascade cold"]["ms"]
+    data["cold_speedup"] = cold_ratio
+    report(
+        "Replan latency, video x3, 2 failed source arcs",
+        format_table(["engine", "phase", "p50 (ms)", "quartiles (ms)"], rows)
+        + f"\ncold: cascade {cold_ratio:.1f}x the 8-best scan "
+        f"(median of {REPLAN_ROUNDS} on {os.cpu_count()} cpu(s))",
+        data=data,
+        json_path=BACKENDS_JSON,
+    )
+    assert cold_ratio >= 3.0, f"cold cascade only {cold_ratio:.1f}x the 8-best scan"

@@ -162,7 +162,6 @@ def build_video_cluster(
     data_loss: Optional[LossModel] = None,
     control_loss: Optional[LossModel] = None,
     policy: Optional[FailurePolicy] = None,
-    replan_k: int = 8,
     flush_mode: str = "capability",
     extended: bool = False,
     bus=None,
@@ -215,7 +214,6 @@ def build_video_cluster(
         flush_provider=flush_provider_for_mode(flush_mode, universe),
         default_delay=control_delay or FixedDelay(1.0),
         default_loss=control_loss,
-        replan_k=replan_k,
         bus=bus,
     )
     data_delay = data_delay or FixedDelay(5.0)

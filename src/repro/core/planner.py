@@ -5,7 +5,8 @@ The :class:`AdaptationPlanner` performs the three setup steps on demand:
 1. construct the safe-configuration set,
 2. construct the Safe Adaptation Graph,
 3. run Dijkstra for the Minimum Adaptation Path (MAP) — plus the extras
-   the rest of the paper needs: k-best alternates (failure handling §4.4),
+   the rest of the paper needs: the cheapest path avoiding failed steps
+   (failure handling §4.4), k-best paths (path-property verification),
    lazy A* partial exploration and collaborative-set decomposition
    (scalability, §7).
 
@@ -19,7 +20,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+    Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.actions import ActionLibrary, AdaptiveAction
 from repro.core.collaborative import (
@@ -113,12 +117,14 @@ class AdaptationPlanner:
     The planner is **incremental**: the safe space, the SAG, and every
     computed plan are cached, and each is built only when a query needs
     it (a lone :meth:`plan` needs neither the space nor the SAG).  The
-    §4.4 failure cascade — retry the step, ask for the next minimum
-    adaptation path, roll back to the source — re-enters the planner
-    with shifting ``(source, target)`` pairs; each answer is derived
-    once, then served from the plan cache on repetition.  A pair's
-    k-best paths live in one resumable :class:`~repro.graphs.yen.YenState`
-    that every k and both sides of the cap share.
+    §4.4 failure cascade — retry the step, take the cheapest path that
+    avoids the failed steps, roll back to the source — re-enters the
+    planner through :meth:`plan_avoiding` with shifting ``(source,
+    target)`` pairs and failure sets; each answer is derived once, then
+    served from the plan cache (or the kept answers per failure set) on
+    repetition.  A pair's k-best paths live in one resumable
+    :class:`~repro.graphs.yen.YenState` that every k and both sides of
+    the cap share.
 
     Not thread-safe: cached shortest-path trees and Yen states grow in
     place, so each caller serializes its calls.  The planning service
@@ -129,7 +135,8 @@ class AdaptationPlanner:
     would need one lock for both; the model checker is single-threaded.
     """
 
-    #: default bound on cached shortest-path trees (one per distinct source)
+    #: bound on cached shortest-path trees (one per distinct source), and
+    #: on the lazy heuristic's per-set distance tables
     SPT_CACHE_SIZE = 64
 
     def __init__(
@@ -137,7 +144,6 @@ class AdaptationPlanner:
         universe: ComponentUniverse,
         invariants: InvariantSet,
         actions: ActionLibrary,
-        spt_cache_size: int = SPT_CACHE_SIZE,
         conflicts: Tuple[Tuple[str, str], ...] = (),
     ):
         self.universe = universe
@@ -150,12 +156,17 @@ class AdaptationPlanner:
         #: the size cap :attr:`oversized` reads; lint sets it to its
         #: ``--max-enum-components``
         self.max_components = LAZY_PLAN_COMPONENTS
-        self.spt_cache_size = max(1, spt_cache_size)
         self._sag: Optional[SafeAdaptationGraph] = None
         self._lazy_sag: Optional[LazySAG] = None
         self._set_distances: Optional[SetDistanceHeuristic] = None
         self._plan_cache: Dict[
             Tuple[Configuration, Configuration], Optional[AdaptationPlan]
+        ] = {}
+        # plan_avoiding's answers whose MAP used a failed edge, per
+        # (source, target, failed edges); None: every safe path uses one
+        self._avoiding: Dict[
+            Tuple[Configuration, Configuration, FrozenSet[Tuple[Configuration, str]]],
+            Optional[AdaptationPlan],
         ] = {}
         # per pair: its resumable Yen state — one serves every k, on both
         # sides of the cap — and the plans the list entry points decoded
@@ -175,8 +186,9 @@ class AdaptationPlanner:
 
         Clears the SAG (and with it the compiled CSR view), the lazy
         successor generator, the k-best and lazy searches' per-set
-        distance tables, the plan cache, the per-pair Yen states, and the
-        shortest-path-tree LRU — all of them are derived from the action
+        distance tables, the plan cache, :meth:`plan_avoiding`'s kept
+        answers, the per-pair Yen states, and the shortest-path-tree LRU —
+        all of them are derived from the action
         library, so any of them could otherwise serve a path using an
         action that no longer exists.  Call it under the same lock as
         every other call (see the class docstring): a :class:`PathStream`
@@ -187,6 +199,7 @@ class AdaptationPlanner:
         self._lazy_sag = None
         self._set_distances = None
         self._plan_cache.clear()
+        self._avoiding.clear()
         self._k_best.clear()
         self._spt_cache.clear()
 
@@ -237,7 +250,7 @@ class AdaptationPlanner:
             return tree
         tree = self.sag.csr.shortest_path_tree(self.universe.mask_of(source))
         cache[source] = tree
-        while len(cache) > self.spt_cache_size:
+        while len(cache) > self.SPT_CACHE_SIZE:
             cache.popitem(last=False)
         return tree
 
@@ -374,8 +387,10 @@ class AdaptationPlanner:
     ) -> List[AdaptationPlan]:
         """Up to *k* minimum-cost plans in non-decreasing cost order (Yen).
 
-        Plan 2 is the paper's "second minimum adaptation path" used when a
-        step fails and the manager re-routes.  :meth:`iter_paths` with no
+        Plan 2 is the paper's "second minimum adaptation path"; the §4.4
+        cascade re-routes with :meth:`plan_avoiding` instead, which finds
+        the cheapest path around the failed steps however far down this
+        list it sits.  :meth:`iter_paths` with no
         budget, read to the end and decoded: every spur searches the built SAG
         (:attr:`SafeAdaptationGraph.successors
         <repro.core.sag.SafeAdaptationGraph.successors>`), or, when the
@@ -383,6 +398,56 @@ class AdaptationPlanner:
         """
         self._validate_endpoints(source, target)
         return self._stream(source, target, k, self.oversized, None).plans()
+
+    def plan_avoiding(
+        self,
+        source: Configuration,
+        target: Configuration,
+        failed: Iterable[Tuple[Configuration, str]],
+    ) -> Optional[AdaptationPlan]:
+        """The cheapest plan with no step in *failed* (§4.4 alternates).
+
+        *failed* holds ``(configuration, action id)`` edges the §4.4
+        cascade saw fail; the answer is ``None`` when every safe path
+        from *source* to *target* takes one of them.  The MAP is
+        returned unchanged when it avoids them all (a plan-cache hit
+        when warm).  Otherwise one :meth:`_banned_shortest` searches the
+        arcs :meth:`plan` reads — the built SAG's when it is built, the
+        implicit SAG's otherwise — with each failed arc dropped from the
+        arc list of the mask it leaves: an exact answer, with
+        Dijkstra's tie-break over that view.  Such answers, ``None``
+        included, are kept per ``(source, target, failed)`` until
+        :meth:`reset_caches`.
+
+        Raises:
+            UnsafeConfigurationError: source or target violates invariants.
+        """
+        failed = frozenset(failed)
+        try:
+            best = self.plan(source, target)
+        except NoSafePathError:
+            return None
+        if all((step.source, step.action.action_id) not in failed for step in best.steps):
+            return best
+        key = (source, target, failed)
+        if key in self._avoiding:
+            return self._avoiding[key]
+        mask_of = self.universe.mask_of
+        banned: Dict[int, Set[str]] = {}
+        for configuration, action_id in failed:
+            banned.setdefault(mask_of(configuration), set()).add(action_id)
+        successors = (
+            self._sag.successors if self._sag is not None else self.lazy_sag.successors
+        )
+        source_mask, target_mask = mask_of(source), mask_of(target)
+        path, _, _ = self._banned_shortest(
+            _without_arcs(successors, banned), source_mask, target_mask,
+            self._lazy_heuristic(source_mask, target_mask), None,
+        )
+        plan = self._avoiding[key] = None if path is None else self._plan_from_mask_path(
+            source, target, path.nodes, path.labels, path.cost
+        )
+        return plan
 
     def iter_paths(
         self,
@@ -492,7 +557,7 @@ class AdaptationPlanner:
         the built SAG or the implicit one alike."""
         if self._set_distances is None:
             self._set_distances = SetDistanceHeuristic(
-                self.space, self.actions, LAZY_PLAN_COMPONENTS, self.spt_cache_size
+                self.space, self.actions, LAZY_PLAN_COMPONENTS, self.SPT_CACHE_SIZE
             )
         return self._set_distances.for_query(source_mask, target_mask)
 
@@ -509,9 +574,9 @@ class AdaptationPlanner:
     ) -> Tuple[Optional[Path], bool, int]:
         """One exact banned-set shortest-path query.
 
-        The one search behind :meth:`lazy_plan` and every Yen spur of
-        :meth:`plan_k` and :meth:`lazy_plan_k`, in two phases over
-        *successors* — the built SAG's or the
+        The one search behind :meth:`lazy_plan`, :meth:`plan_avoiding`
+        and every Yen spur of :meth:`plan_k` and :meth:`lazy_plan_k`, in
+        two phases over *successors* — the built SAG's or the
         :class:`~repro.core.sag.LazySAG`'s arcs.  A spur's bans are
         applied at the source: *banned_nodes* (masks) seed both phases'
         closed sets, and the arcs labelled *banned_labels* (action ids)
@@ -534,7 +599,7 @@ class AdaptationPlanner:
         if source_mask == target_mask:
             return Path(nodes=(source_mask,), edges=(), cost=0.0), False, 0
         if banned_labels:
-            successors = _without_source_arcs(successors, source_mask, banned_labels)
+            successors = _without_arcs(successors, {source_mask: banned_labels})
         stats: Dict[str, object] = {}
         cost = astar_cost(
             source_mask, target_mask, successors, heuristic, budget,
@@ -703,8 +768,7 @@ class PathStream:
         """The rest of the stream, decoded — each path once per pair: the
         list entry points (:meth:`AdaptationPlanner.plan_k`,
         :meth:`AdaptationPlanner.lazy_plan_k`) share the pair's decoded
-        prefix, as the §4.4 cascade re-asks ``plan_k`` for the same
-        pairs."""
+        prefix."""
         decoded = self._decoded
         plans = []
         for path in self:
@@ -767,21 +831,25 @@ def _memoized(successors: Successors) -> Successors:
     return cached
 
 
-def _without_source_arcs(
-    successors: Successors, source_mask: int, banned_labels
+def _without_arcs(
+    successors: Successors, banned: Mapping[int, AbstractSet[str]]
 ) -> Successors:
-    """*successors* with the arcs labelled *banned_labels* dropped from
-    *source_mask*'s list, in arc order; every other mask's arcs are
-    passed through.  The list is made on its first read, so a search cut
-    by its budget before it expands the source reads no arcs."""
-    source_arcs: Optional[Arcs] = None
+    """*successors* with the arcs labelled ``banned[mask]`` dropped from
+    each banned mask's list, in arc order; every other mask's arcs are
+    passed through.  A filtered list is made on its first read, so a
+    search cut by its budget before it expands a banned mask reads none
+    of its arcs."""
+    filtered: Dict[int, Arcs] = {}
 
     def view(mask: int) -> Arcs:
-        nonlocal source_arcs
-        if mask != source_mask:
+        labels = banned.get(mask)
+        if labels is None:
             return successors(mask)
-        if source_arcs is None:
-            source_arcs = [arc for arc in successors(mask) if arc[0] not in banned_labels]
-        return source_arcs
+        arcs = filtered.get(mask)
+        if arcs is None:
+            arcs = filtered[mask] = [
+                arc for arc in successors(mask) if arc[0] not in labels
+            ]
+        return arcs
 
     return view

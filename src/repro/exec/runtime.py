@@ -15,7 +15,8 @@ receive-loop wiring; they never touch an effect directly.
 * :class:`ManagerRuntime` — the adaptation manager: manager machine,
   planner, committed configuration, terminal outcome.
 * :func:`resolve_replan` — the shared §4.4 failure-handling cascade
-  (retry → alternate path → rollback → user), used by every backend.
+  (retry → alternate path → rollback → user), used by every backend
+  and by :class:`~repro.modelcheck.ProtocolModelChecker`.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from typing import Callable, Deque, Iterable, List, Optional, Set, Type
 from repro.core.actions import AdaptiveAction
 from repro.core.model import ComponentUniverse, Configuration
 from repro.core.planner import AdaptationPlan, AdaptationPlanner
-from repro.errors import (
-    ExecutionError,
-    NoSafePathError,
-    ReproError,
-    UnsafeConfigurationError,
-)
+from repro.errors import ExecutionError, ReproError, UnsafeConfigurationError
 from repro.exec.app import AppAdapter
 from repro.exec.substrate import Clock, NullLock, TimerService, Transport
 from repro.protocol.agent import AgentMachine
@@ -274,15 +270,15 @@ def resolve_replan(
     machine: ManagerMachine,
     planner: AdaptationPlanner,
     request: RequestReplan,
-    replan_k: int = 8,
 ) -> List[Effect]:
-    """The §4.4 re-planning cascade, shared by every backend.
+    """The §4.4 re-planning cascade, shared by every backend and the
+    model checker.
 
-    Picks the cheapest of the *replan_k* best plans to the requested
-    destination (target for ``ALTERNATE_TO_TARGET``, original source for
-    rollback) that avoids every already-failed ``(configuration, action)``
-    edge; falls through to ``on_no_plan`` when planning fails or every
-    candidate would retrace a failed edge.
+    Asks :meth:`AdaptationPlanner.plan_avoiding` for the cheapest plan to
+    the requested destination (target for ``ALTERNATE_TO_TARGET``,
+    original source for rollback) that avoids every already-failed
+    ``(configuration, action)`` edge; falls through to ``on_no_plan``
+    when no safe path avoids them.
     """
     if request.kind == ReplanKind.ALTERNATE_TO_TARGET:
         destination = machine.target
@@ -292,30 +288,11 @@ def resolve_replan(
     if request.current == destination:
         empty = AdaptationPlan(request.current, destination, (), 0.0)
         return machine.on_new_plan(empty)
-    failed = set(request.failed_edges)
-    # Warm fast path: the MAP equals plan_k[0], so when the single best
-    # plan avoids every failed edge the full Yen sweep is unnecessary —
-    # and with a PlanningService-shared planner, plan() is usually a
-    # cache/SPT hit while plan_k pays k spur searches.
     try:
-        best = planner.plan(request.current, destination)
-    except (NoSafePathError, UnsafeConfigurationError):
-        return machine.on_no_plan()
-    if all(
-        (step.source, step.action.action_id) not in failed for step in best.steps
-    ):
-        return machine.on_new_plan(best)
-    try:
-        candidates = planner.plan_k(request.current, destination, replan_k)
-    except (NoSafePathError, UnsafeConfigurationError):
-        return machine.on_no_plan()
-    for plan in candidates:
-        if all(
-            (step.source, step.action.action_id) not in failed
-            for step in plan.steps
-        ):
-            return machine.on_new_plan(plan)
-    return machine.on_no_plan()
+        plan = planner.plan_avoiding(request.current, destination, request.failed_edges)
+    except UnsafeConfigurationError:
+        plan = None
+    return machine.on_no_plan() if plan is None else machine.on_new_plan(plan)
 
 
 class ManagerRuntime:
@@ -341,7 +318,6 @@ class ManagerRuntime:
         policy: Optional[FailurePolicy] = None,
         flush_provider: FlushProvider = no_flush,
         manager_id: str = "manager",
-        replan_k: int = 8,
         lock=None,
         error: Type[ReproError] = ExecutionError,
         on_terminal: Optional[Callable[[AdaptationOutcome], None]] = None,
@@ -352,7 +328,6 @@ class ManagerRuntime:
         self.timers = timers
         self.trace = trace
         self.manager_id = manager_id
-        self.replan_k = replan_k
         self._error = error
         self._lock = lock if lock is not None else NullLock()
         self._on_terminal = on_terminal
@@ -448,9 +423,7 @@ class ManagerRuntime:
                     )
                 )
             elif isinstance(effect, RequestReplan):
-                queue.extend(
-                    resolve_replan(self.machine, self.planner, effect, self.replan_k)
-                )
+                queue.extend(resolve_replan(self.machine, self.planner, effect))
             elif isinstance(effect, AdaptationComplete):
                 self._finish("complete", effect.configuration, "target reached")
             elif isinstance(effect, AdaptationAborted):

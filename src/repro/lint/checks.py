@@ -47,7 +47,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.actions import ActionLibrary, AdaptiveAction, MaskedAction
 from repro.core.analysis import blast_radii, invariants_at_risk
@@ -940,24 +940,6 @@ def _check_named_pairs(
 ) -> None:
     """SA205/SA306: a named configuration is safe iff every projection
     is, and reaches another iff every projection reaches the other's."""
-    universe = model.universe
-    endpoints: List[Tuple[_ConfigItem, int]] = []
-    for item in model.configurations:
-        try:
-            mask = universe.mask_of(item.configuration)
-        except Exception:
-            continue
-        if not all(mask & factor.mask in factor.safe_set for factor in factors):
-            report.add(
-                "SA205",
-                f"named configuration {item.name!r} violates the invariants: "
-                f"{model.kept_invariants().explain(item.configuration)}",
-                item.span,
-                path,
-            )
-            continue
-        endpoints.append((item, mask))
-
     reach_cache: Dict[Tuple[int, int], Set[int]] = {}
 
     def reaches(start: int, goal: int) -> bool:
@@ -980,33 +962,11 @@ def _check_named_pairs(
                 return False
         return True
 
-    for index, (first, first_mask) in enumerate(endpoints):
-        for second, second_mask in endpoints[index + 1:]:
-            if first_mask == second_mask:
-                continue
-            forward = reaches(first_mask, second_mask)
-            backward = reaches(second_mask, first_mask)
-            if not forward and not backward:
-                report.add(
-                    "SA306",
-                    f"no safe adaptation path exists between configurations "
-                    f"{first.name!r} and {second.name!r} in either direction",
-                    second.span,
-                    path,
-                    related=[Related("the other endpoint", first.span)],
-                )
-            elif not forward or not backward:
-                src, dst = (second, first) if forward else (first, second)
-                report.add(
-                    "SA306",
-                    f"configuration {dst.name!r} is unreachable from "
-                    f"{src.name!r} (one-way: only the reverse direction has "
-                    "a safe path)",
-                    dst.span,
-                    path,
-                    related=[Related("unreachable from here", src.span)],
-                    severity=Severity.NOTE,
-                )
+    _report_named_pairs(
+        model, report, path,
+        lambda mask: all(mask & factor.mask in factor.safe_set for factor in factors),
+        reaches,
+    )
 
 
 #: node budget for one lazy reachability search above the enumeration
@@ -1030,33 +990,13 @@ def _check_named_pairs_lazy(
     that runs out of budget proves nothing — the pair is recorded as
     skipped rather than misreported.
     """
-    universe = model.universe
     planner = model.planner(cap)
-    space = planner.space
-    invariants = planner.invariants
     successors = planner.lazy_sag.successors
-
-    endpoints: List[Tuple[_ConfigItem, int]] = []
-    for item in model.configurations:
-        try:
-            mask = universe.mask_of(item.configuration)
-        except Exception:
-            continue
-        if not space.is_safe_mask(mask):
-            report.add(
-                "SA205",
-                f"named configuration {item.name!r} violates the invariants: "
-                f"{invariants.explain(item.configuration)}",
-                item.span,
-                path,
-            )
-            continue
-        endpoints.append((item, mask))
 
     # (reached set, search complete?) per start mask
     reach_cache: Dict[int, Tuple[Set[int], bool]] = {}
 
-    def reachable(start: int) -> Tuple[Set[int], bool]:
+    def reaches(start: int, goal: int) -> Optional[bool]:
         cached = reach_cache.get(start)
         if cached is None:
             seen = {start}
@@ -1073,22 +1013,50 @@ def _check_named_pairs_lazy(
                     if nxt not in seen:
                         seen.add(nxt)
                         frontier.append(nxt)
-            cached = (seen, complete)
-            reach_cache[start] = cached
-        return cached
-
-    def verdict(start: int, goal: int) -> Optional[bool]:
-        seen, complete = reachable(start)
+            cached = reach_cache[start] = (seen, complete)
+        seen, complete = cached
         if goal in seen:
             return True
         return False if complete else None
+
+    _report_named_pairs(model, report, path, planner.space.is_safe_mask, reaches)
+
+
+def _report_named_pairs(
+    model: _Model,
+    report: LintReport,
+    path: Optional[str],
+    is_safe: MaskFn,
+    reaches: Callable[[int, int], Optional[bool]],
+) -> None:
+    """SA205 for each named configuration *is_safe* rejects, then SA306
+    for each pair of safe ones whose *reaches* verdicts are not both
+    ``True``; a ``None`` verdict (the lazy search ran out of budget)
+    records the pair in ``report.skipped`` instead."""
+    universe = model.universe
+    endpoints: List[Tuple[_ConfigItem, int]] = []
+    for item in model.configurations:
+        try:
+            mask = universe.mask_of(item.configuration)
+        except Exception:
+            continue
+        if not is_safe(mask):
+            report.add(
+                "SA205",
+                f"named configuration {item.name!r} violates the invariants: "
+                f"{model.kept_invariants().explain(item.configuration)}",
+                item.span,
+                path,
+            )
+            continue
+        endpoints.append((item, mask))
 
     for index, (first, first_mask) in enumerate(endpoints):
         for second, second_mask in endpoints[index + 1:]:
             if first_mask == second_mask:
                 continue
-            forward = verdict(first_mask, second_mask)
-            backward = verdict(second_mask, first_mask)
+            forward = reaches(first_mask, second_mask)
+            backward = reaches(second_mask, first_mask)
             if forward is True and backward is True:
                 continue
             if forward is None or backward is None:

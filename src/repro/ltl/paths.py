@@ -13,9 +13,11 @@ paths come one at a time from
 <repro.core.planner.AdaptationPlanner.iter_paths>`, the check stops
 at the first violating path for ∀ and the first satisfying one for ∃,
 and only that path is decoded into a plan.
-These are the alternates the §4.4 cascade picks from while it re-routes
-from S; after a fault it re-plans from the point of failure, whose paths
-to T are not in this set.
+These are not the §4.4 cascade's alternates: after a fault it asks
+:meth:`AdaptationPlanner.plan_avoiding
+<repro.core.planner.AdaptationPlanner.plan_avoiding>` for the cheapest
+plan from the point of failure that avoids the failed steps, which may
+lie past any fixed k.
 
 Two execution modes, one verdict semantics, chosen by the spec's size
 (:attr:`AdaptationPlanner.oversized

@@ -39,7 +39,8 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.model import Configuration
 from repro.core.planner import AdaptationPlan, AdaptationPlanner
-from repro.errors import NoSafePathError, ReproError, UnsafeConfigurationError
+from repro.errors import ReproError
+from repro.exec.runtime import resolve_replan
 from repro.protocol.agent import AgentMachine, AgentState
 from repro.protocol.effects import (
     AbortReset,
@@ -60,7 +61,7 @@ from repro.protocol.effects import (
     StepRolledBack,
     UndoInAction,
 )
-from repro.protocol.failures import FailurePolicy, ReplanKind
+from repro.protocol.failures import FailurePolicy
 from repro.protocol.manager import FlushProvider, ManagerMachine, ManagerState, no_flush
 from repro.protocol.messages import Envelope, FlushRequest, Message
 
@@ -207,7 +208,10 @@ class _World:
 
 
 class ProtocolModelChecker:
-    """BFS over all protocol interleavings for one plan."""
+    """BFS over all protocol interleavings for one plan.
+
+    Replans run :func:`repro.exec.runtime.resolve_replan`, the §4.4
+    cascade every backend runs."""
 
     def __init__(
         self,
@@ -218,7 +222,6 @@ class ProtocolModelChecker:
         flush_provider: FlushProvider = no_flush,
         policy: Optional[FailurePolicy] = None,
         max_states: int = 500_000,
-        replan_k: int = 4,
         timer_mode: str = "calibrated",
     ):
         """
@@ -243,7 +246,6 @@ class ProtocolModelChecker:
                                               max_retransmits=1,
                                               max_post_resume_retransmits=2)
         self.max_states = max_states
-        self.replan_k = replan_k
         self.timer_mode = timer_mode
         self.states_explored = 0
         self.terminal_outcomes: Dict[str, int] = {}
@@ -266,7 +268,7 @@ class ProtocolModelChecker:
             elif isinstance(effect, StepRolledBack):
                 pass
             elif isinstance(effect, RequestReplan):
-                queue.extend(self._replan(world, effect))
+                queue.extend(resolve_replan(world.manager, self.planner, effect))
             elif isinstance(effect, AdaptationComplete):
                 world.outcome = "complete"
             elif isinstance(effect, AdaptationAborted):
@@ -275,31 +277,6 @@ class ProtocolModelChecker:
                 world.outcome = "await_user"
             else:  # pragma: no cover - defensive
                 raise ModelCheckError(f"unhandled manager effect {effect!r}", world.path)
-
-    def _replan(self, world: _World, request: RequestReplan) -> List[Effect]:
-        machine = world.manager
-        destination = (
-            machine.target
-            if request.kind == ReplanKind.ALTERNATE_TO_TARGET
-            else machine.original_source
-        )
-        assert destination is not None
-        if request.current == destination:
-            return machine.on_new_plan(
-                AdaptationPlan(request.current, destination, (), 0.0)
-            )
-        try:
-            candidates = self.planner.plan_k(request.current, destination, self.replan_k)
-        except (NoSafePathError, UnsafeConfigurationError):
-            return machine.on_no_plan()
-        failed = set(request.failed_edges)
-        for plan in candidates:
-            if all(
-                (step.source, step.action.action_id) not in failed
-                for step in plan.steps
-            ):
-                return machine.on_new_plan(plan)
-        return machine.on_no_plan()
 
     def _dispatch_agent(self, world: _World, pid: str, effects: List[Effect]) -> None:
         agent = world.agents[pid]

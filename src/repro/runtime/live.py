@@ -53,7 +53,6 @@ class LiveAdaptationSystem:
         policy: Optional[FailurePolicy] = None,
         flush_provider: FlushProvider = no_flush,
         time_scale: float = 0.001,
-        replan_k: int = 8,
         manager_id: str = "manager",
         bus=None,
         planner: Optional[AdaptationPlanner] = None,
@@ -106,7 +105,6 @@ class LiveAdaptationSystem:
             policy=policy,
             flush_provider=flush_provider,
             manager_id=manager_id,
-            replan_k=replan_k,
             lock=self._lock,
             error=RuntimeHostError,
             on_terminal=lambda outcome: self._outcome_ready.set(),

@@ -200,19 +200,13 @@ class PlanningService:
     pair.
 
     Args:
-        spt_cache_size: per-planner bound on cached shortest-path trees.
         max_specs: LRU bound on registered specs (≥ 1); registering past
             it evicts the least-recently-used spec.
     """
 
-    def __init__(
-        self,
-        spt_cache_size: int = AdaptationPlanner.SPT_CACHE_SIZE,
-        max_specs: int = 64,
-    ):
+    def __init__(self, max_specs: int = 64):
         if max_specs < 1:
             raise ValueError(f"max_specs must be >= 1, got {max_specs}")
-        self.spt_cache_size = spt_cache_size
         self.max_specs = max_specs
         self._lock = threading.Lock()
         self._specs: "OrderedDict[str, SpecEntry]" = OrderedDict()
@@ -261,12 +255,7 @@ class PlanningService:
             entry = SpecEntry(
                 digest,
                 manifest,
-                AdaptationPlanner(
-                    universe,
-                    invariants,
-                    actions,
-                    spt_cache_size=self.spt_cache_size,
-                ),
+                AdaptationPlanner(universe, invariants, actions),
             )
             self._specs[digest] = entry
             # the victims are freed (planner and all) on return, after

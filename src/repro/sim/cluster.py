@@ -137,7 +137,6 @@ class ManagerHost(ManagerRuntime):
         policy: Optional[FailurePolicy] = None,
         flush_provider: FlushProvider = no_flush,
         manager_id: str = "manager",
-        replan_k: int = 8,
     ):
         self.sim = sim
         self.network = network
@@ -151,7 +150,6 @@ class ManagerHost(ManagerRuntime):
             policy=policy,
             flush_provider=flush_provider,
             manager_id=manager_id,
-            replan_k=replan_k,
             error=SimulationError,
         )
         network.register(manager_id, self.on_envelope)
@@ -178,7 +176,6 @@ class AdaptationCluster:
         flush_provider: FlushProvider = no_flush,
         default_delay: Optional[DelayModel] = None,
         default_loss: Optional[LossModel] = None,
-        replan_k: int = 8,
         bus=None,
         planner: Optional[AdaptationPlanner] = None,
     ):
@@ -221,7 +218,6 @@ class AdaptationCluster:
             initial_config=initial_config,
             policy=policy,
             flush_provider=flush_provider,
-            replan_k=replan_k,
         )
 
     def start_apps(self) -> None:

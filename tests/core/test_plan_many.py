@@ -76,8 +76,9 @@ def test_plan_many_writes_through_to_plan_cache(planner, source, target):
     assert planner.plan(source, target) is results[0]
 
 
-def test_spt_cache_is_lru_bounded(universe, invariants, actions):
-    planner = AdaptationPlanner(universe, invariants, actions, spt_cache_size=2)
+def test_spt_cache_is_lru_bounded(universe, invariants, actions, monkeypatch):
+    monkeypatch.setattr(AdaptationPlanner, "SPT_CACHE_SIZE", 2)
+    planner = AdaptationPlanner(universe, invariants, actions)
     configs = safe_configs(planner)
     assert len(configs) >= 4
     for config in configs[:4]:
@@ -112,12 +113,15 @@ def test_cached_none_is_distinct_from_cache_miss(planner):
 
 def test_reset_caches_drops_spt_and_csr_state(planner, source, target):
     planner.plan_many([(source, target)])
-    assert planner._spt_cache and planner._plan_cache
+    first = planner.plan(source, target).steps[0]
+    planner.plan_avoiding(source, target, [(first.source, first.action.action_id)])
+    assert planner._spt_cache and planner._plan_cache and planner._avoiding
     old_sag = planner.sag
     assert old_sag.csr is old_sag.csr  # cached view
     planner.reset_caches()
     assert not planner._spt_cache
     assert not planner._plan_cache
+    assert not planner._avoiding
     assert not planner._k_best
     assert planner.sag is not old_sag
 
@@ -151,6 +155,8 @@ def test_mutating_action_library_never_serves_stale_path(
     planner = AdaptationPlanner(universe, invariants, actions)
     before = planner.plan(source, target)
     assert before.total_cost == 50.0
+    failed = [(before.source, before.steps[0].action.action_id)]
+    assert planner.plan_avoiding(source, target, failed) is not None
     # a direct (legal) jump that the SAG did not contain before
     actions.add(
         AdaptiveAction(
@@ -168,6 +174,7 @@ def test_mutating_action_library_never_serves_stale_path(
     # batched and k-best answers rebuilt too — no stale tree anywhere
     assert planner.plan_many([(source, target)])[0].action_ids == ("A99",)
     assert planner.plan_k(source, target, 2)[0].action_ids == ("A99",)
+    assert planner.plan_avoiding(source, target, failed).action_ids == ("A99",)
 
 
 def test_plan_many_rejects_unsafe_endpoints(planner, universe, source):

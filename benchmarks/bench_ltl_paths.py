@@ -45,9 +45,10 @@ from unittest import mock
 from benchmarks.conftest import report
 from repro.bench import format_table, replicated_video_system, service_fleet_system
 from repro.core.planner import AdaptationPlanner
+from repro.graphs.digraph import Edge, Path as MaskPath
 from repro.ltl import DEFAULT_K, CompiledProperty, parse_property, verify_paths
 from repro.manifest import load_path
-from tests.oracles.csr_yen_reference import reference_plan_k
+from tests.oracles.csr_yen_reference import k_shortest_paths_csr
 from tests.oracles.graph_reference import extend_k_shortest
 from tests.oracles.lazy_reference import _filtered
 from tests.oracles.ptltl_reference import PTLTLMonitor
@@ -238,12 +239,30 @@ class _Listed:
         return self._read[path]
 
 
+def _mask_path(planner, plan):
+    """*plan* as the mask-level :class:`Path` a Yen loop starts from."""
+    nodes = tuple(map(planner.universe.mask_of, plan.configurations))
+    return MaskPath(nodes=nodes, edges=tuple(
+        Edge(nodes[i], nodes[i + 1], step.action.action_id, step.action.cost)
+        for i, step in enumerate(plan.steps)
+    ), cost=plan.total_cost)
+
+
 class _CSRYenPlanner(AdaptationPlanner):
     """The former eager ``plan_k``: banned-set CSR Yen, uncached, as the
-    path source of ``verify_paths``."""
+    path source of ``verify_paths``, started from the planner's own MAP
+    (read off its per-set tables, as the engine's loop starts)."""
 
     def iter_paths(self, source, target, k, max_expansions=None):
-        return _Listed(self, reference_plan_k(self, source, target, k))
+        mask_of = self.universe.mask_of
+        paths = k_shortest_paths_csr(
+            self.sag.csr, mask_of(source), mask_of(target), k,
+            _mask_path(self, self.plan(source, target)),
+        )
+        return _Listed(self, [
+            self._plan_from_mask_path(source, target, path.nodes, path.labels, path.cost)
+            for path in paths
+        ])
 
 
 def _reachable_pairs(system, planner, count):
@@ -452,7 +471,8 @@ def _one_shot_counts(specs, planners):
     """Searches and expansions of the one-shot Yen loop (no spur memo)
     finding, per pair, the paths the mix's Yen states found, with the
     same two-phase spur search over the ``_filtered`` view; the paths are
-    asserted equal."""
+    asserted equal.  Both loops start from the pair's MAP, which the
+    planner reads off its per-set tables with no search."""
     counts = {"searches": 0, "expansions": 0}
     for name, planner in planners.items():
         spec, owner = specs[name]
@@ -475,10 +495,12 @@ def _one_shot_counts(specs, planners):
                 counts["expansions"] += spent
                 return path, exhausted
 
-            first, _ = search(yen.source)
-            if first is None:
-                assert yen.done and not yen.found
+            if not yen.found:
+                assert yen.done
                 continue
+            first = _mask_path(oracle, oracle.plan(
+                *map(spec.universe.from_mask, (yen.source, yen.target))
+            ))
             # a state that ran out of paths ran one more round than it found
             wanted = len(yen.found) + yen.done
             found, complete = extend_k_shortest(first, yen.target, wanted, search)

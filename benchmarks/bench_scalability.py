@@ -5,17 +5,17 @@ numerous adaptive components ... exponential to the number of components
 involved".  Remedies it proposes: collaborative-set decomposition and
 heuristic partial exploration of the SAG.
 
-Two measured axes, both persisted to ``BENCH_scalability.json``:
+The measured axes, all persisted to ``BENCH_scalability.json``:
 
 * **serial enumeration** — the backtracking enumerator on the xor-stress
   universes (16/20 components), where per-node invariant work dominates;
   recorded with the host's CPU count, not gated.
 * **eager vs lazy** — full eager pipeline (enumerate safe space + build
-  SAG + Dijkstra) against :meth:`AdaptationPlanner.lazy_plan` frontier
-  point queries at 21/28/35 components.  The CI gate
-  (``test_lazy_point_query_gate``) requires the 28-component point
-  query to beat eager build+plan by >=10x; the 35-component rows are
-  the beyond-the-barrier acceptance check (eager enumeration of 8^5
+  SAG + a shortest-path tree) against :meth:`AdaptationPlanner.lazy_plan`
+  point queries, read off the per-set tables, at 21/28/35 components.
+  The CI gate (``test_lazy_point_query_gate``) requires the 28-component
+  point query to beat eager build+plan by >=10x; the 35-component rows
+  are the beyond-the-barrier acceptance check (eager enumeration of 8^5
   configurations is no longer attempted at all).
 * **factored cold build** — cold ``enumerate_masks()`` +
   ``SafeAdaptationGraph.build`` composed from per-set factors against
@@ -28,14 +28,21 @@ Two measured axes, both persisted to ``BENCH_scalability.json``:
 * **cold lone point query** — the first plans of a fresh planner on the
   ``plan-churn`` families (video ×3, fleet ×7, video + 5 services), six
   distinct-source pairs each: :meth:`AdaptationPlanner.plan`, which
-  walks the factored corridor, against building the SAG and one
-  shortest-path tree per source.  Identical plans are asserted first;
+  reads the plan off the per-set tables, against building the SAG and
+  one shortest-path tree per source.  Equal costs are asserted first;
   the gate (``test_cold_lone_point_query``) requires the first fleet ×7
   query to be >=3x faster.
+* **MAP table walk vs corridor** — a cold :meth:`AdaptationPlanner.plan`
+  (the walk over exact per-set tables) against the two-phase corridor
+  search it replaced (``tests/oracles/map_reference.py``) on video
+  ×3/×4/×5 and two fleet shapes whose sets all change.  Equal costs are
+  asserted first; the gate (``test_map_walk_against_the_corridor``)
+  requires >=5x on video ×4.
 * **lazy cost vs distance** — cold ``lazy_plan`` on the 30-component
   ``examples/fleet30.manifest`` from ``baseline`` to targets moving
-  1/2/4/6/10 services to v3, recorded with the host's CPU count.  The
-  gate (``test_fleet30_lazy_plan_curve``) holds the 10-service pair at
+  1/2/4/6/10 services to v3, recorded with the host's CPU count and the
+  per-set tables each plan reads.  The gate
+  (``test_fleet30_lazy_plan_curve``) holds the 10-service pair at
   <= 500 ms: its optimal corridor is the 2^10-node tie plateau of
   interleavings, so a search that wanders the cost ellipse instead
   (seconds) fails it.
@@ -47,8 +54,10 @@ Two measured axes, both persisted to ``BENCH_scalability.json``:
   <= 2 MB.
 """
 
+import dataclasses
 import os
 import random
+import re
 import time
 from pathlib import Path
 
@@ -62,6 +71,7 @@ from repro.core.planner import AdaptationPlanner
 from repro.core.sag import SafeAdaptationGraph
 from repro.core.space import SafeConfigurationSpace
 from repro.manifest import load_path
+from tests.oracles.map_reference import corridor_plan
 from tests.oracles.sag_reference import vertex_action_build
 from tests.oracles.space_reference import backtracking_masks
 
@@ -85,8 +95,9 @@ def plan_lazy(system):
 
 
 def plan_collaborative(system):
+    """The §7 decomposition: the plan read off per-set tables."""
     planner = AdaptationPlanner(system.universe, system.invariants, system.actions)
-    return planner.plan_collaborative(system.source, system.target)
+    return planner.plan(system.source, system.target)
 
 
 @pytest.mark.parametrize("groups", [1, 2, 3])
@@ -237,10 +248,13 @@ def _fresh_planner(system):
 
 def _eager_plan(system, source, target):
     """Eager build+plan: a fresh planner builds the SAG and answers off a
-    shortest-path tree (``plan`` alone would take the factored corridor)."""
+    shortest-path tree (``plan`` would read the per-set tables)."""
     planner = _fresh_planner(system)
-    planner.sag
-    return planner.plan_many([(source, target)])[0]
+    mask_of = system.universe.mask_of
+    path = planner.sag.csr.shortest_path_tree(mask_of(source)).path_to(mask_of(target))
+    if path is None:
+        return None
+    return planner._plan_from_mask_path(source, target, path.nodes, path.labels, path.cost)
 
 
 def _local_target(system):
@@ -274,9 +288,8 @@ def test_eager_vs_lazy(benchmark, groups):
     """Eager pipeline vs lazy frontier at 21/28 components.
 
     Every timing is a *cold* planner (enumeration + SAG + shortest-path
-    for eager; memoized frontier search for lazy), and the full-distance
-    plans must be identical — same actions, same cost — because
-    ``lazy_plan`` is exact, not heuristic.
+    for eager; the per-set tables for lazy), and the full-distance plans
+    must cost the same, because ``lazy_plan`` is exact, not heuristic.
     """
     system = replicated_video_system(groups)
     local = _local_target(system)
@@ -298,7 +311,6 @@ def test_eager_vs_lazy(benchmark, groups):
     _, lazy_adjacent_s = _best_of(
         lambda: _fresh_planner(system).lazy_plan(system.source, adjacent)
     )
-    assert lazy_plan_full.action_ids == eager_plan.action_ids
     assert lazy_plan_full.total_cost == eager_plan.total_cost == 50.0 * groups
     report(
         f"P3 eager vs lazy ({7 * groups} components)",
@@ -321,9 +333,8 @@ def test_lazy_point_query_gate():
     """CI gate: lazy point query >=10x faster than eager build+plan at 28.
 
     The eager path must enumerate 8^4 = 4096 safe configurations and
-    compile the full SAG before answering anything; the lazy frontier
-    answers a one-action query after expanding a handful of vertices.
-    The measured gap is ~100x+; 10x is the regression floor.
+    compile the full SAG before answering anything; ``lazy_plan`` answers
+    a one-action query off one set's table.  10x is the regression floor.
     """
     system = replicated_video_system(4)
     adjacent = _adjacent_target(system)
@@ -470,17 +481,16 @@ def _distinct_source_pairs(system, count, seed=0):
 
 
 def test_cold_lone_point_query():
-    """Cold lone point queries: factored corridor vs build+SPT.
+    """Cold lone point queries: the per-set table walk vs build+SPT.
 
     Each round starts two fresh planners on the same six distinct-source
-    pairs: one answers them with ``plan`` (the per-set distance
-    heuristic and the factored successor view, no SAG, no tree), the
-    other builds the SAG and one shortest-path tree per source.  Rounds
-    alternate the sides and each keeps its best first-query and
-    all-six times.
+    pairs: one answers them with ``plan`` (the per-set distance tables,
+    no SAG, no tree), the other builds the SAG and one shortest-path
+    tree per source.  Rounds alternate the sides and each keeps its best
+    first-query and all-six times.
     """
 
-    def corridor(system, pairs):
+    def tables(system, pairs):
         times, plans = [], []
         t0 = time.perf_counter()
         planner = _fresh_planner(system)
@@ -494,9 +504,10 @@ def test_cold_lone_point_query():
         times, plans = [], []
         t0 = time.perf_counter()
         planner = _fresh_planner(system)
-        planner.sag
+        csr = planner.sag.csr
+        mask_of = system.universe.mask_of
         for source, target in pairs:
-            plans.append(planner.plan_many([(source, target)])[0])
+            plans.append(csr.shortest_path_tree(mask_of(source)).path_to(mask_of(target)))
             times.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
         return times, plans
@@ -508,30 +519,32 @@ def test_cold_lone_point_query():
     for name, key, make in POINT_SHAPES:
         system = make()
         pairs = _distinct_source_pairs(system, POINT_PAIRS)
-        assert corridor(system, pairs)[1] == build_spt(system, pairs)[1]
-        first = {corridor: float("inf"), build_spt: float("inf")}
+        assert [plan.total_cost for plan in tables(system, pairs)[1]] == [
+            path.cost for path in build_spt(system, pairs)[1]
+        ]
+        first = {tables: float("inf"), build_spt: float("inf")}
         total = dict(first)
         for _ in range(POINT_ROUNDS):
             for side in first:
                 times, _ = side(system, pairs)
                 first[side] = min(first[side], times[0])
                 total[side] = min(total[side], sum(times))
-        first_speedups[name] = first[build_spt] / first[corridor]
+        first_speedups[name] = first[build_spt] / first[tables]
         for label, best in (("first", first), ("total", total)):
-            data[f"{key}_{label}_corridor_ms"] = round(best[corridor] * 1e3, 3)
+            data[f"{key}_{label}_tables_ms"] = round(best[tables] * 1e3, 3)
             data[f"{key}_{label}_build_spt_ms"] = round(best[build_spt] * 1e3, 3)
         data[f"{key}_first_speedup"] = round(first_speedups[name], 2)
         rows.append((
             f"{name} ({len(system.universe)} comps)",
-            f"{first[corridor] * 1e3:.2f}", f"{first[build_spt] * 1e3:.2f}",
+            f"{first[tables] * 1e3:.2f}", f"{first[build_spt] * 1e3:.2f}",
             f"{first_speedups[name]:.1f}x",
-            f"{total[corridor] * 1e3:.2f}", f"{total[build_spt] * 1e3:.2f}",
+            f"{total[tables] * 1e3:.2f}", f"{total[build_spt] * 1e3:.2f}",
         ))
     report(
-        "P3 cold lone point query: factored corridor vs build+SPT",
+        "P3 cold lone point query: per-set tables vs build+SPT",
         format_table(
-            ["shape", "first: corridor (ms)", "first: build+SPT (ms)", "speedup",
-             f"{POINT_PAIRS} pairs: corridor (ms)", f"{POINT_PAIRS} pairs: build+SPT (ms)"],
+            ["shape", "first: tables (ms)", "first: build+SPT (ms)", "speedup",
+             f"{POINT_PAIRS} pairs: tables (ms)", f"{POINT_PAIRS} pairs: build+SPT (ms)"],
             rows,
         )
         + f"\n{os.cpu_count()} cpu(s); gate: fleet x7 first query >= {POINT_GATE:g}x",
@@ -539,23 +552,104 @@ def test_cold_lone_point_query():
         json_path=SCALABILITY_JSON,
     )
     assert first_speedups["fleet x7"] >= POINT_GATE, (
-        f"a cold fleet x7 point query through the factored corridor ran only "
+        f"a cold fleet x7 point query off the per-set tables ran only "
         f"{first_speedups['fleet x7']:.2f}x faster than build+SPT (gate {POINT_GATE:g}x)"
+    )
+
+
+# --- MAP table walk vs corridor -----------------------------------------------
+
+def _every_service_moved(system):
+    """*system* with a target that also moves the services its own target
+    leaves on ``v1`` (to ``v2``), so every collaborative set changes."""
+    target = Configuration(
+        f"{name[:-1]}2" if re.fullmatch(r"S\d+v1", name) else name
+        for name in system.target.members
+    )
+    return dataclasses.replace(system, target=target)
+
+
+#: (row name, JSON key prefix, system): every collaborative set changes
+WALK_SHAPES = (
+    ("video x3", "video_x3", lambda: replicated_video_system(3)),
+    ("video x4", "video_x4", lambda: replicated_video_system(4)),
+    ("video x5", "video_x5", lambda: replicated_video_system(5)),
+    ("fleet x10", "fleet_x10", lambda: _every_service_moved(service_fleet_system(10))),
+    ("fleet x4 + video x4", "fleet_x4_video_x4",
+     lambda: _every_service_moved(service_fleet_system(4, video_groups=4))),
+)
+WALK_ROUNDS = 3
+WALK_GATE = 5.0
+
+
+def test_map_walk_against_the_corridor():
+    """A cold MAP: the walk over exact per-set tables vs the corridor search.
+
+    Each round times both on fresh planners, alternating; each side keeps
+    its best.  The corridor search (``tests/oracles/map_reference.py``,
+    the route ``plan`` took before) reads the same tables as its
+    heuristic, then expands the whole tie plateau of commuting
+    interleavings; the walk reads one tight arc per step.
+    """
+
+    def walk(system):
+        return _fresh_planner(system).plan(system.source, system.target)
+
+    def corridor(system):
+        return corridor_plan(_fresh_planner(system), system.source, system.target)
+
+    rows = []
+    data = {"nproc": os.cpu_count(), "rounds": WALK_ROUNDS, "gate_video_x4": WALK_GATE}
+    speedups = {}
+    for name, key, make in WALK_SHAPES:
+        system = make()
+        changed = system.universe.mask_of(system.source) ^ system.universe.mask_of(system.target)
+        groups, _ = _fresh_planner(system).space.factorization.action_sets(system.actions)
+        assert all(changed & system.universe.mask_of_names(group) for group in groups)
+        assert walk(system).total_cost == corridor(system).total_cost
+        best = {walk: float("inf"), corridor: float("inf")}
+        for _ in range(WALK_ROUNDS):
+            for side in best:
+                t0 = time.perf_counter()
+                side(system)
+                best[side] = min(best[side], time.perf_counter() - t0)
+        speedups[name] = best[corridor] / best[walk]
+        data[f"{key}_components"] = len(system.universe)
+        data[f"{key}_walk_ms"] = round(best[walk] * 1e3, 3)
+        data[f"{key}_corridor_ms"] = round(best[corridor] * 1e3, 3)
+        data[f"{key}_speedup"] = round(speedups[name], 1)
+        rows.append((
+            f"{name} ({len(system.universe)} comps)",
+            f"{best[walk] * 1e3:.2f}", f"{best[corridor] * 1e3:.2f}",
+            f"{speedups[name]:.1f}x",
+        ))
+    report(
+        "P3 cold MAP: per-set table walk vs corridor search",
+        format_table(["shape", "table walk (ms)", "corridor (ms)", "speedup"], rows)
+        + f"\n{os.cpu_count()} cpu(s); gate: video x4 >= {WALK_GATE:g}x",
+        data=data,
+        json_path=SCALABILITY_JSON,
+    )
+    assert speedups["video x4"] >= WALK_GATE, (
+        f"a cold video x4 MAP off the per-set tables ran only "
+        f"{speedups['video x4']:.2f}x faster than the corridor search "
+        f"(gate {WALK_GATE:g}x)"
     )
 
 
 # --- lazy cost vs distance ---------------------------------------------------
 
 #: services moved to v3 -> (cost, action ids) of the fleet30 MAP; the
-#: plans the uniform-cost replay produced, pinned so a faster search
-#: cannot drift to a different optimum among the ties
+#: MAP contract's plans (lowest library index first among the tied
+#: interleavings), pinned so a faster engine cannot drift to a different
+#: optimum among the ties
 FLEET30_CURVE = {
     1: (10.0, ("U02",)),
     2: (25.0, ("U02", "U12")),
-    4: (55.0, ("U02", "U32", "U12", "U22")),
-    6: (90.0, ("U02", "U32", "U12", "U42", "U22", "U52")),
-    10: (145.0, ("U02", "U32", "U62", "U92", "U12", "U42", "U72", "U22",
-                 "U52", "U82")),
+    4: (55.0, ("U02", "U12", "U22", "U32")),
+    6: (90.0, ("U02", "U12", "U22", "U32", "U42", "U52")),
+    10: (145.0, ("U02", "U12", "U22", "U32", "U42", "U52", "U62", "U72",
+                 "U82", "U92")),
 }
 FLEET30_FAR_GATE_MS = 500.0
 
@@ -563,9 +657,10 @@ FLEET30_FAR_GATE_MS = 500.0
 def test_fleet30_lazy_plan_curve():
     """Cold ``lazy_plan`` latency against the number of changed services.
 
-    Each point is the best of three fresh planners (safety memo,
-    adjacency cache and per-set distance tables all cold).  The plans
-    must be the pinned ones; the 10-service point is gated.
+    Each point is the best of three fresh planners (safety memo and
+    per-set distance tables all cold).  The plans must be the pinned
+    ones, read off one table per changed service with no mask expanded;
+    the 10-service point is gated.
     """
     manifest = load_path(FLEET30)
     baseline = manifest.configurations["baseline"]
@@ -583,14 +678,15 @@ def test_fleet30_lazy_plan_curve():
 
         plan, seconds = _best_of(cold)
         assert (plan.total_cost, plan.action_ids) == (cost, action_ids)
-        assert all(p.space._cache is None for p in planners)
-        expanded = planners[-1].lazy_sag.expanded_nodes
-        rows.append((moved, f"{seconds * 1e3:.2f}", expanded))
+        assert all(p.space._cache is None and p._lazy_sag is None for p in planners)
+        tables = len(planners[-1]._set_distances._tables)
+        assert tables == moved
+        rows.append((moved, f"{seconds * 1e3:.2f}", tables))
         data[f"services_{moved}_ms"] = round(seconds * 1e3, 3)
-        data[f"services_{moved}_expanded"] = expanded
+        data[f"services_{moved}_tables"] = tables
     report(
         "P3 fleet30 lazy_plan vs changed services (30 components)",
-        format_table(["services moved", "cold lazy_plan (ms)", "masks expanded"], rows)
+        format_table(["services moved", "cold lazy_plan (ms)", "tables read"], rows)
         + f"\n{os.cpu_count()} cpu(s); gate: 10 services <= {FLEET30_FAR_GATE_MS:g} ms",
         data=data,
         json_path=SCALABILITY_JSON,

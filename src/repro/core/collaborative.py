@@ -16,9 +16,10 @@ product of per-set sub-SAGs (:func:`sag_factors` feeds
 :meth:`SafeAdaptationGraph.build <repro.core.sag.SafeAdaptationGraph.build>`,
 and :class:`FactoredSAG` reads a vertex's arcs off them without building
 the product),
-:class:`SetDistanceHeuristic` turns the sub-SAGs into the lazy planner's
-exact distance-to-target heuristic, and lint's per-set analysis reads
-the same projections.
+:class:`SetDistanceHeuristic` turns the sub-SAGs into exact per-set
+distance tables, off which the planner reads every MAP and which its
+banned searches use as their heuristic, and lint's per-set analysis
+reads the same projections.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import (
     Hashable,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -429,47 +431,42 @@ class FactoredSAG:
         ]
 
 
+class MapWalk(NamedTuple):
+    """A plan read off the per-set tables: its cost, masks and action ids
+    (the fields of a :class:`~repro.graphs.digraph.Path` a planner reads)."""
+
+    cost: float
+    nodes: Tuple[int, ...]
+    labels: Tuple[str, ...]
+
+
 class SetDistanceHeuristic:
-    """The lazy planner's heuristic: exact distance, one set at a time (§7).
+    """Exact per-set ``(cost, hops)`` tables: the MAP walk and the searches'
+    heuristic (§7).
 
     No invariant and no maskable action spans two collaborative sets, so
     the implicit SAG is the product of the sets' sub-SAGs — a step moves
     one set's projection along an arc of that set's sub-SAG and leaves
-    every other projection alone.  The distance from a mask to a target
-    is therefore the sum, over the sets, of the distance from the mask's
-    projection to the target's projection.  :meth:`for_query` returns a
-    function of the mask built from one term per set:
+    every other projection alone.  A path's cost and its hop count are
+    therefore sums over the sets, and so are the least ``(cost, hops)``
+    from a mask to a target: per set, from the mask's projection to the
+    target's projection.  A set the query **changes** (source and target
+    projections differ) of at most *cap* components gets that pair
+    exactly, from a table.  The set's sub-SAG is built once, on first
+    use, and each distinct target projection then costs one reverse
+    lexicographic Dijkstra over it; tables sit in an LRU of *cache_size*
+    entries keyed by ``(set, target projection)``, so targets that agree
+    on a set share its table.
 
-    * a set the query **changes** (source and target projections differ)
-      of at most *cap* components contributes its **exact** distance,
-      read from a table.  The set's sub-SAG is built once, on first use,
-      and each distinct target projection then costs one reverse
-      Dijkstra over it; tables sit in an LRU of *cache_size* entries
-      keyed by ``(set, target projection)``, so targets that agree on a
-      set share its table;
-    * every other set contributes the mask bound
-      ``ceil(|Δ_set| / max_flip_set) · min_cost_set`` over its own
-      actions.  For a set above the cap that is all that is affordable;
-      for a set the query leaves alone it is all that is needed — it is
-      zero wherever the set sits at its target projection, and an
-      optimal path only leaves it there on a detour the bound already
-      charges for — so a near query builds one or two tables, not one
-      per set.
-
-    A projection that cannot reach the target's projection contributes
-    ``inf`` (the searches prune it).  Every term is consistent on its own
-    set's arcs and constant across the other sets' arcs, so the sum is
-    consistent and ``h(target) == 0``; Yen's bans only lengthen true
-    distances, so it stays admissible in every spur.
-
-    The sub-SAG is built in place, in the planner's own bit encoding:
-    its nodes are the set's safe projections
+    :meth:`walk` reads the MAP off the tables with no search, and
+    :meth:`for_query` turns them into the consistent heuristic of the
+    banned searches.  The sub-SAG is built in place, in the planner's
+    own bit encoding: its nodes are the set's safe projections
     (:meth:`SafeConfigurationSpace.projections
     <repro.core.space.SafeConfigurationSpace.projections>`, shared with
-    the eager build)
-    and its arcs :func:`projection_arcs` — no second universe or mask
-    translation.  The sets ignore ``[conflicts]``: they only shape the
-    heuristic, which stays exact on the finer partition.
+    the eager build) and its arcs :func:`projection_arcs` — no second
+    universe or mask translation.  The sets ignore ``[conflicts]``: the
+    finer partition gives the same exact sums.
     """
 
     def __init__(
@@ -497,24 +494,105 @@ class SetDistanceHeuristic:
             )
             for group, arcs in zip(groups, arcs_of)
         )
-        self._graphs: Dict[int, CSRGraph] = {}
-        self._tables: "OrderedDict[Tuple[int, int], Dict[int, float]]" = OrderedDict()
+        #: per set: its projections, their indices, its forward rows
+        #: (:func:`projection_arcs`) and the reversed sub-SAG
+        self._sub_sags: Dict[int, Tuple[
+            Tuple[int, ...], Dict[int, int], List[List[ProjectionArc]], CSRGraph
+        ]] = {}
+        #: per (set, target projection): least cost and its fewest hops to
+        #: the target, per projection index
+        self._tables: "OrderedDict[Tuple[int, int], Tuple[List[float], List[int]]]" = (
+            OrderedDict()
+        )
+
+    def walk(self, source_mask: int, target_mask: int) -> Tuple[bool, Optional[MapWalk]]:
+        """The MAP from *source_mask* to *target_mask*, read off the tables.
+
+        The MAP contract (DESIGN.md §11): least cost, then fewest hops,
+        then at each step the lowest action-library index.  Each step
+        looks at the changed sets' forward rows for their current
+        projections only: an arc is tight when it keeps the least cost
+        (within a ``1e-9`` relative slack) and takes one hop off the
+        fewest, and the tight arc with the lowest index is taken.  Hops
+        strictly fall, so zero-cost arcs cannot loop, and the walk stops
+        at the target.  A set the query leaves alone never moves: moving
+        it adds a hop, and a cost that is not negative.
+
+        Returns ``(exact, walk)``: ``(False, None)`` when a changed set
+        is above the cap (no table is affordable; the caller searches),
+        else the walk, or ``None`` when some changed set's table has no
+        path from the source's projection — exactly when the target is
+        unreachable.
+        """
+        moving: List[list] = []
+        for index, (set_mask, group, _, _, _) in enumerate(self._sets):
+            projection = target_mask & set_mask
+            here = source_mask & set_mask
+            if here == projection:
+                continue
+            if len(group) > self._cap:
+                return False, None
+            nodes, index_of, rows, _ = self._sub_sag(index)
+            dist, hops = self._table(index, projection)
+            position = index_of[here]
+            if dist[position] == math.inf:
+                return True, None
+            moving.append([position, nodes, rows, dist, hops])
+        mask, cost = source_mask, 0.0
+        path = [mask]
+        labels: List[str] = []
+        for _ in range(sum(entry[4][entry[0]] for entry in moving)):
+            best: Optional[tuple] = None
+            for entry in moving:
+                position, _, rows, dist, hops = entry
+                remaining = hops[position] - 1
+                if remaining < 0:
+                    continue
+                least = dist[position]
+                bound = least + 1e-9 * (1.0 + least)
+                # rows keep library order: a set's first tight arc is its
+                # lowest-index one
+                for nxt, weight, label in rows[position]:
+                    if hops[nxt] == remaining and weight + dist[nxt] <= bound:
+                        if best is None or label < best[0]:
+                            best = (label, weight, nxt, entry)
+                        break
+            assert best is not None  # the table's own arc is always tight
+            label, weight, nxt, entry = best
+            nodes = entry[1]
+            mask ^= nodes[entry[0]] ^ nodes[nxt]
+            entry[0] = nxt
+            cost += weight
+            path.append(mask)
+            labels.append(self._labels[label])
+        return True, MapWalk(cost, tuple(path), tuple(labels))
 
     def for_query(self, source_mask: int, target_mask: int) -> Callable[[int], float]:
-        """``h(mask)``: the distance from *mask* to the safe *target_mask*.
+        """``h(mask)``: a consistent heuristic toward the safe *target_mask*.
 
-        *source_mask* only selects which sets get exact tables (the ones
-        the query changes); the function is a consistent heuristic
-        toward *target_mask* from every mask.  It memoizes per mask, so
-        one planning query — a probe, its replay and every Yen spur —
-        pays the per-set sum once per distinct configuration.
+        One term per set: a set the query changes (*source_mask* only
+        selects these) that fits the cap contributes its exact distance
+        from its table; every other set the mask bound
+        ``ceil(|Δ_set| / max_flip_set) · min_cost_set`` over its own
+        actions — all that is affordable above the cap, and all that is
+        needed for a set the query leaves alone: zero wherever the set
+        sits at its target projection, and an optimal path only leaves
+        it there on a detour the bound already charges for.  A
+        projection that cannot reach the target's projection contributes
+        ``inf`` (the searches prune it).  Every term is consistent on its
+        own set's arcs and constant across the other sets' arcs, so the
+        sum is consistent and ``h(target) == 0``; bans only lengthen
+        true distances, so it stays admissible in every banned search.
+        It memoizes per mask, so one query — a probe, its replay and
+        every Yen spur — pays the per-set sum once per configuration.
         """
-        exact: List[Tuple[int, Dict[int, float]]] = []
+        exact: List[Tuple[int, Dict[int, int], List[float]]] = []
         bounded: List[Tuple[int, int, int, float]] = []
         for index, (set_mask, group, _, max_flip, min_cost) in enumerate(self._sets):
             projection = target_mask & set_mask
             if len(group) <= self._cap and source_mask & set_mask != projection:
-                exact.append((set_mask, self._table(index, projection)))
+                dist, _ = self._table(index, projection)
+                exact.append((set_mask, self._sub_sag(index)[1], dist))
             else:
                 bounded.append((set_mask, projection, max_flip, min_cost))
         memo: Dict[int, float] = {}
@@ -523,8 +601,8 @@ class SetDistanceHeuristic:
             value = memo.get(mask)
             if value is None:
                 value = 0.0
-                for set_mask, table in exact:
-                    value += table[mask & set_mask]
+                for set_mask, index_of, dist in exact:
+                    value += dist[index_of[mask & set_mask]]
                 for set_mask, projection, max_flip, min_cost in bounded:
                     delta = ((mask & set_mask) ^ projection).bit_count()
                     if delta:
@@ -534,30 +612,36 @@ class SetDistanceHeuristic:
 
         return heuristic
 
-    def _table(self, index: int, projection: int) -> Dict[int, float]:
-        """Distance from every projection of set *index* to *projection*."""
+    def _table(self, index: int, projection: int) -> Tuple[List[float], List[int]]:
+        """Least cost, and fewest hops at that cost, from every projection
+        of set *index* to *projection*."""
         key = (index, projection)
         tables = self._tables
         table = tables.get(key)
         if table is not None:
             tables.move_to_end(key)
             return table
-        graph = self._graphs.get(index)
-        if graph is None:
-            graph = self._graphs[index] = self._reversed_sub_sag(index)
-        dist, _, _ = csr_dijkstra(graph, graph.index_of[projection])
-        table = dict(zip(graph.nodes, dist))
-        tables[key] = table
+        _, index_of, _, graph = self._sub_sag(index)
+        dist, hops, _ = csr_dijkstra(graph, index_of[projection])
+        table = tables[key] = (dist, hops)
         while len(tables) > self._cache_size:
             tables.popitem(last=False)
         return table
 
-    def _reversed_sub_sag(self, index: int) -> CSRGraph:
-        """Set *index*'s sub-SAG with every arc reversed (nodes: projections)."""
+    def _sub_sag(
+        self, index: int
+    ) -> Tuple[Tuple[int, ...], Dict[int, int], List[List[ProjectionArc]], CSRGraph]:
+        """Set *index*'s sub-SAG: its projections, their indices, its
+        forward rows, and the same arcs reversed as a CSR graph (built
+        once)."""
+        sub_sag = self._sub_sags.get(index)
+        if sub_sag is not None:
+            return sub_sag
         _, group, arcs, _, _ = self._sets[index]
         nodes = self._space.projections(group)
+        rows = projection_arcs(nodes, arcs)
         incoming: List[List[ProjectionArc]] = [[] for _ in nodes]
-        for source, row in enumerate(projection_arcs(nodes, arcs)):
+        for source, row in enumerate(rows):
             for target, cost, label in row:
                 incoming[target].append((source, cost, label))
         offsets = [0]
@@ -571,4 +655,6 @@ class SetDistanceHeuristic:
                 label_ids.append(label)
             offsets.append(len(targets))
         index_of = {node: i for i, node in enumerate(nodes)}
-        return CSRGraph(nodes, index_of, offsets, targets, weights, label_ids, self._labels)
+        graph = CSRGraph(nodes, index_of, offsets, targets, weights, label_ids, self._labels)
+        sub_sag = self._sub_sags[index] = (nodes, index_of, rows, graph)
+        return sub_sag

@@ -4,21 +4,19 @@ The :class:`AdaptationPlanner` performs the three setup steps on demand:
 
 1. construct the safe-configuration set,
 2. construct the Safe Adaptation Graph,
-3. run Dijkstra for the Minimum Adaptation Path (MAP) — plus the extras
-   the rest of the paper needs: the cheapest path avoiding failed steps
-   (failure handling §4.4), k-best paths (path-property verification),
-   lazy A* partial exploration and collaborative-set decomposition
-   (scalability, §7).
+3. find the Minimum Adaptation Path (MAP) — plus the extras the rest of
+   the paper needs: the cheapest path avoiding failed steps (failure
+   handling §4.4), k-best paths (path-property verification) and lazy
+   A* partial exploration (scalability, §7).
 
-A lone cold MAP query skips steps 1 and 2: it searches the SAG read off
-the collaborative sets' sub-SAGs, with Dijkstra's answer (§7: "only a
-small fraction of the graph is actually related to the given
-adaptation").
+A MAP query skips steps 1 and 2 and runs no search: no invariant and no
+action spans two collaborative sets (§7), so the plan is read off exact
+per-set distance tables (:meth:`SetDistanceHeuristic.walk
+<repro.core.collaborative.SetDistanceHeuristic.walk>`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     AbstractSet, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
@@ -26,18 +24,13 @@ from typing import (
 )
 
 from repro.core.actions import ActionLibrary, AdaptiveAction
-from repro.core.collaborative import (
-    SetDistanceHeuristic,
-    collaborative_sets,
-    project_invariants,
-)
+from repro.core.collaborative import MapWalk, SetDistanceHeuristic
 from repro.core.invariants import InvariantSet
 from repro.core.model import ComponentUniverse, Configuration
 from repro.core.sag import Arcs, LazySAG, SafeAdaptationGraph
 from repro.core.space import SafeConfigurationSpace
 from repro.errors import NoSafePathError
 from repro.graphs.astar import astar_cost, corridor_search
-from repro.graphs.csr import ShortestPathTree
 from repro.graphs.digraph import Path
 from repro.graphs.yen import YenState
 
@@ -114,9 +107,10 @@ class AdaptationPlan:
 class AdaptationPlanner:
     """Runs the detection & setup phase for a fixed ``(universe, I, T, A)``.
 
-    The planner is **incremental**: the safe space, the SAG, and every
-    computed plan are cached, and each is built only when a query needs
-    it (a lone :meth:`plan` needs neither the space nor the SAG).  The
+    The planner is **incremental**: the safe space, the SAG, the per-set
+    distance tables and every computed plan are cached, and each is
+    built only when a query needs it (:meth:`plan` needs neither the
+    space nor the SAG).  The
     §4.4 failure cascade — retry the step, take the cheapest path that
     avoids the failed steps, roll back to the source — re-enters the
     planner through :meth:`plan_avoiding` with shifting ``(source,
@@ -126,18 +120,18 @@ class AdaptationPlanner:
     :class:`~repro.graphs.yen.YenState` that every k and both sides of
     the cap share.
 
-    Not thread-safe: cached shortest-path trees and Yen states grow in
-    place, so each caller serializes its calls.  The planning service
-    holds the spec entry's lock (``_SpecEntry.lock``) around every call
-    but the lock-free :meth:`peek_plan`; the live backend holds its
+    Not thread-safe: the table LRU and the Yen states change in place,
+    so each caller serializes its calls.  The planning service holds the
+    spec entry's lock (``SpecEntry.lock``) around every call but the
+    lock-free :meth:`peek_plan`; the live backend holds its
     system lock (``LiveAdaptationSystem._lock``) around the manager's
     replans, so a planner shared between a service and a live system
     would need one lock for both; the model checker is single-threaded.
     """
 
-    #: bound on cached shortest-path trees (one per distinct source), and
-    #: on the lazy heuristic's per-set distance tables
-    SPT_CACHE_SIZE = 64
+    #: bound on the per-set distance tables, one per (collaborative set,
+    #: target projection)
+    SET_TABLE_CACHE_SIZE = 64
 
     def __init__(
         self,
@@ -175,20 +169,14 @@ class AdaptationPlanner:
             Tuple[Configuration, Configuration],
             Tuple[YenState, List[AdaptationPlan]],
         ] = {}
-        # LRU of shortest-path trees keyed by source configuration.  One
-        # tree amortizes every (source, *) query — batched plan_many
-        # groups, and the §4.4 replan cascade whose source shifts along
-        # the failing path while targets repeat.
-        self._spt_cache: "OrderedDict[Configuration, ShortestPathTree]" = OrderedDict()
 
     def reset_caches(self) -> None:
         """Drop every derived cache (after mutating the action library).
 
         Clears the SAG (and with it the compiled CSR view), the lazy
-        successor generator, the k-best and lazy searches' per-set
-        distance tables, the plan cache, :meth:`plan_avoiding`'s kept
-        answers, the per-pair Yen states, and the shortest-path-tree LRU —
-        all of them are derived from the action
+        successor generator, the per-set sub-SAGs and distance tables,
+        the plan cache, :meth:`plan_avoiding`'s kept answers and the
+        per-pair Yen states — all of them are derived from the action
         library, so any of them could otherwise serve a path using an
         action that no longer exists.  Call it under the same lock as
         every other call (see the class docstring): a :class:`PathStream`
@@ -201,7 +189,6 @@ class AdaptationPlanner:
         self._plan_cache.clear()
         self._avoiding.clear()
         self._k_best.clear()
-        self._spt_cache.clear()
 
     # -- setup steps -------------------------------------------------------------
     @property
@@ -241,50 +228,19 @@ class AdaptationPlanner:
         self.space.require_safe(target, role="target configuration")
 
     # -- planning entry points -----------------------------------------------------
-    def _spt_for(self, source: Configuration) -> ShortestPathTree:
-        """The shortest-path tree rooted at *source* (LRU-cached)."""
-        cache = self._spt_cache
-        tree = cache.get(source)
-        if tree is not None:
-            cache.move_to_end(source)
-            return tree
-        tree = self.sag.csr.shortest_path_tree(self.universe.mask_of(source))
-        cache[source] = tree
-        while len(cache) > self.SPT_CACHE_SIZE:
-            cache.popitem(last=False)
-        return tree
-
-    def _plan_uncached(
-        self,
-        source: Configuration,
-        target: Configuration,
-        tree: ShortestPathTree,
-    ) -> Optional[AdaptationPlan]:
-        path = tree.path_to(self.universe.mask_of(target))
-        if path is None:
-            return None
-        return self._plan_from_mask_path(source, target, path.nodes, path.labels, path.cost)
-
     def plan(self, source: Configuration, target: Configuration) -> AdaptationPlan:
         """The Minimum Adaptation Path (§4.2 step 3).
 
-        A pair is answered by the first of these that applies
-        (:meth:`_answer`):
-
-        1. the per-pair plan cache — a cached ``None`` records that the
-           target is unreachable (distinct from an absent entry);
-        2. a shortest-path tree for *source*: a cached one
-           (:meth:`plan_many` leaves one per source; a target it already
-           settled costs O(path length), others resume it), or a new
-           one when the SAG is already built (by :meth:`plan_many`,
-           :meth:`plan_k` or a read of :attr:`sag`) — on a built SAG a
-           tree settles the §4.4 cascade's shifting sources faster than
-           the corridor search does;
-        3. the exact two-phase search of :meth:`_banned_shortest` over the
-           implicit SAG (:attr:`lazy_sag`), which reads each mask's arcs
-           off the collaborative factors: a lone cold query builds
-           neither the SAG nor a tree, and the plan is **identical —
-           path, cost and tie-break — to Dijkstra on the built SAG**.
+        The plan obeys the MAP contract (DESIGN.md §11): least cost,
+        then fewest steps, then at each step the lowest action-library
+        index.  A pair is answered from the per-pair plan cache (a
+        cached ``None`` records that the target is unreachable, distinct
+        from an absent entry), else by :meth:`_map_path`: a walk over
+        the exact per-set distance tables, with no search, no safe
+        space and no SAG.  Only a pair that changes a collaborative set
+        above :attr:`max_components` is searched instead
+        (:meth:`_banned_shortest` over :attr:`lazy_sag`), and its ties
+        break as Dijkstra's on the built SAG do.
 
         Raises:
             UnsafeConfigurationError: source or target violates invariants.
@@ -296,37 +252,61 @@ class AdaptationPlanner:
     def _answer(
         self, source: Configuration, target: Configuration, budget: Optional[int]
     ) -> AdaptationPlan:
-        """The routing shared by :meth:`plan` and :meth:`lazy_plan`: plan
-        cache, then a tree for *source* (cached, or grown on a SAG that is
-        already built), then the implicit-SAG search under *budget*
-        (exhausting it raises, and is never cached)."""
-        key = (source, target)
-        if key in self._plan_cache:
-            plan = self._plan_cache[key]
-        elif self._sag is not None:  # every cached tree grows on it
-            plan = self._plan_uncached(source, target, self._spt_for(source))
-            self._plan_cache[key] = plan
-        else:
-            source_mask = self.universe.mask_of(source)
-            target_mask = self.universe.mask_of(target)
-            path, exhausted, _ = self._banned_shortest(
-                self.lazy_sag.successors, source_mask, target_mask,
-                self._lazy_heuristic(source_mask, target_mask), budget,
-            )
-            if exhausted:
-                raise NoSafePathError(
-                    f"no safe adaptation path from {source.label()} to "
-                    f"{target.label()} within {budget} expansions"
-                )
-            plan = None if path is None else self._plan_from_mask_path(
-                source, target, path.nodes, path.labels, path.cost
-            )
-            self._plan_cache[key] = plan
+        """:meth:`_lookup`, raising on an unreachable target."""
+        plan = self._lookup(source, target, budget)
         if plan is None:
             raise NoSafePathError(
                 f"no safe adaptation path from {source.label()} to {target.label()}"
             )
         return plan
+
+    def _lookup(
+        self, source: Configuration, target: Configuration, budget: Optional[int]
+    ) -> Optional[AdaptationPlan]:
+        """The routing shared by :meth:`plan`, :meth:`lazy_plan` and
+        :meth:`plan_many`: the plan cache, else :meth:`_map_path` under
+        *budget* (exhausting it raises, and is never cached); ``None``
+        when the target is unreachable."""
+        key = (source, target)
+        if key in self._plan_cache:
+            return self._plan_cache[key]
+        path, exhausted, _ = self._map_path(
+            self.universe.mask_of(source), self.universe.mask_of(target), budget
+        )
+        if exhausted:
+            raise NoSafePathError(
+                f"no safe adaptation path from {source.label()} to "
+                f"{target.label()} within {budget} expansions"
+            )
+        plan = self._plan_cache[key] = None if path is None else self._plan_from_mask_path(
+            source, target, path.nodes, path.labels, path.cost
+        )
+        return plan
+
+    def _map_path(
+        self, source_mask: int, target_mask: int, budget: Optional[int]
+    ) -> Tuple[Optional["MapWalk | Path"], bool, int]:
+        """The MAP between two safe masks, as ``(path, exhausted,
+        expansions_spent)`` like :meth:`_banned_shortest`.
+
+        Every route that asks for a MAP with nothing banned ends here
+        (:meth:`plan`, :meth:`lazy_plan`, :meth:`plan_many`, the MAP
+        check of :meth:`plan_avoiding`, and the first path of a pair's
+        Yen state).  When every collaborative set the pair changes fits
+        :attr:`max_components`, the plan is read off the per-set tables
+        (:meth:`SetDistanceHeuristic.walk
+        <repro.core.collaborative.SetDistanceHeuristic.walk>`): no
+        expansion, and an unreachable target is known from the tables
+        alone.  Otherwise :meth:`_banned_shortest` searches
+        :attr:`lazy_sag` under *budget*.
+        """
+        exact, walk = self._set_tables().walk(source_mask, target_mask)
+        if exact:
+            return walk, False, 0
+        return self._banned_shortest(
+            self.lazy_sag.successors, source_mask, target_mask,
+            self._lazy_heuristic(source_mask, target_mask), budget,
+        )
 
     def peek_plan(
         self, source: Configuration, target: Configuration
@@ -348,38 +328,27 @@ class AdaptationPlanner:
     ) -> List[Optional[AdaptationPlan]]:
         """Batched MAP solving: one result per request, input order kept.
 
-        Requests are grouped by source and answered off one shortest-path
-        tree per distinct source, so a batch of R requests over S distinct
-        sources costs at most S Dijkstra runs instead of R.  Unlike :meth:`plan`,
+        Each pair is answered as :meth:`plan` answers it, target by
+        target, so the pairs of one target read the same per-set tables
+        (kept per ``(set, target projection)``).  Unlike :meth:`plan`,
         an unreachable pair yields ``None`` in its slot rather than
         raising — a batch should not die on one bad request.  Endpoint
-        safety is still enforced (unsafe endpoints raise, as they indicate
-        a malformed request rather than a mere absence of a path).
+        safety is still enforced, before any pair is planned (unsafe
+        endpoints raise, as they indicate a malformed request rather
+        than a mere absence of a path).
 
         Every result is written through to the per-pair plan cache, so a
         later :meth:`plan`/:meth:`peek_plan` on any pair in the batch is a
         dict hit.
         """
-        results: List[Optional[AdaptationPlan]] = [None] * len(pairs)
-        by_source: Dict[Configuration, List[int]] = {}
+        by_target: Dict[Configuration, List[int]] = {}
         for i, (source, target) in enumerate(pairs):
             self._validate_endpoints(source, target)
-            key = (source, target)
-            if key in self._plan_cache:
-                results[i] = self._plan_cache[key]
-            else:
-                by_source.setdefault(source, []).append(i)
-        for source, indices in by_source.items():
-            tree = self._spt_for(source)
+            by_target.setdefault(target, []).append(i)
+        results: List[Optional[AdaptationPlan]] = [None] * len(pairs)
+        for target, indices in by_target.items():
             for i in indices:
-                target = pairs[i][1]
-                key = (source, target)
-                if key in self._plan_cache:  # duplicate pair earlier in batch
-                    results[i] = self._plan_cache[key]
-                    continue
-                plan = self._plan_uncached(source, target, tree)
-                self._plan_cache[key] = plan
-                results[i] = plan
+                results[i] = self._lookup(pairs[i][0], target, None)
         return results
 
     def plan_k(
@@ -523,18 +492,17 @@ class AdaptationPlanner:
         target: Configuration,
         max_expansions: Optional[int] = None,
     ) -> AdaptationPlan:
-        """The exact MAP by frontier search — no safe space, no SAG (§7).
+        """The MAP with no safe space and no SAG, for any universe (§7).
 
-        :meth:`plan` with an expansion budget: the same routing (plan
-        cache, cached tree, then :meth:`_banned_shortest` over
-        :attr:`lazy_sag`), for universes too large to enumerate.  The
-        implicit SAG reads each mask's arcs off the collaborative factors
-        when every factor with actions fits :attr:`max_components` (as on
-        ``fleet30``), and tests the compiled actions per mask otherwise;
-        either way the plan is **identical — path, cost, and tie-break —
-        to the eager CSR path** wherever both are defined, and the safe
-        space is never enumerated.  *max_expansions* bounds both phases
-        of the search together.
+        :meth:`plan` with an expansion budget: the same routing and the
+        same plan.  When every collaborative set the pair changes fits
+        :attr:`max_components` (as on ``fleet30``), the plan is read off
+        the per-set tables and expands nothing, so *max_expansions* does
+        not apply (``fleet30`` ``baseline→canary`` is answered under a
+        budget of 1).  It bounds only the search a set above the cap
+        needs: both phases of :meth:`_banned_shortest` over
+        :attr:`lazy_sag` together, which reads the compiled actions per
+        mask when a factor with actions is above the cap.
 
         Results are written through to the shared plan cache, so a later
         :meth:`plan` or :meth:`peek_plan` on the pair is a warm dict hit
@@ -549,17 +517,22 @@ class AdaptationPlanner:
         self._validate_endpoints(source, target)
         return self._answer(source, target, max_expansions)
 
-    def _lazy_heuristic(self, source_mask: int, target_mask: int):
-        """The per-collaborative-set distance heuristic toward *target_mask*
-        (:class:`~repro.core.collaborative.SetDistanceHeuristic`; its
-        tables are built on first use and live until :meth:`reset_caches`).
-        Every search of the planner but :meth:`plan` runs under it, over
-        the built SAG or the implicit one alike."""
+    def _set_tables(self) -> SetDistanceHeuristic:
+        """The per-set sub-SAGs and distance tables (made on first use,
+        capped at :attr:`max_components`, dropped by :meth:`reset_caches`)."""
         if self._set_distances is None:
             self._set_distances = SetDistanceHeuristic(
-                self.space, self.actions, LAZY_PLAN_COMPONENTS, self.SPT_CACHE_SIZE
+                self.space, self.actions, self.max_components, self.SET_TABLE_CACHE_SIZE
             )
-        return self._set_distances.for_query(source_mask, target_mask)
+        return self._set_distances
+
+    def _lazy_heuristic(self, source_mask: int, target_mask: int):
+        """The per-collaborative-set distance heuristic toward *target_mask*
+        (:meth:`SetDistanceHeuristic.for_query
+        <repro.core.collaborative.SetDistanceHeuristic.for_query>`), under
+        which every search of the planner runs, over the built SAG or the
+        implicit one alike."""
+        return self._set_tables().for_query(source_mask, target_mask)
 
     def _banned_shortest(
         self,
@@ -574,8 +547,9 @@ class AdaptationPlanner:
     ) -> Tuple[Optional[Path], bool, int]:
         """One exact banned-set shortest-path query.
 
-        The one search behind :meth:`lazy_plan`, :meth:`plan_avoiding`
-        and every Yen spur of :meth:`plan_k` and :meth:`lazy_plan_k`, in
+        The one search behind :meth:`plan_avoiding` around failed steps,
+        every Yen spur of :meth:`plan_k` and :meth:`lazy_plan_k`, and a
+        MAP that changes a set above the cap (:meth:`_map_path`), in
         two phases over *successors* — the built SAG's or the
         :class:`~repro.core.sag.LazySAG`'s arcs.  A spur's bans are
         applied at the source: *banned_nodes* (masks) seed both phases'
@@ -644,59 +618,6 @@ class AdaptationPlanner:
         stream = self._stream(source, target, k, True, max_expansions)
         plans = stream.plans()
         return plans, not stream.exhausted
-
-    def plan_collaborative(
-        self, source: Configuration, target: Configuration
-    ) -> AdaptationPlan:
-        """Plan per collaborative set and concatenate (§7 decomposition).
-
-        Each collaborative set is planned in its own sub-universe with the
-        invariants and actions that fall inside it, by :meth:`lazy_plan`; the
-        per-set plans are then replayed in order against the global
-        configuration.  Exact when the decomposition is valid (invariants
-        and actions never span sets — guaranteed by construction).
-        """
-        self._validate_endpoints(source, target)
-        groups = collaborative_sets(
-            self.universe, self.invariants, self.actions,
-            conflicts=self.conflicts,
-        )
-        current = source
-        steps: List[PlanStep] = []
-        total = 0.0
-        for group in groups:
-            group_source = Configuration(source.members & group)
-            group_target = Configuration(target.members & group)
-            if group_source == group_target:
-                continue
-            sub_universe = ComponentUniverse(
-                [self.universe.component(name)
-                 for name in self.universe.order if name in group]
-            )
-            sub_planner = AdaptationPlanner(
-                sub_universe,
-                project_invariants(self.invariants, group),
-                self.actions.restricted_to(group),
-            )
-            sub_plan = sub_planner.lazy_plan(group_source, group_target)
-            for step in sub_plan.steps:
-                next_config = step.action.apply(current)
-                steps.append(
-                    PlanStep(
-                        index=len(steps),
-                        action=step.action,
-                        source=current,
-                        target=next_config,
-                    )
-                )
-                current = next_config
-                total += step.action.cost
-        if current != target:
-            raise NoSafePathError(
-                "collaborative planning could not reach the target "
-                f"(stopped at {current.label()})"
-            )
-        return AdaptationPlan(source=source, target=target, steps=tuple(steps), total_cost=total)
 
 
 class PathStream:
@@ -797,20 +718,28 @@ class PathStream:
             cache[key] = None if path is None else self.plan(path)
 
     def _spur_query(self, spur_mask, banned_nodes, banned_labels):
-        """One Yen spur: :meth:`AdaptationPlanner._banned_shortest` over
-        this stream's arcs under the spur's bans, charged to its budget."""
+        """One Yen query, charged to this stream's budget: the first,
+        which bans nothing, is the pair's MAP
+        (:meth:`AdaptationPlanner._map_path`); every spur is
+        :meth:`AdaptationPlanner._banned_shortest` over this stream's
+        arcs under the spur's bans."""
         planner = self._planner
         target_mask = self._yen.target
-        if self._successors is None:
-            self._successors = (
-                _memoized(planner.lazy_sag.successors) if self._implicit
-                else planner.sag.successors
+        if not banned_nodes and not banned_labels:
+            path, exhausted, spent = planner._map_path(
+                spur_mask, target_mask, self._remaining
             )
-            self._heuristic = planner._lazy_heuristic(self._yen.source, target_mask)
-        path, exhausted, spent = planner._banned_shortest(
-            self._successors, spur_mask, target_mask, self._heuristic,
-            self._remaining, banned_nodes=banned_nodes, banned_labels=banned_labels,
-        )
+        else:
+            if self._successors is None:
+                self._successors = (
+                    _memoized(planner.lazy_sag.successors) if self._implicit
+                    else planner.sag.successors
+                )
+                self._heuristic = planner._lazy_heuristic(self._yen.source, target_mask)
+            path, exhausted, spent = planner._banned_shortest(
+                self._successors, spur_mask, target_mask, self._heuristic,
+                self._remaining, banned_nodes=banned_nodes, banned_labels=banned_labels,
+            )
         if self._remaining is not None:
             self._remaining = max(0, self._remaining - spent)
         return path, exhausted

@@ -34,10 +34,8 @@ class LazySAG:
     for that vertex — same arcs, same action-library order — without
     ever enumerating the safe space or materializing the graph.  A search
     driven by it therefore relaxes edges in exactly the sequence the
-    eager CSR solver does, which is what makes
-    :meth:`AdaptationPlanner.lazy_plan
-    <repro.core.planner.AdaptationPlanner.lazy_plan>`'s tie-breaking
-    provably identical to the eager path.
+    eager CSR solver does, which is what makes the planner's banned
+    searches break ties as they would over the built SAG.
 
     :attr:`successors` is one arc function, chosen when the generator is
     made and never cached per mask:

@@ -6,8 +6,9 @@ failure-handling cascade's "second minimum adaptation path", §4.4), and
 partial exploration that never materializes the whole SAG (§7).  The
 planner runs one engine per question, over int configuration masks:
 
-* :class:`CSRGraph` / :class:`ShortestPathTree` — resumable Dijkstra
-  over the built SAG's compressed-sparse-row arrays;
+* :class:`CSRGraph` / :class:`ShortestPathTree` — Dijkstra over
+  compressed-sparse-row arrays (the per-set distance tables' reverse
+  searches), and its resumable single-source tree;
 * :func:`~repro.graphs.astar.astar_cost` and
   :func:`~repro.graphs.astar.corridor_search` — the exact two-phase
   search over an implicit successor function;

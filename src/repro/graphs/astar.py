@@ -5,7 +5,8 @@ path algorithm requires the entire SAG to be generated.  However, in many
 cases, only a small fraction of the graph is actually related to the given
 adaptation."  The remedy is best-first partial exploration that expands
 safe configurations on demand through a successor function, never
-materializing the full graph.  The planner's exact search runs in two
+materializing the full graph.  The planner's exact search (for queries
+with bans, and MAPs its per-set tables cannot afford) runs in two
 phases over such a function: :func:`astar_cost` (a deep-tie A* probe that
 only establishes the optimal cost) and :func:`corridor_search`
 (Dijkstra's exact pop order and tie-break, confined to the nodes a
@@ -49,8 +50,8 @@ def astar_cost(
 ) -> Optional[float]:
     """The optimal cost from *source* to *target* — A* that keeps no path.
 
-    The probe of the exact lazy search
-    (:meth:`~repro.core.planner.AdaptationPlanner.lazy_plan`): it only
+    The probe of the planner's exact banned search
+    (:meth:`~repro.core.planner.AdaptationPlanner._banned_shortest`): it only
     has to establish the optimal cost ``D``, so it records no
     predecessors and breaks ``f`` ties **deep** — the heap is ordered by
     ``(f, -g, counter)``, so among equally promising nodes the one
@@ -134,7 +135,7 @@ def corridor_search(
 ) -> Optional[Path[N, L]]:
     """Dijkstra's exact path, searched only inside the optimal corridor.
 
-    The replay of the exact lazy search: nodes are settled in
+    The replay of the planner's exact banned search: nodes are settled in
     ``(g, hops, counter)`` order — the order, relax rule and tie-break
     of the eager CSR solver (:func:`repro.graphs.csr.csr_dijkstra`) —
     but a relaxation is dropped when ``g + h(next)`` exceeds

@@ -20,13 +20,11 @@ Kernels provided:
 * :meth:`CSRGraph.shortest_path_tree` — a resumable single-source
   shortest-path *tree* (:class:`ShortestPathTree`): each query settles
   the search only as far as its target, later queries resume it, and a
-  settled target's ``path_to`` is O(path length).  This is what makes
-  batched multi-source MAP solving amortized: one tree serves every
-  request that shares its source.  A lone cold request builds neither
-  the graph nor a tree: the planner answers it with the corridor search
-  of :mod:`repro.graphs.astar` over the factored view of the SAG
-  (:class:`repro.core.collaborative.FactoredSAG`), and grows trees only
-  for batches and on a SAG that is already built.
+  settled target's ``path_to`` is O(path length).  The planner grows
+  none: it reads MAPs off per-set distance tables, each one reverse
+  :func:`csr_dijkstra` over a collaborative set's sub-SAG
+  (:class:`repro.core.collaborative.SetDistanceHeuristic`); trees serve
+  the monolithic baselines of the benchmarks.
 
 k-best queries are not a kernel here: the planner's Yen spurs run the
 two-phase corridor search of :mod:`repro.graphs.astar` over the SAG's

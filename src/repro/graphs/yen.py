@@ -6,8 +6,9 @@ configuration", and in general the next-best alternative each time a step
 fails.  Yen's algorithm enumerates loopless paths in non-decreasing cost
 order; :class:`YenState` is its candidate loop for one ``(source,
 target)`` pair, with the spur search left to the caller (the planner
-runs the two-phase corridor search of :mod:`repro.graphs.astar` with the
-bans applied at the spur node).  The state is extended one path at a
+answers the first query, which bans nothing, with its MAP, and runs the
+two-phase corridor search of :mod:`repro.graphs.astar` with the bans
+applied at the spur node for every spur).  The state is extended one path at a
 time, so one state serves every k: a smaller k reads a prefix of
 :attr:`YenState.found`, a larger one resumes where the last query
 stopped.  A spur whose answer is already known is not searched again:

@@ -24,8 +24,8 @@ Two execution modes, one verdict semantics, chosen by the spec's size
 <repro.core.planner.AdaptationPlanner.oversized>`, the one reader of the
 planner's size cap — lint's ``[properties]`` checks route by it too):
 
-* **eager** (at or below the cap): Yen whose spurs run the two-phase
-  corridor search over the built SAG;
+* **eager** (at or below the cap): Yen from the MAP, whose spurs run the
+  two-phase corridor search over the built SAG;
 * **lazy** (above the cap): the same Yen state and spur search over the
   :class:`~repro.core.sag.LazySAG` frontier with an expansion budget —
   verdicts are tri-state (``holds=None`` when the budget ran out before

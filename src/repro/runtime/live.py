@@ -59,7 +59,7 @@ class LiveAdaptationSystem:
     ):
         self.universe = universe
         # An injected planner (e.g. a PlanningService-shared one) brings
-        # its warm space/SAG/SPT caches with it.
+        # its warm space/SAG/table caches with it.
         self.planner = planner or AdaptationPlanner(universe, invariants, actions)
         self.planner.space.require_safe(initial_config, role="initial configuration")
         self.transport = InMemoryTransport()

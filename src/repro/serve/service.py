@@ -193,11 +193,11 @@ class PlanningService:
 
     Oversized specs (:attr:`AdaptationPlanner.oversized
     <repro.core.planner.AdaptationPlanner.oversized>`) are planned
-    through :meth:`AdaptationPlanner.lazy_plan` — the frontier search
-    that never materializes the safe space or the SAG — instead of the
-    eager CSR pipeline.  Lazy results land in the same per-pair plan
-    cache, so warm reads stay lock-free whichever engine planned the
-    pair.
+    through :meth:`AdaptationPlanner.lazy_plan`, the others through
+    :meth:`AdaptationPlanner.plan`; both read the MAP off the per-set
+    tables and never materialize the safe space or the SAG.  Results
+    land in the same per-pair plan cache, so warm reads stay lock-free
+    whichever entry point planned the pair.
 
     Args:
         max_specs: LRU bound on registered specs (≥ 1); registering past

@@ -188,7 +188,7 @@ class AdaptationCluster:
         # published at emission time (streaming checking/enforcement).
         self.trace = Trace(bus=bus)
         # An injected planner (e.g. a PlanningService-shared one) brings
-        # its warm space/SAG/SPT caches; by default each cluster owns a
+        # its warm space/SAG/table caches; by default each cluster owns a
         # private planner, as before.
         self.planner = planner or AdaptationPlanner(universe, invariants, actions)
         self.planner.space.require_safe(initial_config, role="initial configuration")

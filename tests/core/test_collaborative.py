@@ -68,14 +68,19 @@ class TestCollaborativeSets:
 
 
 class TestCollaborativePlanning:
+    """The MAP is read off per-set tables (§7): each set's own MAP,
+    interleaved, with no SAG over the whole universe."""
+
     def test_matches_monolithic_cost_on_paper_instance(self, planner, source, target):
-        collab = planner.plan_collaborative(source, target)
-        assert collab.total_cost == planner.plan(source, target).total_cost
+        from tests.oracles.graph_reference import shortest_path
+
+        plan = planner.plan(source, target)
+        assert plan.total_cost == shortest_path(planner.sag.graph, source, target).cost
 
     def test_replicated_system_planned_per_group(self):
         system = replicated_video_system(3)
         planner = AdaptationPlanner(system.universe, system.invariants, system.actions)
-        plan = planner.plan_collaborative(system.source, system.target)
+        plan = planner.plan(system.source, system.target)
         # each group needs its own 5-step, 50-cost MAP
         assert plan.total_cost == 150.0
         assert len(plan) == 15
@@ -88,9 +93,10 @@ class TestCollaborativePlanning:
 
     def test_collaborative_faster_than_full_sag(self):
         # With two groups, the monolithic safe space already has 64
-        # configurations; collaborative planning should never enumerate it.
+        # configurations; planning per set never enumerates it.
         system = replicated_video_system(2)
         planner = AdaptationPlanner(system.universe, system.invariants, system.actions)
-        plan = planner.plan_collaborative(system.source, system.target)
+        plan = planner.plan(system.source, system.target)
         assert plan.total_cost == 100.0
         assert planner._sag is None  # full SAG never built
+        assert planner.space._cache is None

@@ -1,15 +1,18 @@
-"""Lone plan queries over the factored SAG view, against the built SAG.
+"""Lone plan queries off the per-set tables, and the factored SAG view.
 
-:class:`repro.core.collaborative.FactoredSAG` reads a mask's arcs off the
-collaborative factors' sub-SAGs; a cold :meth:`AdaptationPlanner.plan`
-runs the two-phase corridor search over it instead of building the SAG
-and a shortest-path tree.  Over the random multi-set systems of
-``test_factored_build`` (interleaved bits, interleaved libraries, idle
-and loose sets, foreign atoms and actions, empty factors) the view is
-pinned to :attr:`SafeAdaptationGraph.successors` mask by mask, and the
-plans to Dijkstra's on the built SAG: path, cost and tie-break, cached
+A cold :meth:`AdaptationPlanner.plan` reads the plan off the exact
+per-set tables instead of building the SAG; the banned searches read
+:class:`repro.core.collaborative.FactoredSAG`, which reads a mask's arcs
+off the collaborative factors' sub-SAGs.  Over the random multi-set
+systems of ``test_factored_build`` (interleaved bits, interleaved
+libraries, idle and loose sets, foreign atoms and actions, empty
+factors) the view is pinned to :attr:`SafeAdaptationGraph.successors`
+mask by mask, and the plans to the MAP contract's brute force
+(:func:`tests.oracles.map_reference.rule_plan`): path and cost, cached
 unreachable verdicts and ``source == target`` included, and on dense
-one-set systems whose equal-cost paths differ in length.
+one-set systems whose equal-cost paths differ in length.  A factor above
+the cap falls back to the search over the compiled arcs, with
+Dijkstra's tie-break.
 """
 
 import gc
@@ -29,6 +32,8 @@ from repro.errors import NoSafePathError
 from repro.ltl import verify_paths
 from repro.manifest import load_path
 from tests.core.test_factored_build import multi_set_systems
+from tests.oracles.graph_reference import shortest_path
+from tests.oracles.map_reference import corridor_plan, rule_plan
 
 FLEET30 = Path(__file__).resolve().parents[2] / "examples" / "fleet30.manifest"
 
@@ -70,7 +75,7 @@ def dense_systems(draw):
 
 @given(st.one_of(multi_set_systems(), dense_systems()), st.data())
 @settings(max_examples=150, deadline=None)
-def test_cold_plans_are_the_tree_plans(system, data):
+def test_cold_plans_follow_the_rule(system, data):
     universe, invariants, actions = system
     reference = AdaptationPlanner(universe, invariants, actions)
     configs = reference.space.enumerate()
@@ -82,15 +87,15 @@ def test_cold_plans_are_the_tree_plans(system, data):
     planner = AdaptationPlanner(universe, invariants, actions)
     for source in sources:
         for target in configs:  # source == target and unreachable ones too
-            expected = reference.plan_many([(source, target)])[0]
+            expected = rule_plan(reference, source, target)
             got = _plan_or_none(planner.plan, source, target)
             assert got == expected
             if expected is not None:
                 assert got.total_cost == expected.total_cost
             # a cached verdict either way, the unreachable None included
             assert planner.peek_plan(source, target) == (True, expected)
-    # every answer was a lone cold query: no SAG, no tree
-    assert planner._sag is None and not planner._spt_cache
+    # every answer came off the tables: no SAG, no search
+    assert planner._sag is None and planner._lazy_sag is None
 
 
 @given(multi_set_systems(), st.data())
@@ -107,22 +112,31 @@ def test_a_factor_above_the_cap_falls_back_to_the_compiled_arcs(system, data):
     lazy = planner.lazy_sag
     factored = FactoredSAG.fitting(planner.space, actions, 0)
     assert (lazy._factored is None) == (factored is None)
-    expected = reference.plan_many([(source, target)])[0]
-    assert _plan_or_none(planner.lazy_plan, source, target) == expected
+    expected = shortest_path(reference.sag.graph, source, target)
+    got = _plan_or_none(planner.lazy_plan, source, target)
+    if expected is None:
+        assert got is None
+    else:
+        assert (got.action_ids, got.total_cost) == (expected.labels, expected.cost)
 
 
 def test_equal_cost_paths_break_ties_by_hops():
-    """A seed whose equal-cost plans differ in length: the cheaper prefix
-    settles first but takes more steps, and the tree keeps the shorter
-    plan (a corridor that kept the first relaxation would not)."""
+    """A seed whose equal-cost plans differ in length: the plan takes the
+    fewest steps, as Dijkstra's does, then the lowest action index at each
+    step (``R1`` before ``R4``), where Dijkstra's takes the first
+    relaxation (``R4, R7, R1``)."""
     system = random_system(314, n_components=6, n_invariants=2, n_actions=12)
     reference = AdaptationPlanner(system.universe, system.invariants, system.actions)
     source = Configuration(["C0", "C4", "C5"])
-    for target in (Configuration(["C0", "C1"]), Configuration(["C0", "C1", "C2"])):
-        expected = reference.plan_many([(source, target)])[0]
+    for target, action_ids in (
+        (Configuration(["C0", "C1"]), ("R4", "R7")),
+        (Configuration(["C0", "C1", "C2"]), ("R1", "R4", "R7")),
+    ):
+        expected = rule_plan(reference, source, target)
         planner = AdaptationPlanner(system.universe, system.invariants, system.actions)
         assert planner.plan(source, target) == expected
-        assert expected.action_ids[:2] == ("R4", "R7")
+        assert expected.action_ids == action_ids
+        assert len(expected) == len(corridor_plan(reference, source, target))
 
 
 def test_an_unreachable_target_is_cached_as_none():
@@ -134,7 +148,7 @@ def test_an_unreachable_target_is_cached_as_none():
     with pytest.raises(NoSafePathError):
         planner.plan(system.target, system.source)
     assert planner.peek_plan(system.target, system.source) == (True, None)
-    assert planner._sag is None and not planner._spt_cache
+    assert planner._sag is None and planner._lazy_sag is None
 
 
 def _fleet30_pairs(planner, count, rng):
@@ -153,12 +167,12 @@ def _fleet30_pairs(planner, count, rng):
 
 def test_fleet30_lone_queries_keep_nothing_per_mask():
     """500 random fleet30 lone queries, then k-best lists (``lazy_plan_k``,
-    k = 4) and ``verify_paths`` (k = 8) on 60 random pairs each: the
-    implicit SAG keeps no per-mask arcs, and each k-best memo is dropped
-    with its query, so what the planner holds beyond its plan caches
-    stays flat (a memo kept across k-best queries held ~50 MB after 150
-    ``verify_paths`` pairs; the compiled-arc cache of lone queries held
-    ~5 MB after these 500)."""
+    k = 4) and ``verify_paths`` (k = 8) on 60 random pairs each: the lone
+    queries expand nothing, the implicit SAG keeps no per-mask arcs, and
+    each k-best memo is dropped with its query, so what the planner holds
+    beyond its plan caches stays flat (a memo kept across k-best queries
+    held ~50 MB after 150 ``verify_paths`` pairs; the compiled-arc cache
+    of lone queries held ~5 MB after these 500)."""
     manifest = load_path(FLEET30)
     planner = manifest.planner()
     rng = random.Random(0)
@@ -189,6 +203,6 @@ def test_fleet30_lone_queries_keep_nothing_per_mask():
     finally:
         tracemalloc.stop()
     assert planner.lazy_sag._factored is not None
-    assert lone_expansions > len(pairs)
+    assert lone_expansions == 0
     assert planner._sag is None and planner.space._cache is None
     assert held < 2_000_000, f"{held / 1e6:.2f} MB held after the fleet30 queries"

@@ -186,9 +186,10 @@ def test_call_sequences_match_the_oracle(seed, calls, order, pair_draws):
         known = {}  # pair -> (longest k answered in full, plans that exist)
         for (kind, k, budget), draw in zip(_k_order(calls, order), pair_draws):
             pair = pairs[draw]
-            if (pair, k) not in expected:
-                expected[pair, k] = _signatures(reference_plan_k(reference, *pair, k))
-            want = expected[pair, k]
+            key = (pair, k, planner.max_components)
+            if key not in expected:
+                expected[key] = _signatures(reference_plan_k(reference, *pair, k, planner))
+            want = expected[key]
             if kind == "plan_k":
                 got, complete = planner.plan_k(*pair, k), True
             else:
@@ -227,8 +228,8 @@ def test_budget_sequences_read_prefixes_of_the_oracle(seed, budgets, pair_index)
     if not reachable:
         return
     pair = reachable[pair_index * len(reachable) // 3]
-    want = _signatures(reference_plan_k(reference, *pair, 8))
     for planner in _arc_source_planners(system):
+        want = _signatures(reference_plan_k(reference, *pair, 8, planner))
         longest = 0
         for budget in budgets:
             plans, complete = planner.lazy_plan_k(*pair, 8, max_expansions=budget)

@@ -10,7 +10,11 @@ covering every arc out of the source.  The answer is the MAP itself
 whenever the MAP avoids the failed edges (so always for no failed edge),
 and it is the same on a repeat and after
 :meth:`~AdaptationPlanner.reset_caches`, over the built SAG
-and over the implicit SAG on both of its arc sources.
+and over the implicit SAG on both of its arc sources.  The compiled arc
+source comes with a cap below the largest collaborative set, so that
+planner searches its MAP too, with Dijkstra's tie-break instead of the
+MAP contract's: its answers share the cost, and the path wherever both
+MAPs take a failed step (the banned search is the same).
 """
 
 import math
@@ -107,21 +111,28 @@ def test_cost_is_the_brute_force_minimum(seed, data):
         (step.source, step.action.action_id) not in failed for step in best.steps
     )
     answers = []
+    avoided = []
     for planner in planners:
+        own = None if best is None else planner.plan(source, target)
+        avoided.append(own is not None and all(
+            (step.source, step.action.action_id) not in failed for step in own.steps
+        ))
         answer = planner.plan_avoiding(source, target, failed)
         if expected is None:
             assert answer is None
         else:
             assert answer is not None and answer.total_cost == expected
             _assert_valid(answer, source, target, failed, space)
-        if map_avoids:
-            assert answer == planner.plan(source, target)
+        if avoided[-1]:
+            assert answer == own
         assert planner.plan_avoiding(source, target, list(failed)) == answer
-        assert planner.plan_avoiding(source, target, ()) == best
+        assert planner.plan_avoiding(source, target, ()) == own
         planner.reset_caches()
         assert planner.plan_avoiding(source, target, failed) == answer
         answers.append(answer)
-    assert answers[1] == answers[0] and answers[2] == answers[0]
+    assert avoided[1] == avoided[0] == map_avoids and answers[1] == answers[0]
+    if not map_avoids and not avoided[2]:  # one banned search for all three
+        assert answers[2] == answers[0]
 
 
 def test_no_failed_edge_gives_the_map():

@@ -1,4 +1,4 @@
-"""Batched planning (plan_many), SPT cache behavior, and cache correctness."""
+"""Batched planning (plan_many), the per-set table LRU, and cache correctness."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +8,7 @@ from repro.core.actions import AdaptiveAction
 from repro.core.planner import AdaptationPlanner
 from repro.errors import NoSafePathError, UnsafeConfigurationError
 from tests.oracles.graph_reference import shortest_path
+from tests.oracles.map_reference import rule_plan
 
 
 def try_plan(planner, source, target):
@@ -24,7 +25,8 @@ def safe_configs(planner):
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
 def test_plan_matches_dict_graph_reference(seed):
-    """CSR-routed plan() is pinned to shortest_path over the dict SAG."""
+    """plan() costs are pinned to shortest_path over the dict SAG, and its
+    paths to the MAP contract's brute force."""
     system = random_system(seed)
     planner = AdaptationPlanner(system.universe, system.invariants, system.actions)
     configs = safe_configs(planner)
@@ -39,7 +41,7 @@ def test_plan_matches_dict_graph_reference(seed):
             else:
                 assert got is not None
                 assert got.total_cost == expected.cost
-                assert got.action_ids == expected.labels
+                assert got.action_ids == rule_plan(planner, source, target).action_ids
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -76,16 +78,19 @@ def test_plan_many_writes_through_to_plan_cache(planner, source, target):
     assert planner.plan(source, target) is results[0]
 
 
-def test_spt_cache_is_lru_bounded(universe, invariants, actions, monkeypatch):
-    monkeypatch.setattr(AdaptationPlanner, "SPT_CACHE_SIZE", 2)
+def test_set_table_cache_is_lru_bounded(universe, invariants, actions, monkeypatch):
+    monkeypatch.setattr(AdaptationPlanner, "SET_TABLE_CACHE_SIZE", 2)
     planner = AdaptationPlanner(universe, invariants, actions)
     configs = safe_configs(planner)
     assert len(configs) >= 4
     for config in configs[:4]:
-        planner.plan_many([(config, configs[0])])
-    assert len(planner._spt_cache) == 2
-    # most recently used sources survive
-    assert configs[3] in planner._spt_cache
+        planner.plan_many([(configs[-1], config)])
+    tables = planner._set_distances._tables
+    assert len(tables) == 2
+    # the video system is one collaborative set: the most recently used
+    # targets' tables survive
+    mask_of = planner.universe.mask_of
+    assert list(tables) == [(0, mask_of(configs[2])), (0, mask_of(configs[3]))]
 
 
 def test_cached_none_is_distinct_from_cache_miss(planner):
@@ -104,22 +109,25 @@ def test_cached_none_is_distinct_from_cache_miss(planner):
     assert planner.plan_many([(source, target)]) == [None]
     hit, cached = planner.peek_plan(source, target)
     assert hit and cached is None  # now a cached unreachable verdict
-    # plan() answers from the cached None without re-searching: breaking
-    # the tree builder proves no fresh Dijkstra runs
-    planner._spt_for = None  # type: ignore[method-assign]
+    # plan() answers from the cached None without re-planning: breaking
+    # the planning route proves it
+    planner._map_path = None  # type: ignore[method-assign]
     with pytest.raises(NoSafePathError):
         planner.plan(source, target)
 
 
 def test_reset_caches_drops_spt_and_csr_state(planner, source, target):
+    """Every derived cache goes: the per-set tables (which replaced the
+    shortest-path trees), the plan cache, the kept alternates, the Yen
+    states and the SAG with its CSR view."""
     planner.plan_many([(source, target)])
     first = planner.plan(source, target).steps[0]
     planner.plan_avoiding(source, target, [(first.source, first.action.action_id)])
-    assert planner._spt_cache and planner._plan_cache and planner._avoiding
+    assert planner._set_distances and planner._plan_cache and planner._avoiding
     old_sag = planner.sag
     assert old_sag.csr is old_sag.csr  # cached view
     planner.reset_caches()
-    assert not planner._spt_cache
+    assert planner._set_distances is None
     assert not planner._plan_cache
     assert not planner._avoiding
     assert not planner._k_best
@@ -129,23 +137,18 @@ def test_reset_caches_drops_spt_and_csr_state(planner, source, target):
 def test_a_fresh_plan_builds_no_sag_and_no_tree(planner, source, target):
     plan = planner.plan(source, target)
     assert plan.total_cost == 50.0
-    assert planner._sag is None
-    assert not planner._spt_cache
+    assert planner._sag is None and planner._lazy_sag is None
     assert planner.space._cache is None  # the safe space was not enumerated either
 
 
-def test_plan_resumes_a_cached_tree(planner, source, target):
+def test_a_built_sag_changes_no_answer(planner, source, target):
     configs = safe_configs(planner)
-    planner.plan_many([(source, source)])
-    tree = planner._spt_cache[source]
+    fresh = AdaptationPlanner(planner.universe, planner.invariants, planner.actions)
+    planner.sag
     for other in configs:
-        try:
-            planner.plan(source, other)
-        except NoSafePathError:
-            pass
-    # every answer came off the cached tree: the implicit SAG was never read
-    assert planner._lazy_sag is None
-    assert planner._spt_cache[source] is tree
+        assert try_plan(planner, source, other) == try_plan(fresh, source, other)
+    # every answer came off the tables: neither SAG was searched
+    assert planner._lazy_sag is None and fresh._sag is None
 
 
 def test_mutating_action_library_never_serves_stale_path(
@@ -171,7 +174,7 @@ def test_mutating_action_library_never_serves_stale_path(
     after = planner.plan(source, target)
     assert after.action_ids == ("A99",)
     assert after.total_cost == 1.0
-    # batched and k-best answers rebuilt too — no stale tree anywhere
+    # batched and k-best answers rebuilt too — no stale table anywhere
     assert planner.plan_many([(source, target)])[0].action_ids == ("A99",)
     assert planner.plan_k(source, target, 2)[0].action_ids == ("A99",)
     assert planner.plan_avoiding(source, target, failed).action_ids == ("A99",)

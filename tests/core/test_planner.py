@@ -108,6 +108,7 @@ class TestLazyPlanner:
             planner.lazy_plan(target, source)
 
     def test_expansion_budget_exhaustion_raises(self, planner, source, target):
+        planner.max_components = 0  # only a set above the cap is searched
         with pytest.raises(NoSafePathError):
             planner.lazy_plan(source, target, max_expansions=1)
 

@@ -9,7 +9,11 @@ carries, and the per-``(source, label)`` edge-id lookup); ``plan_k`` and
 the CSR kernel tests pin the product to them:
 
 * ``tests/core/test_plan_k_oracle.py`` — :func:`reference_plan_k` equals
-  ``plan_k`` (paths, costs and order);
+  ``plan_k`` (paths, costs and order).  Its Yen loop starts from the
+  MAP of the contract (:func:`tests.oracles.map_reference.rule_path`),
+  as the product's starts from the table walk, or from Dijkstra's path
+  for a pair the product searches (a changed set above its cap); every
+  spur after it is the banned-set Dijkstra;
 * ``tests/graphs/test_csr.py`` — :func:`k_shortest_paths_csr` equals the
   dict-graph Yen of :func:`tests.oracles.graph_reference.k_shortest_paths`.
 """
@@ -24,6 +28,7 @@ from repro.core.planner import AdaptationPlan, AdaptationPlanner
 from repro.graphs.csr import _INF, CSRGraph, L, N, reconstruct_path
 from repro.graphs.digraph import Path
 from tests.oracles.graph_reference import csr_shortest_path, extend_k_shortest
+from tests.oracles.map_reference import rule_path, searched
 
 
 def edges_labelled(
@@ -125,7 +130,8 @@ def csr_dijkstra(
 
 
 def k_shortest_paths_csr(
-    csr: CSRGraph[N, L], source: N, target: N, k: int
+    csr: CSRGraph[N, L], source: N, target: N, k: int,
+    first: Optional[Path[N, L]] = None,
 ) -> List[Path[N, L]]:
     """Yen's k shortest loopless paths over the compiled graph.
 
@@ -133,11 +139,13 @@ def k_shortest_paths_csr(
     candidate — spur queries run banned-set Dijkstra on the shared CSR
     arrays instead of materializing pruned :class:`Digraph` copies, so
     the output (paths, costs, order) is identical while each spur query
-    skips the full graph copy.
+    skips the full graph copy.  The loop starts from *first*, a shortest
+    path (Dijkstra's unless given).
     """
     if k <= 0:
         return []
-    first = csr_shortest_path(csr, source, target)
+    if first is None:
+        first = csr_shortest_path(csr, source, target)
     if first is None:
         return []
     index_of = csr.index_of
@@ -165,16 +173,29 @@ def reference_plan_k(
     source: Configuration,
     target: Configuration,
     k: int,
+    tested: Optional[AdaptationPlanner] = None,
 ) -> List[AdaptationPlan]:
-    """The former ``plan_k``: CSR Yen over the planner's built SAG.
+    """The former ``plan_k``: CSR Yen over the planner's built SAG, from
+    the MAP *tested* (a planner over the same system, *planner* itself
+    unless given) returns first: the contract's, or Dijkstra's where
+    *tested* searches the pair (:func:`~tests.oracles.map_reference.searched`).
 
     Borrows only the planner's endpoint validation, SAG and decoder;
     nothing is cached.
     """
     planner._validate_endpoints(source, target)
+    if k <= 0:
+        return []
     mask_of = planner.universe.mask_of
+    source_mask, target_mask = mask_of(source), mask_of(target)
+    if searched(tested or planner, source_mask, target_mask):
+        first = csr_shortest_path(planner.sag.csr, source_mask, target_mask)
+    else:
+        first = rule_path(planner, source_mask, target_mask)
+    if first is None:
+        return []
     paths = k_shortest_paths_csr(
-        planner.sag.csr, mask_of(source), mask_of(target), k
+        planner.sag.csr, mask_of(source), mask_of(target), k, first
     )
     return [
         planner._plan_from_mask_path(source, target, path.nodes, path.labels, path.cost)

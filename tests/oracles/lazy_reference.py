@@ -10,14 +10,19 @@ The exact frontier search the product ran before the corridor replay:
    eager solver's relaxation sequence and tie-break.
 
 The probe and the replay of :meth:`ReferenceLazyPlanner.lazy_plan` each
-get the full expansion budget.  :class:`ReferenceLazyPlanner` wraps an
+get the full expansion budget.  Its plans break ties as Dijkstra's do;
+the product's MAP follows the contract of DESIGN.md §11 instead, so the
+differential suite pins only costs to :meth:`~ReferenceLazyPlanner.lazy_plan`,
+and starts :meth:`~ReferenceLazyPlanner.lazy_plan_k` from the contract's
+MAP.  :class:`ReferenceLazyPlanner` wraps an
 :class:`~repro.core.planner.AdaptationPlanner` and borrows only its
 endpoint validation, successor generator (``lazy_sag``), decoder and
 plan cache; the search itself is kept verbatim.  The differential suite
 in ``tests/core/test_lazy_oracle.py`` pins
 :meth:`AdaptationPlanner.lazy_plan` and :meth:`AdaptationPlanner.lazy_plan_k`
-to it: same plans (paths, costs, order) and the same completeness flag
-wherever budgets are unset.
+to it: same costs, the same k-best lists (paths, costs, order) from the
+same first path, and the same completeness flag wherever budgets are
+unset.
 
 :func:`_filtered` is the banned view the product's Yen spurs searched
 before their bans were applied at the source (banned masks seeding the
@@ -357,6 +362,7 @@ class ReferenceLazyPlanner:
         target: Configuration,
         k: int,
         max_expansions: Optional[int] = None,
+        first: Optional[Path] = None,
     ) -> Tuple[List[AdaptationPlan], bool]:
         """Up to *k* minimum-cost plans by frontier search — no SAG (§7).
 
@@ -374,7 +380,9 @@ class ReferenceLazyPlanner:
         could finish — the plans returned so far are still the true
         best ones, there may just be more.  Used by
         :func:`repro.ltl.paths.verify_paths` for budget-bounded
-        tri-state verdicts above the enumeration cap.
+        tri-state verdicts above the enumeration cap.  Yen's loop starts
+        from *first*, a shortest path, when given (it costs no
+        expansion), else from the first spur query's answer.
         """
         self._validate_endpoints(source, target)
         if k <= 0:
@@ -394,7 +402,9 @@ class ReferenceLazyPlanner:
                 remaining = max(0, remaining - spent)
             return path, exhausted
 
-        first, exhausted = spur_query(source_mask, frozenset(), frozenset())
+        exhausted = False
+        if first is None:
+            first, exhausted = spur_query(source_mask, frozenset(), frozenset())
         if first is None:
             if not exhausted:
                 self._plan_cache.setdefault((source, target), None)
